@@ -1,0 +1,111 @@
+"""Golden trajectories: tiny `curverl train` runs pinned by artifact digests.
+
+Each case runs one small config end to end through the CLI and compares the
+sha256 of every deterministic artifact against a committed value. A refactor
+that claims to change no behaviour must leave all of them untouched; if one
+ever has to change, that is a deliberate, logged change to this check.
+
+The digests were written with numpy ``GOLDEN_NUMPY``. Float arithmetic in
+numpy can differ in the last bit between releases, so a mismatch under a
+different numpy version is reported with both versions named.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from curverl.cli import main
+
+GOLDEN_NUMPY = "2.4.6"
+
+ARTIFACTS = ("train_log.csv", "refdist.csv", "per_prompt.csv", "population.json")
+
+
+def golden_config(scheme, **train_overrides):
+    train = {
+        "steps": 6,
+        "scheme": scheme,
+        "batch_size": 32,
+        "n_rollouts": 8,
+        "t0": 3,
+        "learning_rate": 4.0,
+        "seed": 11,
+        "min_window_count": 16,
+    }
+    train.update(train_overrides)
+    return {
+        "version": 1,
+        "population": {
+            "size": 40,
+            "m": 8,
+            "seed": 7,
+            "difficulty": {"kind": "beta", "alpha": 1.0, "beta": 3.0,
+                           "unsolvable_fraction": 0.1},
+        },
+        "train": train,
+    }
+
+
+CASES = {
+    # min_window_count above one batch: steps 0 and 1 both use the uniform
+    # cold-start reference before the window takes over
+    "curve_window_cold_start": golden_config(
+        {"name": "curve", "reference": "window"}, min_window_count=40, log_per_prompt=True,
+    ),
+    "integrated_product": golden_config({"name": "integrated_product"}),
+    "entropic_risk": golden_config({"name": "entropic_risk", "eta": 2.0}),
+    # exact pass rates are off the rollout grid, so every weight is a snapped query
+    "curve_exact_pass_rate": golden_config(
+        {"name": "curve"}, weight_at_exact_pass_rate=True, log_per_prompt=True,
+    ),
+}
+
+DIGESTS = {
+    "curve_exact_pass_rate": {
+        "train_log.csv": "a1080434730bb0904e6d72e8a8c16aee12f0b16daa7f9ddeb4dc9f768c9d9cdb",
+        "refdist.csv": "f3fc2acdbb1acea9dbff5baf370def5f1ee787ff6b2662a137505e8ddd830fce",
+        "per_prompt.csv": "d0227efc4542fdb7f08b98dd1b75df4602935b95d8a69d7b4b7f231fad94bbb9",
+        "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
+    },
+    "curve_window_cold_start": {
+        "train_log.csv": "fed2e0a9e69a261466408697e5e0187e6111d8ca1db4f04c474b08ee345b4426",
+        "refdist.csv": "761577fb3bc7b3797695f13b90115975b807c81b0049dcacb6df7c95af69f49b",
+        "per_prompt.csv": "8a6656fa9ecf092973d6f190eead3e434014d7500821b7e5ec99f12dcaaf0fab",
+        "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
+    },
+    "entropic_risk": {
+        "train_log.csv": "e5e6307eb33782f17e90eec467f0e03682bca59e865a4ce60ce37da477e136d8",
+        "refdist.csv": "bcbf228cc4961cf427b126a1ee01c89803c8b4a2342419281db5066af40a7a03",
+        "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
+    },
+    "integrated_product": {
+        "train_log.csv": "e21c5d719d478cce9818eff2a3252abfdbf73c1d50402da40266d4ddfb747332",
+        "refdist.csv": "4544be8c9f2095cdf61be4b033e716ffa462184a2c5d5963ea4be3c1c7eed128",
+        "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
+    },
+}
+
+
+def run_digests(tmp_path, doc) -> dict[str, str]:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+    return {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ARTIFACTS
+        if (out / name).exists()
+    }
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_trajectory(tmp_path, case):
+    got = run_digests(tmp_path, CASES[case])
+    assert sorted(got) == sorted(DIGESTS[case]), "a different set of artifacts was written"
+    for name, digest in DIGESTS[case].items():
+        assert got[name] == digest, (
+            f"{case}/{name} digest changed (golden written with numpy {GOLDEN_NUMPY}, "
+            f"running numpy {np.__version__})"
+        )
