@@ -8,7 +8,6 @@ Subcommands: train, verify, weights, compare, passk. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -26,12 +25,6 @@ from .passrate import population_to_json
 from .trainer import run_training, write_training_artifacts
 
 __all__ = ["main"]
-
-
-def _write_manifest(cfg: ExperimentConfig, backend_name: str, out: Path) -> None:
-    doc = cfg.to_dict()
-    doc["train"]["backend"] = backend_name
-    (out / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def _resolve_out_dir(args, cfg: ExperimentConfig) -> Path:
@@ -56,7 +49,7 @@ def _train_once(cfg: ExperimentConfig, out: Path):
     out.mkdir(parents=True, exist_ok=True)
     write_training_artifacts(result, out)
     (out / "population.json").write_text(population_to_json(population))
-    _write_manifest(cfg.with_out_dir(str(out)), result.backend_name, out)
+    (out / "manifest.json").write_text(cfg.with_out_dir(str(out)).to_json())
     return population, result
 
 
@@ -124,8 +117,7 @@ def _parse_scheme_arg(text: str) -> weighting.WeightScheme:
 
 def cmd_weights(args) -> int:
     scheme = _parse_scheme_arg(args.scheme)
-    if isinstance(scheme, (weighting.Curve, weighting.IntegratedConvex,
-                           weighting.IntegratedProduct)):
+    if weighting.needs_reference(scheme):
         if args.ref is None:
             raise ConfigError(f"scheme {args.scheme!r} needs --ref (refdist.csv path or 'uniform')")
         if args.ref == "uniform":

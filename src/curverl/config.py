@@ -8,11 +8,14 @@ offending field.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .passrate import DifficultyProfile
 from .trainer import TrainConfig
+from .weighting import EntropicRisk, IntegratedConvex
 
 CONFIG_VERSION = 1
 
@@ -39,9 +42,45 @@ def _require_keys(d: dict, known: set[str], required: set[str], where: str) -> N
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
+_TYPE_TEXT = {int: "an integer", float: "a finite number", bool: "true or false"}
+
+
+def _check_value(where: str, value, kind: type) -> None:
+    """JSON type of one field. A boolean is never a number, and a float field
+    takes an integer or a finite float (Python's parser accepts Infinity and
+    NaN)."""
+    if isinstance(value, bool):
+        ok = kind is bool
+    elif isinstance(value, int):
+        ok = kind in (int, float)
+    else:
+        ok = kind is float and isinstance(value, float) and math.isfinite(value)
+    if not ok:
+        raise ConfigError(f"{where} must be {_TYPE_TEXT[kind]}, got {value!r}")
+
+
+def _check_types(d: dict, where: str, *classes) -> None:
+    """Check each key of ``d`` that is an int, float or bool field of the
+    dataclasses it is parsed into, by the field's annotation."""
+    for cls in classes:
+        for name, kind in get_type_hints(cls).items():
+            if name in d and kind in _TYPE_TEXT:
+                _check_value(f"{where}.{name}", d[name], kind)
+
+
+def _check_list(where: str, value, kind: type) -> None:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list, got {value!r}")
+    for item in value:
+        _check_value(where, item, kind)
+
+
 def _difficulty_from_dict(d: dict) -> DifficultyProfile:
     _require_keys(d, {"kind", "alpha", "beta", "unsolvable_fraction", "targets"},
                   {"kind"}, "population.difficulty")
+    _check_types(d, "population.difficulty", DifficultyProfile)
+    if d.get("targets") is not None:
+        _check_list("population.difficulty.targets", d["targets"], float)
     try:
         return DifficultyProfile(
             kind=d["kind"],
@@ -89,6 +128,7 @@ class PopulationSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "PopulationSpec":
         _require_keys(d, {"size", "m", "seed", "difficulty"}, {"size"}, "population")
+        _check_types(d, "population", cls)
         difficulty = (
             _difficulty_from_dict(dict(d["difficulty"]))
             if "difficulty" in d
@@ -135,6 +175,9 @@ class EvalSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "EvalSpec":
         _require_keys(d, {"rollouts", "k_list", "resamples", "seed"}, set(), "eval")
+        _check_types(d, "eval", cls)
+        if "k_list" in d:
+            _check_list("eval.k_list", d["k_list"], int)
         kwargs = dict(d)
         if "k_list" in kwargs:
             kwargs["k_list"] = tuple(int(k) for k in kwargs["k_list"])
@@ -169,11 +212,16 @@ class ExperimentConfig:
             d, {"version", "population", "train", "eval", "out_dir"},
             {"population", "train"}, "config",
         )
-        version = int(d.get("version", CONFIG_VERSION))
+        _check_types(d, "config", cls)
+        version = d.get("version", CONFIG_VERSION)
         if version != CONFIG_VERSION:
             raise ConfigError(f"version: expected {CONFIG_VERSION}, got {version}")
+        train_doc = dict(d["train"])
+        _check_types(train_doc, "train", TrainConfig)
+        if isinstance(train_doc.get("scheme"), dict):
+            _check_types(train_doc["scheme"], "train.scheme", EntropicRisk, IntegratedConvex)
         try:
-            train = TrainConfig.from_dict(dict(d["train"]))
+            train = TrainConfig.from_dict(train_doc)
         except ValueError as exc:
             raise ConfigError(f"train: {exc}") from exc
         eval_spec = EvalSpec.from_dict(dict(d["eval"])) if "eval" in d else EvalSpec()

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ioutil import write_csv
+from .kernels import sample_responses
 from .passrate import PromptInstance, sample_rollouts, softmax
 
 __all__ = [
@@ -172,9 +173,7 @@ def evaluate_policy(theta: np.ndarray, correct_masks: np.ndarray, r: int,
     emp_rates = np.empty(n_prompts)
     for i in range(n_prompts):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        u = rng.random(r)
-        responses = np.minimum((u[:, None] >= cum[i][None, :]).sum(axis=1),
-                               theta.shape[1] - 1)
+        responses = sample_responses(cum[i:i + 1], rng.random((1, r)))[0]
         rewards = correct_masks[i][responses].astype(np.int64)
         samples = EvalSampleSet(prompt_id=i, rewards=rewards, answers=responses)
         emp_rates[i] = rewards.mean()

@@ -1,42 +1,32 @@
-"""Hot training-step kernels with a compiled core and a numpy fallback.
+"""Hot training-step kernels: categorical rollout sampling and per-prompt
+score-function gradient accumulation, in numpy.
 
-The two backends implement identical arithmetic (same IEEE-754 operations in
-the same order) and are selected at import: the Cython extension
-``curverl._stepcore`` when built, pure numpy otherwise. Training results are
-therefore bit-identical across backends; the extension only changes speed.
-``benchmarks/bench_step.py`` measures the difference.
+Randomness is drawn by the caller, so a kernel is a pure function of its
+arrays and training stays deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
-try:
-    from . import _stepcore
-except ImportError:  # pure-python install
-    _stepcore = None
-
-__all__ = ["Backend", "BACKENDS", "resolve_backend", "compiled_available"]
+__all__ = ["sample_responses", "accumulate_gradients"]
 
 
-def compiled_available() -> bool:
-    return _stepcore is not None
+def sample_responses(cum: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Inverse-CDF categorical sampling, one row of ``cum`` per prompt.
 
-
-def _sample_responses_numpy(cum: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    # response = #{j : u >= cum[j]}, capped at M - 1 (guards the case where
-    # roundoff leaves cum[-1] a hair under 1).
+    response = #{j : u >= cum[j]}, capped at M - 1 (guards the case where
+    roundoff leaves cum[-1] a hair under 1).
+    """
     counts = (uniforms[:, :, None] >= cum[:, None, :]).sum(axis=2)
     return np.minimum(counts, cum.shape[1] - 1).astype(np.int64)
 
 
-def _accumulate_gradients_numpy(probs: np.ndarray, responses: np.ndarray,
-                                coeff: np.ndarray) -> np.ndarray:
-    # sum_i coeff_i * (onehot(y_i) - probs), accumulated per rollout so the
-    # per-element operation order matches the compiled loop bit for bit.
+def accumulate_gradients(probs: np.ndarray, responses: np.ndarray,
+                         coeff: np.ndarray) -> np.ndarray:
+    """Per-prompt sum_i coeff_i * (onehot(y_i) - probs), accumulated one
+    rollout at a time. Training artifacts depend on this operation order bit
+    for bit, so a faster form must keep it."""
     n_prompts, m = probs.shape
     out = np.zeros((n_prompts, m))
     rows = np.arange(n_prompts)
@@ -45,49 +35,3 @@ def _accumulate_gradients_numpy(probs: np.ndarray, responses: np.ndarray,
         out += (-c)[:, None] * probs
         out[rows, responses[:, i]] += c
     return out
-
-
-def _sample_responses_compiled(cum: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    out = np.empty(uniforms.shape, dtype=np.int64)
-    _stepcore.sample_responses(
-        np.ascontiguousarray(cum), np.ascontiguousarray(uniforms), out
-    )
-    return out
-
-
-def _accumulate_gradients_compiled(probs: np.ndarray, responses: np.ndarray,
-                                   coeff: np.ndarray) -> np.ndarray:
-    out = np.zeros(probs.shape)
-    _stepcore.accumulate_gradients(
-        np.ascontiguousarray(probs),
-        np.ascontiguousarray(responses, dtype=np.int64),
-        np.ascontiguousarray(coeff),
-        out,
-    )
-    return out
-
-
-@dataclass(frozen=True)
-class Backend:
-    name: str
-    sample_responses: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    accumulate_gradients: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-
-
-BACKENDS: dict[str, Backend] = {
-    "python": Backend("python", _sample_responses_numpy, _accumulate_gradients_numpy),
-}
-if _stepcore is not None:
-    BACKENDS["compiled"] = Backend(
-        "compiled", _sample_responses_compiled, _accumulate_gradients_compiled
-    )
-
-
-def resolve_backend(name: str = "auto") -> Backend:
-    """Pick a kernel backend: 'auto' prefers the compiled extension."""
-    if name == "auto":
-        return BACKENDS.get("compiled", BACKENDS["python"])
-    if name not in BACKENDS:
-        available = sorted(BACKENDS) + ["auto"]
-        raise ValueError(f"backend must be one of {available}, got {name!r}")
-    return BACKENDS[name]

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
+from .ioutil import fmt_float
+
 log = logging.getLogger("curverl.passrate")
 
 __all__ = [
@@ -306,21 +308,17 @@ def make_population(
 # serialization (bit-exact round trip at 17 significant digits)
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def population_to_json(pop: PromptPopulation) -> str:
     """Serialize with a fixed 17-significant-digit decimal float format."""
     lines = ["{", f'  "m": {pop.m},', '  "prompts": [']
     for i, prompt in enumerate(pop.prompts):
-        logits = ", ".join(_fmt(v) for v in prompt.logits)
+        logits = ", ".join(fmt_float(v) for v in prompt.logits)
         correct = ", ".join(str(c) for c in sorted(prompt.correct_set))
         tail = "," if i + 1 < len(pop.prompts) else ""
         lines.append(
             f'    {{"id": {prompt.id}, "logits": [{logits}], "correct": [{correct}]}}{tail}'
         )
-    weights = ", ".join(_fmt(w) for w in pop.base_weights)
+    weights = ", ".join(fmt_float(w) for w in pop.base_weights)
     lines.append("  ],")
     lines.append(f'  "base_weights": [{weights}]')
     lines.append("}")

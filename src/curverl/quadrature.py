@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-__all__ = ["DivergentIntegralError", "tail_integral", "trapezoid_integral"]
+__all__ = ["DivergentIntegralError", "tail_integral"]
 
 
 class DivergentIntegralError(ArithmeticError):
@@ -67,14 +67,6 @@ def _trapezoid(fn, a: float, b: float, tol: float, cap: float) -> float:
     fb = _eval(fn, b)
     whole = 0.5 * (b - a) * (fa + fb)
     return _adaptive(fn, a, b, fa, fb, whole, tol, _MAX_DEPTH, cap)
-
-
-def trapezoid_integral(fn, a: float, b: float, tol: float = 1e-10, cap: float = 1e6) -> float:
-    """Adaptive trapezoid on [a, b]; fn must be finite on the closed interval."""
-    try:
-        return _trapezoid(fn, a, b, tol, cap)
-    except _NonFinite as bad:
-        raise DivergentIntegralError(f"integrand is non-finite at {bad.x!r}") from None
 
 
 def _dyadic_toward(fn, a, b, singular_right, tol, cap):

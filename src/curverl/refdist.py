@@ -52,20 +52,26 @@ def offgrid_snap_count() -> int:
     return _offgrid_snaps
 
 
-def _snap_index(p: float, n_rollouts: int, warn: bool = False) -> int:
-    """Nearest interior grid index (1-based k of k/N).
+def _snap_index(p: float, n_rollouts: int) -> int:
+    """Nearest interior grid index (1-based k of k/N) for a point query.
 
-    With ``warn=True`` (point queries) any p that is not an interior grid
-    point bumps the off-grid counter; the histogram builders snap silently
-    because binning arbitrary rates is their documented job.
+    Any p that is not an interior grid point bumps the off-grid counter.
+    Rounding is half to even, then the index is clamped to [1, N - 1];
+    :func:`_grid_indices` applies the same rule to whole arrays, silently,
+    because binning arbitrary rates is the histogram builder's job.
     """
     global _offgrid_snaps
     scaled = p * n_rollouts
     k = int(round(scaled))
-    if warn and (abs(scaled - k) > 1e-9 or not 1 <= k <= n_rollouts - 1):
+    if abs(scaled - k) > 1e-9 or not 1 <= k <= n_rollouts - 1:
         _offgrid_snaps += 1
         log.debug("off-grid pass rate %.17g snapped on the N=%d grid", p, n_rollouts)
     return min(max(k, 1), n_rollouts - 1)
+
+
+def _grid_indices(rates: np.ndarray, n_rollouts: int) -> np.ndarray:
+    """Vectorised :func:`_snap_index` for finite rates, without the counter."""
+    return np.clip(np.rint(rates * n_rollouts), 1, n_rollouts - 1).astype(np.int64)
 
 
 @dataclass
@@ -150,12 +156,12 @@ class ReferenceDistribution:
 
     def cdf_at(self, p: float) -> float:
         """Floored cumulative mass at the grid point nearest p; never 0."""
-        raw = self.cdf[_snap_index(p, self.n_rollouts, warn=True) - 1]
+        raw = self.cdf[_snap_index(p, self.n_rollouts) - 1]
         return float(min(max(raw, self.cdf_floor), 1.0))
 
     def density_at(self, p: float) -> float:
         """Floored per-unit-length density at the grid point nearest p."""
-        raw = self.density[_snap_index(p, self.n_rollouts, warn=True) - 1]
+        raw = self.density[_snap_index(p, self.n_rollouts) - 1]
         return float(max(raw, self.density_floor))
 
     def floored_cdf(self) -> np.ndarray:
@@ -165,7 +171,7 @@ class ReferenceDistribution:
         return np.maximum(self.density, self.density_floor)
 
     def raw_cdf_at(self, p: float) -> float:
-        return float(self.cdf[_snap_index(p, self.n_rollouts, warn=True) - 1])
+        return float(self.cdf[_snap_index(p, self.n_rollouts) - 1])
 
 
 def uniform_reference(n_rollouts: int) -> ReferenceDistribution:
@@ -187,10 +193,22 @@ def uniform_reference(n_rollouts: int) -> ReferenceDistribution:
     )
 
 
-def _histogram(indices: np.ndarray, weights: np.ndarray | None, n_rollouts: int,
-               sample_count: int) -> ReferenceDistribution:
-    counts = np.bincount(indices - 1, weights=weights, minlength=n_rollouts - 1)
-    counts = counts.astype(np.float64)
+def estimate(window: SlidingWindow, n_rollouts: int) -> ReferenceDistribution:
+    """Histogram estimate of the reference distribution from the lagged window."""
+    return distribution_from_rates(window.rates(), n_rollouts)
+
+
+def distribution_from_rates(rates, n_rollouts: int, weights=None) -> ReferenceDistribution:
+    """Snap finite rates onto the interior grid and histogram them, with
+    optional per-rate weights."""
+    rates = np.asarray(rates, dtype=np.float64).ravel()
+    if rates.size == 0:
+        raise ColdStartError("no rates to build a reference distribution from")
+    if not np.all(np.isfinite(rates)):
+        raise ValueError("rates must be finite")
+    w = None if weights is None else np.asarray(weights, dtype=np.float64).ravel()
+    counts = np.bincount(_grid_indices(rates, n_rollouts) - 1, weights=w,
+                         minlength=n_rollouts - 1).astype(np.float64)
     total = counts.sum()
     if total <= 0:
         raise ColdStartError("no mass to build a reference distribution from")
@@ -202,29 +220,10 @@ def _histogram(indices: np.ndarray, weights: np.ndarray | None, n_rollouts: int,
         bin_mass=mass,
         cdf=cdf,
         density=mass * n_rollouts,
-        sample_count=sample_count,
-        cdf_floor=1.0 / (sample_count + 1),
-        density_floor=0.5 * n_rollouts / (sample_count + 1),
+        sample_count=rates.size,
+        cdf_floor=1.0 / (rates.size + 1),
+        density_floor=0.5 * n_rollouts / (rates.size + 1),
     )
-
-
-def estimate(window: SlidingWindow, n_rollouts: int) -> ReferenceDistribution:
-    """Histogram estimate of the reference distribution from the lagged window."""
-    rates = window.rates()
-    if rates.size == 0:
-        raise ColdStartError("sliding window is empty")
-    indices = np.array([_snap_index(r, n_rollouts) for r in rates], dtype=np.int64)
-    return _histogram(indices, None, n_rollouts, sample_count=int(rates.size))
-
-
-def distribution_from_rates(rates, n_rollouts: int, weights=None) -> ReferenceDistribution:
-    """Snap arbitrary rates in [0, 1] onto the grid with optional weights."""
-    rates = np.asarray(rates, dtype=np.float64).ravel()
-    if rates.size == 0:
-        raise ColdStartError("no rates given")
-    indices = np.array([_snap_index(r, n_rollouts) for r in rates], dtype=np.int64)
-    w = None if weights is None else np.asarray(weights, dtype=np.float64).ravel()
-    return _histogram(indices, w, n_rollouts, sample_count=int(rates.size))
 
 
 def exact_policy_distribution(population, n_rollouts: int) -> ReferenceDistribution:

@@ -8,7 +8,7 @@ weighted score-function gradients over the batch, take a plain gradient-ascent
 step, then append the active pass rates to the window and evict stale ones.
 
 Runs are deterministic: all randomness comes from per-step seed sequences
-derived from the config seed, and the kernel backends are bit-compatible.
+derived from the config seed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import refdist, weighting
 from .ioutil import write_csv
-from .kernels import Backend, resolve_backend
+from .kernels import accumulate_gradients, sample_responses
 from .passrate import (
     PromptInstance,
     PromptPopulation,
@@ -73,7 +73,6 @@ class TrainConfig:
     learning_rate: float = 0.1
     seed: int = 0
     min_window_count: int = 64
-    backend: str = "auto"
     log_per_prompt: bool = False
     weight_at_exact_pass_rate: bool = False
 
@@ -100,7 +99,6 @@ class TrainConfig:
             "learning_rate": self.learning_rate,
             "seed": self.seed,
             "min_window_count": self.min_window_count,
-            "backend": self.backend,
             "log_per_prompt": self.log_per_prompt,
             "weight_at_exact_pass_rate": self.weight_at_exact_pass_rate,
         }
@@ -119,6 +117,7 @@ class TrainConfig:
         if missing:
             raise ValueError(f"missing train config keys: {sorted(missing)}")
         kwargs = dict(d)
+        kwargs.pop("backend", None)  # v1 manifests named a kernel backend; there is one now
         kwargs["scheme"] = weighting.scheme_from_dict(dict(d["scheme"]))
         return cls(**kwargs)
 
@@ -145,7 +144,6 @@ class StepLog:
 @dataclass
 class TrainResult:
     config: TrainConfig
-    backend_name: str
     theta: np.ndarray
     step_logs: list[StepLog]
     references: list[ReferenceDistribution]
@@ -195,7 +193,6 @@ class TrainerState:
         self.masks = population.correct_masks()
         self.window = SlidingWindow(t0=config.t0, capacity=config.t0 * config.batch_size)
         self.step = 0
-        self.backend: Backend = resolve_backend(config.backend)
         self._cold_start_logged = False
 
     def exact_pass_rates(self) -> np.ndarray:
@@ -215,8 +212,7 @@ def _window_reference(state: TrainerState) -> ReferenceDistribution:
 def _scheme_for_step(state: TrainerState, window_ref: ReferenceDistribution):
     """Pin the step's reference into distribution-aware schemes."""
     scheme = state.config.scheme
-    if not isinstance(scheme, (weighting.Curve, weighting.IntegratedConvex,
-                               weighting.IntegratedProduct)):
+    if not weighting.needs_reference(scheme):
         return scheme
     ref = scheme.reference
     if ref is None or ref == "window":
@@ -256,7 +252,7 @@ def train_step(state: TrainerState) -> tuple[StepLog, ReferenceDistribution]:
 
     probs = softmax(state.theta[batch])
     cum = np.cumsum(probs, axis=1)
-    responses = state.backend.sample_responses(cum, uniforms)
+    responses = sample_responses(cum, uniforms)
     rewards = np.take_along_axis(state.masks[batch], responses, axis=1)
     counts = rewards.sum(axis=1)
     p_hat = counts / cfg.n_rollouts
@@ -273,7 +269,7 @@ def train_step(state: TrainerState) -> tuple[StepLog, ReferenceDistribution]:
         weights[i] = weighting.pointwise_weight(step_scheme, at)
 
     coeff = weights[:, None] * (rewards.astype(np.float64) - p_hat[:, None]) / cfg.n_rollouts
-    grads = state.backend.accumulate_gradients(probs, responses, coeff)
+    grads = accumulate_gradients(probs, responses, coeff)
     prompt_norms = np.sqrt((grads * grads).sum(axis=1))
 
     total = np.zeros_like(state.theta)
@@ -316,7 +312,6 @@ def run_training(population: PromptPopulation, config: TrainConfig) -> TrainResu
         refs.append(window_ref)
     return TrainResult(
         config=config,
-        backend_name=state.backend.name,
         theta=state.theta,
         step_logs=logs,
         references=refs,
@@ -329,7 +324,6 @@ def run_training(population: PromptPopulation, config: TrainConfig) -> TrainResu
 
 def mc_gradient_mean(prompt: PromptInstance, weight: float, n_batches: int,
                      n_rollouts: int, rng: np.random.Generator,
-                     backend: str = "auto",
                      use_baseline: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo mean and standard error of the fixed-weight gradient
     estimator over independently sampled rollout groups.
@@ -340,15 +334,14 @@ def mc_gradient_mean(prompt: PromptInstance, weight: float, n_batches: int,
     (1/N) sum_i weight r_i S_i, whose expectation is exactly
     weight * grad(p).
     """
-    kern = resolve_backend(backend)
     probs = softmax(prompt.logits)[None, :].repeat(n_batches, axis=0)
     cum = np.cumsum(probs, axis=1)
     uniforms = rng.random((n_batches, n_rollouts))
-    responses = kern.sample_responses(cum, uniforms)
+    responses = sample_responses(cum, uniforms)
     rewards = prompt.correct_mask()[responses]
     baseline = rewards.sum(axis=1)[:, None] / n_rollouts if use_baseline else 0.0
     coeff = weight * (rewards.astype(np.float64) - baseline) / n_rollouts
-    grads = kern.accumulate_gradients(probs, responses, coeff)
+    grads = accumulate_gradients(probs, responses, coeff)
     mean = grads.mean(axis=0)
     se = grads.std(axis=0, ddof=1) / math.sqrt(n_batches)
     return mean, se

@@ -49,6 +49,7 @@ __all__ = [
     "Identity",
     "Log",
     "ClippedLog",
+    "needs_reference",
     "scheme_name",
     "scheme_to_dict",
     "scheme_from_dict",
@@ -132,7 +133,10 @@ WeightScheme = Union[
     Reinforce, Grpo, MaxRL, EntropicRisk, Curve, IntegratedConvex, IntegratedProduct
 ]
 
-_POINTWISE_CLOSED_FORM = (Reinforce, Grpo, MaxRL)
+
+def needs_reference(scheme: WeightScheme) -> bool:
+    """True for the distribution-aware schemes, which read a reference distribution."""
+    return isinstance(scheme, (Curve, IntegratedConvex, IntegratedProduct))
 
 
 def scheme_name(scheme: WeightScheme) -> str:
@@ -151,7 +155,7 @@ def scheme_to_dict(scheme: WeightScheme) -> dict:
     d: dict = {"name": scheme_name(scheme)}
     if isinstance(scheme, EntropicRisk):
         d["eta"] = scheme.eta
-    if isinstance(scheme, (Curve, IntegratedConvex, IntegratedProduct)):
+    if needs_reference(scheme):
         ref = scheme.reference
         if ref is None or ref == "window":
             d["reference"] = "window"

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from curverl.cli import main
 from curverl.config import ExperimentConfig, load_experiment_config
 from curverl.refdist import distribution_from_rates, reference_csv_rows, REFERENCE_CSV_HEADER
@@ -93,6 +95,42 @@ class TestTrain:
         manifest = load_experiment_config(out / "manifest.json")
         # reparsing the manifest's own serialization is a fixed point
         assert ExperimentConfig.from_dict(manifest.to_dict()) == manifest
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("train", "learning_rate", float("inf")),
+        ("train", "steps", "10"),
+        ("train", "steps", 2.5),
+        ("train", "log_per_prompt", "no"),
+        ("train", "min_window_count", 1.5),
+        ("train", "seed", True),
+        ("population", "seed", float("inf")),
+        ("eval", "k_list", [1, 2.5]),
+    ])
+    def test_mistyped_field_names_field(self, tmp_path, capsys, section, field, value):
+        doc = config_doc()
+        doc[section][field] = value
+        path = write_config(tmp_path, doc)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert f"{section}.{field}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_v1_manifest_backend_key_is_ignored(self, tmp_path):
+        path = write_config(tmp_path, config_doc(steps=3))
+        first = tmp_path / "first"
+        assert main(["train", "--config", str(path), "--out", str(first)]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert "backend" not in manifest["train"]
+        manifest["train"]["backend"] = "compiled"
+        legacy = write_config(tmp_path, manifest, name="legacy.json")
+        out1, out2 = tmp_path / "plain", tmp_path / "legacy"
+        assert main(["train", "--config", str(first / "manifest.json"), "--out", str(out1)]) == 0
+        assert main(["train", "--config", str(legacy), "--out", str(out2)]) == 0
+        for name in ("train_log.csv", "refdist.csv", "population.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        replayed = [json.loads((out / "manifest.json").read_text()) for out in (out1, out2)]
+        for doc in replayed:
+            del doc["out_dir"]
+        assert replayed[0] == replayed[1]
 
     def test_seed_override_changes_run(self, tmp_path):
         path = write_config(tmp_path, config_doc(steps=2))

@@ -1,10 +1,9 @@
-"""Backend equivalence: the compiled kernel and the numpy fallback must
-produce bitwise-identical results, and both must match a naive oracle."""
+"""The step kernels must match naive loop oracles bit for bit."""
 
 import numpy as np
 import pytest
 
-from curverl.kernels import BACKENDS, compiled_available, resolve_backend
+from curverl.kernels import accumulate_gradients, sample_responses
 
 
 def make_inputs(rng, n_prompts, m, n):
@@ -49,8 +48,7 @@ class TestFallbackCorrectness:
     def test_sampling_matches_naive(self, shape):
         rng = np.random.default_rng(hash(shape) % 2**32)
         probs, cum, uniforms, _ = make_inputs(rng, *shape)
-        backend = BACKENDS["python"]
-        np.testing.assert_array_equal(backend.sample_responses(cum, uniforms),
+        np.testing.assert_array_equal(sample_responses(cum, uniforms),
                                       naive_sample(cum, uniforms))
 
     @pytest.mark.parametrize("shape", SHAPES)
@@ -58,8 +56,7 @@ class TestFallbackCorrectness:
         rng = np.random.default_rng(hash(shape) % 2**31)
         probs, cum, uniforms, coeff = make_inputs(rng, *shape)
         responses = naive_sample(cum, uniforms)
-        backend = BACKENDS["python"]
-        np.testing.assert_array_equal(backend.accumulate_gradients(probs, responses, coeff),
+        np.testing.assert_array_equal(accumulate_gradients(probs, responses, coeff),
                                       naive_accumulate(probs, responses, coeff))
 
     def test_sampling_distribution_is_correct(self):
@@ -68,37 +65,9 @@ class TestFallbackCorrectness:
         probs = np.array([[0.2, 0.5, 0.3]])
         cum = np.cumsum(probs, axis=1)
         uniforms = rng.random((1, 200_000))
-        responses = BACKENDS["python"].sample_responses(cum, uniforms)
+        responses = sample_responses(cum, uniforms)
         freq = np.bincount(responses[0], minlength=3) / responses.shape[1]
         for j in range(3):
             sigma = np.sqrt(probs[0, j] * (1 - probs[0, j]) / responses.shape[1])
             assert abs(freq[j] - probs[0, j]) < 4 * sigma
 
-
-@pytest.mark.skipif(not compiled_available(), reason="compiled extension not built")
-class TestCompiledBackend:
-    @pytest.mark.parametrize("shape", SHAPES)
-    def test_bitwise_identical_to_fallback(self, shape):
-        rng = np.random.default_rng(hash(shape) % 2**30)
-        probs, cum, uniforms, coeff = make_inputs(rng, *shape)
-        py, cc = BACKENDS["python"], BACKENDS["compiled"]
-        resp_py = py.sample_responses(cum, uniforms)
-        resp_cc = cc.sample_responses(cum, uniforms)
-        np.testing.assert_array_equal(resp_py, resp_cc)
-        np.testing.assert_array_equal(
-            py.accumulate_gradients(probs, resp_py, coeff),
-            cc.accumulate_gradients(probs, resp_cc, coeff),
-        )
-
-
-class TestResolution:
-    def test_auto_prefers_compiled_when_built(self):
-        backend = resolve_backend("auto")
-        if compiled_available():
-            assert backend.name == "compiled"
-        else:
-            assert backend.name == "python"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("gpu")

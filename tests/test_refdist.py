@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curverl.passrate import DifficultyProfile, exact_pass_rate, make_population
 from curverl.refdist import (
@@ -17,6 +19,8 @@ from curverl.refdist import (
     uniform_reference,
     wasserstein1,
     REFERENCE_CSV_HEADER,
+    _grid_indices,
+    _snap_index,
 )
 
 
@@ -110,6 +114,37 @@ class TestEstimate:
             floored = ref.floored_cdf()
             assert np.all(floored >= ref.cdf_floor)
             assert np.all(ref.floored_density() >= ref.density_floor)
+
+
+@st.composite
+def rates_and_grid(draw):
+    """N in 2..64 with rates in [0, 1], half of them exact half-grid ties."""
+    n = draw(st.integers(2, 64))
+    tie = st.integers(0, n - 1).map(lambda k: (k + 0.5) / n)
+    rates = draw(st.lists(st.one_of(st.floats(0.0, 1.0), tie), min_size=1, max_size=40))
+    return rates, n
+
+
+class TestGridSnap:
+    @given(rates_and_grid())
+    @settings(max_examples=300, deadline=None)
+    def test_vectorised_snap_matches_point_snap(self, case):
+        rates, n = case
+        assert _grid_indices(np.array(rates), n).tolist() == [_snap_index(r, n) for r in rates]
+
+    def test_every_half_grid_tie(self):
+        for n in range(2, 65):
+            ties = (np.arange(n) + 0.5) / n
+            assert _grid_indices(ties, n).tolist() == [_snap_index(r, n) for r in ties]
+
+    def test_ties_round_half_to_even_then_clamp(self):
+        ties = (np.arange(8) + 0.5) / 8  # exact in binary
+        assert _grid_indices(ties, 8).tolist() == [1, 2, 2, 4, 4, 6, 6, 7]
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rates_rejected(self, bad):
+        with pytest.raises(ValueError):
+            distribution_from_rates([bad], 8)
 
 
 class TestAccessors:

@@ -53,11 +53,10 @@ class TestPerPromptGradient:
         np.testing.assert_array_equal(per_prompt_gradient(pr, batch, 0.0), np.zeros(2))
 
     def test_kernel_path_matches_reference_implementation(self):
-        from curverl.kernels import resolve_backend
+        from curverl import kernels as kern
         from curverl.passrate import softmax
 
         rng = np.random.default_rng(4)
-        kern = resolve_backend("auto")
         for _ in range(10):
             pr = prompt(rng.standard_normal(6), {0, 3}, pid=0)
             batch = sample_rollouts(pr, 8, rng)
@@ -146,11 +145,10 @@ class TestTrainStep:
     def test_weight_scaling_scales_gradient_exactly(self):
         # scaling all weights by c > 0 scales the batch gradient by c and
         # leaves its direction unchanged; bitwise for power-of-two c
-        from curverl.kernels import resolve_backend
+        from curverl import kernels as kern
         from curverl.passrate import softmax
 
         rng = np.random.default_rng(12)
-        kern = resolve_backend("auto")
         probs = softmax(rng.standard_normal((16, 8)))
         cum = np.cumsum(probs, axis=1)
         responses = kern.sample_responses(cum, rng.random((16, 8)))
@@ -214,12 +212,11 @@ class TestWeightArgumentModes:
         # the weight w(p_hat) is correlated with the rewards inside the same
         # estimator; measure the gap against the fixed-weight expectation and
         # report it -- no bound is asserted
-        from curverl.kernels import resolve_backend
+        from curverl import kernels as kern
         from curverl.passrate import softmax as _softmax
 
         pr = prompt([1.2, 0.0, -0.5, 0.3], {0})
         n, batches = 8, 50_000
-        kern = resolve_backend("auto")
         rng = np.random.default_rng(31)
         probs = _softmax(pr.logits)[None, :].repeat(batches, axis=0)
         cum = np.cumsum(probs, axis=1)
