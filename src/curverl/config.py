@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -43,16 +44,24 @@ def _require_keys(d: dict, known: set[str], required: set[str], where: str) -> N
 
 
 _TYPE_TEXT = {int: "an integer", float: "a finite number", bool: "true or false"}
+_FLOAT_MAX = int(sys.float_info.max)
+
+
+def _object(value, where: str) -> dict:
+    """A copy of a section that must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    return dict(value)
 
 
 def _check_value(where: str, value, kind: type) -> None:
     """JSON type of one field. A boolean is never a number, and a float field
-    takes an integer or a finite float (Python's parser accepts Infinity and
-    NaN)."""
+    takes an integer within float range or a finite float (Python's parser
+    accepts Infinity and NaN, and integers of any size)."""
     if isinstance(value, bool):
         ok = kind is bool
     elif isinstance(value, int):
-        ok = kind in (int, float)
+        ok = kind is int or (kind is float and abs(value) <= _FLOAT_MAX)
     else:
         ok = kind is float and isinstance(value, float) and math.isfinite(value)
     if not ok:
@@ -61,11 +70,14 @@ def _check_value(where: str, value, kind: type) -> None:
 
 def _check_types(d: dict, where: str, *classes) -> None:
     """Check each key of ``d`` that is an int, float or bool field of the
-    dataclasses it is parsed into, by the field's annotation."""
+    dataclasses it is parsed into, by the field's annotation; a seed must
+    also be nonnegative."""
     for cls in classes:
         for name, kind in get_type_hints(cls).items():
             if name in d and kind in _TYPE_TEXT:
                 _check_value(f"{where}.{name}", d[name], kind)
+                if name == "seed" and d[name] < 0:
+                    raise ConfigError(f"{where}.seed must be >= 0, got {d[name]}")
 
 
 def _check_list(where: str, value, kind: type) -> None:
@@ -130,7 +142,7 @@ class PopulationSpec:
         _require_keys(d, {"size", "m", "seed", "difficulty"}, {"size"}, "population")
         _check_types(d, "population", cls)
         difficulty = (
-            _difficulty_from_dict(dict(d["difficulty"]))
+            _difficulty_from_dict(_object(d["difficulty"], "population.difficulty"))
             if "difficulty" in d
             else DifficultyProfile()
         )
@@ -207,7 +219,8 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
+    def from_dict(cls, d) -> "ExperimentConfig":
+        d = _object(d, "config")
         _require_keys(
             d, {"version", "population", "train", "eval", "out_dir"},
             {"population", "train"}, "config",
@@ -216,17 +229,20 @@ class ExperimentConfig:
         version = d.get("version", CONFIG_VERSION)
         if version != CONFIG_VERSION:
             raise ConfigError(f"version: expected {CONFIG_VERSION}, got {version}")
-        train_doc = dict(d["train"])
+        if d.get("out_dir") is not None and not isinstance(d["out_dir"], str):
+            raise ConfigError(f"out_dir must be a string, got {d['out_dir']!r}")
+        train_doc = _object(d["train"], "train")
         _check_types(train_doc, "train", TrainConfig)
-        if isinstance(train_doc.get("scheme"), dict):
+        if "scheme" in train_doc:
+            train_doc["scheme"] = _object(train_doc["scheme"], "train.scheme")
             _check_types(train_doc["scheme"], "train.scheme", EntropicRisk, IntegratedConvex)
         try:
             train = TrainConfig.from_dict(train_doc)
         except ValueError as exc:
             raise ConfigError(f"train: {exc}") from exc
-        eval_spec = EvalSpec.from_dict(dict(d["eval"])) if "eval" in d else EvalSpec()
+        eval_spec = EvalSpec.from_dict(_object(d["eval"], "eval")) if "eval" in d else EvalSpec()
         return cls(
-            population=PopulationSpec.from_dict(dict(d["population"])),
+            population=PopulationSpec.from_dict(_object(d["population"], "population")),
             train=train,
             eval=eval_spec,
             out_dir=d.get("out_dir"),
@@ -246,6 +262,4 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
     return ExperimentConfig.from_dict(doc)

@@ -76,19 +76,21 @@ def _grid_indices(rates: np.ndarray, n_rollouts: int) -> np.ndarray:
 
 @dataclass
 class SlidingWindow:
-    """FIFO store of (step, pass rate) pairs covering the last t0 steps.
+    """FIFO store of per-step pass-rate arrays covering the last t0 steps.
 
-    Eviction is by step tag: pushing at step t first removes every entry with
-    tag <= t - t0, so the window always spans steps (t - t0, t]. Rates outside
-    (0, 1) are dropped on append; they carry no gradient and would distort the
-    reference estimate. ``capacity`` (t0 x batch size, when known) is an
-    invariant the step-tag eviction guarantees for per-step pushes of at most
-    one batch; it is asserted when set.
+    Each push appends one ``(step, rates)`` entry. Eviction is by step tag:
+    pushing at step t first removes every entry with tag <= t - t0, so the
+    window always spans steps (t - t0, t]. Rates outside (0, 1) are dropped
+    on append; they carry no gradient and would distort the reference
+    estimate. ``len`` counts rates, not entries. ``capacity`` (t0 x batch
+    size, when known) is an invariant the step-tag eviction guarantees for
+    per-step pushes of at most one batch; it is asserted when set.
     """
 
     t0: int
     capacity: int | None = None
     entries: deque = field(default_factory=deque)
+    _size: int = field(default=0, init=False, repr=False)
     _last_step: int | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -98,7 +100,7 @@ class SlidingWindow:
             raise ValueError("capacity must be >= 1 when given")
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._size
 
     def push(self, step: int, pass_rates) -> None:
         if self._last_step is not None and step < self._last_step:
@@ -106,17 +108,21 @@ class SlidingWindow:
         self._last_step = step
         cutoff = step - self.t0
         while self.entries and self.entries[0][0] <= cutoff:
-            self.entries.popleft()
-        for rate in np.asarray(pass_rates, dtype=np.float64).ravel():
-            if 0.0 < rate < 1.0:
-                self.entries.append((step, float(rate)))
-        if self.capacity is not None and len(self.entries) > self.capacity:
+            self._size -= self.entries.popleft()[1].size
+        rates = np.asarray(pass_rates, dtype=np.float64).ravel()
+        kept = rates[(rates > 0.0) & (rates < 1.0)]
+        if kept.size:
+            self.entries.append((step, kept))
+            self._size += kept.size
+        if self.capacity is not None and self._size > self.capacity:
             raise RuntimeError(
-                f"window holds {len(self.entries)} rates, beyond capacity {self.capacity}"
+                f"window holds {self._size} rates, beyond capacity {self.capacity}"
             )
 
     def rates(self) -> np.ndarray:
-        return np.array([r for _, r in self.entries], dtype=np.float64)
+        if not self.entries:
+            return np.empty(0)
+        return np.concatenate([r for _, r in self.entries])
 
 
 @dataclass(frozen=True)

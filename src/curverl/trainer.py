@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -27,19 +28,16 @@ from .passrate import (
     PromptInstance,
     PromptPopulation,
     RolloutBatch,
-    population_pass_rate_gradients,
     population_pass_rates,
     score_vector,
     softmax,
 )
 from .refdist import ReferenceDistribution, SlidingWindow
-from .references import MonotoneMap, PushforwardReference
 
 log = logging.getLogger("curverl.trainer")
 
 __all__ = [
     "TrainConfig",
-    "PerPromptLog",
     "StepLog",
     "TrainResult",
     "TrainerState",
@@ -48,8 +46,6 @@ __all__ = [
     "per_prompt_gradient",
     "effective_distribution",
     "mc_gradient_mean",
-    "calibration_invariance_check",
-    "pointwise_calibration_discrepancy",
     "write_training_artifacts",
     "TRAIN_CSV_HEADER",
     "PER_PROMPT_CSV_HEADER",
@@ -84,56 +80,41 @@ class TrainConfig:
             ("t0", self.t0 >= 1),
             ("learning_rate", self.learning_rate > 0),
             ("min_window_count", self.min_window_count >= 0),
+            ("seed", self.seed >= 0),
         ]
         for name, ok in checks:
             if not ok:
                 raise ValueError(f"invalid TrainConfig field {name}={getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "scheme": weighting.scheme_to_dict(self.scheme),
-            "batch_size": self.batch_size,
-            "n_rollouts": self.n_rollouts,
-            "t0": self.t0,
-            "learning_rate": self.learning_rate,
-            "seed": self.seed,
-            "min_window_count": self.min_window_count,
-            "log_per_prompt": self.log_per_prompt,
-            "weight_at_exact_pass_rate": self.weight_at_exact_pass_rate,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["scheme"] = weighting.scheme_to_dict(self.scheme)
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {
-            "steps", "scheme", "batch_size", "n_rollouts", "t0", "learning_rate",
-            "seed", "min_window_count", "backend", "log_per_prompt",
-            "weight_at_exact_pass_rate",
-        }
-        unknown = set(d) - known
+        # v1 manifests named a kernel backend; there is one now, so the key is ignored
+        unknown = set(d) - {f.name for f in fields(cls)} - {"backend"}
         if unknown:
             raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-        missing = {"steps", "scheme"} - set(d)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(d)
         if missing:
             raise ValueError(f"missing train config keys: {sorted(missing)}")
-        kwargs = dict(d)
-        kwargs.pop("backend", None)  # v1 manifests named a kernel backend; there is one now
+        kwargs = {k: v for k, v in d.items() if k != "backend"}
         kwargs["scheme"] = weighting.scheme_from_dict(dict(d["scheme"]))
         return cls(**kwargs)
 
 
 @dataclass(frozen=True)
-class PerPromptLog:
-    prompt_id: int
-    p_hat: float
-    weight: float
-    grad_norm: float
-
-
-@dataclass(frozen=True)
 class StepLog:
+    """One step's scalars plus four per-batch-row arrays (prompt id, p-hat,
+    weight and per-prompt gradient norm; weight 0 marks an inactive row)."""
+
     step: int
-    per_prompt: tuple[PerPromptLog, ...]
+    prompt_ids: np.ndarray
+    p_hat: np.ndarray
+    weights: np.ndarray
+    prompt_grad_norms: np.ndarray
     mean_exact_pass_rate: float
     active_fraction: float
     z_theta: float
@@ -199,7 +180,9 @@ class TrainerState:
         return population_pass_rates(self.theta, self.masks)
 
     def mean_exact_pass_rate(self) -> float:
-        return float(np.dot(self.population.base_weights, self.exact_pass_rates()))
+        # the dot product can round past 1 when every prompt is solved
+        mean = float(np.dot(self.population.base_weights, self.exact_pass_rates()))
+        return min(max(mean, 0.0), 1.0)
 
 
 def _window_reference(state: TrainerState) -> ReferenceDistribution:
@@ -239,9 +222,6 @@ def train_step(state: TrainerState) -> tuple[StepLog, ReferenceDistribution]:
     window_ref = _window_reference(state)
     step_scheme = _scheme_for_step(state, window_ref)
     mean_exact = state.mean_exact_pass_rate()
-    exact_rates = None
-    if cfg.weight_at_exact_pass_rate:
-        exact_rates = state.exact_pass_rates()
 
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(state.step,))
@@ -258,15 +238,17 @@ def train_step(state: TrainerState) -> tuple[StepLog, ReferenceDistribution]:
     p_hat = counts / cfg.n_rollouts
     active = (counts > 0) & (counts < cfg.n_rollouts)
 
+    if cfg.weight_at_exact_pass_rate:
+        # diagnostic mode: an active prompt's exact rate can still round to
+        # 0 or 1, where the weight is undefined; clamp just inside
+        at = np.clip(state.exact_pass_rates()[batch[active]], 1e-12, 1.0 - 1e-12)
+    else:
+        at = p_hat[active]
+    # the weight depends on the rate alone: evaluate it once per distinct rate
+    distinct, inverse = np.unique(at, return_inverse=True)
+    table = np.array([weighting.pointwise_weight(step_scheme, float(r)) for r in distinct])
     weights = np.zeros(cfg.batch_size)
-    for i in np.flatnonzero(active):
-        if exact_rates is not None:
-            # diagnostic mode: an active prompt's exact rate can still round
-            # to 0 or 1, where the weight is undefined; clamp just inside
-            at = float(np.clip(exact_rates[batch[i]], 1e-12, 1.0 - 1e-12))
-        else:
-            at = float(p_hat[i])
-        weights[i] = weighting.pointwise_weight(step_scheme, at)
+    weights[active] = table[inverse]
 
     coeff = weights[:, None] * (rewards.astype(np.float64) - p_hat[:, None]) / cfg.n_rollouts
     grads = accumulate_gradients(probs, responses, coeff)
@@ -280,18 +262,12 @@ def train_step(state: TrainerState) -> tuple[StepLog, ReferenceDistribution]:
 
     state.window.push(state.step, p_hat[active])
 
-    per_prompt = tuple(
-        PerPromptLog(
-            prompt_id=int(batch[i]),
-            p_hat=float(p_hat[i]),
-            weight=float(weights[i]),
-            grad_norm=float(prompt_norms[i]),
-        )
-        for i in range(cfg.batch_size)
-    )
     entry = StepLog(
         step=state.step,
-        per_prompt=per_prompt,
+        prompt_ids=batch,
+        p_hat=p_hat,
+        weights=weights,
+        prompt_grad_norms=prompt_norms,
         mean_exact_pass_rate=mean_exact,
         active_fraction=float(active.sum() / cfg.batch_size),
         z_theta=float(weights.sum() / cfg.batch_size),
@@ -347,67 +323,6 @@ def mc_gradient_mean(prompt: PromptInstance, weight: float, n_batches: int,
     return mean, se
 
 
-def _population_curve_gradient(population: PromptPopulation, rates, grads, reference) -> np.ndarray:
-    weights = np.array([reference.density_at(r) / reference.cdf_at(r) for r in rates])
-    return (population.base_weights * weights)[:, None] * grads
-
-
-def calibration_invariance_check(population: PromptPopulation, reference,
-                                 mono_map: MonotoneMap) -> float:
-    """Max componentwise gap between the adaptive population gradient computed
-    on raw pass rates and on monotonically recalibrated ones.
-
-    The recalibrated side pushes the reference forward through the map and
-    multiplies the pass-rate gradients by the map's derivative; for any
-    strictly increasing differentiable map the two gradients coincide, so the
-    returned discrepancy is floating-point noise. Requires every pass rate
-    strictly inside (0, 1) and a reference with a smooth positive density.
-    """
-    mono_map.validate()
-    theta = population.logits_matrix()
-    masks = population.correct_masks()
-    rates = population_pass_rates(theta, masks)
-    if np.any(rates <= 0.0) or np.any(rates >= 1.0):
-        raise ValueError("calibration check needs pass rates strictly inside (0, 1)")
-    grads = population_pass_rate_gradients(theta, masks)
-
-    raw = _population_curve_gradient(population, rates, grads, reference)
-
-    pushed = PushforwardReference(reference, mono_map)
-    mapped = np.array([mono_map.forward(float(r)) for r in rates])
-    slope = np.array([mono_map.dforward(float(r)) for r in rates])
-    w_t = np.array([pushed.density_at(float(u)) / pushed.cdf_at(float(u)) for u in mapped])
-    transformed = (population.base_weights * w_t * slope)[:, None] * grads
-    return float(np.abs(raw - transformed).max())
-
-
-def pointwise_calibration_discrepancy(population: PromptPopulation,
-                                      scheme: weighting.WeightScheme,
-                                      mono_map: MonotoneMap) -> tuple[float, float]:
-    """(discrepancy norm, gradient norm) for a pointwise scheme under the same
-    recalibration; pointwise rules are not invariant, e.g. the 1/p rule gains
-    a factor of 2 under the square map."""
-    mono_map.validate()
-    theta = population.logits_matrix()
-    masks = population.correct_masks()
-    rates = population_pass_rates(theta, masks)
-    if np.any(rates <= 0.0) or np.any(rates >= 1.0):
-        raise ValueError("calibration check needs pass rates strictly inside (0, 1)")
-    grads = population_pass_rate_gradients(theta, masks)
-    d0 = population.base_weights
-
-    w_raw = np.array([weighting.pointwise_weight(scheme, float(r)) for r in rates])
-    raw = (d0 * w_raw)[:, None] * grads
-    w_t = np.array(
-        [weighting.pointwise_weight(scheme, mono_map.forward(float(r))) for r in rates]
-    )
-    slope = np.array([mono_map.dforward(float(r)) for r in rates])
-    transformed = (d0 * w_t * slope)[:, None] * grads
-    disc = float(np.sqrt(((raw - transformed) ** 2).sum()))
-    norm = float(np.sqrt((raw ** 2).sum()))
-    return disc, norm
-
-
 # ---------------------------------------------------------------------------
 # artifact output
 # ---------------------------------------------------------------------------
@@ -442,13 +357,18 @@ def write_training_artifacts(result: TrainResult, out_dir: str | Path) -> None:
                 fh.write(row + "\n")
 
     if result.config.log_per_prompt:
-        rows = []
-        for entry in result.step_logs:
-            for pp in entry.per_prompt:
-                # rel_multiplier = p_hat * weight, the step's weight relative
-                # to the 1/p rule at the same pass rate (0 for inactive rows).
-                rows.append(
-                    (entry.step, pp.prompt_id, pp.p_hat, pp.weight, pp.grad_norm,
-                     pp.p_hat * pp.weight)
+        # rel_multiplier = p_hat * weight, the step's weight relative to the
+        # 1/p rule at the same pass rate (0 for inactive rows).
+        write_csv(
+            out / "per_prompt.csv",
+            PER_PROMPT_CSV_HEADER,
+            (
+                row
+                for entry in result.step_logs
+                for row in zip(
+                    repeat(entry.step),
+                    entry.prompt_ids.tolist(), entry.p_hat.tolist(), entry.weights.tolist(),
+                    entry.prompt_grad_norms.tolist(), (entry.p_hat * entry.weights).tolist(),
                 )
-        write_csv(out / "per_prompt.csv", PER_PROMPT_CSV_HEADER, rows)
+            ),
+        )

@@ -22,11 +22,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import refdist, weighting
-from .passrate import DifficultyProfile, make_population
-from .references import MonotoneMap, ReflectedTruncatedExponential, TruncatedExponential
-from .trainer import calibration_invariance_check, pointwise_calibration_discrepancy
+from .passrate import (
+    DifficultyProfile,
+    PromptPopulation,
+    make_population,
+    population_pass_rate_gradients,
+    population_pass_rates,
+)
+from .references import (
+    MonotoneMap,
+    PushforwardReference,
+    ReflectedTruncatedExponential,
+    TruncatedExponential,
+)
 
-__all__ = ["Check", "SUITES", "run_suite", "available_suites"]
+__all__ = ["Check", "SUITES", "run_suite", "available_suites", "calibration_gradients"]
 
 GRID_19 = np.arange(1, 20) * 0.05
 
@@ -125,16 +135,50 @@ def _prop4_population(size: int = 20, seed: int = 7):
     )
 
 
+def calibration_gradients(population: PromptPopulation, raw_scheme: weighting.WeightScheme,
+                          mapped_scheme: weighting.WeightScheme,
+                          mono_map: MonotoneMap) -> tuple[np.ndarray, np.ndarray]:
+    """Exact population gradients before and after a monotone recalibration.
+
+    The raw side is sum_x d0 w(p) grad p with ``raw_scheme``; the mapped side
+    weighs the recalibrated rate u = g(p) with ``mapped_scheme`` and carries
+    the chain-rule factor g'(p). With the adaptive rule on both sides and the
+    reference pushed forward through g, ``Curve(PushforwardReference(ref, g))``,
+    the two coincide for any strictly increasing differentiable g; a
+    pointwise rule on both sides does not (1/p gains a factor of 2 under the
+    square map). Requires every pass rate strictly inside (0, 1).
+    """
+    mono_map.validate()
+    theta = population.logits_matrix()
+    masks = population.correct_masks()
+    rates = population_pass_rates(theta, masks)
+    if np.any(rates <= 0.0) or np.any(rates >= 1.0):
+        raise ValueError("calibration check needs pass rates strictly inside (0, 1)")
+    grads = population_pass_rate_gradients(theta, masks)
+    d0 = population.base_weights
+    w_raw = np.array([weighting.pointwise_weight(raw_scheme, float(r)) for r in rates])
+    w_mapped = np.array(
+        [weighting.pointwise_weight(mapped_scheme, mono_map.forward(float(r))) for r in rates]
+    )
+    slope = np.array([mono_map.dforward(float(r)) for r in rates])
+    return (d0 * w_raw)[:, None] * grads, (d0 * w_mapped * slope)[:, None] * grads
+
+
 def _suite_prop4() -> list[Check]:
     pop = _prop4_population()
     ref = TruncatedExponential(rate=4.0)
     checks = []
     for mono in (MonotoneMap.square(), MonotoneMap.sqrt()):
-        disc = calibration_invariance_check(pop, ref, mono)
-        checks.append(Check(f"adaptive gradient invariance under {mono.name} map", disc, 1e-8))
-    disc, norm = pointwise_calibration_discrepancy(pop, weighting.MaxRL(), MonotoneMap.square())
+        raw, mapped = calibration_gradients(
+            pop, weighting.Curve(ref), weighting.Curve(PushforwardReference(ref, mono)), mono
+        )
+        checks.append(Check(f"adaptive gradient invariance under {mono.name} map",
+                            float(np.abs(raw - mapped).max()), 1e-8))
+    raw, mapped = calibration_gradients(pop, weighting.MaxRL(), weighting.MaxRL(),
+                                        MonotoneMap.square())
     checks.append(Check("pointwise 1/p rule breaks invariance (square map)",
-                        disc, 0.1 * norm, at_least=True))
+                        float(np.sqrt(((raw - mapped) ** 2).sum())),
+                        0.1 * float(np.sqrt((raw ** 2).sum())), at_least=True))
     return checks
 
 

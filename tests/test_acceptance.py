@@ -13,6 +13,7 @@ oracle-verified identities are asserted instead. See the estimator docstring.
 
 import json
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -36,18 +37,19 @@ from curverl.passrate import (
 )
 from curverl.references import (
     MonotoneMap,
+    PushforwardReference,
     ReflectedTruncatedExponential,
     TruncatedExponential,
     fit_reference_to_rates,
 )
 from curverl.trainer import (
+    StepLog,
     TrainConfig,
-    calibration_invariance_check,
     mc_gradient_mean,
-    pointwise_calibration_discrepancy,
     run_training,
     write_training_artifacts,
 )
+from curverl.verify import calibration_gradients
 from curverl.weighting import (
     ClippedLog,
     Curve,
@@ -122,7 +124,9 @@ def test_criterion_3_uniform_reference_degeneration(tmp_path):
             runs[label] = run_training(pop, cfg)
             write_training_artifacts(runs[label], tmp_path / label)
         np.testing.assert_array_equal(runs["curve"].theta, runs["maxrl"].theta)
-        assert runs["curve"].step_logs == runs["maxrl"].step_logs
+        for a, b in zip(runs["curve"].step_logs, runs["maxrl"].step_logs, strict=True):
+            for f in fields(StepLog):
+                np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name), strict=True)
         curve_csv = (tmp_path / "curve" / "train_log.csv").read_text()
         maxrl_csv = (tmp_path / "maxrl" / "train_log.csv").read_text()
         assert curve_csv.replace("curve", "maxrl") == maxrl_csv
@@ -160,9 +164,14 @@ def test_criterion_5_calibration_invariance():
         ref = fit_reference_to_rates(rates)
         worst = 0.0
         for mono in (MonotoneMap.square(), MonotoneMap.sqrt()):
-            worst = max(worst, calibration_invariance_check(pop, ref, mono))
+            raw, mapped = calibration_gradients(
+                pop, Curve(ref), Curve(PushforwardReference(ref, mono)), mono
+            )
+            worst = max(worst, float(np.abs(raw - mapped).max()))
         assert worst < 1e-8
-        disc, norm = pointwise_calibration_discrepancy(pop, MaxRL(), MonotoneMap.square())
+        raw, mapped = calibration_gradients(pop, MaxRL(), MaxRL(), MonotoneMap.square())
+        disc = float(np.sqrt(((raw - mapped) ** 2).sum()))
+        norm = float(np.sqrt((raw ** 2).sum()))
         assert disc > 0.1 * norm
     report("criterion 5 (calibration invariance)",
            f"adaptive discrepancy = {worst:.3e} < 1e-8; pointwise breaks it "

@@ -105,6 +105,9 @@ class TestTrain:
         ("train", "seed", True),
         ("population", "seed", float("inf")),
         ("eval", "k_list", [1, 2.5]),
+        ("train", "seed", -1),
+        ("population", "seed", -1),
+        ("eval", "seed", -1),
     ])
     def test_mistyped_field_names_field(self, tmp_path, capsys, section, field, value):
         doc = config_doc()
@@ -113,6 +116,70 @@ class TestTrain:
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
         assert f"{section}.{field}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("where, value, kind", [
+        ("population", 5, "a JSON object"),
+        ("train", None, "a JSON object"),
+        ("eval", [1], "a JSON object"),
+        ("train.scheme", 7, "a JSON object"),
+        ("population.difficulty", "beta", "a JSON object"),
+        ("out_dir", 5, "a string"),
+    ])
+    def test_misshapen_section_names_it(self, tmp_path, capsys, where, value, kind):
+        doc = config_doc()
+        *parents, key = where.split(".")
+        section = doc
+        for name in parents:
+            section = section[name]
+        section[key] = value
+        path = write_config(tmp_path, doc)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert f"{where} must be {kind}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_any_json_document_is_a_config_or_a_config_error(self):
+        # property: parsing never escapes with another exception; documents
+        # are built over the real keys so that deep fields are reached too
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from curverl.config import ConfigError
+
+        leaf = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+                | st.sampled_from(["beta", "fixed", "window", "uniform", "curve",
+                                   "entropic_risk", "integrated_convex", "reinforce"]))
+        any_json = st.recursive(
+            leaf,
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+            max_leaves=6,
+        )
+
+        def section(keys, **nested):
+            return st.fixed_dictionaries(
+                {}, optional={k: nested.get(k, any_json) | any_json for k in keys}
+            )
+
+        doc = section(
+            ["version", "population", "train", "eval", "out_dir"],
+            population=section(["size", "m", "seed", "difficulty"], difficulty=section(
+                ["kind", "alpha", "beta", "unsolvable_fraction", "targets"])),
+            train=section(
+                ["steps", "scheme", "batch_size", "n_rollouts", "t0", "learning_rate", "seed",
+                 "min_window_count", "log_per_prompt", "weight_at_exact_pass_rate", "backend"],
+                scheme=section(["name", "eta", "lam", "reference"])),
+            eval=section(["rollouts", "k_list", "resamples", "seed"]),
+        )
+
+        @settings(max_examples=200, deadline=None)
+        @given(doc | any_json)
+        def check(d):
+            try:
+                ExperimentConfig.from_dict(d)
+            except ConfigError:
+                pass
+
+        check()
 
     def test_v1_manifest_backend_key_is_ignored(self, tmp_path):
         path = write_config(tmp_path, config_doc(steps=3))

@@ -67,9 +67,11 @@ class TestSlidingWindow:
             rng = np.random.default_rng(11)
             for step in range(6):
                 w.push(step, rng.uniform(0, 1, size=4))
-            return list(w.entries)
+            return w.rates(), [step for step, _ in w.entries]
 
-        assert run() == run()
+        (rates_a, steps_a), (rates_b, steps_b) = run(), run()
+        np.testing.assert_array_equal(rates_a, rates_b, strict=True)
+        assert steps_a == steps_b
 
     def test_steps_must_not_regress(self):
         w = SlidingWindow(t0=2)

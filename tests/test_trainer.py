@@ -1,5 +1,7 @@
 """Training loop: per-prompt gradients, determinism, degeneration, invariance."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -12,24 +14,43 @@ from curverl.passrate import (
     make_population,
     sample_rollouts,
 )
-from curverl.references import MonotoneMap, TruncatedExponential, fit_reference_to_rates
+from curverl.references import (
+    MonotoneMap,
+    PushforwardReference,
+    TruncatedExponential,
+    fit_reference_to_rates,
+)
 from curverl.trainer import (
+    StepLog,
     TrainConfig,
     TrainerState,
-    calibration_invariance_check,
     effective_distribution,
     mc_gradient_mean,
     per_prompt_gradient,
-    pointwise_calibration_discrepancy,
     run_training,
     train_step,
 )
-from curverl.weighting import Curve, MaxRL, Reinforce
+from curverl.verify import calibration_gradients
+from curverl.weighting import Curve, MaxRL, Reinforce, pointwise_weight
 
 
 def prompt(logits, correct, pid=0):
     return PromptInstance(id=pid, logits=np.asarray(logits, dtype=float),
                           correct_set=frozenset(correct))
+
+
+def assert_step_logs_equal(a, b):
+    """Every scalar and every per-prompt array of two runs' step logs match exactly."""
+    for x, y in zip(a, b, strict=True):
+        for f in fields(StepLog):
+            np.testing.assert_array_equal(getattr(x, f.name), getattr(y, f.name), strict=True)
+
+
+def calibration_invariance_gap(pop, ref, mono):
+    """Max componentwise gap of the adaptive gradient under recalibration."""
+    raw, mapped = calibration_gradients(pop, Curve(ref), Curve(PushforwardReference(ref, mono)),
+                                        mono)
+    return float(np.abs(raw - mapped).max())
 
 
 def beta_population(size, seed, alpha=2.0, beta=2.0, unsolvable=0.0, m=16):
@@ -123,6 +144,22 @@ class TestTrainStep:
         assert entry.window_size == 0
         assert entry.grad_norm == 0.0
 
+    def test_mean_exact_pass_rate_stays_in_unit_interval(self):
+        # every prompt solved: the d0-weighted mean of rates that are all 1
+        # can round past 1 in the dot product
+        from curverl.passrate import PromptPopulation
+
+        rng = np.random.default_rng(3)
+        cfg = TrainConfig(steps=1, scheme=Reinforce(), batch_size=4)
+        means = []
+        for _ in range(200):
+            size = int(rng.integers(2, 20))
+            prompts = [prompt(rng.standard_normal(4), {0, 1, 2, 3}, pid=i) for i in range(size)]
+            d0 = rng.random(size)
+            pop = PromptPopulation(prompts=prompts, base_weights=d0 / d0.sum())
+            means.append(TrainerState(pop, cfg).mean_exact_pass_rate())
+        assert all(0.0 <= m <= 1.0 for m in means)
+
     def test_cold_start_curve_step_equals_maxrl_step(self):
         pop = beta_population(30, seed=1)
         thetas = {}
@@ -138,8 +175,8 @@ class TestTrainStep:
         cfg = TrainConfig(steps=1, scheme=Reinforce(), batch_size=64, seed=3)
         state = TrainerState(pop, cfg)
         entry, _ = train_step(state)
-        active = [pp for pp in entry.per_prompt if 0.0 < pp.p_hat < 1.0]
-        assert entry.window_size == len(active)
+        active = (entry.p_hat > 0.0) & (entry.p_hat < 1.0)
+        assert entry.window_size == active.sum()
         assert all(0.0 < r < 1.0 for r in state.window.rates())
 
     def test_weight_scaling_scales_gradient_exactly(self):
@@ -171,7 +208,7 @@ class TestTrainStep:
         a = run_training(pop, cfg)
         b = run_training(pop, cfg)
         np.testing.assert_array_equal(a.theta, b.theta)
-        assert a.step_logs == b.step_logs
+        assert_step_logs_equal(a.step_logs, b.step_logs)
 
     def test_window_size_bounded_by_t0_times_batch(self):
         pop = beta_population(30, seed=8)
@@ -198,15 +235,17 @@ class TestWeightArgumentModes:
             cfg = TrainConfig(steps=1, scheme=MaxRL(), batch_size=32, seed=21,
                               weight_at_exact_pass_rate=mode)
             state = TrainerState(pop, cfg)
+            exact = np.clip(state.exact_pass_rates(), 1e-12, 1.0 - 1e-12)
             entry, _ = train_step(state)
             logs[mode] = entry
-        active_pairs = [
-            (a.weight, b.weight)
-            for a, b in zip(logs[False].per_prompt, logs[True].per_prompt)
-            if a.weight > 0
-        ]
-        assert active_pairs
-        assert any(w_hat != w_exact for w_hat, w_exact in active_pairs)
+            # reference: one scalar weight call per active row
+            at = exact[entry.prompt_ids] if mode else entry.p_hat
+            expected = [pointwise_weight(cfg.scheme, float(r)) if 0.0 < p < 1.0 else 0.0
+                        for r, p in zip(at, entry.p_hat)]
+            np.testing.assert_array_equal(entry.weights, expected)
+        active = logs[False].weights > 0
+        assert active.any()
+        assert np.any(logs[False].weights[active] != logs[True].weights[active])
 
     def test_empirical_weight_bias_is_measured_not_bounded(self):
         # the weight w(p_hat) is correlated with the rewards inside the same
@@ -245,7 +284,7 @@ class TestDegenerationEquivalence:
                               learning_rate=4.0)
             results[name] = run_training(pop, cfg)
         np.testing.assert_array_equal(results["curve"].theta, results["maxrl"].theta)
-        assert results["curve"].step_logs == results["maxrl"].step_logs
+        assert_step_logs_equal(results["curve"].step_logs, results["maxrl"].step_logs)
 
     def test_degeneration_holds_on_non_dyadic_grids(self):
         # k/N is not exactly representable for N = 12, but both paths compute
@@ -257,7 +296,7 @@ class TestDegenerationEquivalence:
                               t0=4, seed=19, learning_rate=4.0)
             results[name] = run_training(pop, cfg)
         np.testing.assert_array_equal(results["curve"].theta, results["maxrl"].theta)
-        assert results["curve"].step_logs == results["maxrl"].step_logs
+        assert_step_logs_equal(results["curve"].step_logs, results["maxrl"].step_logs)
 
 
 class TestAdaptiveSchemes:
@@ -271,9 +310,9 @@ class TestAdaptiveSchemes:
         adaptive_seen = False
         for _ in range(cfg.steps):
             entry, _ = train_step(state)
-            for pp in entry.per_prompt:
-                if pp.weight > 0 and abs(pp.weight - 1.0 / pp.p_hat) > 1e-9:
-                    adaptive_seen = True
+            active = entry.weights > 0
+            if np.any(np.abs(entry.weights[active] - 1.0 / entry.p_hat[active]) > 1e-9):
+                adaptive_seen = True
         assert adaptive_seen
 
     def test_integrated_schemes_train_end_to_end(self):
@@ -286,9 +325,10 @@ class TestAdaptiveSchemes:
             result = run_training(pop, cfg)
             assert len(result.step_logs) == 6
             assert np.all(np.isfinite(result.theta))
-            active_weights = [pp.weight for entry in result.step_logs
-                              for pp in entry.per_prompt if pp.weight > 0]
-            assert active_weights and all(w > 0 for w in active_weights)
+            weights = np.concatenate([entry.weights for entry in result.step_logs])
+            active = np.concatenate([(entry.p_hat > 0) & (entry.p_hat < 1)
+                                     for entry in result.step_logs])
+            assert active.any() and np.all(weights[active] > 0)
 
 
 class TestTrainingMovesPassRates:
@@ -310,18 +350,20 @@ class TestCalibrationInvariance:
     def test_identity_map_gives_zero(self):
         pop = beta_population(20, seed=7, alpha=2.0, beta=3.0)
         ref = TruncatedExponential(4.0)
-        assert calibration_invariance_check(pop, ref, MonotoneMap.identity()) == 0.0
+        assert calibration_invariance_gap(pop, ref, MonotoneMap.identity()) == 0.0
 
     def test_square_and_sqrt_maps_are_invariant(self):
         pop = beta_population(20, seed=7, alpha=2.0, beta=3.0)
         rates = [exact_pass_rate(p) for p in pop.prompts]
         ref = fit_reference_to_rates(rates)
         for mono in (MonotoneMap.square(), MonotoneMap.sqrt()):
-            assert calibration_invariance_check(pop, ref, mono) < 1e-8
+            assert calibration_invariance_gap(pop, ref, mono) < 1e-8
 
     def test_pointwise_rule_breaks_invariance(self):
         pop = beta_population(20, seed=7, alpha=2.0, beta=3.0)
-        disc, norm = pointwise_calibration_discrepancy(pop, MaxRL(), MonotoneMap.square())
+        raw, mapped = calibration_gradients(pop, MaxRL(), MaxRL(), MonotoneMap.square())
+        disc = float(np.sqrt(((raw - mapped) ** 2).sum()))
+        norm = float(np.sqrt((raw ** 2).sum()))
         assert disc > 0.1 * norm
         # square map doubles the 1/p weight, so the discrepancy equals the norm
         assert disc == pytest.approx(norm, rel=1e-12)
@@ -331,12 +373,12 @@ class TestCalibrationInvariance:
         ref = TruncatedExponential(4.0)
         bad = MonotoneMap("hump", lambda t: t * (1 - t), lambda u: u, lambda t: 1 - 2 * t)
         with pytest.raises(ValueError):
-            calibration_invariance_check(pop, ref, bad)
+            calibration_invariance_gap(pop, ref, bad)
 
     def test_unsolvable_prompts_rejected(self):
         pop = beta_population(10, seed=7, unsolvable=0.3)
         with pytest.raises(ValueError):
-            calibration_invariance_check(pop, TruncatedExponential(4.0), MonotoneMap.square())
+            calibration_invariance_gap(pop, TruncatedExponential(4.0), MonotoneMap.square())
 
 
 class TestConfigValidation:
