@@ -43,14 +43,14 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _train_once(cfg: ExperimentConfig, out: Path):
-    population = cfg.population.build()
+def _train_once(cfg: ExperimentConfig, population, out: Path):
+    """Train on ``population`` (left unchanged: the trainer copies its logits)."""
     result = run_training(population, cfg.train)
     out.mkdir(parents=True, exist_ok=True)
     write_training_artifacts(result, out)
     (out / "population.json").write_text(population_to_json(population))
     (out / "manifest.json").write_text(cfg.with_out_dir(str(out)).to_json())
-    return population, result
+    return result
 
 
 def _eval_policy(cfg: ExperimentConfig, theta, masks):
@@ -66,7 +66,7 @@ def _eval_policy(cfg: ExperimentConfig, theta, masks):
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     out = _resolve_out_dir(args, cfg)
-    _train_once(cfg, out)
+    _train_once(cfg, cfg.population.build(), out)
     print(f"wrote {out / 'train_log.csv'}")
     return 0
 
@@ -142,14 +142,15 @@ def cmd_compare(args) -> int:
     if len(schemes) < 2:
         raise ConfigError("compare needs at least 2 schemes")
     out.mkdir(parents=True, exist_ok=True)
+    population = cfg.population.build()
+    masks = population.correct_masks()
     passk_rows = []
     bucket_rows = []
     for idx, scheme in enumerate(schemes):
         label = f"{idx:02d}_{weighting.scheme_name(scheme)}"
         run_cfg = replace(cfg, train=replace(cfg.train, scheme=scheme))
-        run_dir = out / label
-        population, result = _train_once(run_cfg, run_dir)
-        passk, emp_rates = _eval_policy(run_cfg, result.theta, population.correct_masks())
+        result = _train_once(run_cfg, population, out / label)
+        passk, emp_rates = _eval_policy(run_cfg, result.theta, masks)
         for k in sorted(passk):
             passk_rows.append((label, k, passk[k]))
         for bucket, count in difficulty_histogram(emp_rates).as_dict().items():

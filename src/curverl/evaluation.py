@@ -6,6 +6,12 @@ and reports the fraction of resamples containing at least one correct answer;
 as the resample count grows this converges to 1 - (1 - q)^k for a pool with
 empirical accuracy q. An exact without-replacement estimator is provided for
 cross-checking.
+
+Rewards are binary, so a resample hits when any of its draws from the pool,
+read as booleans, is true. ``evaluate_policy`` draws no resamples for a pool
+that is all wrong or all right, where every resample reads the same; that
+prompt's generator serves nothing else, so the reported numbers are the same
+as when every pool is resampled.
 """
 
 from __future__ import annotations
@@ -45,13 +51,15 @@ class EvalSampleSet:
     answers: np.ndarray
 
     def __post_init__(self) -> None:
-        rewards = np.asarray(self.rewards, dtype=np.int64)
+        rewards = np.asarray(self.rewards)
         answers = np.asarray(self.answers, dtype=np.int64)
         if rewards.ndim != 1 or rewards.shape != answers.shape:
             raise ValueError("rewards and answers must be 1-d and equal length")
         if rewards.size == 0:
             raise ValueError("need at least one rollout")
-        object.__setattr__(self, "rewards", rewards)
+        if not np.all((rewards == 0) | (rewards == 1)):
+            raise ValueError(f"prompt {self.prompt_id}: rewards must be 0 or 1")
+        object.__setattr__(self, "rewards", rewards.astype(np.int64))
         object.__setattr__(self, "answers", answers)
 
     @property
@@ -77,8 +85,8 @@ def pass_at_k(samples: EvalSampleSet, k: int, resamples: int = 1000,
     if rng is None:
         rng = np.random.default_rng()
     idx = rng.integers(0, samples.r, size=(resamples, k))
-    hits = samples.rewards[idx].max(axis=1)
-    return float(hits.mean())
+    hits = np.take(samples.rewards.astype(bool), idx).any(axis=1)
+    return np.count_nonzero(hits) / resamples
 
 
 def pass_at_k_exact_with_replacement(samples: EvalSampleSet, k: int) -> float:
@@ -161,12 +169,20 @@ def evaluate_policy(theta: np.ndarray, correct_masks: np.ndarray, r: int,
     """Mean pass@k across prompts plus the empirical pass-rate vector.
 
     Each prompt gets an independent rollout pool and independent bootstrap
-    resamples, seeded per prompt for reproducibility.
+    resamples, seeded per prompt for reproducibility. A pool that is all
+    wrong or all right scores its mean at every k without drawing resamples.
     """
+    if theta.ndim != 2 or np.shape(correct_masks) != theta.shape:
+        raise ValueError(
+            f"theta and correct_masks must be 2-d of equal shape, got {theta.shape} "
+            f"and {np.shape(correct_masks)}"
+        )
     n_prompts = theta.shape[0]
     k_list = sorted(set(int(k) for k in k_list))
     if any(k < 1 or k > r for k in k_list):
         raise ValueError(f"every k must lie in [1, {r}]")
+    if resamples < 1 and any(k >= 2 for k in k_list):
+        raise ValueError(f"resamples must be >= 1 for k >= 2, got {resamples}")
     probs = softmax(theta)
     cum = np.cumsum(probs, axis=1)
     totals = {k: 0.0 for k in k_list}
@@ -174,9 +190,10 @@ def evaluate_policy(theta: np.ndarray, correct_masks: np.ndarray, r: int,
     for i in range(n_prompts):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         responses = sample_responses(cum[i:i + 1], rng.random((1, r)))[0]
-        rewards = correct_masks[i][responses].astype(np.int64)
-        samples = EvalSampleSet(prompt_id=i, rewards=rewards, answers=responses)
-        emp_rates[i] = rewards.mean()
+        samples = EvalSampleSet(prompt_id=i, rewards=correct_masks[i][responses],
+                                answers=responses)
+        emp_rates[i] = q = float(samples.rewards.mean())
+        constant = q == 0.0 or q == 1.0
         for k in k_list:
-            totals[k] += pass_at_k(samples, k, resamples=resamples, rng=rng)
+            totals[k] += q if constant else pass_at_k(samples, k, resamples=resamples, rng=rng)
     return {k: totals[k] / n_prompts for k in k_list}, emp_rates

@@ -219,8 +219,10 @@ def distribution_from_rates(rates, n_rollouts: int, weights=None) -> ReferenceDi
     if total <= 0:
         raise ColdStartError("no mass to build a reference distribution from")
     mass = counts / total
-    cdf = np.cumsum(mass)
-    cdf[-1] = 1.0  # guard the terminal entry against cumsum roundoff
+    # cumsum roundoff can leave the total an ulp either side of 1: cap every
+    # entry at 1 and pin the terminal one
+    cdf = np.minimum(np.cumsum(mass), 1.0)
+    cdf[-1] = 1.0
     return ReferenceDistribution(
         n_rollouts=n_rollouts,
         bin_mass=mass,

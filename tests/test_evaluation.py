@@ -9,12 +9,14 @@ from curverl.evaluation import (
     EvalSampleSet,
     collect_samples,
     difficulty_histogram,
+    evaluate_policy,
     majority_at_k,
     pass_at_k,
     pass_at_k_exact_with_replacement,
     pass_at_k_exact_without_replacement,
 )
-from curverl.passrate import PromptInstance
+from curverl.kernels import sample_responses
+from curverl.passrate import DifficultyProfile, PromptInstance, make_population, softmax
 
 
 def sample_set(rewards, answers=None):
@@ -49,6 +51,20 @@ class TestPassAtK:
         est = pass_at_k(s, k, resamples=100_000, rng=np.random.default_rng(17))
         assert abs(est - (1.0 - (1.0 - q) ** k)) < 0.01
 
+    @given(seed=st.integers(0, 2**32 - 1),
+           rewards=st.lists(st.booleans(), min_size=1, max_size=40),
+           k=st.integers(2, 40), resamples=st.integers(1, 300))
+    @settings(max_examples=150, deadline=None)
+    def test_hit_count_equals_max_then_mean(self, seed, rewards, k, resamples):
+        # the integer form: the max reward of each resample, averaged
+        s = sample_set(rewards)
+        k = min(k, s.r)
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        idx = ref_rng.integers(0, s.r, size=(resamples, k))
+        expected = float(s.rewards[idx].max(axis=1).mean())
+        assert pass_at_k(s, k, resamples=resamples, rng=rng) == expected
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_exact_with_replacement_matches_formula(self):
         s = sample_set([1, 1, 0, 0, 0])
         assert pass_at_k_exact_with_replacement(s, 3) == pytest.approx(1 - 0.6 ** 3, abs=1e-15)
@@ -77,6 +93,69 @@ class TestPassAtK:
         for k in (2, 4, 8):
             est = pass_at_k(s, k, resamples=100_000, rng=rng)
             assert abs(est - pass_at_k_exact_with_replacement(s, k)) < 0.02
+
+
+class TestBinaryRewards:
+    @pytest.mark.parametrize("bad", [[0, 2], [1, -1], [0.5, 1.0]])
+    def test_non_binary_rewards_rejected_naming_prompt(self, bad):
+        with pytest.raises(ValueError, match="prompt 12"):
+            EvalSampleSet(prompt_id=12, rewards=np.asarray(bad), answers=np.arange(len(bad)))
+
+
+def eval_population(unsolvable):
+    pop = make_population(12, m=6, seed=4,
+                          profile=DifficultyProfile(kind="fixed", targets=(0.999, 0.5, 0.1),
+                                                    unsolvable_fraction=unsolvable))
+    return pop.logits_matrix(), pop.correct_masks()
+
+
+class TestEvaluatePolicy:
+    K_LIST = (1, 2, 5, 16)
+
+    def test_matches_pass_at_k_on_every_pool(self):
+        # the same totals as scoring every pool, constant ones included, with
+        # pass_at_k on the pool's own seeded generator
+        theta, masks = eval_population(unsolvable=0.25)
+        r, resamples, seed = 16, 50, 3
+        got, emp_rates = evaluate_policy(theta, masks, r, self.K_LIST, resamples, seed)
+        cum = np.cumsum(softmax(theta), axis=1)
+        totals = dict.fromkeys(self.K_LIST, 0.0)
+        constant = 0
+        for i in range(theta.shape[0]):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+            responses = sample_responses(cum[i:i + 1], rng.random((1, r)))[0]
+            s = EvalSampleSet(prompt_id=i, rewards=masks[i][responses], answers=responses)
+            assert emp_rates[i] == s.rewards.mean()
+            constant += s.rewards.min() == s.rewards.max()
+            for k in self.K_LIST:
+                totals[k] += pass_at_k(s, k, resamples=resamples, rng=rng)
+        assert constant >= 2 and constant < theta.shape[0]
+        assert got == {k: totals[k] / theta.shape[0] for k in self.K_LIST}
+
+    def test_all_unsolvable_population(self):
+        theta, masks = eval_population(unsolvable=0.0)
+        masks = np.zeros_like(masks)
+        got, emp_rates = evaluate_policy(theta, masks, 16, self.K_LIST, 10, 0)
+        assert got == dict.fromkeys(self.K_LIST, 0.0)
+        np.testing.assert_array_equal(emp_rates, 0.0)
+        # no pool draws a resample, yet resamples is still checked
+        with pytest.raises(ValueError, match="resamples"):
+            evaluate_policy(theta, masks, 16, self.K_LIST, 0, 0)
+
+    def test_resamples_unused_at_k1(self):
+        theta, masks = eval_population(unsolvable=0.25)
+        got, _ = evaluate_policy(theta, masks, 16, [1], 0, 0)
+        assert list(got) == [1]
+
+    @pytest.mark.parametrize("masks_shape", [(12, 5), (11, 6), (12,)])
+    def test_shape_mismatch_rejected(self, masks_shape):
+        theta, _ = eval_population(unsolvable=0.25)
+        with pytest.raises(ValueError, match="equal shape"):
+            evaluate_policy(theta, np.zeros(masks_shape, dtype=bool), 16, [1, 2], 10, 0)
+
+    def test_one_dimensional_theta_rejected(self):
+        with pytest.raises(ValueError, match="2-d"):
+            evaluate_policy(np.zeros(6), np.zeros(6, dtype=bool), 16, [1, 2], 10, 0)
 
 
 class TestMajorityAtK:

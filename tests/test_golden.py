@@ -1,4 +1,5 @@
-"""Golden trajectories: tiny `curverl train` runs pinned by artifact digests.
+"""Golden trajectories: tiny `curverl train`, `passk` and `compare` runs pinned
+by artifact digests.
 
 Each case runs one small config end to end through the CLI and compares the
 sha256 of every deterministic artifact against a committed value. A refactor
@@ -106,6 +107,54 @@ def test_golden_trajectory(tmp_path, case):
     assert sorted(got) == sorted(DIGESTS[case]), "a different set of artifacts was written"
     for name, digest in DIGESTS[case].items():
         assert got[name] == digest, (
+            f"{case}/{name} digest changed (golden written with numpy {GOLDEN_NUMPY}, "
+            f"running numpy {np.__version__})"
+        )
+
+
+# pass@k evaluation: a fixed profile whose first target sits near 1 gives
+# all-right pools, the unsolvable fraction gives all-wrong ones, and k_list
+# spans 1 to the pool size
+EVAL_CONFIG = {
+    "version": 1,
+    "population": {
+        "size": 24,
+        "m": 8,
+        "seed": 5,
+        "difficulty": {"kind": "fixed", "targets": [0.9995, 0.6, 0.2, 0.05],
+                       "unsolvable_fraction": 0.25},
+    },
+    "train": {"steps": 4, "scheme": {"name": "curve"}, "batch_size": 16, "n_rollouts": 8,
+              "t0": 2, "learning_rate": 4.0, "seed": 3, "min_window_count": 0},
+    "eval": {"rollouts": 16, "k_list": [1, 2, 5, 16], "resamples": 64, "seed": 9},
+}
+
+EVAL_CASES = {
+    "passk": ["passk"],
+    "compare": ["compare", "--schemes", "grpo", "curve"],
+}
+
+EVAL_DIGESTS = {
+    "passk": {
+        "passk.csv": "b29272a32682238232356c6c572a4de39f088a36e5b774ff9e8b078e2ba1baca",
+        "passk_buckets.csv": "800ac5f4e5d08d6507ec844107bebd7055f153dd2ad5feb52846678f697451f2",
+    },
+    "compare": {
+        "compare.csv": "7cb33979186234673082085b199246d60bc261d9de0cee2e54d8e2f262224304",
+        "compare_buckets.csv": "1a5c7865e1741f59fa98ee6d864a34920308580ba1526970a54eb0cde7e4a233",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVAL_CASES))
+def test_golden_evaluation(tmp_path, case):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(EVAL_CONFIG))
+    out = tmp_path / "run"
+    assert main([*EVAL_CASES[case], "--config", str(config), "--out", str(out)]) == 0
+    for name, digest in EVAL_DIGESTS[case].items():
+        got = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert got == digest, (
             f"{case}/{name} digest changed (golden written with numpy {GOLDEN_NUMPY}, "
             f"running numpy {np.__version__})"
         )

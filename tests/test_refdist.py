@@ -117,6 +117,16 @@ class TestEstimate:
             assert np.all(floored >= ref.cdf_floor)
             assert np.all(ref.floored_density() >= ref.density_floor)
 
+    def test_cdf_never_rounds_above_one_before_empty_top_bins(self):
+        # these masses sum to 1 + 1 ulp, so a plain cumsum reads above 1 at
+        # the last occupied bin and then drops to the pinned terminal 1
+        counts = [17, 9, 15, 9, 14, 5, 6, 3, 0, 0]
+        rates = np.repeat(np.arange(1, 11) / 11, counts)
+        assert np.cumsum(np.asarray(counts) / sum(counts))[7] > 1.0
+        cdf = distribution_from_rates(rates, 11).cdf
+        assert np.all(cdf <= 1.0) and np.all(np.diff(cdf) >= 0.0)
+        np.testing.assert_array_equal(cdf[7:], 1.0)
+
 
 @st.composite
 def rates_and_grid(draw):

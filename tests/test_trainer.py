@@ -4,6 +4,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curverl.passrate import (
     DifficultyProfile,
@@ -31,7 +33,16 @@ from curverl.trainer import (
     train_step,
 )
 from curverl.verify import calibration_gradients
-from curverl.weighting import Curve, MaxRL, Reinforce, pointwise_weight
+from curverl.weighting import (
+    Curve,
+    EntropicRisk,
+    Grpo,
+    IntegratedConvex,
+    IntegratedProduct,
+    MaxRL,
+    Reinforce,
+    pointwise_weight,
+)
 
 
 def prompt(logits, correct, pid=0):
@@ -223,6 +234,42 @@ class TestTrainStep:
         for entry in result.step_logs:
             count = entry.active_fraction * 32
             assert abs(count - round(count)) < 1e-12
+
+
+STEP_SCHEMES = (
+    Reinforce(), Grpo(), MaxRL(), EntropicRisk(eta=2.0), Curve(), Curve(reference="uniform"),
+    IntegratedConvex(lam=0.5), IntegratedProduct(),
+)
+
+
+class TestStepInvariants:
+    @given(
+        scheme=st.sampled_from(STEP_SCHEMES),
+        n_rollouts=st.integers(2, 12),
+        batch_size=st.integers(1, 24),
+        t0=st.integers(1, 4),
+        steps=st.integers(1, 6),
+        min_window_count=st.integers(0, 40),
+        exact=st.booleans(),
+        unsolvable=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_step_keeps_the_invariants(self, scheme, n_rollouts, batch_size, t0, steps,
+                                             min_window_count, exact, unsolvable, seed):
+        pop = beta_population(12, seed=seed, alpha=1.0, beta=2.0, unsolvable=unsolvable, m=6)
+        cfg = TrainConfig(steps=steps, scheme=scheme, batch_size=batch_size,
+                          n_rollouts=n_rollouts, t0=t0, learning_rate=4.0, seed=seed,
+                          min_window_count=min_window_count, weight_at_exact_pass_rate=exact)
+        result = run_training(pop, cfg)
+        for entry, ref in zip(result.step_logs, result.references, strict=True):
+            assert np.all((entry.p_hat >= 0.0) & (entry.p_hat <= 1.0))
+            assert np.all(np.isfinite(entry.weights)) and np.all(entry.weights >= 0.0)
+            inactive = (entry.p_hat == 0.0) | (entry.p_hat == 1.0)
+            assert np.all(entry.weights[inactive] == 0.0)
+            assert entry.window_size <= t0 * batch_size
+            assert np.all(np.diff(ref.cdf) >= 0.0) and np.all(ref.cdf <= 1.0)
+            assert 0.0 <= entry.mean_exact_pass_rate <= 1.0
 
 
 class TestWeightArgumentModes:
