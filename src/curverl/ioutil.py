@@ -18,17 +18,20 @@ def fmt_float(x: float) -> str:
 
 
 def write_csv(path: str | os.PathLike, header: Iterable[str], rows: Iterable[Iterable]) -> None:
-    """Write rows with a fixed column order; floats via :func:`fmt_float`."""
+    """Write rows with a fixed column order; floats via :func:`fmt_float`.
+
+    Every row is rendered by one ``%`` template built from the first row's
+    cell types: ``%.17g`` (the same digits as :func:`fmt_float`) for a float
+    column, ``%s`` (``str``) for any other. A column keeps one type.
+    """
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
+        template = None
         for row in rows:
-            cells = []
-            for cell in row:
-                if isinstance(cell, float):
-                    cells.append(fmt_float(cell))
-                else:
-                    cells.append(str(cell))
-            fh.write(",".join(cells) + "\n")
+            row = tuple(row)
+            if template is None:
+                template = ",".join("%.17g" if isinstance(c, float) else "%s" for c in row) + "\n"
+            fh.write(template % row)
 
 
 def set_log_level_from_env() -> None:

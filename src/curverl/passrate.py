@@ -13,9 +13,9 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .ioutil import fmt_float
+from .rootfind import brentq
 
 log = logging.getLogger("curverl.passrate")
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
+
+from .rootfind import brentq
 
 __all__ = [
     "ContinuousUniform",

@@ -258,7 +258,12 @@ def train_step(state: TrainerState) -> tuple[StepLog, ReferenceDistribution]:
     np.add.at(total, batch, grads)
     total /= cfg.batch_size
     grad_norm = float(np.sqrt((total * total).sum()))
+    if not math.isfinite(grad_norm):
+        raise ValueError(f"step {state.step}: gradient norm is {grad_norm}")
     state.theta += cfg.learning_rate * total
+    # only the sampled rows changed, so only they can have left the finite range
+    if not np.isfinite(state.theta[batch]).all():
+        raise ValueError(f"step {state.step}: updated logits are not finite")
 
     state.window.push(state.step, p_hat[active])
 

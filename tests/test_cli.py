@@ -354,3 +354,21 @@ class TestLogLevelEnv:
         monkeypatch.setenv("CURVERL_LOG_LEVEL", "blah")
         assert main(["verify", "corollary1"]) == 0
         assert "CURVERL_LOG_LEVEL" in capsys.readouterr().err
+
+
+class TestImportPath:
+    def test_cli_import_loads_no_scipy(self):
+        # importing scipy.optimize costs about 0.4 s of every curverl process
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = (
+            "import sys, curverl.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert done.stdout.strip() == "[]"

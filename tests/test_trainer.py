@@ -171,6 +171,21 @@ class TestTrainStep:
             means.append(TrainerState(pop, cfg).mean_exact_pass_rate())
         assert all(0.0 <= m <= 1.0 for m in means)
 
+    @pytest.mark.parametrize("planted, message", [
+        (np.inf, "step 2: gradient norm is nan"),
+        (-np.inf, "step 2: updated logits are not finite"),
+    ])
+    def test_non_finite_logit_names_the_step(self, planted, message):
+        pop = beta_population(20, seed=4)
+        cfg = TrainConfig(steps=4, scheme=Reinforce(), batch_size=32, seed=1)
+        state = TrainerState(pop, cfg)
+        train_step(state)
+        train_step(state)
+        state.theta[:, 0] = planted
+        # an inf logit makes the softmax compute inf - inf
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
+            train_step(state)
+
     def test_cold_start_curve_step_equals_maxrl_step(self):
         pop = beta_population(30, seed=1)
         thetas = {}
