@@ -1,22 +1,12 @@
 """curverl: a desk-scale lab for prompt-reweighted RL with verifiable rewards.
 
-Synthetic prompt populations carry per-prompt softmax policies whose pass
-rates and gradients are closed-form, so reweighting schemes, their induced
-priors, and the training loop itself can all be checked against exact
-oracles.
+A synthetic prompt population is two (P, M) arrays, softmax logits and a
+correct-response mask, whose pass rates and gradients are closed-form, so
+reweighting schemes, their induced priors, and the training loop itself can
+all be checked against exact oracles.
 """
 
-from .passrate import (
-    DifficultyProfile,
-    PromptInstance,
-    PromptPopulation,
-    RolloutBatch,
-    exact_pass_rate,
-    exact_pass_rate_gradient,
-    make_population,
-    sample_rollouts,
-    score_vector,
-)
+from .passrate import DifficultyProfile, PromptPopulation, make_population
 from .refdist import (
     ColdStartError,
     ReferenceDistribution,
@@ -47,14 +37,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DifficultyProfile",
-    "PromptInstance",
     "PromptPopulation",
-    "RolloutBatch",
-    "exact_pass_rate",
-    "exact_pass_rate_gradient",
     "make_population",
-    "sample_rollouts",
-    "score_vector",
     "ColdStartError",
     "ReferenceDistribution",
     "SlidingWindow",

@@ -44,7 +44,8 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _train_once(cfg: ExperimentConfig, population, out: Path):
-    """Train on ``population`` (left unchanged: the trainer copies its logits)."""
+    """Train on ``population``, whose arrays are read-only: the trainer
+    updates a copy of the logits."""
     result = run_training(population, cfg.train)
     out.mkdir(parents=True, exist_ok=True)
     write_training_artifacts(result, out)
@@ -143,17 +144,16 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare needs at least 2 schemes")
     out.mkdir(parents=True, exist_ok=True)
     population = cfg.population.build()
-    masks = population.correct_masks()
     passk_rows = []
     bucket_rows = []
     for idx, scheme in enumerate(schemes):
         label = f"{idx:02d}_{weighting.scheme_name(scheme)}"
         run_cfg = replace(cfg, train=replace(cfg.train, scheme=scheme))
         result = _train_once(run_cfg, population, out / label)
-        passk, emp_rates = _eval_policy(run_cfg, result.theta, masks)
+        passk, emp_rates = _eval_policy(run_cfg, result.theta, population.correct)
         for k in sorted(passk):
             passk_rows.append((label, k, passk[k]))
-        for bucket, count in difficulty_histogram(emp_rates).as_dict().items():
+        for bucket, count in difficulty_histogram(emp_rates).items():
             bucket_rows.append((label, bucket, count))
     write_passk_csv(out / "compare.csv", passk_rows)
     write_bucket_csv(out / "compare_buckets.csv", bucket_rows)
@@ -166,14 +166,13 @@ def cmd_passk(args) -> int:
     out = _resolve_out_dir(args, cfg)
     out.mkdir(parents=True, exist_ok=True)
     population = cfg.population.build()
-    theta = population.logits_matrix()
-    passk, emp_rates = _eval_policy(cfg, theta, population.correct_masks())
+    passk, emp_rates = _eval_policy(cfg, population.logits, population.correct)
     name = weighting.scheme_name(cfg.train.scheme)
     write_passk_csv(out / "passk.csv", [(name, k, passk[k]) for k in sorted(passk)])
     write_bucket_csv(
         out / "passk_buckets.csv",
         [(name, bucket, count)
-         for bucket, count in difficulty_histogram(emp_rates).as_dict().items()],
+         for bucket, count in difficulty_histogram(emp_rates).items()],
     )
     print(f"wrote {out / 'passk.csv'}")
     return 0

@@ -1,16 +1,18 @@
 """Synthetic prompt populations with exactly computable pass rates.
 
-Each prompt carries its own softmax policy over M discrete responses plus a
-feasible set of correct response indices. Pass rates, their gradients, and
-the score function are all closed-form, so every estimator in the trainer
-can be checked against an exact oracle.
+A population of P prompts is two (P, M) arrays: the logits of each prompt's
+softmax policy over M discrete responses, and a boolean mask of its correct
+responses. A prompt's pass rate is the softmax mass on its correct set, so
+pass rates and their gradients are closed-form over whole populations and
+every estimator in the trainer can be checked against an exact oracle.
+Responses are sampled in one place, :func:`curverl.kernels.sample_responses`.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,15 +22,9 @@ from .rootfind import brentq
 log = logging.getLogger("curverl.passrate")
 
 __all__ = [
-    "PromptInstance",
     "PromptPopulation",
-    "RolloutBatch",
     "DifficultyProfile",
     "softmax",
-    "exact_pass_rate",
-    "exact_pass_rate_gradient",
-    "score_vector",
-    "sample_rollouts",
     "make_population",
     "population_to_json",
     "population_from_json",
@@ -45,150 +41,52 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-@dataclass(frozen=True)
-class PromptInstance:
-    """One synthetic prompt: response logits plus the set of correct responses.
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
-    An unsolvable prompt has an empty ``correct_set`` and pass rate exactly 0.
+
+class PromptPopulation:
+    """P prompts as read-only arrays: ``logits`` (P, M), the ``correct``
+    response mask (P, M) and the base sampling distribution ``base_weights``
+    (P,), uniform by default. Row i is prompt i; a row with no correct
+    response is unsolvable, with pass rate exactly 0. The arrays are copies
+    of the inputs, so training and evaluation can share one population.
     """
 
-    id: int
-    logits: np.ndarray
-    correct_set: frozenset[int]
-
-    def __post_init__(self) -> None:
-        logits = np.asarray(self.logits, dtype=np.float64)
-        if logits.ndim != 1 or logits.shape[0] < 2:
-            raise ValueError(f"prompt {self.id}: need at least 2 response logits")
-        if not np.all(np.isfinite(logits)):
-            raise ValueError(f"prompt {self.id}: logits must be finite")
-        object.__setattr__(self, "logits", logits)
-        correct = frozenset(int(c) for c in self.correct_set)
-        if any(c < 0 or c >= logits.shape[0] for c in correct):
-            raise ValueError(f"prompt {self.id}: correct_set index out of range")
-        object.__setattr__(self, "correct_set", correct)
-
-    @property
-    def m(self) -> int:
-        return self.logits.shape[0]
-
-    def correct_mask(self) -> np.ndarray:
-        mask = np.zeros(self.m, dtype=bool)
-        if self.correct_set:
-            mask[sorted(self.correct_set)] = True
-        return mask
-
-
-@dataclass(frozen=True)
-class RolloutBatch:
-    """N sampled responses for one prompt, with binary rewards and p-hat."""
-
-    prompt_id: int
-    rewards: np.ndarray
-    responses: np.ndarray
-    empirical_pass_rate: float
-
-    def __post_init__(self) -> None:
-        rewards = np.asarray(self.rewards, dtype=np.int64)
-        responses = np.asarray(self.responses, dtype=np.int64)
-        if rewards.shape != responses.shape or rewards.ndim != 1:
-            raise ValueError("rewards and responses must be 1-d and equal length")
-        n = rewards.shape[0]
-        if abs(self.empirical_pass_rate * n - rewards.sum()) > 1e-9:
-            raise ValueError("empirical_pass_rate inconsistent with rewards")
-        object.__setattr__(self, "rewards", rewards)
-        object.__setattr__(self, "responses", responses)
-
-    @property
-    def n(self) -> int:
-        return self.rewards.shape[0]
-
-
-@dataclass
-class PromptPopulation:
-    """Ordered prompt list plus the base sampling distribution over prompts."""
-
-    prompts: list[PromptInstance]
-    base_weights: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if not self.prompts:
+    def __init__(self, logits, correct, base_weights=None):
+        logits = np.array(logits, dtype=np.float64)
+        correct = np.array(correct, dtype=bool)
+        if logits.ndim != 2 or logits.shape[0] < 1:
             raise ValueError("population must contain at least one prompt")
-        m = self.prompts[0].m
-        if any(p.m != m for p in self.prompts):
-            raise ValueError("all prompts in a population must share the same M")
-        if self.base_weights is None:
-            self.base_weights = np.full(len(self.prompts), 1.0 / len(self.prompts))
-        w = np.asarray(self.base_weights, dtype=np.float64)
-        if w.shape != (len(self.prompts),):
+        if logits.shape[1] < 2:
+            raise ValueError("prompt 0: need at least 2 response logits")
+        bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
+        if bad.size:
+            raise ValueError(f"prompt {bad[0]}: logits must be finite")
+        if correct.shape != logits.shape:
+            raise ValueError(
+                f"correct mask has shape {correct.shape}, logits have {logits.shape}"
+            )
+        size = logits.shape[0]
+        if base_weights is None:
+            w = np.full(size, 1.0 / size)
+        else:
+            w = np.array(base_weights, dtype=np.float64)
+        if w.shape != (size,):
             raise ValueError("base_weights must have one entry per prompt")
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("base_weights must be nonnegative and sum to 1")
-        self.base_weights = w
+        self.logits = _read_only(logits)
+        self.correct = _read_only(correct)
+        self.base_weights = _read_only(w)
 
     def __len__(self) -> int:
-        return len(self.prompts)
+        return self.logits.shape[0]
 
     @property
     def m(self) -> int:
-        return self.prompts[0].m
-
-    def logits_matrix(self) -> np.ndarray:
-        """(P, M) copy of all prompt logits; the trainer mutates its copy."""
-        return np.stack([p.logits for p in self.prompts]).astype(np.float64)
-
-    def correct_masks(self) -> np.ndarray:
-        """(P, M) boolean matrix of feasible responses."""
-        return np.stack([p.correct_mask() for p in self.prompts])
-
-
-def exact_pass_rate(prompt: PromptInstance) -> float:
-    """Probability that a sampled response lands in the correct set.
-
-    Clamped to [0, 1]: summing softmax probabilities can overshoot 1 by an
-    ulp when every response is correct.
-    """
-    if not prompt.correct_set:
-        return 0.0
-    probs = softmax(prompt.logits)
-    return float(min(max(probs[sorted(prompt.correct_set)].sum(), 0.0), 1.0))
-
-
-def exact_pass_rate_gradient(prompt: PromptInstance) -> np.ndarray:
-    """Gradient of the pass rate w.r.t. the prompt's logits.
-
-    Component j is ``pi_j * (1{j correct} - p)``; the components sum to 0
-    because softmax probabilities are translation invariant in the logits.
-    """
-    probs = softmax(prompt.logits)
-    p = exact_pass_rate(prompt)
-    return probs * (prompt.correct_mask().astype(np.float64) - p)
-
-
-def score_vector(prompt: PromptInstance, response: int) -> np.ndarray:
-    """Gradient of log-probability of ``response`` w.r.t. the logits."""
-    if not 0 <= response < prompt.m:
-        raise ValueError(f"response index {response} out of range [0, {prompt.m})")
-    probs = softmax(prompt.logits)
-    score = -probs
-    score[response] += 1.0
-    return score
-
-
-def sample_rollouts(prompt: PromptInstance, n: int, rng: np.random.Generator) -> RolloutBatch:
-    """Draw n i.i.d. responses from the prompt's policy and score them."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    probs = softmax(prompt.logits)
-    responses = rng.choice(prompt.m, size=n, p=probs)
-    mask = prompt.correct_mask()
-    rewards = mask[responses].astype(np.int64)
-    return RolloutBatch(
-        prompt_id=prompt.id,
-        rewards=rewards,
-        responses=responses.astype(np.int64),
-        empirical_pass_rate=float(rewards.mean()),
-    )
+        return self.logits.shape[1]
 
 
 def population_pass_rates(theta: np.ndarray, correct_masks: np.ndarray) -> np.ndarray:
@@ -198,7 +96,11 @@ def population_pass_rates(theta: np.ndarray, correct_masks: np.ndarray) -> np.nd
 
 
 def population_pass_rate_gradients(theta: np.ndarray, correct_masks: np.ndarray) -> np.ndarray:
-    """(P, M) matrix of analytic pass-rate gradients, one row per prompt."""
+    """(P, M) matrix of analytic pass-rate gradients, one row per prompt.
+
+    Component j of row i is ``pi_ij * (1{j correct} - p_i)``; each row sums
+    to 0 because softmax probabilities are translation invariant in the logits.
+    """
     probs = softmax(theta)
     p = np.where(correct_masks, probs, 0.0).sum(axis=1, keepdims=True)
     return probs * (correct_masks.astype(np.float64) - p)
@@ -283,25 +185,25 @@ def make_population(
     if n_unsolvable:
         unsolvable[rng.choice(size, size=n_unsolvable, replace=False)] = True
 
-    prompts: list[PromptInstance] = []
+    logits = np.empty((size, m))
+    correct = np.zeros((size, m), dtype=bool)
     max_correct = max(1, m // 4)
     for i in range(size):
         base = rng.standard_normal(m)
         if unsolvable[i]:
-            prompts.append(PromptInstance(id=i, logits=base, correct_set=frozenset()))
+            logits[i] = base
             continue
         n_correct = int(rng.integers(1, max_correct + 1))
-        correct = rng.choice(m, size=n_correct, replace=False)
-        mask = np.zeros(m, dtype=bool)
-        mask[correct] = True
+        mask = correct[i]
+        mask[rng.choice(m, size=n_correct, replace=False)] = True
         delta = _solve_logit_offset(base, mask, float(targets[i]))
-        logits = base + delta * mask
-        prompt = PromptInstance(id=i, logits=logits, correct_set=frozenset(int(c) for c in correct))
-        achieved = exact_pass_rate(prompt)
-        if abs(achieved - targets[i]) > 1e-9:
-            raise RuntimeError(f"prompt {i}: target {targets[i]:.3g} missed ({achieved:.3g})")
-        prompts.append(prompt)
-    return PromptPopulation(prompts=prompts, base_weights=base_weights)
+        logits[i] = base + delta * mask
+    achieved = population_pass_rates(logits, correct)
+    missed = np.flatnonzero(~unsolvable & (np.abs(achieved - targets) > 1e-9))
+    if missed.size:
+        i = missed[0]
+        raise RuntimeError(f"prompt {i}: target {targets[i]:.3g} missed ({achieved[i]:.3g})")
+    return PromptPopulation(logits, correct, base_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +213,12 @@ def make_population(
 def population_to_json(pop: PromptPopulation) -> str:
     """Serialize with a fixed 17-significant-digit decimal float format."""
     lines = ["{", f'  "m": {pop.m},', '  "prompts": [']
-    for i, prompt in enumerate(pop.prompts):
-        logits = ", ".join(fmt_float(v) for v in prompt.logits)
-        correct = ", ".join(str(c) for c in sorted(prompt.correct_set))
-        tail = "," if i + 1 < len(pop.prompts) else ""
+    for i, (row, correct) in enumerate(zip(pop.logits, pop.correct)):
+        logits = ", ".join(fmt_float(v) for v in row)
+        indices = ", ".join(map(str, np.flatnonzero(correct).tolist()))
+        tail = "," if i + 1 < len(pop) else ""
         lines.append(
-            f'    {{"id": {prompt.id}, "logits": [{logits}], "correct": [{correct}]}}{tail}'
+            f'    {{"id": {i}, "logits": [{logits}], "correct": [{indices}]}}{tail}'
         )
     weights = ", ".join(fmt_float(w) for w in pop.base_weights)
     lines.append("  ],")
@@ -326,28 +228,28 @@ def population_to_json(pop: PromptPopulation) -> str:
 
 
 def population_from_json(text: str) -> PromptPopulation:
+    """Parse :func:`population_to_json` output; prompt ids must be the row
+    indices 0, 1, ..."""
     doc = json.loads(text)
     expected = {"m", "prompts", "base_weights"}
     unknown = set(doc) - expected
     if unknown:
         raise ValueError(f"unknown population keys: {sorted(unknown)}")
     m = int(doc["m"])
-    prompts = []
-    for entry in doc["prompts"]:
+    logits = np.empty((len(doc["prompts"]), m))
+    correct = np.zeros(logits.shape, dtype=bool)
+    for i, entry in enumerate(doc["prompts"]):
         bad = set(entry) - {"id", "logits", "correct"}
         if bad:
             raise ValueError(f"unknown prompt keys: {sorted(bad)}")
-        logits = np.asarray(entry["logits"], dtype=np.float64)
-        if logits.shape[0] != m:
-            raise ValueError(f"prompt {entry['id']}: expected {m} logits")
-        prompts.append(
-            PromptInstance(
-                id=int(entry["id"]),
-                logits=logits,
-                correct_set=frozenset(int(c) for c in entry["correct"]),
-            )
-        )
-    return PromptPopulation(
-        prompts=prompts,
-        base_weights=np.asarray(doc["base_weights"], dtype=np.float64),
-    )
+        if entry["id"] != i:
+            raise ValueError(f"prompt {entry['id']!r}: expected id {i}, the row index")
+        row = np.asarray(entry["logits"], dtype=np.float64)
+        if row.shape != (m,):
+            raise ValueError(f"prompt {i}: expected {m} logits")
+        indices = np.asarray(entry["correct"], dtype=np.int64)
+        if np.any((indices < 0) | (indices >= m)):
+            raise ValueError(f"prompt {i}: correct index out of range")
+        logits[i] = row
+        correct[i, indices] = True
+    return PromptPopulation(logits, correct, doc["base_weights"])

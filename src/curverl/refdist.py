@@ -17,10 +17,11 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
-from .ioutil import fmt_float
+from .passrate import population_pass_rates
 
 log = logging.getLogger("curverl.refdist")
 
@@ -240,9 +241,7 @@ def exact_policy_distribution(population, n_rollouts: int) -> ReferenceDistribut
     This is the pushforward of the base prompt distribution through the exact
     pass-rate map, used as the oracle target for :func:`estimate`.
     """
-    from .passrate import exact_pass_rate
-
-    rates = np.array([exact_pass_rate(p) for p in population.prompts])
+    rates = population_pass_rates(population.logits, population.correct)
     return distribution_from_rates(rates, n_rollouts, weights=population.base_weights)
 
 
@@ -256,18 +255,12 @@ def wasserstein1(a: ReferenceDistribution, b: ReferenceDistribution) -> float:
 REFERENCE_CSV_HEADER = ("step", "grid_point", "mass", "cdf", "density")
 
 
-def reference_csv_rows(step: int, ref: ReferenceDistribution) -> list[str]:
-    """One CSV row per grid point; cdf and density are the floored values
-    actually consumed by weighting, mass is raw."""
-    cdf = ref.floored_cdf()
-    dens = ref.floored_density()
-    rows = []
-    for k, p in enumerate(ref.grid):
-        rows.append(
-            f"{step},{fmt_float(p)},{fmt_float(ref.bin_mass[k])},"
-            f"{fmt_float(cdf[k])},{fmt_float(dens[k])}"
-        )
-    return rows
+def reference_csv_rows(step: int, ref: ReferenceDistribution):
+    """One ``(step, grid_point, mass, cdf, density)`` row per grid point; cdf
+    and density are the floored values actually consumed by weighting, mass
+    is raw."""
+    return zip(repeat(step), ref.grid.tolist(), ref.bin_mass.tolist(),
+               ref.floored_cdf().tolist(), ref.floored_density().tolist())
 
 
 def load_reference_csv(path) -> ReferenceDistribution:

@@ -24,14 +24,7 @@ import numpy as np
 from . import refdist, weighting
 from .ioutil import write_csv
 from .kernels import accumulate_gradients, sample_responses
-from .passrate import (
-    PromptInstance,
-    PromptPopulation,
-    RolloutBatch,
-    population_pass_rates,
-    score_vector,
-    softmax,
-)
+from .passrate import PromptPopulation, population_pass_rates, softmax
 from .refdist import ReferenceDistribution, SlidingWindow
 
 log = logging.getLogger("curverl.trainer")
@@ -130,20 +123,31 @@ class TrainResult:
     references: list[ReferenceDistribution]
 
 
-def per_prompt_gradient(prompt: PromptInstance, batch: RolloutBatch, weight: float) -> np.ndarray:
-    """Single-prompt gradient estimate (1/N) sum_i weight (r_i - p_hat) S_i.
+def per_prompt_gradient(logits: np.ndarray, correct: np.ndarray, responses,
+                        weight: float) -> np.ndarray:
+    """Single-prompt gradient estimate (1/N) sum_i weight (r_i - p_hat) S_i
+    for the N sampled ``responses`` of the prompt with this logits row and
+    correct-response mask; S_i = onehot(y_i) - softmax(logits) is the score.
 
     The group baseline p-hat makes degenerate groups (all rewards equal)
     contribute exactly zero. Because the baseline includes rollout i itself,
     the fixed-weight expectation is (1 - 1/N) * weight * grad(p), the usual
-    leave-one-in shrinkage; the direction is unbiased. This is the reference
-    implementation the fast kernels are tested against.
+    leave-one-in shrinkage; the direction is unbiased. This is the naive
+    reference implementation the fast kernels are tested against.
     """
-    p_hat = batch.empirical_pass_rate
-    acc = np.zeros(prompt.m)
-    for reward, response in zip(batch.rewards, batch.responses):
-        acc += weight * (float(reward) - p_hat) * score_vector(prompt, int(response))
-    return acc / batch.n
+    responses = np.asarray(responses, dtype=np.int64)
+    m = logits.shape[0]
+    if np.any((responses < 0) | (responses >= m)):
+        raise ValueError(f"response index out of range [0, {m})")
+    probs = softmax(logits)
+    rewards = correct[responses]
+    p_hat = float(rewards.mean())
+    acc = np.zeros(m)
+    for reward, response in zip(rewards, responses):
+        score = -probs
+        score[response] += 1.0
+        acc += weight * (float(reward) - p_hat) * score
+    return acc / responses.size
 
 
 def effective_distribution(weights, base_weights) -> tuple[np.ndarray, float]:
@@ -170,8 +174,9 @@ class TrainerState:
     def __init__(self, population: PromptPopulation, config: TrainConfig):
         self.population = population
         self.config = config
-        self.theta = population.logits_matrix()
-        self.masks = population.correct_masks()
+        # the population's arrays are read-only; the trainer updates a copy
+        self.theta = population.logits.copy()
+        self.masks = population.correct
         self.window = SlidingWindow(t0=config.t0, capacity=config.t0 * config.batch_size)
         self.step = 0
         self._cold_start_logged = False
@@ -179,9 +184,12 @@ class TrainerState:
     def exact_pass_rates(self) -> np.ndarray:
         return population_pass_rates(self.theta, self.masks)
 
-    def mean_exact_pass_rate(self) -> float:
+    def mean_exact_pass_rate(self, rates: np.ndarray | None = None) -> float:
+        """d0-weighted mean of ``rates``, by default :meth:`exact_pass_rates`."""
+        if rates is None:
+            rates = self.exact_pass_rates()
         # the dot product can round past 1 when every prompt is solved
-        mean = float(np.dot(self.population.base_weights, self.exact_pass_rates()))
+        mean = float(np.dot(self.population.base_weights, rates))
         return min(max(mean, 0.0), 1.0)
 
 
@@ -221,7 +229,8 @@ def train_step(state: TrainerState) -> tuple[StepLog, ReferenceDistribution]:
     cfg = state.config
     window_ref = _window_reference(state)
     step_scheme = _scheme_for_step(state, window_ref)
-    mean_exact = state.mean_exact_pass_rate()
+    exact = state.exact_pass_rates()
+    mean_exact = state.mean_exact_pass_rate(exact)
 
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(state.step,))
@@ -241,7 +250,7 @@ def train_step(state: TrainerState) -> tuple[StepLog, ReferenceDistribution]:
     if cfg.weight_at_exact_pass_rate:
         # diagnostic mode: an active prompt's exact rate can still round to
         # 0 or 1, where the weight is undefined; clamp just inside
-        at = np.clip(state.exact_pass_rates()[batch[active]], 1e-12, 1.0 - 1e-12)
+        at = np.clip(exact[batch[active]], 1e-12, 1.0 - 1e-12)
     else:
         at = p_hat[active]
     # the weight depends on the rate alone: evaluate it once per distinct rate
@@ -303,11 +312,12 @@ def run_training(population: PromptPopulation, config: TrainConfig) -> TrainResu
 # estimator diagnostics
 # ---------------------------------------------------------------------------
 
-def mc_gradient_mean(prompt: PromptInstance, weight: float, n_batches: int,
-                     n_rollouts: int, rng: np.random.Generator,
+def mc_gradient_mean(logits: np.ndarray, correct: np.ndarray, weight: float,
+                     n_batches: int, n_rollouts: int, rng: np.random.Generator,
                      use_baseline: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo mean and standard error of the fixed-weight gradient
-    estimator over independently sampled rollout groups.
+    estimator over independently sampled rollout groups of one prompt, given
+    as its logits row and correct-response mask.
 
     With ``use_baseline=True`` this is the trainer's estimator, whose
     expectation carries the (1 - 1/N) group-baseline shrinkage; with
@@ -315,11 +325,11 @@ def mc_gradient_mean(prompt: PromptInstance, weight: float, n_batches: int,
     (1/N) sum_i weight r_i S_i, whose expectation is exactly
     weight * grad(p).
     """
-    probs = softmax(prompt.logits)[None, :].repeat(n_batches, axis=0)
+    probs = softmax(logits)[None, :].repeat(n_batches, axis=0)
     cum = np.cumsum(probs, axis=1)
     uniforms = rng.random((n_batches, n_rollouts))
     responses = sample_responses(cum, uniforms)
-    rewards = prompt.correct_mask()[responses]
+    rewards = correct[responses]
     baseline = rewards.sum(axis=1)[:, None] / n_rollouts if use_baseline else 0.0
     coeff = weight * (rewards.astype(np.float64) - baseline) / n_rollouts
     grads = accumulate_gradients(probs, responses, coeff)
@@ -355,11 +365,15 @@ def write_training_artifacts(result: TrainResult, out_dir: str | Path) -> None:
         ),
     )
 
-    with open(out / "refdist.csv", "w", newline="\n") as fh:
-        fh.write(",".join(refdist.REFERENCE_CSV_HEADER) + "\n")
-        for entry, ref in zip(result.step_logs, result.references):
-            for row in refdist.reference_csv_rows(entry.step, ref):
-                fh.write(row + "\n")
+    write_csv(
+        out / "refdist.csv",
+        refdist.REFERENCE_CSV_HEADER,
+        (
+            row
+            for entry, ref in zip(result.step_logs, result.references)
+            for row in refdist.reference_csv_rows(entry.step, ref)
+        ),
+    )
 
     if result.config.log_per_prompt:
         # rel_multiplier = p_hat * weight, the step's weight relative to the

@@ -149,12 +149,10 @@ def calibration_gradients(population: PromptPopulation, raw_scheme: weighting.We
     square map). Requires every pass rate strictly inside (0, 1).
     """
     mono_map.validate()
-    theta = population.logits_matrix()
-    masks = population.correct_masks()
-    rates = population_pass_rates(theta, masks)
+    rates = population_pass_rates(population.logits, population.correct)
     if np.any(rates <= 0.0) or np.any(rates >= 1.0):
         raise ValueError("calibration check needs pass rates strictly inside (0, 1)")
-    grads = population_pass_rate_gradients(theta, masks)
+    grads = population_pass_rate_gradients(population.logits, population.correct)
     d0 = population.base_weights
     w_raw = np.array([weighting.pointwise_weight(raw_scheme, float(r)) for r in rates])
     w_mapped = np.array(

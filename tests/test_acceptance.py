@@ -20,19 +20,12 @@ import pytest
 
 from curverl import refdist, weighting
 from curverl.cli import main as cli_main
-from curverl.evaluation import (
-    EvalSampleSet,
-    evaluate_policy,
-    pass_at_k,
-)
+from curverl.evaluation import evaluate_policy, pass_at_k
 from curverl.passrate import (
     DifficultyProfile,
-    PromptInstance,
-    exact_pass_rate,
-    exact_pass_rate_gradient,
     make_population,
+    population_pass_rate_gradients,
     population_pass_rates,
-    score_vector,
     softmax,
 )
 from curverl.references import (
@@ -100,6 +93,26 @@ def test_criterion_1_induced_prior_recovery():
            f"max |closed - quadrature| = {worst:.3e} < 1e-6 in {clock.elapsed:.2f}s")
 
 
+def test_criterion_1_integrand_calls_bounded():
+    # the quadrature's cost on the criterion-1 grid as a count, so a slower
+    # panel rule shows up here rather than as a budget overrun
+    calls = 0
+
+    def counted(fn):
+        def wrapped(p):
+            nonlocal calls
+            calls += 1
+            return fn(p)
+        return wrapped
+
+    for scheme in POINTWISE:
+        fn = counted(weighting.weight_function(scheme))
+        for p in GRID_19:
+            weighting.induced_prior_numeric(fn, float(p))
+    assert calls <= 100_000
+    report("criterion 1 (quadrature cost)", f"{calls} integrand calls <= 100000")
+
+
 def test_criterion_2_reverse_hazard_identity():
     with Stopwatch(1.0) as clock:
         worst = 0.0
@@ -160,8 +173,7 @@ def test_criterion_5_calibration_invariance():
             20, m=16, seed=7,
             profile=DifficultyProfile(kind="beta", alpha=2.0, beta=3.0),
         )
-        rates = [exact_pass_rate(p) for p in pop.prompts]
-        ref = fit_reference_to_rates(rates)
+        ref = fit_reference_to_rates(population_pass_rates(pop.logits, pop.correct))
         worst = 0.0
         for mono in (MonotoneMap.square(), MonotoneMap.sqrt()):
             raw, mapped = calibration_gradients(
@@ -224,14 +236,19 @@ def test_criterion_7_aggressiveness_ordering(tmp_path):
 
 
 def _random_mc_prompts(rng, count=10, m=4):
+    """(logits, correct mask) rows with one or two correct responses each."""
     prompts = []
-    for i in range(count):
+    for _ in range(count):
         logits = rng.standard_normal(m)
-        correct = frozenset(
-            int(c) for c in rng.choice(m, size=int(rng.integers(1, 3)), replace=False)
-        )
-        prompts.append(PromptInstance(id=i, logits=logits, correct_set=correct))
+        correct = np.zeros(m, dtype=bool)
+        correct[rng.choice(m, size=int(rng.integers(1, 3)), replace=False)] = True
+        prompts.append((logits, correct))
     return prompts
+
+
+def _exact_rate_and_gradient(logits, correct):
+    return (float(population_pass_rates(logits[None, :], correct[None, :])[0]),
+            population_pass_rate_gradients(logits[None, :], correct[None, :])[0])
 
 
 def test_criterion_8_gradient_estimator_soundness():
@@ -241,25 +258,23 @@ def test_criterion_8_gradient_estimator_soundness():
         worst_identity = 0.0
         worst_z_baselined = 0.0
         worst_z_free = 0.0
-        for trial, pr in enumerate(_random_mc_prompts(rng)):
-            # exact-summation score identity
-            probs = softmax(pr.logits)
-            acc = np.zeros(pr.m)
-            for y in range(pr.m):
-                reward = 1.0 if y in pr.correct_set else 0.0
-                acc += probs[y] * reward * score_vector(pr, y)
-            worst_identity = max(
-                worst_identity, float(np.abs(acc - exact_pass_rate_gradient(pr)).max())
-            )
+        for trial, (logits, correct) in enumerate(_random_mc_prompts(rng)):
+            # exact-summation score identity, score(y) = onehot(y) - pi
+            probs = softmax(logits)
+            p, grad = _exact_rate_and_gradient(logits, correct)
+            acc = np.zeros(logits.size)
+            for y in range(logits.size):
+                score = -probs
+                score[y] += 1.0
+                acc += probs[y] * float(correct[y]) * score
+            worst_identity = max(worst_identity, float(np.abs(acc - grad).max()))
             # Monte Carlo oracle at the fixed weight w(p_exact) under 1/p
-            p = exact_pass_rate(pr)
             w = weighting.pointwise_weight(MaxRL(), p)
-            grad = exact_pass_rate_gradient(pr)
-            mean, se = mc_gradient_mean(pr, w, 100_000, n,
+            mean, se = mc_gradient_mean(logits, correct, w, 100_000, n,
                                         np.random.default_rng(10_000 + trial))
             z = np.abs(mean - (1.0 - 1.0 / n) * w * grad) / np.maximum(se, 1e-300)
             worst_z_baselined = max(worst_z_baselined, float(z.max()))
-            mean0, se0 = mc_gradient_mean(pr, w, 100_000, n,
+            mean0, se0 = mc_gradient_mean(logits, correct, w, 100_000, n,
                                           np.random.default_rng(20_000 + trial),
                                           use_baseline=False)
             z0 = np.abs(mean0 - w * grad) / np.maximum(se0, 1e-300)
@@ -283,11 +298,12 @@ def test_criterion_8_gradient_estimator_soundness():
 )
 def test_criterion_8_literal_unbiasedness_as_written():
     rng = np.random.default_rng(2024)
-    for trial, pr in enumerate(_random_mc_prompts(rng)):
-        p = exact_pass_rate(pr)
+    for trial, (logits, correct) in enumerate(_random_mc_prompts(rng)):
+        p, grad = _exact_rate_and_gradient(logits, correct)
         w = weighting.pointwise_weight(MaxRL(), p)
-        mean, se = mc_gradient_mean(pr, w, 100_000, 8, np.random.default_rng(10_000 + trial))
-        z = np.abs(mean - w * exact_pass_rate_gradient(pr)) / np.maximum(se, 1e-300)
+        mean, se = mc_gradient_mean(logits, correct, w, 100_000, 8,
+                                    np.random.default_rng(10_000 + trial))
+        z = np.abs(mean - w * grad) / np.maximum(se, 1e-300)
         assert float(z.max()) <= 3.0
 
 
@@ -296,12 +312,11 @@ def test_criterion_9_passk_estimator():
         r = 100
         worst = 0.0
         for q in (0.1, 0.5, 0.9):
-            rewards = np.zeros(r, dtype=int)
-            rewards[: int(q * r)] = 1
-            samples = EvalSampleSet(prompt_id=0, rewards=rewards, answers=np.arange(r))
-            assert pass_at_k(samples, 1) == q  # raw mean, exact
+            pool = np.zeros(r, dtype=bool)
+            pool[: int(q * r)] = True
+            assert pass_at_k(pool, 1) == q  # raw mean, exact
             for k in (2, 4, 16):
-                est = pass_at_k(samples, k, resamples=100_000,
+                est = pass_at_k(pool, k, resamples=100_000,
                                 rng=np.random.default_rng(int(q * 100) * 31 + k))
                 err = abs(est - (1.0 - (1.0 - q) ** k))
                 worst = max(worst, err)
@@ -321,7 +336,7 @@ def test_criterion_10_directional_training_experiment():
                 profile=DifficultyProfile(kind="beta", alpha=1.0, beta=5.0,
                                           unsolvable_fraction=0.10),
             )
-            masks = pop.correct_masks()
+            masks = pop.correct
             for label, scheme in (("reinforce", Reinforce()), ("curve", Curve())):
                 cfg = TrainConfig(steps=300, scheme=scheme, batch_size=256, n_rollouts=8,
                                   t0=10, learning_rate=16.0, seed=seed,

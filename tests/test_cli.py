@@ -6,6 +6,7 @@ import pytest
 
 from curverl.cli import main
 from curverl.config import ExperimentConfig, load_experiment_config
+from curverl.ioutil import write_csv
 from curverl.refdist import distribution_from_rates, reference_csv_rows, REFERENCE_CSV_HEADER
 
 
@@ -247,10 +248,7 @@ class TestWeights:
     def test_curve_from_snapshot_recomputes_hazard(self, tmp_path):
         ref = distribution_from_rates([1 / 8, 2 / 8, 2 / 8, 5 / 8], 8)
         snap = tmp_path / "refdist.csv"
-        with open(snap, "w") as fh:
-            fh.write(",".join(REFERENCE_CSV_HEADER) + "\n")
-            for row in reference_csv_rows(0, ref):
-                fh.write(row + "\n")
+        write_csv(snap, REFERENCE_CSV_HEADER, reference_csv_rows(0, ref))
         out = tmp_path / "w.csv"
         assert main(["weights", "--scheme", "curve", "--ref", str(snap),
                      "--out", str(out)]) == 0
@@ -266,10 +264,7 @@ class TestWeights:
     def test_snapshot_grid_mismatch_rejected(self, tmp_path, capsys):
         ref = distribution_from_rates([0.5], 8)
         snap = tmp_path / "refdist.csv"
-        with open(snap, "w") as fh:
-            fh.write(",".join(REFERENCE_CSV_HEADER) + "\n")
-            for row in reference_csv_rows(0, ref):
-                fh.write(row + "\n")
+        write_csv(snap, REFERENCE_CSV_HEADER, reference_csv_rows(0, ref))
         assert main(["weights", "--scheme", "curve", "--ref", str(snap),
                      "--n-rollouts", "16", "--out", str(tmp_path / "w.csv")]) == 2
         assert "N=8" in capsys.readouterr().err
@@ -372,3 +367,17 @@ class TestImportPath:
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)}, check=True)
         assert done.stdout.strip() == "[]"
+
+    def test_every_export_resolves(self):
+        # a deleted definition must not leave its name in an __all__
+        import importlib
+        import pkgutil
+
+        import curverl
+
+        modules = [curverl] + [importlib.import_module(f"curverl.{info.name}")
+                               for info in pkgutil.iter_modules(curverl.__path__)]
+        assert len(modules) > 10
+        missing = [f"{mod.__name__}.{name}" for mod in modules
+                   for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+        assert missing == []

@@ -7,24 +7,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curverl.kernels import accumulate_gradients, sample_responses
 from curverl.passrate import (
     DifficultyProfile,
-    PromptInstance,
     PromptPopulation,
-    exact_pass_rate,
-    exact_pass_rate_gradient,
     make_population,
     population_from_json,
+    population_pass_rate_gradients,
+    population_pass_rates,
     population_to_json,
-    sample_rollouts,
-    score_vector,
     softmax,
 )
+from curverl.trainer import per_prompt_gradient
 
 
-def prompt(logits, correct, pid=0):
-    return PromptInstance(id=pid, logits=np.asarray(logits, dtype=float),
-                          correct_set=frozenset(correct))
+def prompt(logits, correct):
+    """One-prompt population from a logits row and its correct indices."""
+    logits = np.asarray(logits, dtype=float)
+    mask = np.zeros(logits.shape, dtype=bool)
+    mask[list(correct)] = True
+    return PromptPopulation(logits[None, :], mask[None, :])
+
+
+def exact_pass_rate(pr):
+    return float(population_pass_rates(pr.logits, pr.correct)[0])
+
+
+def exact_pass_rate_gradient(pr):
+    return population_pass_rate_gradients(pr.logits, pr.correct)[0]
+
+
+def score_vector(pr, response):
+    """Gradient of log pi(response): the kernel's sum with one unit coefficient."""
+    return accumulate_gradients(softmax(pr.logits), np.array([[response]]), np.ones((1, 1)))[0]
+
+
+def sample_rewards(pr, n, rng):
+    """n rewards of the prompt's policy, drawn by the one response sampler."""
+    responses = sample_responses(np.cumsum(softmax(pr.logits), axis=1), rng.random((1, n)))
+    return np.take_along_axis(pr.correct, responses, axis=1)[0], responses[0]
 
 
 class TestExactPassRate:
@@ -39,12 +60,15 @@ class TestExactPassRate:
         assert exact_pass_rate(prompt([math.log(3.0), 0.0], {0})) == pytest.approx(0.75, abs=1e-12)
 
     def test_invalid_prompts_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="prompt 0: need at least 2"):
             prompt([0.0], {0})
-        with pytest.raises(ValueError):
-            prompt([0.0, np.inf], {0})
-        with pytest.raises(ValueError):
-            prompt([0.0, 0.0], {5})
+        with pytest.raises(ValueError, match="prompt 1: logits must be finite"):
+            PromptPopulation([[0.0, 0.0], [0.0, np.inf]], np.zeros((2, 2), dtype=bool))
+        with pytest.raises(ValueError, match="shape"):
+            PromptPopulation([[0.0, 0.0]], [[True, False, True]])
+        with pytest.raises(ValueError, match="prompt 0: correct index out of range"):
+            population_from_json(population_to_json(prompt([0.0, 0.0], {0})).replace(
+                '"correct": [0]', '"correct": [5]'))
 
 
 class TestGradient:
@@ -57,7 +81,7 @@ class TestGradient:
         np.testing.assert_array_equal(grad, np.zeros(3))
 
     def test_matches_central_finite_differences(self):
-        # independent oracle: differentiate exact_pass_rate numerically
+        # independent oracle: differentiate the exact pass rate numerically
         rng = np.random.default_rng(42)
         step = 1e-6
         for _ in range(100):
@@ -101,8 +125,10 @@ class TestScoreVector:
             assert abs(score_vector(pr, y).sum()) < 1e-12
 
     def test_out_of_range_response(self):
-        with pytest.raises(ValueError):
-            score_vector(prompt([0.0, 0.0], {0}), 2)
+        pr = prompt([0.0, 0.0], {0})
+        for bad in (2, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                per_prompt_gradient(pr.logits[0], pr.correct[0], [0, bad], 1.0)
 
     def test_exact_summation_policy_gradient_identity(self):
         # sum_y pi(y) r(y) score(y) must equal the analytic pass-rate gradient
@@ -110,66 +136,63 @@ class TestScoreVector:
         for _ in range(20):
             m = int(rng.integers(2, 10))
             pr = prompt(rng.standard_normal(m), {int(c) for c in rng.choice(m, 2, replace=False)})
-            probs = softmax(pr.logits)
+            probs = softmax(pr.logits[0])
             acc = np.zeros(m)
             for y in range(m):
-                reward = 1.0 if y in pr.correct_set else 0.0
+                reward = 1.0 if pr.correct[0, y] else 0.0
                 acc += probs[y] * reward * score_vector(pr, y)
             np.testing.assert_allclose(acc, exact_pass_rate_gradient(pr), atol=1e-12)
 
     def test_score_expectation_is_zero(self):
         pr = prompt([0.5, -0.5, 1.5], {0})
-        probs = softmax(pr.logits)
+        probs = softmax(pr.logits[0])
         acc = sum(probs[y] * score_vector(pr, y) for y in range(3))
         np.testing.assert_allclose(acc, np.zeros(3), atol=1e-12)
 
 
 class TestSampling:
     def test_full_correct_set_gives_all_ones(self):
-        batch = sample_rollouts(prompt([0.1, 0.2, 0.3], {0, 1, 2}), 20,
-                                np.random.default_rng(0))
-        assert batch.empirical_pass_rate == 1.0
-        assert batch.rewards.sum() == 20
+        rewards, _ = sample_rewards(prompt([0.1, 0.2, 0.3], {0, 1, 2}), 20,
+                                    np.random.default_rng(0))
+        assert rewards.mean() == 1.0
+        assert rewards.sum() == 20
 
     def test_empty_correct_set_gives_all_zeros(self):
-        batch = sample_rollouts(prompt([0.1, 0.2], set()), 15, np.random.default_rng(0))
-        assert batch.empirical_pass_rate == 0.0
+        rewards, _ = sample_rewards(prompt([0.1, 0.2], set()), 15, np.random.default_rng(0))
+        assert rewards.mean() == 0.0
 
     def test_binomial_concentration(self):
         # 3-sigma bound for n=1e5 fair coin: 3 * 0.5 / sqrt(n) < 0.005
-        batch = sample_rollouts(prompt([0.0, 0.0], {0}), 100_000, np.random.default_rng(123))
-        assert abs(batch.empirical_pass_rate - 0.5) < 0.005
+        rewards, _ = sample_rewards(prompt([0.0, 0.0], {0}), 100_000, np.random.default_rng(123))
+        assert abs(rewards.mean() - 0.5) < 0.005
 
     def test_deterministic_under_seed(self):
         pr = prompt([0.4, -0.4, 0.0], {1})
-        a = sample_rollouts(pr, 64, np.random.default_rng(99))
-        b = sample_rollouts(pr, 64, np.random.default_rng(99))
-        np.testing.assert_array_equal(a.responses, b.responses)
-        np.testing.assert_array_equal(a.rewards, b.rewards)
-
-    def test_n_must_be_positive(self):
-        with pytest.raises(ValueError):
-            sample_rollouts(prompt([0.0, 0.0], {0}), 0, np.random.default_rng(0))
+        a = sample_rewards(pr, 64, np.random.default_rng(99))
+        b = sample_rewards(pr, 64, np.random.default_rng(99))
+        np.testing.assert_array_equal(a[1], b[1])
+        np.testing.assert_array_equal(a[0], b[0])
 
 
 class TestPopulation:
     def test_base_weights_must_sum_to_one(self):
-        prompts = [prompt([0.0, 0.0], {0}, pid=i) for i in range(2)]
         with pytest.raises(ValueError):
-            PromptPopulation(prompts=prompts, base_weights=np.array([0.4, 0.4]))
+            PromptPopulation(np.zeros((2, 2)), [[True, False]] * 2,
+                             base_weights=np.array([0.4, 0.4]))
 
     def test_synthesis_hits_targets(self):
         targets = (0.1, 0.37, 0.62, 0.9, 0.005)
         pop = make_population(5, m=16, seed=1,
                               profile=DifficultyProfile(kind="fixed", targets=targets))
-        for pr, target in zip(pop.prompts, targets):
-            assert abs(exact_pass_rate(pr) - target) <= 1e-9
+        rates = population_pass_rates(pop.logits, pop.correct)
+        assert np.all(np.abs(rates - targets) <= 1e-9)
 
     def test_beta_profile_with_unsolvable_fraction(self):
         prof = DifficultyProfile(kind="beta", alpha=1.0, beta=5.0, unsolvable_fraction=0.1)
         pop = make_population(100, m=16, seed=5, profile=prof)
-        rates = np.array([exact_pass_rate(p) for p in pop.prompts])
+        rates = population_pass_rates(pop.logits, pop.correct)
         assert (rates == 0.0).sum() == 10
+        np.testing.assert_array_equal(rates == 0.0, ~pop.correct.any(axis=1))
         solvable = rates[rates > 0]
         assert solvable.mean() < 0.4  # Beta(1,5) skews hard
         assert pop.m == 16
@@ -178,8 +201,18 @@ class TestPopulation:
     def test_generation_is_deterministic(self):
         a = make_population(20, seed=3)
         b = make_population(20, seed=3)
-        np.testing.assert_array_equal(a.logits_matrix(), b.logits_matrix())
-        assert [p.correct_set for p in a.prompts] == [p.correct_set for p in b.prompts]
+        np.testing.assert_array_equal(a.logits, b.logits)
+        np.testing.assert_array_equal(a.correct, b.correct)
+
+    def test_arrays_are_read_only_copies(self):
+        logits, correct = np.zeros((2, 3)), np.ones((2, 3), dtype=bool)
+        pop = PromptPopulation(logits, correct)
+        logits[0, 0] = 5.0
+        correct[0, 0] = False
+        assert pop.logits[0, 0] == 0.0 and pop.correct[0, 0]
+        for arr in (pop.logits, pop.correct, pop.base_weights):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
 
 
 class TestSerialization:
@@ -189,9 +222,9 @@ class TestSerialization:
                                                         unsolvable_fraction=0.25))
         text = population_to_json(pop)
         back = population_from_json(text)
-        np.testing.assert_array_equal(pop.logits_matrix(), back.logits_matrix())
+        np.testing.assert_array_equal(pop.logits, back.logits)
         np.testing.assert_array_equal(pop.base_weights, back.base_weights)
-        assert [p.correct_set for p in pop.prompts] == [p.correct_set for p in back.prompts]
+        np.testing.assert_array_equal(pop.correct, back.correct)
         # serialize(parse(serialize(x))) is byte-identical to serialize(x)
         assert population_to_json(back) == text
 
@@ -200,3 +233,8 @@ class TestSerialization:
         doc = population_to_json(pop).replace('"m":', '"extra": 1, "m":', 1)
         with pytest.raises(ValueError):
             population_from_json(doc)
+
+    def test_id_must_be_row_index(self):
+        text = population_to_json(make_population(3, m=4, seed=0))
+        with pytest.raises(ValueError, match="prompt 2: expected id 1"):
+            population_from_json(text.replace('"id": 1,', '"id": 2,'))

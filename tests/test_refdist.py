@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curverl.passrate import DifficultyProfile, exact_pass_rate, make_population
+from curverl.ioutil import write_csv
+from curverl.passrate import DifficultyProfile, make_population, population_pass_rates
 from curverl.refdist import (
     ColdStartError,
     ReferenceDistribution,
@@ -210,7 +211,7 @@ class TestExactPolicyDistribution:
             60, m=16, seed=9, profile=DifficultyProfile(kind="beta", alpha=2.0, beta=2.0)
         )
         exact = exact_policy_distribution(pop, 8)
-        rates = np.array([exact_pass_rate(p) for p in pop.prompts])
+        rates = population_pass_rates(pop.logits, pop.correct)
         rng = np.random.default_rng(17)
         w = SlidingWindow(t0=1)
         picks = rng.choice(len(pop), size=10_000, p=pop.base_weights)
@@ -224,7 +225,7 @@ class TestExactPolicyDistribution:
             40, m=16, seed=2, profile=DifficultyProfile(kind="beta", alpha=2.0, beta=3.0)
         )
         exact = exact_policy_distribution(pop, 8)
-        rates = np.array([exact_pass_rate(p) for p in pop.prompts])
+        rates = population_pass_rates(pop.logits, pop.correct)
         for seed in (0, 1, 2):
             rng = np.random.default_rng(seed)
             w = SlidingWindow(t0=1)
@@ -271,10 +272,7 @@ class TestCsvSnapshot:
     def test_round_trip_preserves_floored_values(self, tmp_path):
         ref = distribution_from_rates([1 / 8, 1 / 8, 3 / 8, 7 / 8], 8)
         path = tmp_path / "refdist.csv"
-        with open(path, "w") as fh:
-            fh.write(",".join(REFERENCE_CSV_HEADER) + "\n")
-            for row in reference_csv_rows(3, ref):
-                fh.write(row + "\n")
+        write_csv(path, REFERENCE_CSV_HEADER, reference_csv_rows(3, ref))
         loaded = load_reference_csv(path)
         assert loaded.n_rollouts == 8
         for p in loaded.grid:
@@ -285,10 +283,8 @@ class TestCsvSnapshot:
         early = distribution_from_rates([1 / 8], 8)
         late = distribution_from_rates([5 / 8], 8)
         path = tmp_path / "refdist.csv"
-        with open(path, "w") as fh:
-            fh.write(",".join(REFERENCE_CSV_HEADER) + "\n")
-            for row in reference_csv_rows(0, early) + reference_csv_rows(1, late):
-                fh.write(row + "\n")
+        write_csv(path, REFERENCE_CSV_HEADER,
+                  [*reference_csv_rows(0, early), *reference_csv_rows(1, late)])
         loaded = load_reference_csv(path)
         assert loaded.density_at(5 / 8) == late.density_at(5 / 8)
 

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curverl.kernels import sample_responses
 from curverl.passrate import (
     DifficultyProfile,
-    PromptInstance,
-    RolloutBatch,
-    exact_pass_rate,
-    exact_pass_rate_gradient,
+    PromptPopulation,
     make_population,
-    sample_rollouts,
+    population_pass_rate_gradients,
+    population_pass_rates,
+    softmax,
 )
 from curverl.references import (
     MonotoneMap,
@@ -45,9 +45,25 @@ from curverl.weighting import (
 )
 
 
-def prompt(logits, correct, pid=0):
-    return PromptInstance(id=pid, logits=np.asarray(logits, dtype=float),
-                          correct_set=frozenset(correct))
+def prompt(logits, correct):
+    """A logits row and its correct-response mask."""
+    logits = np.asarray(logits, dtype=float)
+    mask = np.zeros(logits.shape, dtype=bool)
+    mask[list(correct)] = True
+    return logits, mask
+
+
+def exact_pass_rate(logits, mask):
+    return float(population_pass_rates(logits[None, :], mask[None, :])[0])
+
+
+def exact_pass_rate_gradient(logits, mask):
+    return population_pass_rate_gradients(logits[None, :], mask[None, :])[0]
+
+
+def sample(logits, n, rng):
+    """n responses of one prompt from the one response sampler."""
+    return sample_responses(np.cumsum(softmax(logits))[None, :], rng.random((1, n)))[0]
 
 
 def assert_step_logs_equal(a, b):
@@ -74,29 +90,29 @@ def beta_population(size, seed, alpha=2.0, beta=2.0, unsolvable=0.0, m=16):
 
 class TestPerPromptGradient:
     def test_degenerate_group_is_zero(self):
-        pr = prompt([0.0, 0.0, 0.0], {0})
-        batch = RolloutBatch(prompt_id=0, rewards=np.ones(4, dtype=int),
-                             responses=np.zeros(4, dtype=int), empirical_pass_rate=1.0)
-        np.testing.assert_array_equal(per_prompt_gradient(pr, batch, 3.0), np.zeros(3))
+        logits, mask = prompt([0.0, 0.0, 0.0], {0})
+        np.testing.assert_array_equal(per_prompt_gradient(logits, mask, np.zeros(4, dtype=int),
+                                                          3.0), np.zeros(3))
 
     def test_zero_weight_is_zero(self):
-        pr = prompt([0.3, -0.3], {0})
-        batch = sample_rollouts(pr, 8, np.random.default_rng(0))
-        np.testing.assert_array_equal(per_prompt_gradient(pr, batch, 0.0), np.zeros(2))
+        logits, mask = prompt([0.3, -0.3], {0})
+        responses = sample(logits, 8, np.random.default_rng(0))
+        np.testing.assert_array_equal(per_prompt_gradient(logits, mask, responses, 0.0),
+                                      np.zeros(2))
 
     def test_kernel_path_matches_reference_implementation(self):
         from curverl import kernels as kern
-        from curverl.passrate import softmax
 
         rng = np.random.default_rng(4)
         for _ in range(10):
-            pr = prompt(rng.standard_normal(6), {0, 3}, pid=0)
-            batch = sample_rollouts(pr, 8, rng)
+            logits, mask = prompt(rng.standard_normal(6), {0, 3})
+            responses = sample(logits, 8, rng)
             w = float(rng.uniform(0.5, 4.0))
-            slow = per_prompt_gradient(pr, batch, w)
-            probs = softmax(pr.logits)[None, :]
-            coeff = (w * (batch.rewards.astype(float) - batch.empirical_pass_rate) / 8)[None, :]
-            fast = kern.accumulate_gradients(probs, batch.responses[None, :], coeff)[0]
+            slow = per_prompt_gradient(logits, mask, responses, w)
+            probs = softmax(logits)[None, :]
+            rewards = mask[responses].astype(float)
+            coeff = (w * (rewards - rewards.mean()) / 8)[None, :]
+            fast = kern.accumulate_gradients(probs, responses[None, :], coeff)[0]
             np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-15)
 
     def test_fixed_weight_estimator_expectations(self):
@@ -105,10 +121,10 @@ class TestPerPromptGradient:
         # centers -- while the baseline-free form is exactly unbiased.
         pr = prompt([0.5, -0.2, 0.1, 0.0], {1, 2})
         w, n = 2.5, 8
-        grad = exact_pass_rate_gradient(pr)
-        mean, se = mc_gradient_mean(pr, w, 20_000, n, np.random.default_rng(6))
+        grad = exact_pass_rate_gradient(*pr)
+        mean, se = mc_gradient_mean(*pr, w, 20_000, n, np.random.default_rng(6))
         assert np.all(np.abs(mean - (1 - 1 / n) * w * grad) <= 4.0 * se + 1e-12)
-        mean0, se0 = mc_gradient_mean(pr, w, 20_000, n, np.random.default_rng(7),
+        mean0, se0 = mc_gradient_mean(*pr, w, 20_000, n, np.random.default_rng(7),
                                       use_baseline=False)
         assert np.all(np.abs(mean0 - w * grad) <= 4.0 * se0 + 1e-12)
 
@@ -143,9 +159,8 @@ class TestTrainStep:
         pop = make_population(10, m=8, seed=0,
                               profile=DifficultyProfile(kind="beta", unsolvable_fraction=0.5))
         # keep only the unsolvable prompts
-        from curverl.passrate import PromptPopulation
-        prompts = [p for p in pop.prompts if not p.correct_set]
-        pop = PromptPopulation(prompts=prompts)
+        unsolvable = ~pop.correct.any(axis=1)
+        pop = PromptPopulation(pop.logits[unsolvable], pop.correct[unsolvable])
         cfg = TrainConfig(steps=1, scheme=Reinforce(), batch_size=16, seed=0)
         state = TrainerState(pop, cfg)
         theta_before = state.theta.copy()
@@ -158,16 +173,14 @@ class TestTrainStep:
     def test_mean_exact_pass_rate_stays_in_unit_interval(self):
         # every prompt solved: the d0-weighted mean of rates that are all 1
         # can round past 1 in the dot product
-        from curverl.passrate import PromptPopulation
-
         rng = np.random.default_rng(3)
         cfg = TrainConfig(steps=1, scheme=Reinforce(), batch_size=4)
         means = []
         for _ in range(200):
             size = int(rng.integers(2, 20))
-            prompts = [prompt(rng.standard_normal(4), {0, 1, 2, 3}, pid=i) for i in range(size)]
             d0 = rng.random(size)
-            pop = PromptPopulation(prompts=prompts, base_weights=d0 / d0.sum())
+            pop = PromptPopulation(rng.standard_normal((size, 4)), np.ones((size, 4), dtype=bool),
+                                   base_weights=d0 / d0.sum())
             means.append(TrainerState(pop, cfg).mean_exact_pass_rate())
         assert all(0.0 <= m <= 1.0 for m in means)
 
@@ -314,15 +327,14 @@ class TestWeightArgumentModes:
         # estimator; measure the gap against the fixed-weight expectation and
         # report it -- no bound is asserted
         from curverl import kernels as kern
-        from curverl.passrate import softmax as _softmax
 
-        pr = prompt([1.2, 0.0, -0.5, 0.3], {0})
+        logits, mask = prompt([1.2, 0.0, -0.5, 0.3], {0})
         n, batches = 8, 50_000
         rng = np.random.default_rng(31)
-        probs = _softmax(pr.logits)[None, :].repeat(batches, axis=0)
+        probs = softmax(logits)[None, :].repeat(batches, axis=0)
         cum = np.cumsum(probs, axis=1)
         responses = kern.sample_responses(cum, rng.random((batches, n)))
-        rewards = pr.correct_mask()[responses]
+        rewards = mask[responses]
         counts = rewards.sum(axis=1)
         p_hat = counts / n
         active = (counts > 0) & (counts < n)
@@ -330,8 +342,8 @@ class TestWeightArgumentModes:
         coeff = w_hat[:, None] * (rewards.astype(float) - p_hat[:, None]) / n
         grads = kern.accumulate_gradients(probs, responses, coeff)
         empirical_mean = grads.mean(axis=0)
-        p = exact_pass_rate(pr)
-        fixed_target = (1 - 1 / n) * (1.0 / p) * exact_pass_rate_gradient(pr)
+        p = exact_pass_rate(logits, mask)
+        fixed_target = (1 - 1 / n) * (1.0 / p) * exact_pass_rate_gradient(logits, mask)
         gap = float(np.abs(empirical_mean - fixed_target).max())
         assert np.all(np.isfinite(empirical_mean))
         print(f"empirical-weight bias probe: max componentwise gap = {gap:.4f}")
@@ -393,17 +405,39 @@ class TestAdaptiveSchemes:
             assert active.any() and np.all(weights[active] > 0)
 
 
+class TestSharedPopulation:
+    def test_training_leaves_population_unchanged(self):
+        # compare trains every scheme on one population object
+        pop = beta_population(30, seed=5, unsolvable=0.2)
+        before = [arr.copy() for arr in (pop.logits, pop.correct, pop.base_weights)]
+        for scheme, exact in ((Curve(), False), (IntegratedProduct(), True)):
+            cfg = TrainConfig(steps=5, scheme=scheme, batch_size=32, t0=2, seed=3,
+                              learning_rate=4.0, min_window_count=8,
+                              weight_at_exact_pass_rate=exact)
+            result = run_training(pop, cfg)
+            assert not np.array_equal(result.theta, pop.logits)
+            for arr, copy in zip((pop.logits, pop.correct, pop.base_weights), before):
+                np.testing.assert_array_equal(arr, copy, strict=True)
+
+    def test_population_arrays_reject_writes(self):
+        pop = beta_population(4, seed=5)
+        with pytest.raises(ValueError, match="read-only"):
+            pop.logits[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            pop.correct[0] = True
+        with pytest.raises(ValueError, match="read-only"):
+            pop.logits += 1.0
+
+
 class TestTrainingMovesPassRates:
     def test_reinforce_improves_mean_pass_rate_three_seeds(self):
-        from curverl.passrate import population_pass_rates
-
         for seed in (0, 1, 2):
             pop = beta_population(64, seed=100 + seed)
             cfg = TrainConfig(steps=200, scheme=Reinforce(), batch_size=64, seed=seed,
                               learning_rate=6.0, t0=10)
             result = run_training(pop, cfg)
             final = float(np.dot(pop.base_weights,
-                                 population_pass_rates(result.theta, pop.correct_masks())))
+                                 population_pass_rates(result.theta, pop.correct)))
             initial = result.step_logs[0].mean_exact_pass_rate
             assert final > initial + 0.05
 
@@ -416,7 +450,7 @@ class TestCalibrationInvariance:
 
     def test_square_and_sqrt_maps_are_invariant(self):
         pop = beta_population(20, seed=7, alpha=2.0, beta=3.0)
-        rates = [exact_pass_rate(p) for p in pop.prompts]
+        rates = population_pass_rates(pop.logits, pop.correct)
         ref = fit_reference_to_rates(rates)
         for mono in (MonotoneMap.square(), MonotoneMap.sqrt()):
             assert calibration_invariance_gap(pop, ref, mono) < 1e-8
