@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ioutil import fmt_float
-from .rootfind import brentq
+from .rootfind import brentq_lanes
 
 log = logging.getLogger("curverl.passrate")
 
@@ -36,9 +36,10 @@ __all__ = [
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax along the last axis."""
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -140,19 +141,35 @@ _TARGET_CLIP = (1e-8, 1.0 - 1e-8)
 _OFFSET_BRACKET = 80.0
 
 
-def _solve_logit_offset(base: np.ndarray, mask: np.ndarray, target: float) -> float:
-    """Scalar shift of the correct logits so the pass rate hits ``target``.
+def _solve_logit_offsets(base: np.ndarray, mask: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per-row shift of the correct logits so each row's pass rate hits its target.
 
-    The pass rate is strictly increasing in the shift (derivative p(1-p)),
-    so a bracketed root find is exact to solver tolerance.
+    A row's pass rate is strictly increasing in its shift (derivative
+    p(1-p)), so a bracketed root find is exact to solver tolerance. All rows
+    are solved at once, one lockstep Brent lane per row.
     """
+    n_correct = mask.sum(axis=1)
+    # row i's correct columns in ascending order are cols[i, :n_correct[i]];
+    # the copy keeps only the largest set's width, not the whole (P, M) sort
+    cols = np.argsort(~mask, axis=1, kind="stable")[:, :n_correct.max(initial=0)].copy()
 
-    def rate(delta: float) -> float:
-        probs = softmax(base + delta * mask)
-        return float(probs[mask].sum())
+    def gap(delta: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        probs = softmax(base[lanes] + delta[:, None] * mask[lanes])
+        # The correct mass is the ascending-index gather probs[mask].sum() of
+        # each row, summed over exact-length rows within each n_correct
+        # group. population_pass_rates' masked row sum can differ from it in
+        # the last bit, which moves the roots and so population.json's bytes;
+        # padding rows to a common width would too, as numpy's pairwise sum
+        # spreads a row of 8 or more entries over eight accumulators.
+        k = n_correct[lanes]
+        mass = np.empty(lanes.size)
+        for size in np.flatnonzero(np.bincount(k)):
+            rows = np.flatnonzero(k == size)
+            mass[rows] = probs[rows[:, None], cols[lanes[rows], :size]].sum(axis=1)
+        return mass - targets[lanes]
 
-    return brentq(lambda d: rate(d) - target, -_OFFSET_BRACKET, _OFFSET_BRACKET,
-                  xtol=1e-13, rtol=8.9e-16, maxiter=200)
+    bracket = np.full(len(base), _OFFSET_BRACKET)
+    return brentq_lanes(gap, -bracket, bracket, xtol=1e-13, rtol=8.9e-16, maxiter=200)
 
 
 def make_population(
@@ -165,7 +182,9 @@ def make_population(
     """Synthesize a population whose initial pass rates match a target profile.
 
     Targets are realized to within 1e-9 by root-finding a scalar offset added
-    to the correct-set logits on top of standard-normal base logits.
+    to the correct-set logits on top of standard-normal base logits. The
+    random draws are made prompt by prompt; then one lockstep Brent solve
+    finds the offsets of all solvable prompts at once.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -189,15 +208,13 @@ def make_population(
     correct = np.zeros((size, m), dtype=bool)
     max_correct = max(1, m // 4)
     for i in range(size):
-        base = rng.standard_normal(m)
-        if unsolvable[i]:
-            logits[i] = base
-            continue
-        n_correct = int(rng.integers(1, max_correct + 1))
-        mask = correct[i]
-        mask[rng.choice(m, size=n_correct, replace=False)] = True
-        delta = _solve_logit_offset(base, mask, float(targets[i]))
-        logits[i] = base + delta * mask
+        logits[i] = rng.standard_normal(m)
+        if not unsolvable[i]:
+            n_correct = int(rng.integers(1, max_correct + 1))
+            correct[i, rng.choice(m, size=n_correct, replace=False)] = True
+    solvable = np.flatnonzero(~unsolvable)
+    delta = _solve_logit_offsets(logits[solvable], correct[solvable], targets[solvable])
+    logits[solvable] += delta[:, None] * correct[solvable]
     achieved = population_pass_rates(logits, correct)
     missed = np.flatnonzero(~unsolvable & (np.abs(achieved - targets) > 1e-9))
     if missed.size:

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from curverl.cli import main
+from curverl.passrate import DifficultyProfile, make_population, population_to_json
 
 GOLDEN_NUMPY = "2.4.6"
 
@@ -158,3 +159,32 @@ def test_golden_evaluation(tmp_path, case):
             f"{case}/{name} digest changed (golden written with numpy {GOLDEN_NUMPY}, "
             f"running numpy {np.__version__})"
         )
+
+
+# populations at M = 64, where a correct set holds up to 16 responses: the
+# solver's correct-mass sum spreads a set of 8 or more over numpy's eight
+# pairwise-sum accumulators, so a gather padded to a common width would
+# change these bytes (at M = 8 above no set reaches 8)
+POPULATION_CASES = {
+    "beta_unsolvable": (DifficultyProfile(kind="beta", alpha=0.5, beta=0.5,
+                                          unsolvable_fraction=0.25), 13),
+    "fixed_extremes": (DifficultyProfile(kind="fixed",
+                                         targets=(1e-8, 2e-8, 0.5, 1.0 - 2e-8, 1.0 - 1e-8)), 17),
+}
+
+POPULATION_DIGESTS = {
+    "beta_unsolvable": "4b11cd1d4a9ade58dd736d03edcc45f9d1f0bed6b2464626486ea36113f0979d",
+    "fixed_extremes": "d87511053d8348bb1f0962ebe9155441ecbe8726c9435fd8eed26b735b678465",
+}
+
+
+@pytest.mark.parametrize("case", sorted(POPULATION_CASES))
+def test_golden_population(case):
+    profile, seed = POPULATION_CASES[case]
+    pop = make_population(64, 64, profile, seed=seed)
+    assert pop.correct.sum(axis=1).max() >= 8
+    got = hashlib.sha256(population_to_json(pop).encode()).hexdigest()
+    assert got == POPULATION_DIGESTS[case], (
+        f"population.json digest changed for {case} (golden written with numpy "
+        f"{GOLDEN_NUMPY}, running numpy {np.__version__})"
+    )

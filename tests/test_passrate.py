@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curverl import passrate
 from curverl.kernels import accumulate_gradients, sample_responses
 from curverl.passrate import (
     DifficultyProfile,
@@ -197,6 +198,26 @@ class TestPopulation:
         assert solvable.mean() < 0.4  # Beta(1,5) skews hard
         assert pop.m == 16
         assert abs(pop.base_weights.sum() - 1.0) < 1e-12
+
+    def test_every_prompt_unsolvable(self):
+        # the offset solve has no lanes at all
+        pop = make_population(1, 8, DifficultyProfile(unsolvable_fraction=0.6))
+        assert not pop.correct.any()
+        assert population_pass_rates(pop.logits, pop.correct).tolist() == [0.0]
+
+    def test_offsets_are_solved_in_lockstep(self, monkeypatch):
+        # one softmax pass per Brent iteration over all prompts, not one per
+        # prompt and iteration (thousands at this size)
+        calls = 0
+
+        def counted(z):
+            nonlocal calls
+            calls += 1
+            return softmax(z)
+
+        monkeypatch.setattr(passrate, "softmax", counted)
+        make_population(500, 16, seed=0)
+        assert calls <= 64
 
     def test_generation_is_deterministic(self):
         a = make_population(20, seed=3)
