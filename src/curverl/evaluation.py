@@ -8,8 +8,8 @@ least one correct answer; as the resample count grows this converges to
 1 - (1 - q)^k for a pool with empirical accuracy q. An exact
 without-replacement estimator is provided for cross-checking.
 
-``evaluate_policy`` samples each prompt's pool through
-:func:`curverl.kernels.sample_responses` and draws no resamples for a pool
+``evaluate_policy`` samples every prompt's pool in one
+:func:`curverl.kernels.sample_responses` call and draws no resamples for a pool
 that is all wrong or all right, where every resample reads the same; that
 prompt's generator serves nothing else, so the reported numbers are the same
 as when every pool is resampled.
@@ -103,13 +103,36 @@ def write_bucket_csv(path, rows) -> None:
     write_csv(path, BUCKET_CSV_HEADER, rows)
 
 
+# uniforms per sampling call in evaluate_policy: a block of prompts, not all
+# of them, so the pools' working memory stays bounded at any P
+_POOL_BLOCK_ENTRIES = 2**13
+
+
+def _rollout_pools(cum: np.ndarray, correct_masks: np.ndarray, r: int, seed: int):
+    """Yield each prompt's boolean pool of r rollouts with its generator.
+
+    Prompt i's generator, seeded by (seed, i), first draws the pool's r
+    uniforms and then serves the prompt's resamples. The pools of a block of
+    prompts are sampled in one kernel call.
+    """
+    block = max(1, _POOL_BLOCK_ENTRIES // r)
+    for lo in range(0, len(cum), block):
+        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+                for i in range(lo, min(lo + block, len(cum)))]
+        uniforms = np.empty((len(rngs), r))
+        for row, rng in zip(uniforms, rngs):
+            rng.random(out=row)
+        responses = sample_responses(cum[lo:lo + block], uniforms)
+        yield from zip(np.take_along_axis(correct_masks[lo:lo + block], responses, axis=1), rngs)
+
+
 def evaluate_policy(theta: np.ndarray, correct_masks: np.ndarray, r: int,
                     k_list, resamples: int, seed: int) -> tuple[dict[int, float], np.ndarray]:
     """Mean pass@k across prompts plus the empirical pass-rate vector.
 
     Each prompt gets an independent rollout pool, read off its row of the
-    boolean ``correct_masks``, and independent bootstrap resamples, seeded
-    per prompt for reproducibility. A pool that is all
+    boolean ``correct_masks``, and independent bootstrap resamples, both from
+    one generator seeded per prompt for reproducibility. A pool that is all
     wrong or all right scores its mean at every k without drawing resamples.
     """
     correct_masks = np.asarray(correct_masks)
@@ -130,10 +153,7 @@ def evaluate_policy(theta: np.ndarray, correct_masks: np.ndarray, r: int,
     cum = np.cumsum(probs, axis=1)
     totals = {k: 0.0 for k in k_list}
     emp_rates = np.empty(n_prompts)
-    for i in range(n_prompts):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        responses = sample_responses(cum[i:i + 1], rng.random((1, r)))[0]
-        pool = correct_masks[i][responses]
+    for i, (pool, rng) in enumerate(_rollout_pools(cum, correct_masks, r, seed)):
         emp_rates[i] = q = float(pool.mean())
         constant = q == 0.0 or q == 1.0
         for k in k_list:

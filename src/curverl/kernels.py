@@ -3,6 +3,12 @@ score-function gradient accumulation, in numpy.
 
 Randomness is drawn by the caller, so a kernel is a pure function of its
 arrays and training stays deterministic.
+
+Both kernels take arrays from a softmax: ``cum`` is a row-wise cumulative sum
+of nonnegative probabilities, so every row of it is nondecreasing. The
+sampler relies on that; neither kernel forms a (B, N, M) array, so a step
+costs O(B·N·log M) to sample and O(B·N·M) flops, in cache-sized row blocks,
+to accumulate.
 """
 
 from __future__ import annotations
@@ -11,27 +17,69 @@ import numpy as np
 
 __all__ = ["sample_responses", "accumulate_gradients"]
 
+# rows per gradient block: about 2**15 float64 entries, a 256 KB tile
+_BLOCK_ENTRIES = 2**15
+
 
 def sample_responses(cum: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Inverse-CDF categorical sampling, one row of ``cum`` per prompt.
 
-    response = #{j : u >= cum[j]}, capped at M - 1 (guards the case where
-    roundoff leaves cum[-1] a hair under 1).
+    response = #{j < M - 1 : cum[j] <= u}. This is #{j : u >= cum[j]}
+    capped at M - 1 (the cap guards the case where roundoff leaves cum[-1] a
+    hair under 1), since dropping cum[-1] from the count can only lower it by
+    one, and only when it was M.
+
+    Rows of ``cum`` must be nondecreasing. Each row's first M - 1 entries are
+    copied into a table padded with +inf to width 2**k >= M, and one
+    branchless binary search runs over all (B, N) uniforms in lockstep: k
+    rounds of "advance by step if the entry step - 1 ahead is <= u". On a
+    nondecreasing row the entries <= u form a prefix, so the search lands
+    exactly on its length, the count above.
     """
-    counts = (uniforms[:, :, None] >= cum[:, None, :]).sum(axis=2)
-    return np.minimum(counts, cum.shape[1] - 1).astype(np.int64)
+    n_prompts, m = cum.shape
+    rounds = (m - 1).bit_length()
+    width = 1 << rounds
+    table = np.full((n_prompts, width), np.inf)
+    table[:, :m - 1] = cum[:, :m - 1]
+    flat = table.ravel()
+    start = np.arange(n_prompts, dtype=np.int64)[:, None] * width
+    pos = np.repeat(start, uniforms.shape[1], axis=1)
+    for r in range(rounds - 1, -1, -1):
+        step = 1 << r
+        pos += step * (flat.take(pos + (step - 1)) <= uniforms)
+    pos -= start
+    return pos
 
 
 def accumulate_gradients(probs: np.ndarray, responses: np.ndarray,
                          coeff: np.ndarray) -> np.ndarray:
     """Per-prompt sum_i coeff_i * (onehot(y_i) - probs), accumulated one
-    rollout at a time. Training artifacts depend on this operation order bit
-    for bit, so a faster form must keep it."""
+    rollout at a time.
+
+    Training artifacts depend on this operation order bit for bit: every
+    entry starts at 0, then for i = 0, 1, ... adds (-coeff_i) * probs and,
+    at column y_i, adds coeff_i. The loop runs over row blocks of about 2**15
+    entries so that a block stays in cache across all N rollouts; rows are
+    independent, so blocking changes which rows share a numpy call but not
+    any entry's sequence of operations. No row is skipped, not even one whose
+    coefficients are all zero: 0 * NaN is NaN, and a NaN ``probs`` row must
+    reach the result.
+    """
     n_prompts, m = probs.shape
     out = np.zeros((n_prompts, m))
-    rows = np.arange(n_prompts)
-    for i in range(responses.shape[1]):
-        c = coeff[:, i]
-        out += (-c)[:, None] * probs
-        out[rows, responses[:, i]] += c
+    flat = out.reshape(-1)
+    # rollout-major copies, so that rollout i's coefficients and flat
+    # indices into ``out`` are contiguous
+    neg = np.ascontiguousarray((-coeff).T)
+    add = np.ascontiguousarray(coeff.T)
+    at = np.ascontiguousarray((responses + np.arange(n_prompts)[:, None] * m).T)
+    block = max(1, _BLOCK_ENTRIES // m)
+    tmp = np.empty((min(block, n_prompts), m))
+    for lo in range(0, n_prompts, block):
+        hi = min(lo + block, n_prompts)
+        p, acc, t = probs[lo:hi], out[lo:hi], tmp[:hi - lo]
+        for i in range(responses.shape[1]):
+            np.multiply(p, neg[i, lo:hi, None], out=t)
+            acc += t
+            flat[at[i, lo:hi]] += add[i, lo:hi]
     return out

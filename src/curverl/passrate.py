@@ -141,20 +141,28 @@ _TARGET_CLIP = (1e-8, 1.0 - 1e-8)
 _OFFSET_BRACKET = 80.0
 
 
-def _solve_logit_offsets(base: np.ndarray, mask: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-row shift of the correct logits so each row's pass rate hits its target.
+def _solve_logit_offsets(base: np.ndarray, mask: np.ndarray, targets: np.ndarray,
+                         rows: np.ndarray | None = None) -> np.ndarray:
+    """Per-row shift of the correct logits so each of ``rows`` (default: all)
+    hits its target.
 
     A row's pass rate is strictly increasing in its shift (derivative
-    p(1-p)), so a bracketed root find is exact to solver tolerance. All rows
-    are solved at once, one lockstep Brent lane per row.
+    p(1-p)), so a bracketed root find is exact to solver tolerance. All the
+    rows are solved at once, one lockstep Brent lane per row; each call
+    gathers only its running lanes' rows of the full arrays.
     """
-    n_correct = mask.sum(axis=1)
+    if rows is None:
+        rows = np.arange(len(base))
+    n_correct = mask.sum(axis=1)[rows]
     # row i's correct columns in ascending order are cols[i, :n_correct[i]];
-    # the copy keeps only the largest set's width, not the whole (P, M) sort
-    cols = np.argsort(~mask, axis=1, kind="stable")[:, :n_correct.max(initial=0)].copy()
+    # the fancy index keeps only the largest set's width, not the whole sort
+    cols = np.argsort(~mask, axis=1, kind="stable")[rows, :n_correct.max(initial=0)]
 
     def gap(delta: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        probs = softmax(base[lanes] + delta[:, None] * mask[lanes])
+        at = rows[lanes]
+        shifted = base[at]
+        shifted += delta[:, None] * mask[at]
+        probs = softmax(shifted)
         # The correct mass is the ascending-index gather probs[mask].sum() of
         # each row, summed over exact-length rows within each n_correct
         # group. population_pass_rates' masked row sum can differ from it in
@@ -164,11 +172,11 @@ def _solve_logit_offsets(base: np.ndarray, mask: np.ndarray, targets: np.ndarray
         k = n_correct[lanes]
         mass = np.empty(lanes.size)
         for size in np.flatnonzero(np.bincount(k)):
-            rows = np.flatnonzero(k == size)
-            mass[rows] = probs[rows[:, None], cols[lanes[rows], :size]].sum(axis=1)
-        return mass - targets[lanes]
+            group = np.flatnonzero(k == size)
+            mass[group] = probs[group[:, None], cols[lanes[group], :size]].sum(axis=1)
+        return mass - targets[at]
 
-    bracket = np.full(len(base), _OFFSET_BRACKET)
+    bracket = np.full(len(rows), _OFFSET_BRACKET)
     return brentq_lanes(gap, -bracket, bracket, xtol=1e-13, rtol=8.9e-16, maxiter=200)
 
 
@@ -213,7 +221,7 @@ def make_population(
             n_correct = int(rng.integers(1, max_correct + 1))
             correct[i, rng.choice(m, size=n_correct, replace=False)] = True
     solvable = np.flatnonzero(~unsolvable)
-    delta = _solve_logit_offsets(logits[solvable], correct[solvable], targets[solvable])
+    delta = _solve_logit_offsets(logits, correct, targets, solvable)
     logits[solvable] += delta[:, None] * correct[solvable]
     achieved = population_pass_rates(logits, correct)
     missed = np.flatnonzero(~unsolvable & (np.abs(achieved - targets) > 1e-9))

@@ -169,7 +169,15 @@ def effective_distribution(weights, base_weights) -> tuple[np.ndarray, float]:
 
 
 class TrainerState:
-    """Mutable policy + window + config bundle consumed by train_step."""
+    """Mutable policy + window + config bundle consumed by train_step.
+
+    The state keeps every prompt's exact pass rate in a cache: computed over
+    all P rows at construction, then recomputed by :func:`train_step` for
+    the rows it updated. The softmax and the masked sum work row by row, so
+    a cached rate has the same bits as a fresh :func:`population_pass_rates`
+    over the whole matrix. ``theta`` is owned by :func:`train_step`: change
+    it any other way and the cache no longer describes it.
+    """
 
     def __init__(self, population: PromptPopulation, config: TrainConfig):
         self.population = population
@@ -180,14 +188,16 @@ class TrainerState:
         self.window = SlidingWindow(t0=config.t0, capacity=config.t0 * config.batch_size)
         self.step = 0
         self._cold_start_logged = False
+        self._exact = population_pass_rates(self.theta, self.masks)
 
     def exact_pass_rates(self) -> np.ndarray:
-        return population_pass_rates(self.theta, self.masks)
+        """A copy of the cached exact pass rates of the current ``theta``."""
+        return self._exact.copy()
 
     def mean_exact_pass_rate(self, rates: np.ndarray | None = None) -> float:
         """d0-weighted mean of ``rates``, by default :meth:`exact_pass_rates`."""
         if rates is None:
-            rates = self.exact_pass_rates()
+            rates = self._exact
         # the dot product can round past 1 when every prompt is solved
         mean = float(np.dot(self.population.base_weights, rates))
         return min(max(mean, 0.0), 1.0)
@@ -229,7 +239,7 @@ def train_step(state: TrainerState) -> tuple[StepLog, ReferenceDistribution]:
     cfg = state.config
     window_ref = _window_reference(state)
     step_scheme = _scheme_for_step(state, window_ref)
-    exact = state.exact_pass_rates()
+    exact = state._exact
     mean_exact = state.mean_exact_pass_rate(exact)
 
     rng = np.random.default_rng(
@@ -263,16 +273,25 @@ def train_step(state: TrainerState) -> tuple[StepLog, ReferenceDistribution]:
     grads = accumulate_gradients(probs, responses, coeff)
     prompt_norms = np.sqrt((grads * grads).sum(axis=1))
 
-    total = np.zeros_like(state.theta)
-    np.add.at(total, batch, grads)
+    # np.add.at into one block row per distinct prompt adds the grads of
+    # each row in their order of occurrence, as into the full (P, M) matrix
+    rows, inverse = np.unique(batch, return_inverse=True)
+    total = np.zeros((rows.size, state.theta.shape[1]))
+    np.add.at(total, inverse, grads)
     total /= cfg.batch_size
-    grad_norm = float(np.sqrt((total * total).sum()))
+    # numpy's pairwise sum runs over the flat array, so the norm sums the
+    # squares of the whole (P, M) update, zero rows included, to keep its bits
+    squares = np.zeros(state.theta.shape)
+    squares[rows] = total * total
+    grad_norm = float(np.sqrt(squares.sum()))
     if not math.isfinite(grad_norm):
         raise ValueError(f"step {state.step}: gradient norm is {grad_norm}")
-    state.theta += cfg.learning_rate * total
+    updated = state.theta[rows] + cfg.learning_rate * total
     # only the sampled rows changed, so only they can have left the finite range
-    if not np.isfinite(state.theta[batch]).all():
+    if not np.isfinite(updated).all():
         raise ValueError(f"step {state.step}: updated logits are not finite")
+    state.theta[rows] = updated
+    state._exact[rows] = population_pass_rates(updated, state.masks[rows])
 
     state.window.push(state.step, p_hat[active])
 

@@ -71,3 +71,96 @@ class TestFallbackCorrectness:
             sigma = np.sqrt(probs[0, j] * (1 - probs[0, j]) / responses.shape[1])
             assert abs(freq[j] - probs[0, j]) < 4 * sigma
 
+
+
+def cdf_rows(rng, n_prompts, m):
+    return np.cumsum(make_inputs(rng, n_prompts, m, 1)[0], axis=1)
+
+
+class TestSamplerEdges:
+    """The binary search must equal the capped count wherever the table
+    width 2**k, the plateaus or the last CDF entry could trip it."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 16, 17, 255, 256, 257])
+    def test_widths_around_powers_of_two(self, m):
+        rng = np.random.default_rng(m)
+        cum = cdf_rows(rng, 6, m)
+        uniforms = rng.random((6, 40))
+        np.testing.assert_array_equal(sample_responses(cum, uniforms), naive_sample(cum, uniforms))
+
+    @pytest.mark.parametrize("m", [2, 5, 16, 17])
+    def test_uniforms_on_cdf_steps_and_zero(self, m):
+        rng = np.random.default_rng(100 + m)
+        cum = cdf_rows(rng, 4, m)
+        # every CDF entry itself, plus u = 0; u == cum[j] counts entry j
+        uniforms = np.concatenate([cum, np.zeros((4, 1))], axis=1)
+        out = sample_responses(cum, uniforms)
+        np.testing.assert_array_equal(out, naive_sample(cum, uniforms))
+        assert np.all(out[:, -1] == 0)
+
+    def test_zero_probability_plateaus(self):
+        probs = np.array([
+            [0.0, 0.0, 0.25, 0.0, 0.0, 0.5, 0.0, 0.25],
+            [0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+        ])
+        cum = np.cumsum(probs, axis=1)
+        # plateau values, just below and above them, and random draws
+        planted = np.unique(np.concatenate([cum.ravel(), np.nextafter(cum.ravel(), -1.0)]))
+        planted = planted[(planted >= 0.0) & (planted < 1.0)]
+        uniforms = np.concatenate([np.tile(planted, (3, 1)),
+                                   np.random.default_rng(7).random((3, 64))], axis=1)
+        out = sample_responses(cum, uniforms)
+        np.testing.assert_array_equal(out, naive_sample(cum, uniforms))
+        # a zero-probability response is never drawn
+        assert np.all(np.take_along_axis(probs, out, axis=1) > 0.0)
+
+    @pytest.mark.parametrize("m", [2, 16, 256])
+    def test_last_entry_under_one(self, m):
+        rng = np.random.default_rng(m + 1)
+        cum = cdf_rows(rng, 3, m)
+        cum[:, -1] = np.nextafter(1.0, 0.0) - 4 * np.finfo(float).eps
+        between = np.nextafter(cum[:, -1:], 1.0)
+        uniforms = np.concatenate([between, np.full((3, 1), np.nextafter(1.0, 0.0))], axis=1)
+        out = sample_responses(cum, uniforms)
+        np.testing.assert_array_equal(out, naive_sample(cum, uniforms))
+        assert np.all(out == m - 1)
+
+    def test_wide_call_forms_no_dense_compare(self):
+        # a (B, N, M) boolean array at (512, 64, 256) alone is 8 MB
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        cum = cdf_rows(rng, 512, 256)
+        uniforms = rng.random((512, 64))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            sample_responses(cum, uniforms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+class TestAccumulationEdges:
+    def test_ragged_last_block(self):
+        # 300 rows at M = 256 run as blocks of 128, 128 and 44 rows
+        rng = np.random.default_rng(300)
+        probs, cum, uniforms, coeff = make_inputs(rng, 300, 256, 6)
+        responses = naive_sample(cum, uniforms)
+        np.testing.assert_array_equal(accumulate_gradients(probs, responses, coeff),
+                                      naive_accumulate(probs, responses, coeff))
+
+    def test_nan_row_with_zero_coefficients_stays_nan(self):
+        # an all-zero coefficient row still adds 0 * probs, so a NaN policy
+        # row reaches the gradient (and the trainer's norm check)
+        rng = np.random.default_rng(9)
+        probs, cum, uniforms, coeff = make_inputs(rng, 5, 8, 4)
+        probs[2] = np.nan
+        coeff[2] = 0.0
+        responses = naive_sample(cum, uniforms)
+        out = accumulate_gradients(probs, responses, coeff)
+        assert np.isnan(out[2]).all()
+        assert np.isfinite(np.delete(out, 2, axis=0)).all()
+        np.testing.assert_array_equal(out, naive_accumulate(probs, responses, coeff))

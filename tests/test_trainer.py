@@ -496,3 +496,50 @@ class TestConfigValidation:
         d["typo"] = 1
         with pytest.raises(ValueError, match="typo"):
             TrainConfig.from_dict(d)
+
+
+class TestExactRateCache:
+    """The state's exact pass rates are cached and refreshed only for the
+    rows a step updated; they must stay the full recomputation's bits."""
+
+    @pytest.mark.parametrize("scheme, exact_mode", [
+        (Curve(), False), (Reinforce(), False), (MaxRL(), True),
+    ], ids=["curve", "reinforce", "weight_at_exact_pass_rate"])
+    def test_cache_equals_full_recomputation_bitwise(self, scheme, exact_mode):
+        # 12 prompts and batches of 48: every batch repeats prompts
+        pop = beta_population(12, seed=5, unsolvable=0.2)
+        cfg = TrainConfig(steps=10, scheme=scheme, batch_size=48, t0=2, seed=4,
+                          learning_rate=4.0, min_window_count=8,
+                          weight_at_exact_pass_rate=exact_mode)
+        state = TrainerState(pop, cfg)
+        for _ in range(cfg.steps):
+            entry, _ = train_step(state)
+            assert np.unique(entry.prompt_ids).size < cfg.batch_size
+            full = population_pass_rates(state.theta, state.masks)
+            np.testing.assert_array_equal(state.exact_pass_rates().view(np.uint64),
+                                          full.view(np.uint64))
+
+    def test_exact_pass_rates_is_a_copy(self):
+        state = TrainerState(beta_population(6, seed=1), TrainConfig(steps=1, scheme=Reinforce()))
+        rates = state.exact_pass_rates()
+        rates[:] = -1.0
+        assert np.all(state.exact_pass_rates() >= 0.0)
+
+    def test_step_recomputes_only_the_batch_rows(self, monkeypatch):
+        from curverl import trainer
+
+        rows_seen = []
+
+        def counted(theta, masks):
+            rows_seen.append(theta.shape[0])
+            return population_pass_rates(theta, masks)
+
+        monkeypatch.setattr(trainer, "population_pass_rates", counted)
+        pop = beta_population(200, seed=3)
+        cfg = TrainConfig(steps=5, scheme=Reinforce(), batch_size=16, seed=8)
+        state = TrainerState(pop, cfg)
+        assert rows_seen == [200]
+        for _ in range(cfg.steps):
+            rows_seen.clear()
+            train_step(state)
+            assert sum(rows_seen) <= cfg.batch_size
