@@ -21,7 +21,7 @@ from .evaluation import (
     evaluate_policy,
 )
 from .ioutil import fmt_float, set_log_level_from_env
-from .passrate import population_to_json
+from .passrate import write_population_json
 from .trainer import run_training, write_training_artifacts
 
 __all__ = ["main"]
@@ -49,7 +49,7 @@ def _train_once(cfg: ExperimentConfig, population, out: Path):
     result = run_training(population, cfg.train)
     out.mkdir(parents=True, exist_ok=True)
     write_training_artifacts(result, out)
-    (out / "population.json").write_text(population_to_json(population))
+    write_population_json(out / "population.json", population)
     (out / "manifest.json").write_text(cfg.with_out_dir(str(out)).to_json())
     return result
 

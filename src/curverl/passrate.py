@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ioutil import fmt_float
 from .rootfind import brentq_lanes
 
 log = logging.getLogger("curverl.passrate")
@@ -27,6 +27,7 @@ __all__ = [
     "softmax",
     "make_population",
     "population_to_json",
+    "write_population_json",
     "population_from_json",
     "population_pass_rates",
     "population_pass_rate_gradients",
@@ -76,6 +77,10 @@ class PromptPopulation:
             w = np.array(base_weights, dtype=np.float64)
         if w.shape != (size,):
             raise ValueError("base_weights must have one entry per prompt")
+        # a NaN passes both checks below and fails later inside rng.choice
+        bad = np.flatnonzero(~np.isfinite(w))
+        if bad.size:
+            raise ValueError(f"prompt {bad[0]}: base weight must be finite")
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("base_weights must be nonnegative and sum to 1")
         self.logits = _read_only(logits)
@@ -235,21 +240,32 @@ def make_population(
 # serialization (bit-exact round trip at 17 significant digits)
 # ---------------------------------------------------------------------------
 
+def _population_json_lines(pop: PromptPopulation):
+    """Yield population.json as lines: the header, one line per prompt, the
+    footer. A prompt line is rendered from that row alone, so no more than
+    one row's text is held at a time. Floats go through ``%.17g``, the
+    digits of :func:`curverl.ioutil.fmt_float`."""
+    yield f'{{\n  "m": {pop.m},\n  "prompts": [\n'
+    floats = ", ".join(["%.17g"] * pop.m)
+    last = len(pop) - 1
+    for i, (row, correct) in enumerate(zip(pop.logits, pop.correct)):
+        logits = floats % tuple(row.tolist())
+        indices = ", ".join(map(str, np.flatnonzero(correct).tolist()))
+        tail = "," if i < last else ""
+        yield f'    {{"id": {i}, "logits": [{logits}], "correct": [{indices}]}}{tail}\n'
+    weights = ", ".join(["%.17g"] * len(pop)) % tuple(pop.base_weights.tolist())
+    yield f'  ],\n  "base_weights": [{weights}]\n}}\n'
+
+
 def population_to_json(pop: PromptPopulation) -> str:
     """Serialize with a fixed 17-significant-digit decimal float format."""
-    lines = ["{", f'  "m": {pop.m},', '  "prompts": [']
-    for i, (row, correct) in enumerate(zip(pop.logits, pop.correct)):
-        logits = ", ".join(fmt_float(v) for v in row)
-        indices = ", ".join(map(str, np.flatnonzero(correct).tolist()))
-        tail = "," if i + 1 < len(pop) else ""
-        lines.append(
-            f'    {{"id": {i}, "logits": [{logits}], "correct": [{indices}]}}{tail}'
-        )
-    weights = ", ".join(fmt_float(w) for w in pop.base_weights)
-    lines.append("  ],")
-    lines.append(f'  "base_weights": [{weights}]')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(_population_json_lines(pop))
+
+
+def write_population_json(path: str | os.PathLike, pop: PromptPopulation) -> None:
+    """Write :func:`population_to_json`'s text to ``path`` one line at a time."""
+    with open(path, "w", newline="\n") as fh:
+        fh.writelines(_population_json_lines(pop))
 
 
 def population_from_json(text: str) -> PromptPopulation:

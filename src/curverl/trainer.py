@@ -234,6 +234,23 @@ def _scheme_for_step(state: TrainerState, window_ref: ReferenceDistribution):
     return replace(scheme, reference=resolved)
 
 
+def _sum_by_prompt(batch: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct prompts of ``batch`` and, per prompt, the sum of its rows
+    of ``grads`` in their order of occurrence.
+
+    The bits are those of ``np.add.at`` into zeros: each sum starts from its
+    first row, plus 0.0 so that a -0.0 entry becomes +0.0 as 0.0 + (-0.0)
+    does, and ``np.add.at`` adds only the repeated rows.
+    """
+    rows, first, inverse = np.unique(batch, return_index=True, return_inverse=True)
+    total = grads[first]
+    total += 0.0
+    repeat = np.ones(batch.size, dtype=bool)
+    repeat[first] = False
+    np.add.at(total, inverse[repeat], grads[repeat])
+    return rows, total
+
+
 def train_step(state: TrainerState) -> tuple[StepLog, ReferenceDistribution]:
     """One update; returns the step log and the window reference it saw."""
     cfg = state.config
@@ -273,11 +290,7 @@ def train_step(state: TrainerState) -> tuple[StepLog, ReferenceDistribution]:
     grads = accumulate_gradients(probs, responses, coeff)
     prompt_norms = np.sqrt((grads * grads).sum(axis=1))
 
-    # np.add.at into one block row per distinct prompt adds the grads of
-    # each row in their order of occurrence, as into the full (P, M) matrix
-    rows, inverse = np.unique(batch, return_inverse=True)
-    total = np.zeros((rows.size, state.theta.shape[1]))
-    np.add.at(total, inverse, grads)
+    rows, total = _sum_by_prompt(batch, grads)
     total /= cfg.batch_size
     # numpy's pairwise sum runs over the flat array, so the norm sums the
     # squares of the whole (P, M) update, zero rows included, to keep its bits

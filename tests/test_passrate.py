@@ -1,6 +1,7 @@
 """Pass-rate oracle tests: closed forms, finite differences, sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from curverl.passrate import (
     population_pass_rates,
     population_to_json,
     softmax,
+    write_population_json,
 )
 from curverl.trainer import per_prompt_gradient
+from test_golden import POPULATION_CASES
 
 
 def prompt(logits, correct):
@@ -181,6 +184,21 @@ class TestPopulation:
             PromptPopulation(np.zeros((2, 2)), [[True, False]] * 2,
                              base_weights=np.array([0.4, 0.4]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_base_weights_rejected_naming_prompt(self, bad):
+        weights = [0.5, 0.5, 0.0]
+        weights[1] = bad
+        with pytest.raises(ValueError, match="prompt 1: base weight must be finite"):
+            PromptPopulation(np.zeros((3, 4)), np.ones((3, 4), dtype=bool), weights)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_base_weights_rejected_from_json(self, literal):
+        text = population_to_json(make_population(3, m=4, seed=0))
+        head, _, _ = text.partition('"base_weights": [')
+        doc = head + f'"base_weights": [0.5, {literal}, 0.5]\n}}\n'
+        with pytest.raises(ValueError, match="prompt 1: base weight must be finite"):
+            population_from_json(doc)
+
     def test_synthesis_hits_targets(self):
         targets = (0.1, 0.37, 0.62, 0.9, 0.005)
         pop = make_population(5, m=16, seed=1,
@@ -259,3 +277,35 @@ class TestSerialization:
         text = population_to_json(make_population(3, m=4, seed=0))
         with pytest.raises(ValueError, match="prompt 2: expected id 1"):
             population_from_json(text.replace('"id": 1,', '"id": 2,'))
+
+
+@pytest.fixture(scope="module")
+def wide_population():
+    # train-wide's shape: population.json is about 11 MB
+    return make_population(2000, 256, seed=0)
+
+
+class TestWriter:
+    @pytest.mark.parametrize("case", sorted(POPULATION_CASES))
+    def test_file_equals_text_on_golden_populations(self, case, tmp_path):
+        profile, seed = POPULATION_CASES[case]
+        pop = make_population(64, 64, profile, seed=seed)
+        write_population_json(tmp_path / "population.json", pop)
+        assert (tmp_path / "population.json").read_bytes() == population_to_json(pop).encode()
+
+    def test_file_equals_text_on_wide_population(self, wide_population, tmp_path):
+        write_population_json(tmp_path / "population.json", wide_population)
+        data = (tmp_path / "population.json").read_bytes()
+        assert data == population_to_json(wide_population).encode()
+        assert len(data) > 10 * 2**20
+
+    def test_write_holds_one_line_at_a_time(self, wide_population, tmp_path):
+        # the whole text, joined, would be more than ten times this bound
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            write_population_json(tmp_path / "population.json", wide_population)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

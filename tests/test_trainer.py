@@ -32,6 +32,7 @@ from curverl.trainer import (
     run_training,
     train_step,
 )
+from curverl.trainer import _sum_by_prompt
 from curverl.verify import calibration_gradients
 from curverl.weighting import (
     Curve,
@@ -543,3 +544,40 @@ class TestExactRateCache:
             rows_seen.clear()
             train_step(state)
             assert sum(rows_seen) <= cfg.batch_size
+
+
+class TestBatchGradientSum:
+    """train_step sums the batch gradient per distinct prompt with the bits
+    of np.add.at into zeros, in order of occurrence."""
+
+    @staticmethod
+    def add_at_into_zeros(batch, grads):
+        rows, inverse = np.unique(batch, return_inverse=True)
+        total = np.zeros((rows.size, grads.shape[1]))
+        np.add.at(total, inverse, grads)
+        return rows, total
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_add_at_into_zeros_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        p, b, m = int(rng.integers(1, 40)), int(rng.integers(1, 80)), int(rng.integers(1, 9))
+        batch = rng.integers(0, p, size=b)
+        grads = rng.standard_normal((b, m)) * 10.0 ** rng.integers(-300, 300, size=(b, m))
+        # signed zeros and NaNs at first occurrences and at repeats alike
+        grads[rng.random((b, m)) < 0.2] = -0.0
+        grads[rng.random((b, m)) < 0.05] = 0.0
+        grads[rng.random((b, m)) < 0.05] = np.nan
+        rows, total = _sum_by_prompt(batch, grads)
+        want_rows, want = self.add_at_into_zeros(batch, grads)
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(total.view(np.uint64), want.view(np.uint64))
+
+    def test_negative_zeros_sum_to_positive_zero(self):
+        # 0.0 + (-0.0) is +0.0, so no sum from zeros ends at -0.0, once or repeated
+        batch = np.array([3, 1, 3])
+        grads = np.array([[-0.0, 1.0], [-0.0, -0.0], [-0.0, 2.0]])
+        rows, total = _sum_by_prompt(batch, grads)
+        np.testing.assert_array_equal(rows, [1, 3])
+        assert not np.signbit(total).any()
+        _, want = self.add_at_into_zeros(batch, grads)
+        np.testing.assert_array_equal(total.view(np.uint64), want.view(np.uint64))
