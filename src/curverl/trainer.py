@@ -286,8 +286,9 @@ def train_step(state: TrainerState) -> tuple[StepLog, ReferenceDistribution]:
     weights = np.zeros(cfg.batch_size)
     weights[active] = table[inverse]
 
-    coeff = weights[:, None] * (rewards.astype(np.float64) - p_hat[:, None]) / cfg.n_rollouts
-    grads = accumulate_gradients(probs, responses, coeff)
+    # a rollout's coefficient w * (r - p_hat) / N: column r of this table
+    coeff = weights[:, None] * (np.array([0.0, 1.0]) - p_hat[:, None]) / cfg.n_rollouts
+    grads = accumulate_gradients(probs, responses, rewards, coeff)
     prompt_norms = np.sqrt((grads * grads).sum(axis=1))
 
     rows, total = _sum_by_prompt(batch, grads)
@@ -362,9 +363,11 @@ def mc_gradient_mean(logits: np.ndarray, correct: np.ndarray, weight: float,
     uniforms = rng.random((n_batches, n_rollouts))
     responses = sample_responses(cum, uniforms)
     rewards = correct[responses]
-    baseline = rewards.sum(axis=1)[:, None] / n_rollouts if use_baseline else 0.0
-    coeff = weight * (rewards.astype(np.float64) - baseline) / n_rollouts
-    grads = accumulate_gradients(probs, responses, coeff)
+    baseline = np.zeros((n_batches, 1))
+    if use_baseline:
+        baseline = rewards.sum(axis=1)[:, None] / n_rollouts
+    coeff = weight * (np.array([0.0, 1.0]) - baseline) / n_rollouts
+    grads = accumulate_gradients(probs, responses, rewards, coeff)
     mean = grads.mean(axis=0)
     se = grads.std(axis=0, ddof=1) / math.sqrt(n_batches)
     return mean, se

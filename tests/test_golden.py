@@ -50,6 +50,15 @@ def golden_config(scheme, **train_overrides):
     }
 
 
+def wide_config(scheme):
+    """P = 300 prompts at M = 256, B = 300, N = 64: the gradient kernel runs
+    several row blocks, the last one ragged."""
+    doc = golden_config(scheme, steps=3, batch_size=300, n_rollouts=64, t0=1,
+                        log_per_prompt=True)
+    doc["population"].update(size=300, m=256)
+    return doc
+
+
 CASES = {
     # min_window_count above one batch: steps 0 and 1 both use the uniform
     # cold-start reference before the window takes over
@@ -62,6 +71,8 @@ CASES = {
     "curve_exact_pass_rate": golden_config(
         {"name": "curve"}, weight_at_exact_pass_rate=True, log_per_prompt=True,
     ),
+    "wide_reinforce": wide_config({"name": "reinforce"}),
+    "wide_curve_window": wide_config({"name": "curve", "reference": "window"}),
 }
 
 DIGESTS = {
@@ -86,6 +97,18 @@ DIGESTS = {
         "train_log.csv": "e21c5d719d478cce9818eff2a3252abfdbf73c1d50402da40266d4ddfb747332",
         "refdist.csv": "4544be8c9f2095cdf61be4b033e716ffa462184a2c5d5963ea4be3c1c7eed128",
         "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
+    },
+    "wide_curve_window": {
+        "train_log.csv": "c6dec26cf15bdcb11764170e7ebc006d41f468052048326f08a25ab3bcc191e3",
+        "refdist.csv": "4c249ca4f5a3003ce9987cf81f2d8d852aa739419ad86fea470176ead85ca10e",
+        "per_prompt.csv": "253de8b793719385b3698a9d4b840c881c37493b188ac7c4afbe2ddc6ba38f2a",
+        "population.json": "8794cd0cc57a4b81271b532ecb131bbc7504daeb8f2a7ea6fb6c1c8984337d2c",
+    },
+    "wide_reinforce": {
+        "train_log.csv": "80033514c2181a464bcd21ec377e8615795b4188329afcae01ed64a288075384",
+        "refdist.csv": "8537718a3164b9ca0d8392405726a2ab0f82824d594861f0a34c71c320ab061a",
+        "per_prompt.csv": "926faecec364b01892ab9d7229bbf552710d90c7a5f5d77d3fadd35949e40744",
+        "population.json": "8794cd0cc57a4b81271b532ecb131bbc7504daeb8f2a7ea6fb6c1c8984337d2c",
     },
 }
 

@@ -3,17 +3,25 @@
 import numpy as np
 import pytest
 
+from curverl import kernels
 from curverl.kernels import accumulate_gradients, sample_responses
 
 
 def make_inputs(rng, n_prompts, m, n):
+    """probs, cum, uniforms, (B, N) bool rewards and a (B, 2) coefficient table."""
     logits = rng.standard_normal((n_prompts, m)) * 2.0
     probs = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs /= probs.sum(axis=1, keepdims=True)
     cum = np.cumsum(probs, axis=1)
     uniforms = rng.random((n_prompts, n))
-    coeff = rng.standard_normal((n_prompts, n))
-    return probs, cum, uniforms, coeff
+    rewards = rng.random((n_prompts, n)) < 0.5
+    coeff = rng.standard_normal((n_prompts, 2))
+    return probs, cum, uniforms, rewards, coeff
+
+
+def per_rollout(coeff, rewards):
+    """The (B, N) coefficients c_i = coeff[b, rewards[b, i]]."""
+    return np.take_along_axis(coeff, rewards.astype(np.intp), axis=1)
 
 
 def naive_sample(cum, uniforms):
@@ -30,6 +38,7 @@ def naive_sample(cum, uniforms):
 
 
 def naive_accumulate(probs, responses, coeff):
+    """The oracle, on per-rollout (B, N) coefficients."""
     n_prompts, m = probs.shape
     out = np.zeros((n_prompts, m))
     for b in range(n_prompts):
@@ -40,6 +49,15 @@ def naive_accumulate(probs, responses, coeff):
     return out
 
 
+def check_accumulation(probs, responses, rewards, coeff):
+    """The kernel's result, after checking it against the oracle bit for bit."""
+    out = accumulate_gradients(probs, responses, rewards, coeff)
+    want = naive_accumulate(probs, responses, per_rollout(coeff, rewards))
+    assert out.shape == want.shape
+    np.testing.assert_array_equal(out.view(np.uint64), want.view(np.uint64))
+    return out
+
+
 SHAPES = [(1, 2, 1), (3, 16, 8), (64, 16, 8), (17, 5, 3)]
 
 
@@ -47,17 +65,15 @@ class TestFallbackCorrectness:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_sampling_matches_naive(self, shape):
         rng = np.random.default_rng(hash(shape) % 2**32)
-        probs, cum, uniforms, _ = make_inputs(rng, *shape)
+        probs, cum, uniforms, _, _ = make_inputs(rng, *shape)
         np.testing.assert_array_equal(sample_responses(cum, uniforms),
                                       naive_sample(cum, uniforms))
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_accumulation_matches_naive(self, shape):
         rng = np.random.default_rng(hash(shape) % 2**31)
-        probs, cum, uniforms, coeff = make_inputs(rng, *shape)
-        responses = naive_sample(cum, uniforms)
-        np.testing.assert_array_equal(accumulate_gradients(probs, responses, coeff),
-                                      naive_accumulate(probs, responses, coeff))
+        probs, cum, uniforms, rewards, coeff = make_inputs(rng, *shape)
+        check_accumulation(probs, naive_sample(cum, uniforms), rewards, coeff)
 
     def test_sampling_distribution_is_correct(self):
         # frequencies of a 3-way categorical within 4 sigma
@@ -145,22 +161,75 @@ class TestSamplerEdges:
 
 class TestAccumulationEdges:
     def test_ragged_last_block(self):
-        # 300 rows at M = 256 run as blocks of 128, 128 and 44 rows
+        # two full row blocks at M = 256 and a last one of 44 rows
+        block = kernels._BLOCK_ENTRIES // 256
         rng = np.random.default_rng(300)
-        probs, cum, uniforms, coeff = make_inputs(rng, 300, 256, 6)
-        responses = naive_sample(cum, uniforms)
-        np.testing.assert_array_equal(accumulate_gradients(probs, responses, coeff),
-                                      naive_accumulate(probs, responses, coeff))
+        probs, cum, uniforms, rewards, coeff = make_inputs(rng, 2 * block + 44, 256, 6)
+        check_accumulation(probs, naive_sample(cum, uniforms), rewards, coeff)
+
+    @pytest.mark.parametrize("correct", [False, True])
+    def test_rows_all_wrong_or_all_correct(self, correct):
+        # every rollout of a row selects the same product row of the table
+        rng = np.random.default_rng(11)
+        probs, cum, uniforms, rewards, coeff = make_inputs(rng, 9, 16, 8)
+        rewards[::2] = correct
+        check_accumulation(probs, naive_sample(cum, uniforms), rewards, coeff)
+
+    def test_signed_zero_coefficients(self):
+        rng = np.random.default_rng(12)
+        probs, cum, uniforms, rewards, coeff = make_inputs(rng, 4, 8, 8)
+        coeff[:] = [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0]]
+        out = check_accumulation(probs, naive_sample(cum, uniforms), rewards, coeff)
+        assert not np.signbit(out).any()
+
+    @pytest.mark.parametrize("shape", [(7, 2, 1), (1, 2, 1), (5, 2, 9), (6, 33, 1)])
+    def test_two_responses_or_one_rollout(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        probs, cum, uniforms, rewards, coeff = make_inputs(rng, *shape)
+        check_accumulation(probs, naive_sample(cum, uniforms), rewards, coeff)
 
     def test_nan_row_with_zero_coefficients_stays_nan(self):
         # an all-zero coefficient row still adds 0 * probs, so a NaN policy
         # row reaches the gradient (and the trainer's norm check)
         rng = np.random.default_rng(9)
-        probs, cum, uniforms, coeff = make_inputs(rng, 5, 8, 4)
+        probs, cum, uniforms, rewards, coeff = make_inputs(rng, 5, 8, 4)
         probs[2] = np.nan
         coeff[2] = 0.0
-        responses = naive_sample(cum, uniforms)
-        out = accumulate_gradients(probs, responses, coeff)
+        out = check_accumulation(probs, naive_sample(cum, uniforms), rewards, coeff)
         assert np.isnan(out[2]).all()
         assert np.isfinite(np.delete(out, 2, axis=0)).all()
-        np.testing.assert_array_equal(out, naive_accumulate(probs, responses, coeff))
+
+    @pytest.mark.parametrize("rewards", [
+        np.ones((3, 4)), np.ones((3, 4), dtype=np.int64),
+        np.ones((3, 5), dtype=bool), np.ones((4, 3), dtype=bool),
+    ])
+    def test_bad_rewards_rejected(self, rewards):
+        rng = np.random.default_rng(13)
+        probs, cum, uniforms, _, coeff = make_inputs(rng, 3, 8, 4)
+        with pytest.raises(ValueError, match="rewards"):
+            accumulate_gradients(probs, sample_responses(cum, uniforms), rewards, coeff)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (3,), (2, 2), (3, 2, 1)])
+    def test_bad_coeff_rejected(self, shape):
+        rng = np.random.default_rng(14)
+        probs, cum, uniforms, rewards, _ = make_inputs(rng, 3, 8, 4)
+        with pytest.raises(ValueError, match="coeff"):
+            accumulate_gradients(probs, sample_responses(cum, uniforms), rewards,
+                                 np.ones(shape))
+
+    def test_wide_call_forms_no_term_array(self):
+        # an (N, B, M) float array of the per-rollout terms at (512, 256, 64)
+        # would be 64 MB; the result itself is 1 MB
+        import tracemalloc
+
+        rng = np.random.default_rng(15)
+        probs, cum, uniforms, rewards, coeff = make_inputs(rng, 512, 256, 64)
+        responses = sample_responses(cum, uniforms)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            accumulate_gradients(probs, responses, rewards, coeff)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20

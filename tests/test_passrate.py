@@ -43,7 +43,8 @@ def exact_pass_rate_gradient(pr):
 
 def score_vector(pr, response):
     """Gradient of log pi(response): the kernel's sum with one unit coefficient."""
-    return accumulate_gradients(softmax(pr.logits), np.array([[response]]), np.ones((1, 1)))[0]
+    return accumulate_gradients(softmax(pr.logits), np.array([[response]]),
+                                np.ones((1, 1), dtype=bool), np.ones((1, 2)))[0]
 
 
 def sample_rewards(pr, n, rng):

@@ -111,9 +111,10 @@ class TestPerPromptGradient:
             w = float(rng.uniform(0.5, 4.0))
             slow = per_prompt_gradient(logits, mask, responses, w)
             probs = softmax(logits)[None, :]
-            rewards = mask[responses].astype(float)
-            coeff = (w * (rewards - rewards.mean()) / 8)[None, :]
-            fast = kern.accumulate_gradients(probs, responses[None, :], coeff)[0]
+            rewards = mask[responses]
+            coeff = (w * (np.array([0.0, 1.0]) - rewards.mean()) / 8)[None, :]
+            fast = kern.accumulate_gradients(probs, responses[None, :], rewards[None, :],
+                                             coeff)[0]
             np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-15)
 
     def test_fixed_weight_estimator_expectations(self):
@@ -229,12 +230,13 @@ class TestTrainStep:
         probs = softmax(rng.standard_normal((16, 8)))
         cum = np.cumsum(probs, axis=1)
         responses = kern.sample_responses(cum, rng.random((16, 8)))
-        coeff = rng.standard_normal((16, 8))
-        grad = kern.accumulate_gradients(probs, responses, coeff)
+        rewards = rng.random((16, 8)) < 0.5
+        coeff = rng.standard_normal((16, 2))
+        grad = kern.accumulate_gradients(probs, responses, rewards, coeff)
         np.testing.assert_array_equal(
-            kern.accumulate_gradients(probs, responses, 2.0 * coeff), 2.0 * grad
+            kern.accumulate_gradients(probs, responses, rewards, 2.0 * coeff), 2.0 * grad
         )
-        scaled = kern.accumulate_gradients(probs, responses, 3.7 * coeff)
+        scaled = kern.accumulate_gradients(probs, responses, rewards, 3.7 * coeff)
         np.testing.assert_allclose(scaled, 3.7 * grad, rtol=1e-12, atol=1e-15)
         cos = (scaled.ravel() @ grad.ravel()) / (
             np.linalg.norm(scaled) * np.linalg.norm(grad)
@@ -340,8 +342,8 @@ class TestWeightArgumentModes:
         p_hat = counts / n
         active = (counts > 0) & (counts < n)
         w_hat = np.where(active, 1.0 / np.where(active, p_hat, 1.0), 0.0)
-        coeff = w_hat[:, None] * (rewards.astype(float) - p_hat[:, None]) / n
-        grads = kern.accumulate_gradients(probs, responses, coeff)
+        coeff = w_hat[:, None] * (np.array([0.0, 1.0]) - p_hat[:, None]) / n
+        grads = kern.accumulate_gradients(probs, responses, rewards, coeff)
         empirical_mean = grads.mean(axis=0)
         p = exact_pass_rate(logits, mask)
         fixed_target = (1 - 1 / n) * (1.0 / p) * exact_pass_rate_gradient(logits, mask)
@@ -581,3 +583,21 @@ class TestBatchGradientSum:
         assert not np.signbit(total).any()
         _, want = self.add_at_into_zeros(batch, grads)
         np.testing.assert_array_equal(total.view(np.uint64), want.view(np.uint64))
+
+
+class TestCoefficientTable:
+    """train_step passes the kernel a (B, 2) coefficient per reward value;
+    the entry a rollout selects has the bits of its own per-rollout
+    coefficient w * (r - p_hat) / N."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    def test_selected_entry_equals_per_rollout_expression_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        rewards = rng.random((200, n)) < rng.random((200, 1))
+        p_hat = rewards.sum(axis=1) / n
+        weights = rng.standard_normal(200) * 10.0 ** rng.integers(-5, 5, size=200)
+        weights[::7] = 0.0
+        table = weights[:, None] * (np.array([0.0, 1.0]) - p_hat[:, None]) / n
+        per_rollout = weights[:, None] * (rewards.astype(np.float64) - p_hat[:, None]) / n
+        selected = np.take_along_axis(table, rewards.astype(np.intp), axis=1)
+        np.testing.assert_array_equal(selected.view(np.uint64), per_rollout.view(np.uint64))
