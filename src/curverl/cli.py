@@ -144,19 +144,17 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare needs at least 2 schemes")
     out.mkdir(parents=True, exist_ok=True)
     population = cfg.population.build()
-    passk_rows = []
-    bucket_rows = []
+    passk_by_label = {}
+    buckets_by_label = {}
     for idx, scheme in enumerate(schemes):
         label = f"{idx:02d}_{weighting.scheme_name(scheme)}"
         run_cfg = replace(cfg, train=replace(cfg.train, scheme=scheme))
         result = _train_once(run_cfg, population, out / label)
         passk, emp_rates = _eval_policy(run_cfg, result.theta, population.correct)
-        for k in sorted(passk):
-            passk_rows.append((label, k, passk[k]))
-        for bucket, count in difficulty_histogram(emp_rates).items():
-            bucket_rows.append((label, bucket, count))
-    write_passk_csv(out / "compare.csv", passk_rows)
-    write_bucket_csv(out / "compare_buckets.csv", bucket_rows)
+        passk_by_label[label] = passk
+        buckets_by_label[label] = difficulty_histogram(emp_rates)
+    write_passk_csv(out / "compare.csv", passk_by_label)
+    write_bucket_csv(out / "compare_buckets.csv", buckets_by_label)
     print(f"wrote {out / 'compare.csv'}")
     return 0
 
@@ -168,12 +166,8 @@ def cmd_passk(args) -> int:
     population = cfg.population.build()
     passk, emp_rates = _eval_policy(cfg, population.logits, population.correct)
     name = weighting.scheme_name(cfg.train.scheme)
-    write_passk_csv(out / "passk.csv", [(name, k, passk[k]) for k in sorted(passk)])
-    write_bucket_csv(
-        out / "passk_buckets.csv",
-        [(name, bucket, count)
-         for bucket, count in difficulty_histogram(emp_rates).items()],
-    )
+    write_passk_csv(out / "passk.csv", {name: passk})
+    write_bucket_csv(out / "passk_buckets.csv", {name: difficulty_histogram(emp_rates)})
     print(f"wrote {out / 'passk.csv'}")
     return 0
 

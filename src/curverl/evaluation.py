@@ -93,14 +93,27 @@ PASSK_CSV_HEADER = ("scheme", "k", "mean_pass_at_k")
 BUCKET_CSV_HEADER = ("scheme", "bucket", "count")
 
 
-def write_passk_csv(path, rows) -> None:
-    """rows: iterable of (scheme, k, mean_pass_at_k)."""
-    write_csv(path, PASSK_CSV_HEADER, rows)
+def _write_scheme_tables(path, header, tables) -> None:
+    """One (label, key, value) row per entry of ``tables``, a mapping of
+    scheme label to its {key: value} table, in mapping order."""
+    labels, keys, values = [], [], []
+    for label, table in tables.items():
+        labels += [label] * len(table)
+        keys += table.keys()
+        values += table.values()
+    write_csv(path, header, (labels, keys, values))
 
 
-def write_bucket_csv(path, rows) -> None:
-    """rows: iterable of (scheme, bucket, count)."""
-    write_csv(path, BUCKET_CSV_HEADER, rows)
+def write_passk_csv(path, passk_by_scheme) -> None:
+    """passk_by_scheme: {scheme label: {k: mean pass@k}}, written in ascending k."""
+    _write_scheme_tables(path, PASSK_CSV_HEADER, {
+        label: {k: passk[k] for k in sorted(passk)} for label, passk in passk_by_scheme.items()
+    })
+
+
+def write_bucket_csv(path, buckets_by_scheme) -> None:
+    """buckets_by_scheme: {scheme label: :func:`difficulty_histogram` counts}."""
+    _write_scheme_tables(path, BUCKET_CSV_HEADER, buckets_by_scheme)
 
 
 # uniforms per sampling call in evaluate_policy: a block of prompts, not all

@@ -2,14 +2,26 @@
 
 All numeric artifact output uses a fixed 17-significant-digit decimal format
 so repeated runs produce byte-identical files and diffs stay meaningful.
+
+CSVs are written column-wise in blocks of :data:`_CSV_BLOCK_ROWS` rows. A
+numeric column repeats few values within a block (a step's p-hats sit on the
+rollout grid, its weights take one value per grid point, its rows share one
+step number), so each distinct value is formatted once and the strings are
+gathered back into row order.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 __all__ = ["fmt_float", "write_csv", "set_log_level_from_env"]
+
+# rows rendered per write: the block's strings, not the whole file's, are
+# held at once
+_CSV_BLOCK_ROWS = 2**13
 
 
 def fmt_float(x: float) -> str:
@@ -17,21 +29,46 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_csv(path: str | os.PathLike, header: Iterable[str], rows: Iterable[Iterable]) -> None:
-    """Write rows with a fixed column order; floats via :func:`fmt_float`.
+def _render_block(part: np.ndarray) -> list[str]:
+    """The cells of ``part``, a block of a float64, int or bool column,
+    rendering each distinct value once: a float as ``%.17g`` (the digits of
+    :func:`fmt_float`), anything else with ``str``.
 
-    Every row is rendered by one ``%`` template built from the first row's
-    cell types: ``%.17g`` (the same digits as :func:`fmt_float`) for a float
-    column, ``%s`` (``str``) for any other. A column keeps one type.
+    Floats are keyed on their ``uint64`` view: unique float values would
+    merge 0.0 with -0.0, which render differently.
     """
+    if part.dtype == np.float64:
+        keys, inverse = np.unique(part.view(np.uint64), return_inverse=True)
+        text = ["%.17g" % x for x in keys.view(np.float64).tolist()]
+    else:  # str of the Python int or bool is that of the numpy scalar
+        keys, inverse = np.unique(part, return_inverse=True)
+        text = list(map(str, keys.tolist()))
+    return np.array(text, dtype=object)[inverse].tolist()
+
+
+def write_csv(path: str | os.PathLike, header: Iterable[str],
+              columns: Sequence[Sequence]) -> None:
+    """Write equal-length ``columns`` (1-d arrays or sequences) under
+    ``header``, one block of rows at a time.
+
+    A column whose values make a float64 array renders as :func:`fmt_float`
+    does; any other column renders each cell with ``str``. Within a block,
+    each distinct value of a float, int or bool column is rendered once.
+    """
+    arrays = [np.asarray(col) for col in columns]
+    n_rows = len(arrays[0]) if arrays else 0
+    if any(a.ndim != 1 or len(a) != n_rows for a in arrays):
+        raise ValueError("CSV columns must be 1-d and of equal length")
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        template = None
-        for row in rows:
-            row = tuple(row)
-            if template is None:
-                template = ",".join("%.17g" if isinstance(c, float) else "%s" for c in row) + "\n"
-            fh.write(template % row)
+        for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
+            cells = []
+            for col, a in zip(columns, arrays):
+                if a.dtype == np.float64 or a.dtype.kind in "biu":
+                    cells.append(_render_block(a[lo:lo + _CSV_BLOCK_ROWS]))
+                else:
+                    cells.append(list(map(str, col[lo:lo + _CSV_BLOCK_ROWS])))
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def set_log_level_from_env() -> None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -35,7 +34,7 @@ __all__ = [
     "exact_policy_distribution",
     "wasserstein1",
     "offgrid_snap_count",
-    "reference_csv_rows",
+    "reference_csv_columns",
     "REFERENCE_CSV_HEADER",
     "load_reference_csv",
 ]
@@ -255,12 +254,18 @@ def wasserstein1(a: ReferenceDistribution, b: ReferenceDistribution) -> float:
 REFERENCE_CSV_HEADER = ("step", "grid_point", "mass", "cdf", "density")
 
 
-def reference_csv_rows(step: int, ref: ReferenceDistribution):
-    """One ``(step, grid_point, mass, cdf, density)`` row per grid point; cdf
-    and density are the floored values actually consumed by weighting, mass
-    is raw."""
-    return zip(repeat(step), ref.grid.tolist(), ref.bin_mass.tolist(),
-               ref.floored_cdf().tolist(), ref.floored_density().tolist())
+def reference_csv_columns(steps, refs):
+    """The ``(step, grid_point, mass, cdf, density)`` columns for the
+    references ``refs`` logged at ``steps``: one row per grid point, the
+    references in order. cdf and density are the floored values actually
+    consumed by weighting, mass is raw."""
+    return (
+        np.repeat(np.asarray(steps, dtype=np.int64), [ref.n_rollouts - 1 for ref in refs]),
+        np.concatenate([ref.grid for ref in refs]),
+        np.concatenate([ref.bin_mass for ref in refs]),
+        np.concatenate([ref.floored_cdf() for ref in refs]),
+        np.concatenate([ref.floored_density() for ref in refs]),
+    )
 
 
 def load_reference_csv(path) -> ReferenceDistribution:

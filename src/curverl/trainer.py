@@ -16,7 +16,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import MISSING, dataclass, fields, replace
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -245,9 +244,9 @@ def _sum_by_prompt(batch: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, np
     rows, first, inverse = np.unique(batch, return_index=True, return_inverse=True)
     total = grads[first]
     total += 0.0
-    repeat = np.ones(batch.size, dtype=bool)
-    repeat[first] = False
-    np.add.at(total, inverse[repeat], grads[repeat])
+    repeated = np.ones(batch.size, dtype=bool)
+    repeated[first] = False
+    np.add.at(total, inverse[repeated], grads[repeated])
     return rows, total
 
 
@@ -390,39 +389,42 @@ def write_training_artifacts(result: TrainResult, out_dir: str | Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     name = weighting.scheme_name(result.config.scheme)
 
+    logs = result.step_logs
     write_csv(
         out / "train_log.csv",
         TRAIN_CSV_HEADER,
         (
-            (entry.step, name, entry.mean_exact_pass_rate, entry.active_fraction,
-             entry.z_theta, entry.window_size, entry.grad_norm)
-            for entry in result.step_logs
+            [entry.step for entry in logs],
+            [name] * len(logs),
+            [entry.mean_exact_pass_rate for entry in logs],
+            [entry.active_fraction for entry in logs],
+            [entry.z_theta for entry in logs],
+            [entry.window_size for entry in logs],
+            [entry.grad_norm for entry in logs],
         ),
     )
 
     write_csv(
         out / "refdist.csv",
         refdist.REFERENCE_CSV_HEADER,
-        (
-            row
-            for entry, ref in zip(result.step_logs, result.references)
-            for row in refdist.reference_csv_rows(entry.step, ref)
-        ),
+        refdist.reference_csv_columns([entry.step for entry in logs], result.references),
     )
 
     if result.config.log_per_prompt:
+        rows_per_step = [entry.prompt_ids.size for entry in logs]
+        p_hat = np.concatenate([entry.p_hat for entry in logs])
+        weights = np.concatenate([entry.weights for entry in logs])
         # rel_multiplier = p_hat * weight, the step's weight relative to the
         # 1/p rule at the same pass rate (0 for inactive rows).
         write_csv(
             out / "per_prompt.csv",
             PER_PROMPT_CSV_HEADER,
             (
-                row
-                for entry in result.step_logs
-                for row in zip(
-                    repeat(entry.step),
-                    entry.prompt_ids.tolist(), entry.p_hat.tolist(), entry.weights.tolist(),
-                    entry.prompt_grad_norms.tolist(), (entry.p_hat * entry.weights).tolist(),
-                )
+                np.repeat([entry.step for entry in logs], rows_per_step),
+                np.concatenate([entry.prompt_ids for entry in logs]),
+                p_hat,
+                weights,
+                np.concatenate([entry.prompt_grad_norms for entry in logs]),
+                p_hat * weights,
             ),
         )

@@ -62,7 +62,6 @@ __all__ = [
     "distribution_utility",
     "utility_gap_bound_check",
     "relative_multiplier",
-    "variance_utility_weights",
     "weight_table",
     "write_weight_table",
     "WEIGHT_CSV_HEADER",
@@ -440,17 +439,6 @@ def relative_multiplier(psi, ref, p: float) -> float:
     return psi.derivative(ref.cdf_at(p)) * ref.density_at(p) / denom
 
 
-def variance_utility_weights(pass_rates, weights=None) -> np.ndarray:
-    """Diagnostic weights 2 p - 2 E[p] from the variance utility.
-
-    These can be negative, so they are reported for analysis only and are
-    not offered as a training scheme.
-    """
-    rates = np.asarray(pass_rates, dtype=np.float64).ravel()
-    w = _weights_or_uniform(rates.size, weights)
-    return 2.0 * rates - 2.0 * float(np.dot(w, rates))
-
-
 # ---------------------------------------------------------------------------
 # weight tables
 # ---------------------------------------------------------------------------
@@ -467,6 +455,8 @@ def weight_table(scheme: WeightScheme, n_rollouts: int) -> list[tuple[float, flo
 
 
 def write_weight_table(path, scheme: WeightScheme, n_rollouts: int) -> None:
-    name = scheme_name(scheme)
-    rows = [(name, p, w, nw) for p, w, nw in weight_table(scheme, n_rollouts)]
-    write_csv(path, WEIGHT_CSV_HEADER, rows)
+    table = weight_table(scheme, n_rollouts)
+    write_csv(path, WEIGHT_CSV_HEADER, (
+        [scheme_name(scheme)] * len(table),
+        [p for p, _, _ in table], [w for _, w, _ in table], [nw for _, _, nw in table],
+    ))

@@ -7,7 +7,7 @@ import pytest
 from curverl.cli import main
 from curverl.config import ExperimentConfig, load_experiment_config
 from curverl.ioutil import write_csv
-from curverl.refdist import distribution_from_rates, reference_csv_rows, REFERENCE_CSV_HEADER
+from curverl.refdist import distribution_from_rates, reference_csv_columns, REFERENCE_CSV_HEADER
 
 
 def config_doc(steps=2, scheme=None, out_dir=None, **train_overrides):
@@ -248,7 +248,7 @@ class TestWeights:
     def test_curve_from_snapshot_recomputes_hazard(self, tmp_path):
         ref = distribution_from_rates([1 / 8, 2 / 8, 2 / 8, 5 / 8], 8)
         snap = tmp_path / "refdist.csv"
-        write_csv(snap, REFERENCE_CSV_HEADER, reference_csv_rows(0, ref))
+        write_csv(snap, REFERENCE_CSV_HEADER, reference_csv_columns([0], [ref]))
         out = tmp_path / "w.csv"
         assert main(["weights", "--scheme", "curve", "--ref", str(snap),
                      "--out", str(out)]) == 0
@@ -264,7 +264,7 @@ class TestWeights:
     def test_snapshot_grid_mismatch_rejected(self, tmp_path, capsys):
         ref = distribution_from_rates([0.5], 8)
         snap = tmp_path / "refdist.csv"
-        write_csv(snap, REFERENCE_CSV_HEADER, reference_csv_rows(0, ref))
+        write_csv(snap, REFERENCE_CSV_HEADER, reference_csv_columns([0], [ref]))
         assert main(["weights", "--scheme", "curve", "--ref", str(snap),
                      "--n-rollouts", "16", "--out", str(tmp_path / "w.csv")]) == 2
         assert "N=8" in capsys.readouterr().err

@@ -1,5 +1,5 @@
-"""Golden trajectories: tiny `curverl train`, `passk` and `compare` runs pinned
-by artifact digests.
+"""Golden trajectories: tiny `curverl train`, `passk`, `compare` and `weights`
+runs pinned by artifact digests.
 
 Each case runs one small config end to end through the CLI and compares the
 sha256 of every deterministic artifact against a committed value. A refactor
@@ -73,6 +73,10 @@ CASES = {
     ),
     "wide_reinforce": wide_config({"name": "reinforce"}),
     "wide_curve_window": wide_config({"name": "curve", "reference": "window"}),
+    # 30 steps of B = 300: per_prompt.csv's 9,000 rows span two CSV row blocks
+    "blocks_curve_window": golden_config(
+        {"name": "curve", "reference": "window"}, steps=30, batch_size=300, log_per_prompt=True,
+    ),
 }
 
 DIGESTS = {
@@ -96,6 +100,12 @@ DIGESTS = {
     "integrated_product": {
         "train_log.csv": "e21c5d719d478cce9818eff2a3252abfdbf73c1d50402da40266d4ddfb747332",
         "refdist.csv": "4544be8c9f2095cdf61be4b033e716ffa462184a2c5d5963ea4be3c1c7eed128",
+        "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
+    },
+    "blocks_curve_window": {
+        "train_log.csv": "6f65ecd99b8ed6c29df6d43204538036a797b0f99ad3668ab4946822fd2698a5",
+        "refdist.csv": "b1729f1c64098507778823f4292d77f384b4215d0c9254a2c3c923446d4278fd",
+        "per_prompt.csv": "e64739c44f936ec3b43adc641997aed695c6f9d775339076c6aa11a0aa7b5a74",
         "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
     },
     "wide_curve_window": {
@@ -182,6 +192,33 @@ def test_golden_evaluation(tmp_path, case):
             f"{case}/{name} digest changed (golden written with numpy {GOLDEN_NUMPY}, "
             f"running numpy {np.__version__})"
         )
+
+
+# weight tables: one read from a trained run's refdist.csv, one closed form
+WEIGHTS_CASES = {
+    "integrated_convex_refdist": ["--scheme", "integrated_convex:lam=0.25", "--ref", "refdist.csv"],
+    "entropic_risk_n16": ["--scheme", "entropic_risk:eta=2", "--n-rollouts", "16"],
+}
+
+WEIGHTS_DIGESTS = {
+    "entropic_risk_n16": "52e37f1a460c38a2dc7bb76fce45d6d15a446ed89b8b9fd80a3e4a60499c99c2",
+    "integrated_convex_refdist": "053560be72cc0da3edaabd577bcaa1a7cbc369f717e103349840f208dd94b4fb",
+}
+
+
+@pytest.mark.parametrize("case", sorted(WEIGHTS_CASES))
+def test_golden_weights(tmp_path, case):
+    args = WEIGHTS_CASES[case]
+    if "refdist.csv" in args:
+        run_digests(tmp_path, CASES["curve_window_cold_start"])
+        args = [str(tmp_path / "run" / a) if a == "refdist.csv" else a for a in args]
+    out = tmp_path / "weights.csv"
+    assert main(["weights", *args, "--out", str(out)]) == 0
+    got = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == WEIGHTS_DIGESTS[case], (
+        f"weights/{case} digest changed (golden written with numpy {GOLDEN_NUMPY}, "
+        f"running numpy {np.__version__})"
+    )
 
 
 # populations at M = 64, where a correct set holds up to 16 responses: the

@@ -1,16 +1,18 @@
-"""CSV writing: one template per row renders exactly what per-cell formatting did."""
+"""CSV writing: the column writer, which renders each distinct number of a
+row block once, writes exactly what per-cell formatting did."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curverl.ioutil import fmt_float, write_csv
+from curverl.ioutil import _CSV_BLOCK_ROWS, fmt_float, write_csv
 
 
 def write_csv_per_cell(path, header, rows):
-    """The writer as it was before templates: isinstance and format on every cell."""
+    """The oracle: rows, with isinstance and format on every cell."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -54,18 +56,66 @@ def tables(draw):
     return [f"c{i}" for i in range(len(kinds))], draw(st.lists(row, max_size=20))
 
 
+def as_columns(header, rows):
+    """The columns of ``rows``, one list per header name."""
+    return [list(col) for col in zip(*rows)] if rows else [[] for _ in header]
+
+
+def bits(x):
+    return np.array([x], dtype=np.uint64).view(np.float64)[0]
+
+
 class TestWriteCsv:
     @settings(max_examples=300, deadline=None)
-    @given(table=tables(), as_lists=st.booleans())
-    def test_same_bytes_as_per_cell_writer(self, tmp_path_factory, table, as_lists):
+    @given(table=tables(), as_arrays=st.booleans())
+    def test_same_bytes_as_per_cell_writer(self, tmp_path_factory, table, as_arrays):
         header, rows = table
-        if as_lists:
-            rows = [list(r) for r in rows]
+        columns = as_columns(header, rows)
+        if as_arrays:
+            # a numpy string array would drop trailing NULs, so text stays a list
+            columns = [col if col and isinstance(col[0], str) else np.asarray(col)
+                       for col in columns]
         tmp = tmp_path_factory.mktemp("csv")
-        write_csv(tmp / "new.csv", header, iter(rows))
+        write_csv(tmp / "new.csv", header, columns)
         write_csv_per_cell(tmp / "old.csv", header, rows)
         assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
 
+    def test_hazards_across_block_seams(self, tmp_path):
+        # more than two blocks; the planted values share blocks with their
+        # near twins, and one value (and one int) sits on both sides of the
+        # first seam
+        n = 2 * _CSV_BLOCK_ROWS + 123
+        rng = np.random.default_rng(0)
+        floats = rng.choice([0.125, 0.5, 1 / 3, 2.0, 1e300], size=n)
+        floats[::7] = rng.random(n)[::7]
+        x = 0.1
+        planted = [
+            0.0, -0.0,
+            5e-324, 2.225073858507201e-308,  # smallest and largest subnormal
+            bits(0x7FF8000000000123),  # NaN with a payload
+            bits(0xFFF8000000000000),  # -nan
+            math.inf, -math.inf,
+            x, float(np.nextafter(x, 2)),
+        ]
+        for start in (0, _CSV_BLOCK_ROWS + 40, n - len(planted)):
+            floats[start:start + len(planted)] = planted
+        floats[_CSV_BLOCK_ROWS - 1] = floats[_CSV_BLOCK_ROWS] = 0.7
+        assert np.signbit(floats[1]) and not np.signbit(floats[0])
+        header = ("i", "x", "neg", "tag")
+        columns = [np.arange(n) // 7, floats, -floats, ["a", "b"] * (n // 2) + ["c"] * (n % 2)]
+        rows = list(zip((np.arange(n) // 7).tolist(), floats.tolist(), (-floats).tolist(), columns[3]))
+        write_csv(tmp_path / "new.csv", header, columns)
+        write_csv_per_cell(tmp_path / "old.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        lines = (tmp_path / "new.csv").read_text().splitlines()
+        assert len(lines) == n + 1
+        assert lines[1].split(",")[1:3] == ["0", "-0"]
+        assert lines[2].split(",")[1:3] == ["-0", "0"]
+
     def test_header_only(self, tmp_path):
-        write_csv(tmp_path / "x.csv", ("a", "b"), [])
+        write_csv(tmp_path / "x.csv", ("a", "b"), ([], []))
         assert (tmp_path / "x.csv").read_text() == "a,b\n"
+
+    def test_ragged_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "x.csv", ("a", "b"), ([1.0, 2.0], [1]))

@@ -16,7 +16,7 @@ from curverl.refdist import (
     exact_policy_distribution,
     load_reference_csv,
     offgrid_snap_count,
-    reference_csv_rows,
+    reference_csv_columns,
     uniform_reference,
     wasserstein1,
     REFERENCE_CSV_HEADER,
@@ -272,7 +272,7 @@ class TestCsvSnapshot:
     def test_round_trip_preserves_floored_values(self, tmp_path):
         ref = distribution_from_rates([1 / 8, 1 / 8, 3 / 8, 7 / 8], 8)
         path = tmp_path / "refdist.csv"
-        write_csv(path, REFERENCE_CSV_HEADER, reference_csv_rows(3, ref))
+        write_csv(path, REFERENCE_CSV_HEADER, reference_csv_columns([3], [ref]))
         loaded = load_reference_csv(path)
         assert loaded.n_rollouts == 8
         for p in loaded.grid:
@@ -283,8 +283,7 @@ class TestCsvSnapshot:
         early = distribution_from_rates([1 / 8], 8)
         late = distribution_from_rates([5 / 8], 8)
         path = tmp_path / "refdist.csv"
-        write_csv(path, REFERENCE_CSV_HEADER,
-                  [*reference_csv_rows(0, early), *reference_csv_rows(1, late)])
+        write_csv(path, REFERENCE_CSV_HEADER, reference_csv_columns([0, 1], [early, late]))
         loaded = load_reference_csv(path)
         assert loaded.density_at(5 / 8) == late.density_at(5 / 8)
 

@@ -601,3 +601,40 @@ class TestCoefficientTable:
         per_rollout = weights[:, None] * (rewards.astype(np.float64) - p_hat[:, None]) / n
         selected = np.take_along_axis(table, rewards.astype(np.intp), axis=1)
         np.testing.assert_array_equal(selected.view(np.uint64), per_rollout.view(np.uint64))
+
+
+class TestArtifactMemory:
+    def test_per_prompt_csv_is_written_in_row_blocks(self, tmp_path):
+        # the canonical shape, B = 256 over 300 steps: 76,800 per_prompt.csv
+        # rows, whose text (3.8 MB) joined at once would peak near 18 MB
+        import tracemalloc
+
+        from curverl.refdist import uniform_reference
+        from curverl.trainer import TrainResult, write_training_artifacts
+
+        batch, steps, n = 256, 300, 8
+        rng = np.random.default_rng(3)
+        ref = uniform_reference(n)
+        logs = []
+        for step in range(steps):
+            p_hat = rng.integers(0, n + 1, size=batch) / n
+            weights = np.where((p_hat > 0) & (p_hat < 1), 1.0 / np.maximum(p_hat, 1 / n), 0.0)
+            logs.append(StepLog(
+                step=step, prompt_ids=rng.integers(0, 500, size=batch), p_hat=p_hat,
+                weights=weights, prompt_grad_norms=rng.random(batch) * (weights > 0),
+                mean_exact_pass_rate=0.5, active_fraction=0.75, z_theta=1.5,
+                window_size=1000, grad_norm=0.25,
+            ))
+        cfg = TrainConfig(steps=steps, scheme=Curve(), batch_size=batch, n_rollouts=n,
+                          log_per_prompt=True)
+        result = TrainResult(config=cfg, theta=np.zeros((1, 2)), step_logs=logs,
+                             references=[ref] * steps)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            write_training_artifacts(result, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(1 for _ in open(tmp_path / "per_prompt.csv")) == batch * steps + 1
+        assert peak <= 10 * 2**20

@@ -33,7 +33,6 @@ from curverl.weighting import (
     scheme_from_dict,
     scheme_to_dict,
     utility_gap_bound_check,
-    variance_utility_weights,
     weight_function,
     weight_table,
 )
@@ -307,15 +306,6 @@ class TestRelativeMultiplier:
         # clipped log has zero slope below its floor
         with pytest.raises(ValueError):
             relative_multiplier(ClippedLog(0.1), ContinuousUniform(), 0.05)
-
-
-class TestVarianceDiagnostic:
-    def test_centered_weights(self):
-        np.testing.assert_allclose(variance_utility_weights([0.2, 0.8]), [-0.6, 0.6],
-                                   atol=1e-15)
-
-    def test_can_be_negative(self):
-        assert variance_utility_weights([0.1, 0.9])[0] < 0.0
 
 
 class TestWeightTable:
