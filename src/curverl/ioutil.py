@@ -51,20 +51,26 @@ def write_csv(path: str | os.PathLike, header: Iterable[str],
     """Write equal-length ``columns`` (1-d arrays or sequences) under
     ``header``, one block of rows at a time.
 
-    A column whose values make a float64 array renders as :func:`fmt_float`
-    does; any other column renders each cell with ``str``. Within a block,
-    each distinct value of a float, int or bool column is rendered once.
+    A column keeps one type, and its first cell picks the rendering: a
+    float64 column whose first cell is a float renders as :func:`fmt_float`
+    does; any other column renders each cell with ``str`` (so a list of
+    Python ints that numpy can only hold as float64, such as ``[0, 2**63]``,
+    keeps its digits). Within a block, each distinct value of a float, int
+    or bool column is rendered once.
     """
     arrays = [np.asarray(col) for col in columns]
     n_rows = len(arrays[0]) if arrays else 0
     if any(a.ndim != 1 or len(a) != n_rows for a in arrays):
         raise ValueError("CSV columns must be 1-d and of equal length")
+    numerics = [a.dtype.kind in "biu"
+                or (a.dtype == np.float64 and (not n_rows or isinstance(col[0], float)))
+                for col, a in zip(columns, arrays)]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
             cells = []
-            for col, a in zip(columns, arrays):
-                if a.dtype == np.float64 or a.dtype.kind in "biu":
+            for col, a, numeric in zip(columns, arrays, numerics):
+                if numeric:
                     cells.append(_render_block(a[lo:lo + _CSV_BLOCK_ROWS]))
                 else:
                     cells.append(list(map(str, col[lo:lo + _CSV_BLOCK_ROWS])))

@@ -61,6 +61,18 @@ def as_columns(header, rows):
     return [list(col) for col in zip(*rows)] if rows else [[] for _ in header]
 
 
+def as_array(col):
+    """``col`` as the numpy array that holds its values exactly, else the list.
+
+    A numpy string array would drop trailing NULs, and Python ints that no
+    integer dtype spans become float64, so such columns stay lists.
+    """
+    if col and isinstance(col[0], str):
+        return col
+    a = np.asarray(col)
+    return col if a.dtype == np.float64 and col and not isinstance(col[0], float) else a
+
+
 def bits(x):
     return np.array([x], dtype=np.uint64).view(np.float64)[0]
 
@@ -68,13 +80,15 @@ def bits(x):
 class TestWriteCsv:
     @settings(max_examples=300, deadline=None)
     @given(table=tables(), as_arrays=st.booleans())
+    # Python ints on both sides of 2**63 make a float64 array
+    @example(table=(["c0", "c1"], [(0, 0.5), (2**63, -0.0)]), as_arrays=False)
+    @example(table=(["c0", "c1"], [(0, 0.5), (2**63, -0.0)]), as_arrays=True)
+    @example(table=(["c0"], [(-1,), (2**64,)]), as_arrays=True)
     def test_same_bytes_as_per_cell_writer(self, tmp_path_factory, table, as_arrays):
         header, rows = table
         columns = as_columns(header, rows)
         if as_arrays:
-            # a numpy string array would drop trailing NULs, so text stays a list
-            columns = [col if col and isinstance(col[0], str) else np.asarray(col)
-                       for col in columns]
+            columns = [as_array(col) for col in columns]
         tmp = tmp_path_factory.mktemp("csv")
         write_csv(tmp / "new.csv", header, columns)
         write_csv_per_cell(tmp / "old.csv", header, rows)
