@@ -16,7 +16,7 @@ from .refdist import (
     uniform_reference,
     wasserstein1,
 )
-from .trainer import TrainConfig, TrainResult, effective_distribution, run_training
+from .trainer import TrainConfig, TrainResult, run_training
 from .weighting import (
     ClippedLog,
     Curve,
@@ -48,7 +48,6 @@ __all__ = [
     "wasserstein1",
     "TrainConfig",
     "TrainResult",
-    "effective_distribution",
     "run_training",
     "ClippedLog",
     "Curve",

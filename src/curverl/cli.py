@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import refdist, verify, weighting
-from .config import ConfigError, ExperimentConfig, load_experiment_config
+from .config import ConfigError, ExperimentConfig, _check_value, load_experiment_config
 from .evaluation import (
     difficulty_histogram,
     write_bucket_csv,
@@ -105,7 +105,11 @@ def _parse_scheme_arg(text: str) -> weighting.WeightScheme:
             if not value:
                 raise ConfigError(f"scheme parameter {pair!r} is not key=value")
             if key in ("eta", "lam"):
-                d[key] = float(value)
+                try:
+                    d[key] = float(value)
+                except ValueError:
+                    d[key] = value.strip()
+                _check_value(f"scheme parameter {key}", d[key], float)
             elif key == "reference":
                 d[key] = value.strip()
             else:
@@ -198,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
                                help="tabulate a scheme's weights over the rollout grid")
     p_weights.add_argument("--scheme", required=True,
                            help="scheme name, optionally with params (entropic_risk:eta=2)")
-    p_weights.add_argument("--n-rollouts", type=int, default=8)
+    p_weights.add_argument("--n-rollouts", type=int, default=8,
+                           help="rollouts per prompt, >= 2 (default 8)")
     p_weights.add_argument("--ref", type=str, default=None,
                            help="refdist.csv snapshot or 'uniform' (adaptive schemes)")
     p_weights.set_defaults(func=cmd_weights)

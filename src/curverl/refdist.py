@@ -152,6 +152,8 @@ class ReferenceDistribution:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != (n - 1,):
                 raise ValueError(f"{name} must have length n_rollouts - 1")
+            if not (np.isfinite(arr) & (arr >= 0)).all():
+                raise ValueError(f"{name} must be finite and nonnegative")
             object.__setattr__(self, name, arr)
         if np.any(np.diff(self.cdf) < -1e-12):
             raise ValueError("cdf must be nondecreasing")

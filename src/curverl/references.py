@@ -19,15 +19,12 @@ from typing import Callable
 
 import numpy as np
 
-from .rootfind import brentq
-
 __all__ = [
     "ContinuousUniform",
     "TruncatedExponential",
     "ReflectedTruncatedExponential",
     "MonotoneMap",
     "PushforwardReference",
-    "fit_reference_to_rates",
 ]
 
 
@@ -63,9 +60,6 @@ class TruncatedExponential:
     def density_at(self, p: float) -> float:
         return float(self.rate * math.exp(-self.rate * p) / -math.expm1(-self.rate))
 
-    def mean(self) -> float:
-        return 1.0 / self.rate - 1.0 / math.expm1(self.rate)
-
 
 @dataclass(frozen=True)
 class ReflectedTruncatedExponential:
@@ -86,9 +80,6 @@ class ReflectedTruncatedExponential:
 
     def density_at(self, p: float) -> float:
         return float(self.rate * math.exp(self.rate * p) / math.expm1(self.rate))
-
-    def mean(self) -> float:
-        return 1.0 - (1.0 / self.rate - 1.0 / math.expm1(self.rate))
 
 
 @dataclass(frozen=True)
@@ -141,25 +132,3 @@ class PushforwardReference:
     def density_at(self, u: float) -> float:
         v = self.map.inverse(u)
         return float(self.base.density_at(v) / self.map.dforward(v))
-
-
-def fit_reference_to_rates(rates) -> TruncatedExponential | ReflectedTruncatedExponential | ContinuousUniform:
-    """Smooth reference matching the mean of the given pass rates.
-
-    Picks the truncated-exponential family (mean < 1/2), its reflection
-    (mean > 1/2), or the uniform (mean = 1/2) and solves the rate parameter by
-    moment matching. The result has a smooth positive density on [0, 1], which
-    the calibration-invariance check requires.
-    """
-    mean = float(np.mean(np.asarray(rates, dtype=np.float64)))
-    if not 0.0 < mean < 1.0:
-        raise ValueError("rates must have a mean strictly inside (0, 1)")
-    if abs(mean - 0.5) < 1e-9:
-        return ContinuousUniform()
-    target = mean if mean < 0.5 else 1.0 - mean
-    # TruncatedExponential mean decreases from 1/2 (rate -> 0) toward 0.
-    rate = brentq(lambda lam: TruncatedExponential(lam).mean() - target, 1e-8, 500.0,
-                  xtol=1e-13, maxiter=200)
-    if mean < 0.5:
-        return TruncatedExponential(rate)
-    return ReflectedTruncatedExponential(rate)

@@ -7,10 +7,10 @@ same early returns when an endpoint is already a root, and the same errors.
 lockstep: each branch of the C loop becomes a masked assignment or an
 ``np.where`` over lanes, and each iteration evaluates only the lanes that
 have not converged. Every lane takes the iterates the C loop would take on its
-problem alone, so on IEEE doubles it returns the same roots bit for bit; the
-scalar :func:`brentq` is its one-lane case. Population logits (and every
-artifact built on them) thus do not depend on which of the two solved them,
-and importing curverl does not import scipy.
+problem alone, so on IEEE doubles it returns the same roots bit for bit.
+Population logits (and every artifact built on them) thus do not depend on
+whether scipy or this loop solved them, and importing curverl does not import
+scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["brentq", "brentq_lanes"]
+__all__ = ["brentq_lanes"]
 
 _MIN_RTOL = 4 * sys.float_info.epsilon  # scipy's default and smallest rtol
 
@@ -123,12 +123,3 @@ def brentq_lanes(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
     if lanes.size:
         raise RuntimeError(named(lanes[0], f"Failed to converge after {maxiter} iterations."))
     return roots
-
-
-def brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12,
-           rtol: float = _MIN_RTOL, maxiter: int = 100) -> float:
-    """A root of ``f`` in the sign-changing bracket [a, b]: the one-lane case
-    of :func:`brentq_lanes`, with scipy's errors and messages."""
-    root = brentq_lanes(lambda x, lanes: [f(float(x[0]))], [float(a)], [float(b)],
-                        xtol=xtol, rtol=rtol, maxiter=maxiter)
-    return float(root[0])

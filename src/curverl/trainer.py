@@ -35,9 +35,6 @@ __all__ = [
     "TrainerState",
     "train_step",
     "run_training",
-    "per_prompt_gradient",
-    "effective_distribution",
-    "mc_gradient_mean",
     "write_training_artifacts",
     "TRAIN_CSV_HEADER",
     "PER_PROMPT_CSV_HEADER",
@@ -120,51 +117,6 @@ class TrainResult:
     theta: np.ndarray
     step_logs: list[StepLog]
     references: list[ReferenceDistribution]
-
-
-def per_prompt_gradient(logits: np.ndarray, correct: np.ndarray, responses,
-                        weight: float) -> np.ndarray:
-    """Single-prompt gradient estimate (1/N) sum_i weight (r_i - p_hat) S_i
-    for the N sampled ``responses`` of the prompt with this logits row and
-    correct-response mask; S_i = onehot(y_i) - softmax(logits) is the score.
-
-    The group baseline p-hat makes degenerate groups (all rewards equal)
-    contribute exactly zero. Because the baseline includes rollout i itself,
-    the fixed-weight expectation is (1 - 1/N) * weight * grad(p), the usual
-    leave-one-in shrinkage; the direction is unbiased. This is the naive
-    reference implementation the fast kernels are tested against.
-    """
-    responses = np.asarray(responses, dtype=np.int64)
-    m = logits.shape[0]
-    if np.any((responses < 0) | (responses >= m)):
-        raise ValueError(f"response index out of range [0, {m})")
-    probs = softmax(logits)
-    rewards = correct[responses]
-    p_hat = float(rewards.mean())
-    acc = np.zeros(m)
-    for reward, response in zip(rewards, responses):
-        score = -probs
-        score[response] += 1.0
-        acc += weight * (float(reward) - p_hat) * score
-    return acc / responses.size
-
-
-def effective_distribution(weights, base_weights) -> tuple[np.ndarray, float]:
-    """Reweighted prompt distribution d(x) = d0(x) w(x) / Z and its scale Z.
-
-    The scale multiplies the update magnitude only; the direction of the
-    aggregate gradient is unchanged by it.
-    """
-    w = np.asarray(weights, dtype=np.float64).ravel()
-    d0 = np.asarray(base_weights, dtype=np.float64).ravel()
-    if w.shape != d0.shape:
-        raise ValueError("weights and base_weights must have equal length")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    z = float(np.dot(d0, w))
-    if z <= 0.0:
-        raise ValueError("all-zero weights define no distribution")
-    return d0 * w / z, z
 
 
 class TrainerState:
@@ -338,38 +290,6 @@ def run_training(population: PromptPopulation, config: TrainConfig) -> TrainResu
         step_logs=logs,
         references=refs,
     )
-
-
-# ---------------------------------------------------------------------------
-# estimator diagnostics
-# ---------------------------------------------------------------------------
-
-def mc_gradient_mean(logits: np.ndarray, correct: np.ndarray, weight: float,
-                     n_batches: int, n_rollouts: int, rng: np.random.Generator,
-                     use_baseline: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo mean and standard error of the fixed-weight gradient
-    estimator over independently sampled rollout groups of one prompt, given
-    as its logits row and correct-response mask.
-
-    With ``use_baseline=True`` this is the trainer's estimator, whose
-    expectation carries the (1 - 1/N) group-baseline shrinkage; with
-    ``use_baseline=False`` it is the plain score-function estimator
-    (1/N) sum_i weight r_i S_i, whose expectation is exactly
-    weight * grad(p).
-    """
-    probs = softmax(logits)[None, :].repeat(n_batches, axis=0)
-    cum = np.cumsum(probs, axis=1)
-    uniforms = rng.random((n_batches, n_rollouts))
-    responses = sample_responses(cum, uniforms)
-    rewards = correct[responses]
-    baseline = np.zeros((n_batches, 1))
-    if use_baseline:
-        baseline = rewards.sum(axis=1)[:, None] / n_rollouts
-    coeff = weight * (np.array([0.0, 1.0]) - baseline) / n_rollouts
-    grads = accumulate_gradients(probs, responses, rewards, coeff)
-    mean = grads.mean(axis=0)
-    se = grads.std(axis=0, ddof=1) / math.sqrt(n_batches)
-    return mean, se
 
 
 # ---------------------------------------------------------------------------

@@ -448,6 +448,8 @@ WEIGHT_CSV_HEADER = ("scheme", "p", "weight", "normalized_weight")
 
 def weight_table(scheme: WeightScheme, n_rollouts: int) -> list[tuple[float, float, float]]:
     """(p, weight, normalized weight) on the interior rollout grid."""
+    if n_rollouts < 2:
+        raise ValueError("n_rollouts must be >= 2")
     grid = np.arange(1, n_rollouts) / n_rollouts
     values = [pointwise_weight(scheme, float(p)) for p in grid]
     total = float(sum(values))

@@ -39,6 +39,15 @@ def config_doc(steps=2, scheme=None, out_dir=None, **train_overrides):
     return doc
 
 
+# scheme specs with a parameter that is not a finite number, and the parameter
+BAD_SCHEME_PARAMS = [
+    ("entropic_risk:eta=inf", "eta"),
+    ("entropic_risk:eta=nan", "eta"),
+    ("entropic_risk:eta=abc", "eta"),
+    ("integrated_convex:lam=inf", "lam"),
+]
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc, indent=2))
@@ -269,6 +278,34 @@ class TestWeights:
                      "--n-rollouts", "16", "--out", str(tmp_path / "w.csv")]) == 2
         assert "N=8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, field", BAD_SCHEME_PARAMS)
+    def test_bad_scheme_parameter_names_it(self, tmp_path, capsys, spec, field):
+        out = tmp_path / "w.csv"
+        assert main(["weights", "--scheme", spec, "--out", str(out)]) == 2
+        assert f"scheme parameter {field} must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_too_few_rollouts_rejected(self, tmp_path, capsys, n):
+        out = tmp_path / "w.csv"
+        assert main(["weights", "--scheme", "maxrl", "--n-rollouts", n, "--out", str(out)]) == 2
+        assert "n_rollouts must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_snapshot_cell_rejected(self, tmp_path, capsys):
+        snap = tmp_path / "refdist.csv"
+        write_csv(snap, REFERENCE_CSV_HEADER,
+                  reference_csv_columns([0], [distribution_from_rates([0.5], 8)]))
+        lines = snap.read_text().splitlines()
+        step, grid, mass, _, dens = lines[1].split(",")
+        lines[1] = ",".join([step, grid, mass, "nan", dens])
+        snap.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "w.csv"
+        assert main(["weights", "--scheme", "curve", "--ref", str(snap),
+                     "--out", str(out)]) == 2
+        assert "cdf must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_curve_with_uniform_reference_matches_maxrl(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["weights", "--scheme", "curve", "--ref", "uniform", "--out", str(a)])
@@ -296,6 +333,15 @@ class TestCompare:
         path = write_config(tmp_path, config_doc(steps=1))
         assert main(["compare", "--config", str(path), "--out", str(tmp_path / "c"),
                      "--schemes", "maxrl"]) == 2
+
+    @pytest.mark.parametrize("spec, field", BAD_SCHEME_PARAMS)
+    def test_bad_scheme_parameter_names_it(self, tmp_path, capsys, spec, field):
+        path = write_config(tmp_path, config_doc(steps=1))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(path), "--out", str(out),
+                     "--schemes", "maxrl", spec]) == 2
+        assert f"scheme parameter {field} must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_duplicate_scheme_runs_identically(self, tmp_path):
         path = write_config(tmp_path, config_doc(steps=2))

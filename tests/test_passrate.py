@@ -21,8 +21,8 @@ from curverl.passrate import (
     softmax,
     write_population_json,
 )
-from curverl.trainer import per_prompt_gradient
 from test_golden import POPULATION_CASES
+from test_trainer import per_prompt_gradient
 
 
 def prompt(logits, correct):

@@ -318,3 +318,12 @@ class TestValidation:
                 cdf_floor=0.1,
                 density_floor=0.1,
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    @pytest.mark.parametrize("name", ["bin_mass", "cdf", "density"])
+    def test_non_finite_or_negative_cells_name_the_array(self, name, bad):
+        arrays = dict(bin_mass=np.full(7, 1 / 8), cdf=np.arange(1, 8) / 8, density=np.ones(7))
+        arrays[name][0] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative$"):
+            ReferenceDistribution(n_rollouts=8, sample_count=1, cdf_floor=0.1,
+                                  density_floor=0.1, **arrays)

@@ -15,15 +15,17 @@ scipy_optimize = pytest.importorskip("scipy.optimize")
 
 from curverl import passrate  # noqa: E402
 from curverl.passrate import _OFFSET_BRACKET, _solve_logit_offsets, softmax  # noqa: E402
-from curverl.references import (  # noqa: E402
-    ReflectedTruncatedExponential,
-    TruncatedExponential,
-    fit_reference_to_rates,
-)
-from curverl.rootfind import brentq, brentq_lanes  # noqa: E402
+from curverl.rootfind import brentq_lanes  # noqa: E402
 
 targets = st.floats(min_value=1e-8, max_value=1.0 - 1e-8)
 OFFSET_TOLERANCES = dict(xtol=1e-13, rtol=8.9e-16, maxiter=200)
+
+
+def brentq(f, a, b, **kwargs):
+    """A root of the scalar ``f`` in [a, b]: one lane of :func:`brentq_lanes`,
+    called the way ``scipy.optimize.brentq`` is."""
+    root = brentq_lanes(lambda x, lanes: [f(float(x[0]))], [float(a)], [float(b)], **kwargs)
+    return float(root[0])
 
 
 def offset_gap(base, mask, target):
@@ -104,17 +106,6 @@ class TestMatchesScipy:
             expected = scipy_optimize.brentq(offset_gap(base[i], mask[i], target[i]),
                                              -_OFFSET_BRACKET, _OFFSET_BRACKET, **OFFSET_TOLERANCES)
             assert float(root).hex() == expected.hex(), f"lane {i}"
-
-    @settings(max_examples=300, deadline=None)
-    @given(mean=st.floats(min_value=0.0021, max_value=0.9979).filter(lambda x: abs(x - 0.5) >= 1e-9))
-    def test_truncated_exponential_mean_fits(self, mean):
-        ref = fit_reference_to_rates([mean])
-        target = min(mean, 1.0 - mean)
-        expected = scipy_optimize.brentq(lambda lam: TruncatedExponential(lam).mean() - target,
-                                         1e-8, 500.0, xtol=1e-13, maxiter=200)
-        kind = TruncatedExponential if mean < 0.5 else ReflectedTruncatedExponential
-        assert isinstance(ref, kind)
-        assert ref.rate.hex() == expected.hex()
 
     @settings(max_examples=200, deadline=None)
     @given(root=st.floats(-10, 10), scale=st.floats(0.01, 100),
