@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from curverl.cli import main
+from curverl.config import ExperimentConfig
 from curverl.passrate import DifficultyProfile, make_population, population_to_json
 
 GOLDEN_NUMPY = "2.4.6"
@@ -162,6 +163,38 @@ EVAL_CONFIG = {
               "t0": 2, "learning_rate": 4.0, "seed": 3, "min_window_count": 0},
     "eval": {"rollouts": 16, "k_list": [1, 2, 5, 16], "resamples": 64, "seed": 9},
 }
+
+# manifest layout: the JSON each config is written back as, out_dir unset.
+# Beside the configs above, two layouts the config writer decides: an
+# integrated_convex scheme and an integer in a float field
+LAYOUT_CASES = {
+    **CASES,
+    "eval": EVAL_CONFIG,
+    "integrated_convex": golden_config({"name": "integrated_convex", "lam": 0.25}),
+    "int_float": golden_config({"name": "entropic_risk", "eta": 2}, learning_rate=4),
+}
+
+LAYOUT_DIGESTS = {
+    "blocks_curve_window": "087c3b3bc7d1a02a02c78d90ea93978a6de853d605b3203404d12cc646e05352",
+    "curve_exact_pass_rate": "5625156c2ec41b3d94b2d4e85e2411302669e61db447619d1e6739fee8c62951",
+    "curve_window_cold_start": "3ed1c9207912733d452ee4948d2668b0fa66df32dab284503d2d0b9311cf36b6",
+    "entropic_risk": "f7bc5a28813c1463015c2a3356797a1aad5606307819b1f14c2606f567ccadcc",
+    "eval": "e2d47210b7ddad3e8228749fc2bf205c18586765d7cb6dc093dcc187be50f463",
+    "int_float": "ebd525dfc557a481d5be5d82119ea820b330b2a7743c1a17872422df73799dbc",
+    "integrated_convex": "d5a99def4a0f21439e15820f98d1509e6efd6dd1e023e29aa53e2c02594fae10",
+    "integrated_product": "bbf4e51211f0ac4bd615e01419d73e8f90d8e45ce1d43427f569adab3a6a716b",
+    "wide_curve_window": "05e7510e048e5c8382be251dfdc45cbdcc7c38b21665fc451ccb1c8cc8983f6f",
+    "wide_reinforce": "bbb6dbe4543e1f8aca0ff7cfa2f43f19826d719003f30582da92789ad15fa61f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+def test_manifest_layout(case):
+    text = ExperimentConfig.from_dict(LAYOUT_CASES[case]).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == LAYOUT_DIGESTS[case], (
+        f"the manifest layout of {case} changed:\n{text}"
+    )
+
 
 EVAL_CASES = {
     "passk": ["passk"],
