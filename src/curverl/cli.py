@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import refdist, verify, weighting
-from .config import ConfigError, ExperimentConfig, _check_value, load_experiment_config
+from .config import ConfigError, ExperimentConfig, load_experiment_config, parse_scheme
 from .evaluation import (
     difficulty_histogram,
     write_bucket_csv,
@@ -95,7 +95,8 @@ def cmd_verify(args) -> int:
 
 
 def _parse_scheme_arg(text: str) -> weighting.WeightScheme:
-    """'name' or 'name:key=value,key=value', e.g. entropic_risk:eta=2."""
+    """'name' or 'name:key=value,key=value', e.g. entropic_risk:eta=2; a value
+    that reads as a number is one, any other is a string."""
     name, _, params = text.partition(":")
     d: dict = {"name": name.strip()}
     if params:
@@ -104,20 +105,13 @@ def _parse_scheme_arg(text: str) -> weighting.WeightScheme:
             key = key.strip()
             if not value:
                 raise ConfigError(f"scheme parameter {pair!r} is not key=value")
-            if key in ("eta", "lam"):
-                try:
-                    d[key] = float(value)
-                except ValueError:
-                    d[key] = value.strip()
-                _check_value(f"scheme parameter {key}", d[key], float)
-            elif key == "reference":
+            if key in d:
+                raise ConfigError(f"scheme parameter {key!r} is given twice")
+            try:
+                d[key] = float(value)
+            except ValueError:
                 d[key] = value.strip()
-            else:
-                raise ConfigError(f"unknown scheme parameter {key!r}")
-    try:
-        return weighting.scheme_from_dict(d)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return parse_scheme(d)
 
 
 def cmd_weights(args) -> int:

@@ -3,6 +3,16 @@
 A run must be reproducible from its manifest alone, so parsing is strict:
 unknown keys are errors, not warnings, and every validation failure names the
 offending field.
+
+One codec serves every section. :func:`_parse` builds a dataclass from a JSON
+object whose keys are the dataclass's fields; fields without a default are
+required. A field's annotation decides how its value is checked: int, float,
+bool and str scalars by JSON type, ``tuple[...]`` fields from a list, nested
+dataclasses recursively, and a weighting scheme by its ``name`` in
+:data:`curverl.weighting.SCHEMES`, so each scheme takes exactly its own
+fields (a distribution-aware scheme's ``reference`` defaults to "window").
+The constructors check the values. :func:`_dump` writes the fields back in
+their declared order, leaving out the ones that are None.
 """
 
 from __future__ import annotations
@@ -10,13 +20,13 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 from .passrate import DifficultyProfile
 from .trainer import TrainConfig
-from .weighting import EntropicRisk, IntegratedConvex
+from .weighting import SCHEMES, WeightScheme, scheme_name
 
 CONFIG_VERSION = 1
 
@@ -26,6 +36,7 @@ __all__ = [
     "EvalSpec",
     "ExperimentConfig",
     "load_experiment_config",
+    "parse_scheme",
     "CONFIG_VERSION",
 ]
 
@@ -34,24 +45,9 @@ class ConfigError(ValueError):
     """Invalid or unreadable experiment configuration."""
 
 
-def _require_keys(d: dict, known: set[str], required: set[str], where: str) -> None:
-    unknown = set(d) - known
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(d)
-    if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
-
-
-_TYPE_TEXT = {int: "an integer", float: "a finite number", bool: "true or false"}
+_TYPE_TEXT = {int: "an integer", float: "a finite number", bool: "true or false",
+              str: "a string"}
 _FLOAT_MAX = int(sys.float_info.max)
-
-
-def _object(value, where: str) -> dict:
-    """A copy of a section that must be a JSON object."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
-    return dict(value)
 
 
 def _check_value(where: str, value, kind: type) -> None:
@@ -62,58 +58,86 @@ def _check_value(where: str, value, kind: type) -> None:
         ok = kind is bool
     elif isinstance(value, int):
         ok = kind is int or (kind is float and abs(value) <= _FLOAT_MAX)
+    elif isinstance(value, float):
+        ok = kind is float and math.isfinite(value)
     else:
-        ok = kind is float and isinstance(value, float) and math.isfinite(value)
+        ok = kind is str and isinstance(value, str)
     if not ok:
         raise ConfigError(f"{where} must be {_TYPE_TEXT[kind]}, got {value!r}")
 
 
-def _check_types(d: dict, where: str, *classes) -> None:
-    """Check each key of ``d`` that is an int, float or bool field of the
-    dataclasses it is parsed into, by the field's annotation; a seed must
-    also be nonnegative."""
-    for cls in classes:
-        for name, kind in get_type_hints(cls).items():
-            if name in d and kind in _TYPE_TEXT:
-                _check_value(f"{where}.{name}", d[name], kind)
-                if name == "seed" and d[name] < 0:
-                    raise ConfigError(f"{where}.seed must be >= 0, got {d[name]}")
+def _value(where: str, value, hint):
+    """One field's value from JSON, checked by its annotation ``hint``."""
+    if type(None) in get_args(hint):
+        if value is None:
+            return None
+        (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
+    if hint in _TYPE_TEXT:
+        _check_value(where, value, hint)
+        if where.endswith(".seed") and value < 0:
+            raise ConfigError(f"{where} must be >= 0, got {value}")
+        return hint(value)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        item = get_args(hint)[0]
+        for entry in value:
+            _check_value(where, entry, item)
+        return tuple(item(entry) for entry in value)
+    if hint == WeightScheme or is_dataclass(hint):
+        return _parse(hint, value, where)
+    return value  # an untyped field: its constructor checks it
 
 
-def _check_list(where: str, value, kind: type) -> None:
-    if not isinstance(value, list):
-        raise ConfigError(f"{where} must be a list, got {value!r}")
-    for item in value:
-        _check_value(where, item, kind)
-
-
-def _difficulty_from_dict(d: dict) -> DifficultyProfile:
-    _require_keys(d, {"kind", "alpha", "beta", "unsolvable_fraction", "targets"},
-                  {"kind"}, "population.difficulty")
-    _check_types(d, "population.difficulty", DifficultyProfile)
-    if d.get("targets") is not None:
-        _check_list("population.difficulty.targets", d["targets"], float)
+def _parse(cls, doc, where: str = ""):
+    """Build dataclass ``cls`` (or the ``WeightScheme`` that ``doc`` names)
+    from the JSON object ``doc``; ``where`` is its dotted path, "" at the top."""
+    label = where or "config"
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{label} must be a JSON object, got {doc!r}")
+    doc = dict(doc)
+    if cls == WeightScheme:
+        name = doc.pop("name", None)
+        cls = SCHEMES.get(name) if isinstance(name, str) else None
+        if cls is None:
+            raise ConfigError(f"{label}.name must be one of {sorted(SCHEMES)}, got {name!r}")
+    if cls is TrainConfig:
+        # v1 manifests named a kernel backend; there is one now, so the key is ignored
+        doc.pop("backend", None)
+    known = {f.name: f for f in fields(cls)}
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise ConfigError(f"{label}: unknown keys {sorted(unknown)}")
+    missing = {name for name, f in known.items()
+               if f.default is MISSING and f.default_factory is MISSING} - set(doc)
+    if missing:
+        raise ConfigError(f"{label}: missing keys {sorted(missing)}")
+    hints = get_type_hints(cls)
+    kwargs = {name: _value(f"{where}.{name}" if where else name, value, hints[name])
+              for name, value in doc.items()}
     try:
-        return DifficultyProfile(
-            kind=d["kind"],
-            alpha=float(d.get("alpha", 2.0)),
-            beta=float(d.get("beta", 2.0)),
-            unsolvable_fraction=float(d.get("unsolvable_fraction", 0.0)),
-            targets=tuple(d["targets"]) if d.get("targets") is not None else None,
-        )
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"population.difficulty: {exc}") from exc
+        raise ConfigError(f"{label}: {exc}") from exc
 
 
-def _difficulty_to_dict(p: DifficultyProfile) -> dict:
-    d: dict = {"kind": p.kind}
-    if p.kind == "beta":
-        d["alpha"] = p.alpha
-        d["beta"] = p.beta
-    if p.targets is not None:
-        d["targets"] = list(p.targets)
-    d["unsolvable_fraction"] = p.unsolvable_fraction
-    return d
+def _dump(obj):
+    """The JSON value of a parsed field: :func:`_parse` reads it back equal."""
+    if isinstance(obj, tuple):
+        return list(obj)
+    if not is_dataclass(obj):
+        return obj
+    doc = {"name": scheme_name(obj)} if type(obj) in SCHEMES.values() else {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value is not None:
+            doc[f.name] = _dump(value)
+    return doc
+
+
+def parse_scheme(doc, where: str = "scheme") -> WeightScheme:
+    """A weighting scheme from ``{"name": ..., <the scheme's fields>}``."""
+    return _parse(WeightScheme, doc, where)
 
 
 @dataclass(frozen=True)
@@ -125,33 +149,9 @@ class PopulationSpec:
 
     def __post_init__(self) -> None:
         if self.size < 1:
-            raise ConfigError(f"population.size must be >= 1, got {self.size}")
+            raise ValueError(f"size must be >= 1, got {self.size}")
         if self.m < 2:
-            raise ConfigError(f"population.m must be >= 2, got {self.m}")
-
-    def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "m": self.m,
-            "seed": self.seed,
-            "difficulty": _difficulty_to_dict(self.difficulty),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PopulationSpec":
-        _require_keys(d, {"size", "m", "seed", "difficulty"}, {"size"}, "population")
-        _check_types(d, "population", cls)
-        difficulty = (
-            _difficulty_from_dict(_object(d["difficulty"], "population.difficulty"))
-            if "difficulty" in d
-            else DifficultyProfile()
-        )
-        return cls(
-            size=int(d["size"]),
-            m=int(d.get("m", 16)),
-            seed=int(d.get("seed", 0)),
-            difficulty=difficulty,
-        )
+            raise ValueError(f"m must be >= 2, got {self.m}")
 
     def build(self):
         from .passrate import make_population
@@ -168,86 +168,33 @@ class EvalSpec:
 
     def __post_init__(self) -> None:
         if self.rollouts < 1:
-            raise ConfigError(f"eval.rollouts must be >= 1, got {self.rollouts}")
+            raise ValueError(f"rollouts must be >= 1, got {self.rollouts}")
         if not self.k_list:
-            raise ConfigError("eval.k_list must not be empty")
+            raise ValueError("k_list must not be empty")
         if any(k < 1 or k > self.rollouts for k in self.k_list):
-            raise ConfigError(f"eval.k_list entries must lie in [1, {self.rollouts}]")
+            raise ValueError(f"k_list entries must lie in [1, {self.rollouts}]")
         if self.resamples < 1:
-            raise ConfigError(f"eval.resamples must be >= 1, got {self.resamples}")
-
-    def to_dict(self) -> dict:
-        return {
-            "rollouts": self.rollouts,
-            "k_list": list(self.k_list),
-            "resamples": self.resamples,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalSpec":
-        _require_keys(d, {"rollouts", "k_list", "resamples", "seed"}, set(), "eval")
-        _check_types(d, "eval", cls)
-        if "k_list" in d:
-            _check_list("eval.k_list", d["k_list"], int)
-        kwargs = dict(d)
-        if "k_list" in kwargs:
-            kwargs["k_list"] = tuple(int(k) for k in kwargs["k_list"])
-        return cls(**kwargs)
+            raise ValueError(f"resamples must be >= 1, got {self.resamples}")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    version: int = field(default=CONFIG_VERSION, kw_only=True)
     population: PopulationSpec
     train: TrainConfig
     eval: EvalSpec = field(default_factory=EvalSpec)
     out_dir: str | None = None
-    version: int = CONFIG_VERSION
 
-    def to_dict(self) -> dict:
-        d = {
-            "version": self.version,
-            "population": self.population.to_dict(),
-            "train": self.train.to_dict(),
-            "eval": self.eval.to_dict(),
-        }
-        if self.out_dir is not None:
-            d["out_dir"] = self.out_dir
-        return d
+    def __post_init__(self) -> None:
+        if self.version != CONFIG_VERSION:
+            raise ValueError(f"version must be {CONFIG_VERSION}, got {self.version}")
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json.dumps(_dump(self), indent=2) + "\n"
 
     @classmethod
     def from_dict(cls, d) -> "ExperimentConfig":
-        d = _object(d, "config")
-        _require_keys(
-            d, {"version", "population", "train", "eval", "out_dir"},
-            {"population", "train"}, "config",
-        )
-        _check_types(d, "config", cls)
-        version = d.get("version", CONFIG_VERSION)
-        if version != CONFIG_VERSION:
-            raise ConfigError(f"version: expected {CONFIG_VERSION}, got {version}")
-        if d.get("out_dir") is not None and not isinstance(d["out_dir"], str):
-            raise ConfigError(f"out_dir must be a string, got {d['out_dir']!r}")
-        train_doc = _object(d["train"], "train")
-        _check_types(train_doc, "train", TrainConfig)
-        if "scheme" in train_doc:
-            train_doc["scheme"] = _object(train_doc["scheme"], "train.scheme")
-            _check_types(train_doc["scheme"], "train.scheme", EntropicRisk, IntegratedConvex)
-        try:
-            train = TrainConfig.from_dict(train_doc)
-        except ValueError as exc:
-            raise ConfigError(f"train: {exc}") from exc
-        eval_spec = EvalSpec.from_dict(_object(d["eval"], "eval")) if "eval" in d else EvalSpec()
-        return cls(
-            population=PopulationSpec.from_dict(_object(d["population"], "population")),
-            train=train,
-            eval=eval_spec,
-            out_dir=d.get("out_dir"),
-            version=version,
-        )
+        return _parse(cls, d)
 
     def with_out_dir(self, out_dir: str) -> "ExperimentConfig":
         return replace(self, out_dir=out_dir)

@@ -120,9 +120,10 @@ def population_pass_rate_gradients(theta: np.ndarray, correct_masks: np.ndarray)
 class DifficultyProfile:
     """Target initial pass-rate profile for synthesized populations.
 
-    ``beta`` draws targets from Beta(alpha, beta); ``fixed`` uses the given
-    targets verbatim. A fraction of prompts can be made structurally
-    unsolvable (empty correct set, pass rate exactly 0).
+    ``beta`` draws targets from Beta(alpha, beta); ``fixed`` cycles through
+    the given targets, each in [0, 1] (held 1e-8 inside it). A fraction of
+    prompts can be made structurally unsolvable (empty correct set, pass rate
+    exactly 0).
     """
 
     kind: str = "beta"
@@ -138,6 +139,10 @@ class DifficultyProfile:
             raise ValueError("beta profile needs alpha > 0 and beta > 0")
         if self.kind == "fixed" and not self.targets:
             raise ValueError("fixed profile needs explicit targets")
+        if self.kind == "beta" and self.targets is not None:
+            raise ValueError("beta profile takes no targets")
+        if self.targets and not all(0.0 <= t <= 1.0 for t in self.targets):
+            raise ValueError(f"targets must lie in [0, 1], got {list(self.targets)}")
         if not 0.0 <= self.unsolvable_fraction < 1.0:
             raise ValueError("unsolvable_fraction must be in [0, 1)")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -74,24 +74,6 @@ class TrainConfig:
         for name, ok in checks:
             if not ok:
                 raise ValueError(f"invalid TrainConfig field {name}={getattr(self, name)!r}")
-
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["scheme"] = weighting.scheme_to_dict(self.scheme)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        # v1 manifests named a kernel backend; there is one now, so the key is ignored
-        unknown = set(d) - {f.name for f in fields(cls)} - {"backend"}
-        if unknown:
-            raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(d)
-        if missing:
-            raise ValueError(f"missing train config keys: {sorted(missing)}")
-        kwargs = {k: v for k, v in d.items() if k != "backend"}
-        kwargs["scheme"] = weighting.scheme_from_dict(dict(d["scheme"]))
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -167,7 +149,7 @@ def _scheme_for_step(state: TrainerState, window_ref: ReferenceDistribution):
     if not weighting.needs_reference(scheme):
         return scheme
     ref = scheme.reference
-    if ref is None or ref == "window":
+    if ref == "window":
         if len(state.window) < state.config.min_window_count:
             if not state._cold_start_logged:
                 log.info(

@@ -51,8 +51,7 @@ __all__ = [
     "ClippedLog",
     "needs_reference",
     "scheme_name",
-    "scheme_to_dict",
-    "scheme_from_dict",
+    "SCHEMES",
     "pointwise_weight",
     "weight_function",
     "induced_prior",
@@ -92,21 +91,33 @@ class EntropicRisk:
     eta: float
 
     def __post_init__(self) -> None:
-        if not self.eta > 0:
-            raise ValueError("eta must be > 0")
+        # at eta = inf the weight is 0 at every rate
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be finite and > 0, got {self.eta!r}")
+
+
+def _check_reference(reference) -> None:
+    if reference not in ("window", "uniform") and not hasattr(reference, "cdf_at"):
+        raise ValueError(
+            f"reference must be 'window', 'uniform' or a reference distribution, got {reference!r}"
+        )
 
 
 @dataclass(frozen=True)
 class Curve:
     """Reverse-hazard weight under a reference distribution.
 
-    ``reference`` may be a reference object (pinned), the string "uniform"
-    (pinned to the neutral uniform reference), or None / "window" (resolved
-    from the sliding window each training step; outside training this falls
-    back to the uniform reference, i.e. the 1/p weight).
+    ``reference`` is "window" by default: resolved from the sliding window
+    each training step, and outside training the uniform reference, i.e. the
+    1/p weight. "uniform" pins the neutral uniform reference; a reference
+    object (anything with ``cdf_at`` and ``density_at``) is used as given.
+    A config names only the two strings.
     """
 
-    reference: object = None
+    reference: object = "window"
+
+    def __post_init__(self) -> None:
+        _check_reference(self.reference)
 
 
 @dataclass(frozen=True)
@@ -114,23 +125,38 @@ class IntegratedConvex:
     """Convex mix of the 1/p rule and the reverse-hazard rule."""
 
     lam: float
-    reference: object = None
+    reference: object = "window"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must be in [0, 1]")
+        _check_reference(self.reference)
 
 
 @dataclass(frozen=True)
 class IntegratedProduct:
     """Product-form blend of rank and raw pass-rate information."""
 
-    reference: object = None
+    reference: object = "window"
+
+    def __post_init__(self) -> None:
+        _check_reference(self.reference)
 
 
 WeightScheme = Union[
     Reinforce, Grpo, MaxRL, EntropicRisk, Curve, IntegratedConvex, IntegratedProduct
 ]
+
+# each scheme's config name; a scheme's config keys are its dataclass fields
+SCHEMES = {
+    "reinforce": Reinforce,
+    "grpo": Grpo,
+    "maxrl": MaxRL,
+    "entropic_risk": EntropicRisk,
+    "curve": Curve,
+    "integrated_convex": IntegratedConvex,
+    "integrated_product": IntegratedProduct,
+}
 
 
 def needs_reference(scheme: WeightScheme) -> bool:
@@ -139,63 +165,7 @@ def needs_reference(scheme: WeightScheme) -> bool:
 
 
 def scheme_name(scheme: WeightScheme) -> str:
-    return {
-        Reinforce: "reinforce",
-        Grpo: "grpo",
-        MaxRL: "maxrl",
-        EntropicRisk: "entropic_risk",
-        Curve: "curve",
-        IntegratedConvex: "integrated_convex",
-        IntegratedProduct: "integrated_product",
-    }[type(scheme)]
-
-
-def scheme_to_dict(scheme: WeightScheme) -> dict:
-    d: dict = {"name": scheme_name(scheme)}
-    if isinstance(scheme, EntropicRisk):
-        d["eta"] = scheme.eta
-    if needs_reference(scheme):
-        ref = scheme.reference
-        if ref is None or ref == "window":
-            d["reference"] = "window"
-        elif ref == "uniform" or isinstance(ref, ContinuousUniform):
-            d["reference"] = "uniform"
-        else:
-            raise ValueError("only 'window' and 'uniform' references are serializable")
-    if isinstance(scheme, IntegratedConvex):
-        d["lam"] = scheme.lam
-    return d
-
-
-def scheme_from_dict(d: dict) -> WeightScheme:
-    known = {"name", "eta", "lam", "reference"}
-    unknown = set(d) - known
-    if unknown:
-        raise ValueError(f"unknown scheme keys: {sorted(unknown)}")
-    name = d.get("name")
-    ref = d.get("reference", "window")
-    if ref not in ("window", "uniform"):
-        raise ValueError(f"scheme reference must be 'window' or 'uniform', got {ref!r}")
-    if name == "reinforce":
-        return Reinforce()
-    if name == "grpo":
-        return Grpo()
-    if name == "maxrl":
-        return MaxRL()
-    if name == "entropic_risk":
-        if "eta" not in d:
-            raise ValueError("entropic_risk scheme needs 'eta'")
-        return EntropicRisk(eta=float(d["eta"]))
-    ref_value = None if ref == "window" else ref
-    if name == "curve":
-        return Curve(reference=ref_value)
-    if name == "integrated_convex":
-        if "lam" not in d:
-            raise ValueError("integrated_convex scheme needs 'lam'")
-        return IntegratedConvex(lam=float(d["lam"]), reference=ref_value)
-    if name == "integrated_product":
-        return IntegratedProduct(reference=ref_value)
-    raise ValueError(f"unknown scheme name {name!r}")
+    return {cls: name for name, cls in SCHEMES.items()}[type(scheme)]
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +237,7 @@ def _entropic_weight(eta: float, p: float) -> float:
 
 
 def _resolve_reference(reference) -> object:
-    if reference is None or reference == "window" or reference == "uniform":
+    if reference in ("window", "uniform"):
         return ContinuousUniform()
     return reference
 

@@ -104,7 +104,7 @@ class TestTrain:
         assert main(["train", "--config", str(path), "--out", str(out)]) == 0
         manifest = load_experiment_config(out / "manifest.json")
         # reparsing the manifest's own serialization is a fixed point
-        assert ExperimentConfig.from_dict(manifest.to_dict()) == manifest
+        assert ExperimentConfig.from_dict(json.loads(manifest.to_json())) == manifest
 
     @pytest.mark.parametrize("section, field, value", [
         ("train", "learning_rate", float("inf")),
@@ -125,6 +125,30 @@ class TestTrain:
         path = write_config(tmp_path, doc)
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
         assert f"{section}.{field}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("scheme, key", [
+        ({"name": "grpo", "eta": 1}, "eta"),
+        ({"name": "reinforce", "reference": "uniform"}, "reference"),
+        ({"name": "curve", "lam": 0.5}, "lam"),
+        ({"name": "integrated_convex", "lam": 0.5, "eta": 1.0}, "eta"),
+    ])
+    def test_scheme_key_the_scheme_does_not_take_names_it(self, tmp_path, capsys, scheme, key):
+        path = write_config(tmp_path, config_doc(scheme=scheme))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert f"train.scheme: unknown keys ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("difficulty", [
+        {"kind": "fixed", "targets": [5.0, -2.0]},
+        {"kind": "beta", "targets": [0.5]},
+    ])
+    def test_bad_difficulty_targets_name_the_section(self, tmp_path, capsys, difficulty):
+        doc = config_doc()
+        doc["population"]["difficulty"] = difficulty
+        path = write_config(tmp_path, doc)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert "population.difficulty" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("where, value, kind", [
@@ -282,7 +306,20 @@ class TestWeights:
     def test_bad_scheme_parameter_names_it(self, tmp_path, capsys, spec, field):
         out = tmp_path / "w.csv"
         assert main(["weights", "--scheme", spec, "--out", str(out)]) == 2
-        assert f"scheme parameter {field} must be a finite number" in capsys.readouterr().err
+        assert f"scheme.{field} must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, text", [
+        ("grpo:eta=1", "unknown keys ['eta']"),
+        ("reinforce:reference=uniform", "unknown keys ['reference']"),
+        ("curve:lam=0.5", "unknown keys ['lam']"),
+        ("entropic_risk:eta=2,eta=3", "'eta' is given twice"),
+    ])
+    def test_scheme_parameter_the_scheme_does_not_take_names_it(self, tmp_path, capsys,
+                                                               spec, text):
+        out = tmp_path / "w.csv"
+        assert main(["weights", "--scheme", spec, "--ref", "uniform", "--out", str(out)]) == 2
+        assert text in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("n", ["1", "0", "-3"])
@@ -340,7 +377,7 @@ class TestCompare:
         out = tmp_path / "cmp"
         assert main(["compare", "--config", str(path), "--out", str(out),
                      "--schemes", "maxrl", spec]) == 2
-        assert f"scheme parameter {field} must be a finite number" in capsys.readouterr().err
+        assert f"scheme.{field} must be a finite number" in capsys.readouterr().err
         assert not out.exists()
 
     def test_duplicate_scheme_runs_identically(self, tmp_path):
@@ -364,6 +401,29 @@ class TestCompare:
         assert (out / "00_curve" / "refdist.csv").read_bytes() == (
             out / "01_maxrl" / "refdist.csv"
         ).read_bytes()
+
+
+class TestPatchedGlobals:
+    def test_commands_call_the_cli_module_globals(self, tmp_path, monkeypatch):
+        # curvebench times and traces a run by replacing these names in curverl.cli
+        import curverl.cli as cli
+
+        called = set()
+        for name in ("run_training", "load_experiment_config", "write_training_artifacts",
+                     "evaluate_policy"):
+            def spy(*args, _name=name, _real=getattr(cli, name), **kwargs):
+                called.add(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, spy)
+        path = write_config(tmp_path, config_doc(steps=1))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "t")]) == 0
+        assert called == {"run_training", "load_experiment_config", "write_training_artifacts"}
+        called.clear()
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "c"),
+                     "--schemes", "reinforce", "maxrl"]) == 0
+        assert called == {"run_training", "load_experiment_config", "write_training_artifacts",
+                          "evaluate_policy"}
 
 
 class TestPassK:

@@ -166,7 +166,10 @@ EVAL_CONFIG = {
 
 # manifest layout: the JSON each config is written back as, out_dir unset.
 # Beside the configs above, two layouts the config writer decides: an
-# integrated_convex scheme and an integer in a float field
+# integrated_convex scheme and an integer in a float field. The fields of each
+# section are written in their declared order, so a fixed profile also writes
+# alpha and beta, integrated_convex writes lam before reference, and a float
+# field's value is a float (int_float's layout is entropic_risk's)
 LAYOUT_CASES = {
     **CASES,
     "eval": EVAL_CONFIG,
@@ -179,9 +182,9 @@ LAYOUT_DIGESTS = {
     "curve_exact_pass_rate": "5625156c2ec41b3d94b2d4e85e2411302669e61db447619d1e6739fee8c62951",
     "curve_window_cold_start": "3ed1c9207912733d452ee4948d2668b0fa66df32dab284503d2d0b9311cf36b6",
     "entropic_risk": "f7bc5a28813c1463015c2a3356797a1aad5606307819b1f14c2606f567ccadcc",
-    "eval": "e2d47210b7ddad3e8228749fc2bf205c18586765d7cb6dc093dcc187be50f463",
-    "int_float": "ebd525dfc557a481d5be5d82119ea820b330b2a7743c1a17872422df73799dbc",
-    "integrated_convex": "d5a99def4a0f21439e15820f98d1509e6efd6dd1e023e29aa53e2c02594fae10",
+    "eval": "e822076bc07d0e1847b123aeea6dc4487429595866daf8a1f241d504e6c1fc93",
+    "int_float": "f7bc5a28813c1463015c2a3356797a1aad5606307819b1f14c2606f567ccadcc",
+    "integrated_convex": "ea8e2f7bd91d027bd0aacea9fafdec65701b53ef5f93750627cfd4a6c4fa1bc9",
     "integrated_product": "bbf4e51211f0ac4bd615e01419d73e8f90d8e45ce1d43427f569adab3a6a716b",
     "wide_curve_window": "05e7510e048e5c8382be251dfdc45cbdcc7c38b21665fc451ccb1c8cc8983f6f",
     "wide_reinforce": "bbb6dbe4543e1f8aca0ff7cfa2f43f19826d719003f30582da92789ad15fa61f",
@@ -194,6 +197,30 @@ def test_manifest_layout(case):
     assert hashlib.sha256(text.encode()).hexdigest() == LAYOUT_DIGESTS[case], (
         f"the manifest layout of {case} changed:\n{text}"
     )
+
+
+# a manifest as written before fields were dumped in their declared order:
+# the fixed profile has no alpha and beta, reference precedes lam, and the
+# learning rate is an integer
+OLD_LAYOUT_MANIFEST = {
+    "version": 1,
+    "population": {"size": 24, "m": 8, "seed": 5, "difficulty": {
+        "kind": "fixed", "targets": [0.9995, 0.6, 0.2, 0.05], "unsolvable_fraction": 0.25}},
+    "train": {"steps": 4, "scheme": {"name": "integrated_convex", "reference": "window",
+                                     "lam": 0.25},
+              "batch_size": 16, "n_rollouts": 8, "t0": 2, "learning_rate": 4, "seed": 3,
+              "min_window_count": 0, "log_per_prompt": False,
+              "weight_at_exact_pass_rate": False},
+    "eval": {"rollouts": 16, "k_list": [1, 2, 5, 16], "resamples": 64, "seed": 9},
+}
+
+
+def test_old_manifest_layout_loads_to_an_equal_config():
+    doc = json.loads(json.dumps(EVAL_CONFIG))
+    doc["train"].update(scheme={"name": "integrated_convex", "lam": 0.25}, learning_rate=4.0)
+    old = ExperimentConfig.from_dict(OLD_LAYOUT_MANIFEST)
+    assert old == ExperimentConfig.from_dict(doc)
+    assert ExperimentConfig.from_dict(json.loads(old.to_json())) == old
 
 
 EVAL_CASES = {

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curverl.config import _dump, _parse
 from curverl.kernels import accumulate_gradients, sample_responses
 from curverl.passrate import (
     DifficultyProfile,
@@ -519,14 +520,14 @@ class TestConfigValidation:
 
     def test_round_trip(self):
         cfg = TrainConfig(steps=5, scheme=Curve(), batch_size=2, seed=3)
-        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+        assert _parse(TrainConfig, _dump(cfg), "train") == cfg
 
     def test_unknown_keys_rejected(self):
         cfg = TrainConfig(steps=5, scheme=Reinforce())
-        d = cfg.to_dict()
+        d = _dump(cfg)
         d["typo"] = 1
         with pytest.raises(ValueError, match="typo"):
-            TrainConfig.from_dict(d)
+            _parse(TrainConfig, d, "train")
 
 
 class TestExactRateCache:

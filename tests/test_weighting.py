@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from curverl import refdist
+from curverl.config import ConfigError, _dump, parse_scheme
 from curverl.quadrature import DivergentIntegralError, tail_integral
 from curverl.references import (
     ContinuousUniform,
@@ -30,8 +31,6 @@ from curverl.weighting import (
     pointwise_weight,
     relative_multiplier,
     reverse_hazard_identity_check,
-    scheme_from_dict,
-    scheme_to_dict,
     utility_gap_bound_check,
     weight_function,
     weight_table,
@@ -99,6 +98,20 @@ class TestPointwiseWeights:
             EntropicRisk(0.0)
         with pytest.raises(ValueError):
             IntegratedConvex(1.5)
+
+    def test_entropic_rejects_infinite_eta(self):
+        # at eta = inf every weight would be 0.0
+        with pytest.raises(ValueError, match="eta must be finite"):
+            EntropicRisk(math.inf)
+
+    @pytest.mark.parametrize("scheme", [Curve, IntegratedProduct,
+                                        lambda ref: IntegratedConvex(0.5, ref)])
+    def test_reference_is_window_uniform_or_a_distribution(self, scheme):
+        for ref in ("window", "uniform", ContinuousUniform()):
+            scheme(ref)
+        for ref in ("bogus", None, 5):
+            with pytest.raises(ValueError, match="reference must be"):
+                scheme(ref)
 
     def test_entropic_strictly_decreasing(self):
         grid = np.arange(1, 10) * 0.1
@@ -341,12 +354,13 @@ class TestSchemeSerialization:
         for scheme in (Reinforce(), Grpo(), MaxRL(), EntropicRisk(2.5),
                        Curve(), Curve(reference="uniform"),
                        IntegratedConvex(0.5), IntegratedProduct()):
-            assert scheme_from_dict(scheme_to_dict(scheme)) == scheme
+            assert parse_scheme(_dump(scheme)) == scheme
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError):
-            scheme_from_dict({"name": "maxrl", "bogus": 1})
-        with pytest.raises(ValueError):
-            scheme_from_dict({"name": "nope"})
-        with pytest.raises(ValueError):
-            scheme_from_dict({"name": "entropic_risk"})
+        with pytest.raises(ConfigError, match="bogus"):
+            parse_scheme({"name": "maxrl", "bogus": 1})
+        for name in ("nope", ["curve"], None):
+            with pytest.raises(ConfigError, match="scheme.name"):
+                parse_scheme({"name": name})
+        with pytest.raises(ConfigError, match="missing keys \\['eta'\\]"):
+            parse_scheme({"name": "entropic_risk"})
