@@ -54,9 +54,10 @@ def _train_once(cfg: ExperimentConfig, population, out: Path):
     return result
 
 
-def _eval_policy(cfg: ExperimentConfig, theta, masks):
+def _eval_policies(cfg: ExperimentConfig, thetas, masks):
+    """[(pass@k by k, empirical pass rates)] for each policy, in one pass."""
     return evaluate_policy(
-        theta, masks,
+        thetas, masks,
         r=cfg.eval.rollouts,
         k_list=cfg.eval.k_list,
         resamples=cfg.eval.resamples,
@@ -116,7 +117,13 @@ def _parse_scheme_arg(text: str) -> weighting.WeightScheme:
 
 def cmd_weights(args) -> int:
     scheme = _parse_scheme_arg(args.scheme)
-    if weighting.needs_reference(scheme):
+    # only a distribution-aware scheme's default "window" reference reads --ref
+    reads_ref = weighting.needs_reference(scheme) and scheme.reference == "window"
+    if args.ref is not None and not reads_ref:
+        why = (f"pins reference={scheme.reference!r}" if weighting.needs_reference(scheme)
+               else "reads no reference")
+        raise ConfigError(f"--ref conflicts with scheme {args.scheme!r}, which {why}")
+    if reads_ref:
         if args.ref is None:
             raise ConfigError(f"scheme {args.scheme!r} needs --ref (refdist.csv path or 'uniform')")
         if args.ref == "uniform":
@@ -142,15 +149,17 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare needs at least 2 schemes")
     out.mkdir(parents=True, exist_ok=True)
     population = cfg.population.build()
-    passk_by_label = {}
-    buckets_by_label = {}
+    # train every scheme first, keeping only its policy, then evaluate all
+    # policies in one pass that shares each prompt's bootstrap draws
+    thetas = {}
     for idx, scheme in enumerate(schemes):
         label = f"{idx:02d}_{weighting.scheme_name(scheme)}"
         run_cfg = replace(cfg, train=replace(cfg.train, scheme=scheme))
-        result = _train_once(run_cfg, population, out / label)
-        passk, emp_rates = _eval_policy(run_cfg, result.theta, population.correct)
-        passk_by_label[label] = passk
-        buckets_by_label[label] = difficulty_histogram(emp_rates)
+        thetas[label] = _train_once(run_cfg, population, out / label).theta
+    evaluated = dict(zip(thetas, _eval_policies(cfg, list(thetas.values()), population.correct)))
+    passk_by_label = {label: passk for label, (passk, _) in evaluated.items()}
+    buckets_by_label = {label: difficulty_histogram(rates)
+                        for label, (_, rates) in evaluated.items()}
     write_passk_csv(out / "compare.csv", passk_by_label)
     write_bucket_csv(out / "compare_buckets.csv", buckets_by_label)
     print(f"wrote {out / 'compare.csv'}")
@@ -162,7 +171,7 @@ def cmd_passk(args) -> int:
     out = _resolve_out_dir(args, cfg)
     out.mkdir(parents=True, exist_ok=True)
     population = cfg.population.build()
-    passk, emp_rates = _eval_policy(cfg, population.logits, population.correct)
+    [(passk, emp_rates)] = _eval_policies(cfg, [population.logits], population.correct)
     name = weighting.scheme_name(cfg.train.scheme)
     write_passk_csv(out / "passk.csv", {name: passk})
     write_bucket_csv(out / "passk_buckets.csv", {name: difficulty_histogram(emp_rates)})
@@ -199,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_weights.add_argument("--n-rollouts", type=int, default=8,
                            help="rollouts per prompt, >= 2 (default 8)")
     p_weights.add_argument("--ref", type=str, default=None,
-                           help="refdist.csv snapshot or 'uniform' (adaptive schemes)")
+                           help="refdist.csv snapshot or 'uniform' (adaptive schemes whose "
+                                "reference is the default 'window')")
     p_weights.set_defaults(func=cmd_weights)
 
     p_compare = sub.add_parser("compare", parents=[common],

@@ -8,9 +8,14 @@ least one correct answer; as the resample count grows this converges to
 1 - (1 - q)^k for a pool with empirical accuracy q. An exact
 without-replacement estimator is provided for cross-checking.
 
-``evaluate_policy`` samples every prompt's pool in one
-:func:`curverl.kernels.sample_responses` call and draws no resamples for a pool
-that is all wrong or all right, where every resample reads the same; that
+``evaluate_policy`` evaluates a sequence of policies in one pass. Prompt i's
+generator, seeded by (seed, i), draws the r uniforms that every policy's pool
+of prompt i reads, then one (resamples, k) index draw per k >= 2 in ascending
+k, which :func:`pass_at_k` applies to every policy's pool at once. Neither
+draw depends on the policy, so each policy's numbers are the same bits as
+when it is evaluated alone. A pool that is all wrong or all right, where
+every resample reads the same, scores its mean without reading the draws, and
+a prompt none of whose pools is live draws no resamples at all; that
 prompt's generator serves nothing else, so the reported numbers are the same
 as when every pool is resampled.
 """
@@ -38,29 +43,42 @@ __all__ = [
 ]
 
 
-def _pool_size(pool: np.ndarray, k: int) -> int:
+def _pool_size(pool: np.ndarray, k: int, block: bool = False) -> int:
     """Size of a valid pool for pass@k; rejects a non-boolean pool and k
-    outside [1, size]."""
-    if not isinstance(pool, np.ndarray) or pool.dtype != bool or pool.ndim != 1:
-        raise ValueError("a rollout pool must be a 1-d boolean array")
-    if not 1 <= k <= pool.size:
-        raise ValueError(f"k must satisfy 1 <= k <= {pool.size}, got {k}")
-    return pool.size
+    outside [1, size]. With ``block`` a 2-d array of pools, one per row, is
+    valid too."""
+    ndims = (1, 2) if block else (1,)
+    if not isinstance(pool, np.ndarray) or pool.dtype != bool or pool.ndim not in ndims:
+        raise ValueError("a rollout pool must be a 1-d boolean array"
+                         + (" (or a 2-d block of them)" if block else ""))
+    r = pool.shape[-1]
+    if not 1 <= k <= r:
+        raise ValueError(f"k must satisfy 1 <= k <= {r}, got {k}")
+    return r
 
 
 def pass_at_k(pool: np.ndarray, k: int, resamples: int = 1000,
-              rng: np.random.Generator | None = None) -> float:
+              rng: np.random.Generator | None = None):
     """Bootstrap probability that a best-of-k draw from the pool contains a
-    correct answer."""
-    r = _pool_size(pool, k)
+    correct answer.
+
+    ``pool`` may also be a 2-d block of pools, one per row: every row is scored
+    against the same (resamples, k) index draw, so row j gets the value the
+    1-d call on row j gets from an identically seeded generator. A 1-d pool
+    returns a float, a block an array with one value per row.
+    """
+    r = _pool_size(pool, k, block=True)
     if k == 1:
-        return float(pool.mean())
-    if resamples < 1:
-        raise ValueError("resamples must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng()
-    idx = rng.integers(0, r, size=(resamples, k))
-    return np.count_nonzero(np.take(pool, idx).any(axis=1)) / resamples
+        rates = pool.mean(axis=-1)
+    else:
+        if resamples < 1:
+            raise ValueError("resamples must be >= 1")
+        if rng is None:
+            rng = np.random.default_rng()
+        idx = rng.integers(0, r, size=(resamples, k))
+        hits = np.take(pool, idx, axis=-1).any(axis=-1)
+        rates = np.count_nonzero(hits, axis=-1) / resamples
+    return rates if pool.ndim == 2 else float(rates)
 
 
 def pass_at_k_exact_with_replacement(pool: np.ndarray, k: int) -> float:
@@ -121,54 +139,68 @@ def write_bucket_csv(path, buckets_by_scheme) -> None:
 _POOL_BLOCK_ENTRIES = 2**13
 
 
-def _rollout_pools(cum: np.ndarray, correct_masks: np.ndarray, r: int, seed: int):
-    """Yield each prompt's boolean pool of r rollouts with its generator.
+def _rollout_pools(cums: list[np.ndarray], correct_masks: np.ndarray, r: int, seed: int):
+    """Yield each prompt's (S, r) block of boolean pools, one row per policy,
+    with the prompt's generator.
 
-    Prompt i's generator, seeded by (seed, i), first draws the pool's r
-    uniforms and then serves the prompt's resamples. The pools of a block of
-    prompts are sampled in one kernel call.
+    Prompt i's generator, seeded by (seed, i), first draws the r uniforms that
+    all S policies' pools read and then serves the prompt's resamples. The
+    pools of a block of prompts are sampled in one kernel call per policy.
     """
     block = max(1, _POOL_BLOCK_ENTRIES // r)
-    for lo in range(0, len(cum), block):
+    for lo in range(0, len(correct_masks), block):
         rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-                for i in range(lo, min(lo + block, len(cum)))]
+                for i in range(lo, min(lo + block, len(correct_masks)))]
         uniforms = np.empty((len(rngs), r))
         for row, rng in zip(uniforms, rngs):
             rng.random(out=row)
-        responses = sample_responses(cum[lo:lo + block], uniforms)
-        yield from zip(np.take_along_axis(correct_masks[lo:lo + block], responses, axis=1), rngs)
+        masks = correct_masks[lo:lo + block]
+        pools = np.stack([np.take_along_axis(masks, sample_responses(cum[lo:lo + block], uniforms),
+                                             axis=1) for cum in cums], axis=1)
+        yield from zip(pools, rngs)
 
 
-def evaluate_policy(theta: np.ndarray, correct_masks: np.ndarray, r: int,
-                    k_list, resamples: int, seed: int) -> tuple[dict[int, float], np.ndarray]:
-    """Mean pass@k across prompts plus the empirical pass-rate vector.
+def evaluate_policy(thetas, correct_masks: np.ndarray, r: int, k_list, resamples: int,
+                    seed: int) -> list[tuple[dict[int, float], np.ndarray]]:
+    """Mean pass@k across prompts plus the empirical pass-rate vector, for
+    each policy in ``thetas``, in order.
 
-    Each prompt gets an independent rollout pool, read off its row of the
-    boolean ``correct_masks``, and independent bootstrap resamples, both from
-    one generator seeded per prompt for reproducibility. A pool that is all
-    wrong or all right scores its mean at every k without drawing resamples.
+    Each prompt gets an independent rollout pool per policy, read off its row
+    of the boolean ``correct_masks``, and independent bootstrap resamples, both
+    from one generator seeded per prompt for reproducibility and shared by
+    every policy. A pool that is all wrong or all right scores its mean at
+    every k without reading resamples. A policy's numbers do not depend on
+    which other policies are evaluated beside it.
     """
     correct_masks = np.asarray(correct_masks)
-    if theta.ndim != 2 or correct_masks.shape != theta.shape:
-        raise ValueError(
-            f"theta and correct_masks must be 2-d of equal shape, got {theta.shape} "
-            f"and {correct_masks.shape}"
-        )
+    if len(thetas) == 0:
+        raise ValueError("evaluate_policy needs at least one policy")
+    for theta in thetas:
+        if theta.ndim != 2 or correct_masks.shape != theta.shape:
+            raise ValueError(
+                f"theta and correct_masks must be 2-d of equal shape, got {theta.shape} "
+                f"and {correct_masks.shape}"
+            )
     if correct_masks.dtype != bool:
         raise ValueError(f"correct_masks must be boolean, got {correct_masks.dtype}")
-    n_prompts = theta.shape[0]
+    n_prompts = correct_masks.shape[0]
     k_list = sorted(set(int(k) for k in k_list))
     if any(k < 1 or k > r for k in k_list):
         raise ValueError(f"every k must lie in [1, {r}]")
     if resamples < 1 and any(k >= 2 for k in k_list):
         raise ValueError(f"resamples must be >= 1 for k >= 2, got {resamples}")
-    probs = softmax(theta)
-    cum = np.cumsum(probs, axis=1)
-    totals = {k: 0.0 for k in k_list}
-    emp_rates = np.empty(n_prompts)
-    for i, (pool, rng) in enumerate(_rollout_pools(cum, correct_masks, r, seed)):
-        emp_rates[i] = q = float(pool.mean())
-        constant = q == 0.0 or q == 1.0
-        for k in k_list:
-            totals[k] += q if constant else pass_at_k(pool, k, resamples=resamples, rng=rng)
-    return {k: totals[k] / n_prompts for k in k_list}, emp_rates
+    cums = [np.cumsum(softmax(theta), axis=1) for theta in thetas]
+    # per-policy sums over prompts, accumulated in prompt order
+    totals = np.zeros((len(thetas), len(k_list)))
+    emp_rates = np.empty((len(thetas), n_prompts))
+    for i, (pools, rng) in enumerate(_rollout_pools(cums, correct_masks, r, seed)):
+        emp_rates[:, i] = q = pools.mean(axis=1)
+        scores = np.repeat(q[:, None], len(k_list), axis=1)
+        live = (q != 0.0) & (q != 1.0)
+        if live.any():
+            live_pools = pools[live]
+            for j, k in enumerate(k_list):
+                scores[live, j] = pass_at_k(live_pools, k, resamples=resamples, rng=rng)
+        totals += scores
+    return [({k: float(total) / n_prompts for k, total in zip(k_list, row)}, rates)
+            for row, rates in zip(totals, emp_rates)]

@@ -338,6 +338,7 @@ def test_criterion_10_directional_training_experiment():
                                           unsolvable_fraction=0.10),
             )
             masks = pop.correct
+            thetas = []
             for label, scheme in (("reinforce", Reinforce()), ("curve", Curve())):
                 cfg = TrainConfig(steps=300, scheme=scheme, batch_size=256, n_rollouts=8,
                                   t0=10, learning_rate=16.0, seed=seed,
@@ -345,8 +346,11 @@ def test_criterion_10_directional_training_experiment():
                 result = run_training(pop, cfg)
                 rates = population_pass_rates(result.theta, masks)
                 unsolved[label].append(float((rates < 1.0 / 256.0).mean()))
-                passk, _ = evaluate_policy(result.theta, masks, r=256, k_list=[16],
-                                           resamples=1000, seed=7)
+                thetas.append(result.theta)
+            # both schemes of a seed in one call, sharing its bootstrap draws
+            evaluated = evaluate_policy(thetas, masks, r=256, k_list=[16], resamples=1000,
+                                        seed=7)
+            for label, (passk, _) in zip(("reinforce", "curve"), evaluated):
                 passk16[label].append(passk[16])
         for c, r in zip(unsolved["curve"], unsolved["reinforce"]):
             assert c <= r, f"unsolved fraction ordering violated: {c} > {r}"

@@ -343,6 +343,33 @@ class TestWeights:
         assert "cdf must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_pinned_uniform_reference_needs_no_ref(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["weights", "--scheme", "curve:reference=uniform", "--out", str(a)]) == 0
+        assert main(["weights", "--scheme", "maxrl", "--out", str(b)]) == 0
+        wa = [l.split(",", 1)[1] for l in a.read_text().splitlines()[1:]]
+        wb = [l.split(",", 1)[1] for l in b.read_text().splitlines()[1:]]
+        assert wa == wb
+
+    @pytest.mark.parametrize("spec, why", [
+        ("curve:reference=uniform", "pins reference='uniform'"),
+        ("integrated_convex:lam=0.5,reference=uniform", "pins reference='uniform'"),
+        ("maxrl", "reads no reference"),
+    ])
+    def test_ref_beside_a_scheme_that_does_not_read_it_rejected(self, tmp_path, capsys,
+                                                                spec, why):
+        out = tmp_path / "w.csv"
+        assert main(["weights", "--scheme", spec, "--ref", "uniform", "--out", str(out)]) == 2
+        assert f"--ref conflicts with scheme {spec!r}, which {why}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_explicit_window_reference_reads_ref(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["weights", "--scheme", "curve:reference=window", "--ref", "uniform",
+                     "--out", str(a)]) == 0
+        assert main(["weights", "--scheme", "curve", "--ref", "uniform", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_curve_with_uniform_reference_matches_maxrl(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["weights", "--scheme", "curve", "--ref", "uniform", "--out", str(a)])
@@ -408,22 +435,32 @@ class TestPatchedGlobals:
         # curvebench times and traces a run by replacing these names in curverl.cli
         import curverl.cli as cli
 
-        called = set()
+        calls = []
         for name in ("run_training", "load_experiment_config", "write_training_artifacts",
                      "evaluate_policy"):
             def spy(*args, _name=name, _real=getattr(cli, name), **kwargs):
-                called.add(_name)
-                return _real(*args, **kwargs)
+                result = _real(*args, **kwargs)
+                calls.append((_name, args, result))
+                return result
 
             monkeypatch.setattr(cli, name, spy)
         path = write_config(tmp_path, config_doc(steps=1))
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "t")]) == 0
-        assert called == {"run_training", "load_experiment_config", "write_training_artifacts"}
-        called.clear()
+        assert {name for name, _, _ in calls} == {
+            "run_training", "load_experiment_config", "write_training_artifacts"}
+        calls.clear()
         assert main(["compare", "--config", str(path), "--out", str(tmp_path / "c"),
-                     "--schemes", "reinforce", "maxrl"]) == 0
-        assert called == {"run_training", "load_experiment_config", "write_training_artifacts",
-                          "evaluate_policy"}
+                     "--schemes", "reinforce", "maxrl", "grpo"]) == 0
+        assert {name for name, _, _ in calls} == {
+            "run_training", "load_experiment_config", "write_training_artifacts",
+            "evaluate_policy"}
+        # every scheme trains first, then one call evaluates all their policies
+        trained = [result.theta for name, _, result in calls if name == "run_training"]
+        evaluations = [args for name, args, _ in calls if name == "evaluate_policy"]
+        assert len(trained) == 3 and len(evaluations) == 1
+        assert calls[-1][0] == "evaluate_policy"
+        assert len(evaluations[0][0]) == 3
+        assert all(a is b for a, b in zip(evaluations[0][0], trained))
 
 
 class TestPassK:

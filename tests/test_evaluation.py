@@ -60,6 +60,24 @@ class TestPassAtK:
         assert pass_at_k(s, k, resamples=resamples, rng=rng) == expected
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @given(seed=st.integers(0, 2**32 - 1),
+           rows=st.integers(1, 30).flatmap(lambda r: st.lists(
+               st.lists(st.booleans(), min_size=r, max_size=r), min_size=1, max_size=5)),
+           k=st.integers(1, 30), resamples=st.integers(1, 300))
+    @settings(max_examples=150, deadline=None)
+    def test_block_row_equals_one_pool_call(self, seed, rows, k, resamples):
+        # every row of a block is scored against the same draw as a lone pool
+        block = np.asarray(rows, dtype=bool)
+        k = min(k, block.shape[1])
+        rng = np.random.default_rng(seed)
+        got = pass_at_k(block, k, resamples=resamples, rng=rng)
+        assert isinstance(got, np.ndarray) and got.shape == (len(block),)
+        for row, value in zip(block, got):
+            row_rng = np.random.default_rng(seed)
+            alone = pass_at_k(row, k, resamples=resamples, rng=row_rng)
+            assert isinstance(alone, float) and value == alone
+            assert row_rng.bit_generator.state == rng.bit_generator.state
+
     def test_exact_with_replacement_matches_formula(self):
         s = sample_set([1, 1, 0, 0, 0])
         assert pass_at_k_exact_with_replacement(s, 3) == pytest.approx(1 - 0.6 ** 3, abs=1e-15)
@@ -93,15 +111,22 @@ class TestPassAtK:
 class TestBooleanPool:
     @pytest.mark.parametrize("bad", [[0, 1], [1.0, 0.0], [[True, False]]])
     def test_non_boolean_pool_rejected(self, bad):
-        for estimator in (pass_at_k, pass_at_k_exact_with_replacement,
-                          pass_at_k_exact_without_replacement):
+        for estimator in (pass_at_k_exact_with_replacement, pass_at_k_exact_without_replacement):
             with pytest.raises(ValueError, match="1-d boolean"):
                 estimator(np.asarray(bad), 1)
+        # pass_at_k also scores a 2-d block of pools, one per row, but no
+        # non-boolean pool and nothing of more dimensions
+        pool = np.asarray(bad)
+        if pool.dtype == bool:
+            np.testing.assert_array_equal(pass_at_k(pool, 1), [0.5])
+            pool = pool[None]
+        with pytest.raises(ValueError, match="1-d boolean"):
+            pass_at_k(pool, 1)
 
     def test_non_boolean_masks_rejected(self):
         theta, masks = eval_population(unsolvable=0.25)
         with pytest.raises(ValueError, match="boolean"):
-            evaluate_policy(theta, masks.astype(np.int64), 16, [1, 2], 10, 0)
+            evaluate_policy([theta], masks.astype(np.int64), 16, [1, 2], 10, 0)
 
 
 def eval_population(unsolvable):
@@ -119,7 +144,7 @@ class TestEvaluatePolicy:
         # pass_at_k on the pool's own seeded generator
         theta, masks = eval_population(unsolvable=0.25)
         r, resamples, seed = 16, 50, 3
-        got, emp_rates = evaluate_policy(theta, masks, r, self.K_LIST, resamples, seed)
+        [(got, emp_rates)] = evaluate_policy([theta], masks, r, self.K_LIST, resamples, seed)
         cum = np.cumsum(softmax(theta), axis=1)
         totals = dict.fromkeys(self.K_LIST, 0.0)
         constant = 0
@@ -137,27 +162,68 @@ class TestEvaluatePolicy:
     def test_all_unsolvable_population(self):
         theta, masks = eval_population(unsolvable=0.0)
         masks = np.zeros_like(masks)
-        got, emp_rates = evaluate_policy(theta, masks, 16, self.K_LIST, 10, 0)
+        [(got, emp_rates)] = evaluate_policy([theta], masks, 16, self.K_LIST, 10, 0)
         assert got == dict.fromkeys(self.K_LIST, 0.0)
         np.testing.assert_array_equal(emp_rates, 0.0)
         # no pool draws a resample, yet resamples is still checked
         with pytest.raises(ValueError, match="resamples"):
-            evaluate_policy(theta, masks, 16, self.K_LIST, 0, 0)
+            evaluate_policy([theta], masks, 16, self.K_LIST, 0, 0)
 
     def test_resamples_unused_at_k1(self):
         theta, masks = eval_population(unsolvable=0.25)
-        got, _ = evaluate_policy(theta, masks, 16, [1], 0, 0)
+        [(got, _)] = evaluate_policy([theta], masks, 16, [1], 0, 0)
         assert list(got) == [1]
 
     @pytest.mark.parametrize("masks_shape", [(12, 5), (11, 6), (12,)])
     def test_shape_mismatch_rejected(self, masks_shape):
         theta, _ = eval_population(unsolvable=0.25)
         with pytest.raises(ValueError, match="equal shape"):
-            evaluate_policy(theta, np.zeros(masks_shape, dtype=bool), 16, [1, 2], 10, 0)
+            evaluate_policy([theta], np.zeros(masks_shape, dtype=bool), 16, [1, 2], 10, 0)
 
     def test_one_dimensional_theta_rejected(self):
         with pytest.raises(ValueError, match="2-d"):
-            evaluate_policy(np.zeros(6), np.zeros(6, dtype=bool), 16, [1, 2], 10, 0)
+            evaluate_policy([np.zeros(6)], np.zeros(6, dtype=bool), 16, [1, 2], 10, 0)
+
+    def test_no_policy_rejected(self):
+        _, masks = eval_population(unsolvable=0.25)
+        with pytest.raises(ValueError, match="at least one policy"):
+            evaluate_policy([], masks, 16, [1, 2], 10, 0)
+
+
+def sharing_policies():
+    """Two policies on one population whose pools differ in kind: on some
+    prompts A's pool is live and B's all right, on the unsolvable ones every
+    pool is all wrong, and on the rest both are live."""
+    theta_a, masks = eval_population(unsolvable=0.25)
+    theta_b = theta_a.copy()
+    forced = [i for i in range(len(masks)) if masks[i].any()][::2]
+    for i in forced:
+        theta_b[i, np.flatnonzero(masks[i])[0]] = 60.0
+    return theta_a, theta_b, masks
+
+
+class TestSharedEvaluation:
+    K_LIST = (1, 2, 5, 16)
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_shared_pass_equals_each_policy_alone(self, seed):
+        theta_a, theta_b, masks = sharing_policies()
+        args = (masks, 16, self.K_LIST, 50, seed)
+        [alone_a] = evaluate_policy([theta_a], *args)
+        [alone_b] = evaluate_policy([theta_b], *args)
+        live_a, live_b = ((rates > 0) & (rates < 1) for _, rates in (alone_a, alone_b))
+        assert (live_a & ~live_b).any()  # one pool live, the other constant
+        assert (~live_a & ~live_b).any()  # every pool constant
+        assert (live_a & live_b).any()
+        for order, expected in (([theta_a, theta_b], [alone_a, alone_b]),
+                                ([theta_b, theta_a], [alone_b, alone_a]),
+                                ([theta_a, theta_b, theta_a], [alone_a, alone_b, alone_a])):
+            got = evaluate_policy(order, *args)
+            assert len(got) == len(expected)
+            for (passk, rates), (passk_alone, rates_alone) in zip(got, expected):
+                # float equality is bit equality here: no value is nan or -0.0
+                assert passk == passk_alone
+                assert rates.tobytes() == rates_alone.tobytes()
 
 
 class TestDifficultyHistogram:

@@ -226,6 +226,10 @@ def test_old_manifest_layout_loads_to_an_equal_config():
 EVAL_CASES = {
     "passk": ["passk"],
     "compare": ["compare", "--schemes", "grpo", "curve"],
+    # three policies share each prompt's bootstrap draws; their buckets
+    # differ, so some prompts are live for one policy and constant for another
+    "compare_three": ["compare", "--schemes", "reinforce", "integrated_product",
+                      "entropic_risk:eta=2"],
 }
 
 EVAL_DIGESTS = {
@@ -236,6 +240,10 @@ EVAL_DIGESTS = {
     "compare": {
         "compare.csv": "7cb33979186234673082085b199246d60bc261d9de0cee2e54d8e2f262224304",
         "compare_buckets.csv": "1a5c7865e1741f59fa98ee6d864a34920308580ba1526970a54eb0cde7e4a233",
+    },
+    "compare_three": {
+        "compare.csv": "acf9640e2fb58548656d097e11e5d8c9bd50a301c4fc51d9339ce083d7f30e12",
+        "compare_buckets.csv": "3b1c6f9e7c2cf83ba135bab2630e2911446a63e8195c6312afbc144c3c4376d6",
     },
 }
 
