@@ -223,13 +223,35 @@ def test_old_manifest_layout_loads_to_an_equal_config():
     assert ExperimentConfig.from_dict(json.loads(old.to_json())) == old
 
 
+def eval_config(**eval_overrides):
+    """EVAL_CONFIG with some of its eval fields replaced."""
+    return {**EVAL_CONFIG, "eval": {**EVAL_CONFIG["eval"], **eval_overrides}}
+
+
+POWERS_OF_TWO_K = [1, 2, 4, 8, 16, 32, 64, 128]
+
+# case -> (command, config)
 EVAL_CASES = {
-    "passk": ["passk"],
-    "compare": ["compare", "--schemes", "grpo", "curve"],
+    "passk": (["passk"], EVAL_CONFIG),
+    "compare": (["compare", "--schemes", "grpo", "curve"], EVAL_CONFIG),
     # three policies share each prompt's bootstrap draws; their buckets
     # differ, so some prompts are live for one policy and constant for another
-    "compare_three": ["compare", "--schemes", "reinforce", "integrated_product",
+    "compare_three": (["compare", "--schemes", "reinforce", "integrated_product",
+                       "entropic_risk:eta=2"], EVAL_CONFIG),
+    # the benchmark's evaluation shape on a few prompts: a power-of-two pool
+    # and (resamples, k) index draws large enough for the raw-word draw path
+    "passk_r256": (["passk"], eval_config(rollouts=256, k_list=POWERS_OF_TWO_K,
+                                          resamples=1000)),
+    "compare_r256": (["compare", "--schemes", "reinforce", "integrated_product",
                       "entropic_risk:eta=2"],
+                     eval_config(rollouts=256, k_list=POWERS_OF_TWO_K, resamples=1000)),
+    # a pool size that is no power of two: every draw goes through integers
+    "passk_r200": (["passk"], eval_config(rollouts=200, k_list=POWERS_OF_TWO_K,
+                                          resamples=1000)),
+    # 999 * 13 draws is odd: the generator keeps a buffered half word, so the
+    # even draws after it (k = 16, 128) go through integers too
+    "passk_odd_draw": (["passk"], eval_config(rollouts=256, k_list=[1, 2, 8, 13, 16, 128],
+                                              resamples=999)),
 }
 
 EVAL_DIGESTS = {
@@ -245,15 +267,32 @@ EVAL_DIGESTS = {
         "compare.csv": "acf9640e2fb58548656d097e11e5d8c9bd50a301c4fc51d9339ce083d7f30e12",
         "compare_buckets.csv": "3b1c6f9e7c2cf83ba135bab2630e2911446a63e8195c6312afbc144c3c4376d6",
     },
+    "passk_r256": {
+        "passk.csv": "f96f08a2de3a392efdaff7611dc452269c07fed6e7457cc3d3e84083ab11cc03",
+        "passk_buckets.csv": "f314bfefa0923ccad01bab9d839acfcb6ff0b9b6070bb74ced15879ecf579b46",
+    },
+    "compare_r256": {
+        "compare.csv": "ee0d1cee4ef3c21705496de589fb140ce863af097ce49ccc3ce85f489050b257",
+        "compare_buckets.csv": "a5fab9f0599d60cb9e86533b2ca5584c5f47563f05b66c8e7b4ef74108d02c3c",
+    },
+    "passk_r200": {
+        "passk.csv": "a4242bb4706e6cd6641f591a05708cda518d3adacdfb59d82dcd48159ffc5750",
+        "passk_buckets.csv": "f314bfefa0923ccad01bab9d839acfcb6ff0b9b6070bb74ced15879ecf579b46",
+    },
+    "passk_odd_draw": {
+        "passk.csv": "3c70ffea3ea286b1463d038c0b097be5162a968f6da2fce211abca182e767e6d",
+        "passk_buckets.csv": "f314bfefa0923ccad01bab9d839acfcb6ff0b9b6070bb74ced15879ecf579b46",
+    },
 }
 
 
 @pytest.mark.parametrize("case", sorted(EVAL_CASES))
 def test_golden_evaluation(tmp_path, case):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(EVAL_CONFIG))
+    command, doc = EVAL_CASES[case]
+    config.write_text(json.dumps(doc))
     out = tmp_path / "run"
-    assert main([*EVAL_CASES[case], "--config", str(config), "--out", str(out)]) == 0
+    assert main([*command, "--config", str(config), "--out", str(out)]) == 0
     for name, digest in EVAL_DIGESTS[case].items():
         got = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert got == digest, (
