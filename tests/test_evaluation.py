@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curverl import evaluation
 from curverl.evaluation import (
+    _RAW_DRAW_BLOCK,
+    _RAW_DRAW_FLOOR,
+    _draw_indices,
     difficulty_histogram,
     evaluate_policy,
     pass_at_k,
@@ -108,6 +112,75 @@ class TestPassAtK:
             assert abs(est - pass_at_k_exact_with_replacement(s, k)) < 0.02
 
 
+def same_state(a, b) -> bool:
+    """Strict equality of two ``bit_generator.state`` values, array fields included."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[key], b[key]) for key in a)
+    return type(a) is type(b) and np.array_equal(a, b)
+
+
+BIT_GENERATORS = {
+    "PCG64": np.random.PCG64,
+    "MT19937": np.random.MT19937,
+    "Philox": np.random.Philox,
+    "SFC64": np.random.SFC64,
+}
+
+
+class TestDrawIndices:
+    # a power of two up to 2**32 may read raw words; other ranges, and every
+    # generator but PCG64, go through integers
+    @given(seed=st.integers(0, 2**64 - 1),
+           r=st.one_of(st.integers(1, 32).map(lambda b: 2**b),
+                       st.sampled_from([3, 200, 1000, 2**31 + 1, 2**32 - 1])),
+           n=st.one_of(st.integers(0, 64), st.integers(_RAW_DRAW_FLOOR - 3, 3 * _RAW_DRAW_BLOCK)),
+           buffered=st.booleans(),
+           # PCG64 at least half the time: only it can take the raw-word path
+           bit_generator=st.one_of(st.just("PCG64"), st.sampled_from(sorted(BIT_GENERATORS))))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_integers_values_dtype_and_state(self, seed, r, n, buffered, bit_generator):
+        rng, ref_rng = (np.random.Generator(BIT_GENERATORS[bit_generator](seed))
+                        for _ in range(2))
+        if buffered:
+            # an odd count of 32-bit draws that never reject leaves half a word
+            for g in (rng, ref_rng):
+                g.integers(0, 8, size=3)
+            if bit_generator == "PCG64":
+                assert rng.bit_generator.state["has_uint32"] == 1
+        got = _draw_indices(rng, r, n)
+        expected = ref_rng.integers(0, r, size=n)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        np.testing.assert_array_equal(got, expected)
+        assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("r, n, raw", [
+        (256, 2 * _RAW_DRAW_FLOOR, True),
+        (2**32, _RAW_DRAW_FLOOR, True),
+        (2, 2 * _RAW_DRAW_BLOCK + 6, True),  # two full blocks of raw words and a ragged one
+        (256, 2 * _RAW_DRAW_FLOOR + 1, False),  # odd
+        (256, _RAW_DRAW_FLOOR - 2, False),  # below the floor
+        (200, 2 * _RAW_DRAW_FLOOR, False),  # no power of two
+    ])
+    def test_raw_words_draw_all_but_two(self, r, n, raw):
+        # a stand-in generator that records what reaches integers
+        class Recorder:
+            def __init__(self, seed):
+                self.generator = np.random.default_rng(seed)
+                self.bit_generator = self.generator.bit_generator
+                self.sizes = []
+
+            def integers(self, low, high, size):
+                self.sizes.append(size)
+                return self.generator.integers(low, high, size=size)
+
+        rng = Recorder(7)
+        got = _draw_indices(rng, r, n)
+        assert rng.sizes == ([2] if raw else [n])
+        ref_rng = np.random.default_rng(7)
+        np.testing.assert_array_equal(got, ref_rng.integers(0, r, size=n))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestBooleanPool:
     @pytest.mark.parametrize("bad", [[0, 1], [1.0, 0.0], [[True, False]]])
     def test_non_boolean_pool_rejected(self, bad):
@@ -184,6 +257,25 @@ class TestEvaluatePolicy:
         with pytest.raises(ValueError, match="2-d"):
             evaluate_policy([np.zeros(6)], np.zeros(6, dtype=bool), 16, [1, 2], 10, 0)
 
+    def test_each_live_prompt_calls_the_module_pass_at_k_once_per_k(self, monkeypatch):
+        # curvebench measures the bootstrap by replacing evaluation.pass_at_k
+        calls = []
+
+        def spy(pool, k, *args, **kwargs):
+            calls.append((pool.shape, k))
+            return real(pool, k, *args, **kwargs)
+
+        real = evaluation.pass_at_k
+        monkeypatch.setattr(evaluation, "pass_at_k", spy)
+        theta_a, theta_b, masks = sharing_policies()
+        got = evaluate_policy([theta_a, theta_b], masks, 16, self.K_LIST, 50, 3)
+        live = np.array([(rates > 0) & (rates < 1) for _, rates in got])
+        assert live.any(axis=0).any() and not live.any(axis=0).all()
+        # one call per k >= 2 of each prompt with a live pool, scoring all of them
+        expected = [((n_live, 16), k) for n_live in live.sum(axis=0) if n_live
+                    for k in self.K_LIST if k >= 2]
+        assert calls == expected
+
     def test_no_policy_rejected(self):
         _, masks = eval_population(unsolvable=0.25)
         with pytest.raises(ValueError, match="at least one policy"):
@@ -225,6 +317,23 @@ class TestSharedEvaluation:
                 assert passk == passk_alone
                 assert rates.tobytes() == rates_alone.tobytes()
 
+    def test_ten_policies_span_two_bit_tables(self):
+        # pass_at_k packs eight pools per bit table: a prompt with nine or
+        # more live pools is scored through two
+        theta_a, theta_b, masks = sharing_policies()
+        rng = np.random.default_rng(5)
+        thetas = [theta_a, theta_b] + [theta_a + rng.normal(0.0, 0.5, theta_a.shape)
+                                       for _ in range(8)]
+        args = (masks, 16, self.K_LIST, 50, 3)
+        alone = [evaluate_policy([theta], *args)[0] for theta in thetas]
+        live = np.array([(rates > 0) & (rates < 1) for _, rates in alone])
+        assert live.sum(axis=0).max() > 8
+        got = evaluate_policy(thetas, *args)
+        assert len(got) == len(thetas)
+        for (passk, rates), (passk_alone, rates_alone) in zip(got, alone):
+            assert passk == passk_alone
+            assert rates.tobytes() == rates_alone.tobytes()
+
 
 class TestDifficultyHistogram:
     def test_one_prompt_per_bucket(self):
@@ -242,7 +351,17 @@ class TestDifficultyHistogram:
         with pytest.raises(ValueError):
             difficulty_histogram([1.5])
 
-    @given(st.lists(st.floats(0, 1), max_size=50))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # a nan rate fits no bucket, so counting it would drop a prompt
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            difficulty_histogram([bad, 0.5])
+
+    @given(st.lists(st.one_of(st.floats(0, 1), st.just(np.nan)), max_size=50))
     @settings(max_examples=100, deadline=None)
     def test_buckets_partition_input(self, rates):
-        assert sum(difficulty_histogram(rates).values()) == len(rates)
+        if any(np.isnan(rates)):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                difficulty_histogram(rates)
+        else:
+            assert sum(difficulty_histogram(rates).values()) == len(rates)
