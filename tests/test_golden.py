@@ -78,6 +78,21 @@ CASES = {
     "blocks_curve_window": golden_config(
         {"name": "curve", "reference": "window"}, steps=30, batch_size=300, log_per_prompt=True,
     ),
+    # the weight path of a compare at exact pass rates: log p and log F at
+    # off-grid rates, and the entropic weight's expm1
+    "integrated_product_exact_pass_rate": golden_config(
+        {"name": "integrated_product"}, weight_at_exact_pass_rate=True, log_per_prompt=True,
+    ),
+    "entropic_risk_exact_pass_rate": golden_config(
+        {"name": "entropic_risk", "eta": 2.0}, weight_at_exact_pass_rate=True,
+        log_per_prompt=True,
+    ),
+    # the remaining weights on the rollout grid, each weight pinned in per_prompt.csv
+    "grpo_per_prompt": golden_config({"name": "grpo"}, log_per_prompt=True),
+    "maxrl_per_prompt": golden_config({"name": "maxrl"}, log_per_prompt=True),
+    "integrated_convex_per_prompt": golden_config(
+        {"name": "integrated_convex", "lam": 0.25}, log_per_prompt=True,
+    ),
 }
 
 DIGESTS = {
@@ -98,9 +113,39 @@ DIGESTS = {
         "refdist.csv": "bcbf228cc4961cf427b126a1ee01c89803c8b4a2342419281db5066af40a7a03",
         "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
     },
+    "entropic_risk_exact_pass_rate": {
+        "train_log.csv": "f42630c750f47db3796d94647713bb20057419f31f246e0bba1e86eebb9076e9",
+        "refdist.csv": "11e83fc53a2330f8cea48f364026a00bfe17b9cefb6090d230cdad108470ce1c",
+        "per_prompt.csv": "b3aa4a62d77364fe8973aaed7c9a5e934ddb956b66154ba232aa21db822fdb44",
+        "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
+    },
+    "grpo_per_prompt": {
+        "train_log.csv": "e7db9391dda0c86f9550749159b0c2fd6729b18ede77bc94eb02f1006a5da15f",
+        "refdist.csv": "d536fd20b34972ee1cfe62175f21393cc58d3eb45ea00d6c0dac2791aa93b3ac",
+        "per_prompt.csv": "37574a4c0ae7e50e0bf8ec4f1d177030c4a41a811d94d643a46a29a54aefa3a5",
+        "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
+    },
+    "integrated_convex_per_prompt": {
+        "train_log.csv": "cf4003c28a271cbd83a330df462a80b3600d416d4c8ef422ad72a70ff675f85c",
+        "refdist.csv": "761577fb3bc7b3797695f13b90115975b807c81b0049dcacb6df7c95af69f49b",
+        "per_prompt.csv": "31ab162c6377a46875effed284cad8101ce019ec0f8885c40fc77110b7a83642",
+        "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
+    },
     "integrated_product": {
         "train_log.csv": "e21c5d719d478cce9818eff2a3252abfdbf73c1d50402da40266d4ddfb747332",
         "refdist.csv": "4544be8c9f2095cdf61be4b033e716ffa462184a2c5d5963ea4be3c1c7eed128",
+        "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
+    },
+    "integrated_product_exact_pass_rate": {
+        "train_log.csv": "a853da917e3e135041917fc1993a59b85c518626fec34dac3c100d575f42008a",
+        "refdist.csv": "8d46a7d84b799ee492b4ea6d0614bdf2585f68d9b3cbb3aedc17f7d8705c80a6",
+        "per_prompt.csv": "aba492bb4afd5a95dcfb6b831e3f995af3c1a66debf7beb3a8280586c2e54111",
+        "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
+    },
+    "maxrl_per_prompt": {
+        "train_log.csv": "74ac21f53187bf95ff930372c1a09eb960f4b83f469ed2bb25356122722ad77c",
+        "refdist.csv": "761577fb3bc7b3797695f13b90115975b807c81b0049dcacb6df7c95af69f49b",
+        "per_prompt.csv": "ea3553ee398ba094c83befb895c4a4511229146fa61b5cefbdbef6e3a7ceb5c6",
         "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
     },
     "blocks_curve_window": {
@@ -182,10 +227,15 @@ LAYOUT_DIGESTS = {
     "curve_exact_pass_rate": "5625156c2ec41b3d94b2d4e85e2411302669e61db447619d1e6739fee8c62951",
     "curve_window_cold_start": "3ed1c9207912733d452ee4948d2668b0fa66df32dab284503d2d0b9311cf36b6",
     "entropic_risk": "f7bc5a28813c1463015c2a3356797a1aad5606307819b1f14c2606f567ccadcc",
+    "entropic_risk_exact_pass_rate": "c05283e55d57061943b0aa98874562569093642cd3f1e6a67635a5372f35b427",
     "eval": "e822076bc07d0e1847b123aeea6dc4487429595866daf8a1f241d504e6c1fc93",
+    "grpo_per_prompt": "c642ad76ee2fbddd2c696012c90ebfc3682e8e5d2b3ed5eafd2f828797b23e8c",
     "int_float": "f7bc5a28813c1463015c2a3356797a1aad5606307819b1f14c2606f567ccadcc",
     "integrated_convex": "ea8e2f7bd91d027bd0aacea9fafdec65701b53ef5f93750627cfd4a6c4fa1bc9",
+    "integrated_convex_per_prompt": "f93395cd2356ed3df203dfab35a6137ab92ee3789261ef46900d04c0d73ccefa",
     "integrated_product": "bbf4e51211f0ac4bd615e01419d73e8f90d8e45ce1d43427f569adab3a6a716b",
+    "integrated_product_exact_pass_rate": "a4974e943982b99adf127252e39d2502c19cc2d5decbd4bd91f39d81895c5ef8",
+    "maxrl_per_prompt": "0f3d37e741e63367fd3af9657cb5c705265447002326536806e5f68bf173a8ad",
     "wide_curve_window": "05e7510e048e5c8382be251dfdc45cbdcc7c38b21665fc451ccb1c8cc8983f6f",
     "wide_reinforce": "bbb6dbe4543e1f8aca0ff7cfa2f43f19826d719003f30582da92789ad15fa61f",
 }
