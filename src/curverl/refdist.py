@@ -10,19 +10,20 @@ Floors keep the CDF and density away from zero because the adaptive weight
 divides by the CDF: cdf_floor = 1/(count+1), density_floor = 0.5*N/(count+1).
 The floors are a weighting safeguard only; distances between distributions
 (:func:`wasserstein1`) use the raw, pre-floor CDFs.
+
+Lookups (``cdf_at``, ``density_at``) take arrays of pass rates, snap each to
+its nearest interior grid point by the rule that bins the histogram, and
+count the off-grid ones (:func:`offgrid_snap_count`).
 """
 
 from __future__ import annotations
 
-import logging
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .passrate import population_pass_rates
-
-log = logging.getLogger("curverl.refdist")
 
 __all__ = [
     "ColdStartError",
@@ -52,26 +53,22 @@ def offgrid_snap_count() -> int:
     return _offgrid_snaps
 
 
-def _snap_index(p: float, n_rollouts: int) -> int:
-    """Nearest interior grid index (1-based k of k/N) for a point query.
-
-    Any p that is not an interior grid point bumps the off-grid counter.
-    Rounding is half to even, then the index is clamped to [1, N - 1];
-    :func:`_grid_indices` applies the same rule to whole arrays, silently,
-    because binning arbitrary rates is the histogram builder's job.
-    """
-    global _offgrid_snaps
-    scaled = p * n_rollouts
-    k = int(round(scaled))
-    if abs(scaled - k) > 1e-9 or not 1 <= k <= n_rollouts - 1:
-        _offgrid_snaps += 1
-        log.debug("off-grid pass rate %.17g snapped on the N=%d grid", p, n_rollouts)
-    return min(max(k, 1), n_rollouts - 1)
-
-
 def _grid_indices(rates: np.ndarray, n_rollouts: int) -> np.ndarray:
-    """Vectorised :func:`_snap_index` for finite rates, without the counter."""
+    """Nearest interior grid index (1-based k of k/N) of each finite rate, half
+    to even, clamped to [1, N - 1]: the histogram's and the lookups' one rule."""
     return np.clip(np.rint(rates * n_rollouts), 1, n_rollouts - 1).astype(np.int64)
+
+
+def _query_indices(p, n_rollouts: int) -> np.ndarray:
+    """0-based grid positions of the rates ``p``; counts the off-grid ones."""
+    global _offgrid_snaps
+    p = np.asarray(p, dtype=np.float64)
+    if not np.isfinite(p).all():
+        raise ValueError("pass rate queries must be finite")
+    k = _grid_indices(p, n_rollouts)
+    # a query whose rounding was clamped lies at least half a bin away
+    _offgrid_snaps += int(np.count_nonzero(np.abs(p * n_rollouts - k) > 1e-9))
+    return k - 1
 
 
 @dataclass
@@ -162,15 +159,13 @@ class ReferenceDistribution:
     def grid(self) -> np.ndarray:
         return np.arange(1, self.n_rollouts) / self.n_rollouts
 
-    def cdf_at(self, p: float) -> float:
-        """Floored cumulative mass at the grid point nearest p; never 0."""
-        raw = self.cdf[_snap_index(p, self.n_rollouts) - 1]
-        return float(min(max(raw, self.cdf_floor), 1.0))
+    def cdf_at(self, p) -> np.ndarray:
+        """Floored cumulative mass at the grid point nearest each rate of p; never 0."""
+        return self.floored_cdf()[_query_indices(p, self.n_rollouts)]
 
-    def density_at(self, p: float) -> float:
-        """Floored per-unit-length density at the grid point nearest p."""
-        raw = self.density[_snap_index(p, self.n_rollouts) - 1]
-        return float(max(raw, self.density_floor))
+    def density_at(self, p) -> np.ndarray:
+        """Floored per-unit-length density at the grid point nearest each rate of p."""
+        return self.floored_density()[_query_indices(p, self.n_rollouts)]
 
     def floored_cdf(self) -> np.ndarray:
         return np.minimum(np.maximum(self.cdf, self.cdf_floor), 1.0)
@@ -178,8 +173,8 @@ class ReferenceDistribution:
     def floored_density(self) -> np.ndarray:
         return np.maximum(self.density, self.density_floor)
 
-    def raw_cdf_at(self, p: float) -> float:
-        return float(self.cdf[_snap_index(p, self.n_rollouts) - 1])
+    def raw_cdf_at(self, p) -> np.ndarray:
+        return self.cdf[_query_indices(p, self.n_rollouts)]
 
 
 def uniform_reference(n_rollouts: int) -> ReferenceDistribution:
@@ -291,15 +286,23 @@ def load_reference_csv(path) -> ReferenceDistribution:
             )
     if not steps:
         raise ValueError(f"no reference rows in {path}")
-    rows = sorted(steps[max(steps)], key=lambda r: r[0])
+    last = max(steps)
+    rows = sorted(steps[last], key=lambda r: r[0])
     n = len(rows) + 1
     grid = np.array([r[0] for r in rows])
     if not np.allclose(grid, np.arange(1, n) / n, atol=1e-12):
         raise ValueError("reference CSV grid is not of the form k/N")
+    cdf = np.array([r[2] for r in rows])
+    # the weights divide by the cdf and take its log
+    zero = np.flatnonzero(cdf <= 0.0)
+    if zero.size:
+        i = zero[0]
+        raise ValueError(f"{path}: step {last}, grid point {grid[i]:.17g}: "
+                         f"cdf must be > 0, got {cdf[i]:.17g}")
     return ReferenceDistribution(
         n_rollouts=n,
         bin_mass=np.array([r[1] for r in rows]),
-        cdf=np.array([r[2] for r in rows]),
+        cdf=cdf,
         density=np.array([r[3] for r in rows]),
         sample_count=0,
         cdf_floor=0.0,

@@ -6,9 +6,11 @@ differentiable CDFs: weight-aggressiveness comparisons and the calibration
 invariance check, where pass rates get pushed through a monotone map and the
 reference must be pushed forward with them.
 
-Every reference exposes ``cdf_at`` / ``density_at``, the same protocol as the
-grid-based :class:`~curverl.refdist.ReferenceDistribution`, so weighting code
-accepts either kind.
+Every reference exposes ``cdf_at`` / ``density_at`` over arrays of pass
+rates (a scalar is a 0-d array), the same protocol as the grid-based
+:class:`~curverl.refdist.ReferenceDistribution`, so weighting code accepts
+either kind and evaluates a whole batch of rates in one call. The monotone
+maps act on arrays too.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ __all__ = [
 class ContinuousUniform:
     """Uniform(0,1): F(p) = p, f(p) = 1."""
 
-    def cdf_at(self, p: float) -> float:
-        return float(p)
+    def cdf_at(self, p) -> np.ndarray:
+        return np.array(p, dtype=np.float64)
 
-    def density_at(self, p: float) -> float:
-        return 1.0
+    def density_at(self, p) -> np.ndarray:
+        return np.ones(np.shape(p))
 
 
 @dataclass(frozen=True)
@@ -54,11 +56,11 @@ class TruncatedExponential:
         if self.rate <= 0:
             raise ValueError("rate must be > 0")
 
-    def cdf_at(self, p: float) -> float:
-        return float(-math.expm1(-self.rate * p) / -math.expm1(-self.rate))
+    def cdf_at(self, p) -> np.ndarray:
+        return -np.expm1(-self.rate * p) / -math.expm1(-self.rate)
 
-    def density_at(self, p: float) -> float:
-        return float(self.rate * math.exp(-self.rate * p) / -math.expm1(-self.rate))
+    def density_at(self, p) -> np.ndarray:
+        return self.rate * np.exp(-self.rate * p) / -math.expm1(-self.rate)
 
 
 @dataclass(frozen=True)
@@ -75,11 +77,11 @@ class ReflectedTruncatedExponential:
         if self.rate <= 0:
             raise ValueError("rate must be > 0")
 
-    def cdf_at(self, p: float) -> float:
-        return float(math.expm1(self.rate * p) / math.expm1(self.rate))
+    def cdf_at(self, p) -> np.ndarray:
+        return np.expm1(self.rate * p) / math.expm1(self.rate)
 
-    def density_at(self, p: float) -> float:
-        return float(self.rate * math.exp(self.rate * p) / math.expm1(self.rate))
+    def density_at(self, p) -> np.ndarray:
+        return self.rate * np.exp(self.rate * p) / math.expm1(self.rate)
 
 
 @dataclass(frozen=True)
@@ -87,32 +89,33 @@ class MonotoneMap:
     """Strictly increasing differentiable recalibration of [0, 1].
 
     Bundles the forward map, its inverse, and its derivative so pushforward
-    densities can be evaluated without numeric inversion.
+    densities can be evaluated without numeric inversion. Each of the three
+    acts elementwise on an array.
     """
 
     name: str
-    forward: Callable[[float], float]
-    inverse: Callable[[float], float]
-    dforward: Callable[[float], float]
+    forward: Callable[[np.ndarray], np.ndarray]
+    inverse: Callable[[np.ndarray], np.ndarray]
+    dforward: Callable[[np.ndarray], np.ndarray]
 
     def validate(self, samples: int = 101) -> None:
         """Reject non-increasing maps (checked on a grid, endpoints excluded)."""
-        grid = np.linspace(0.0, 1.0, samples)[1:-1]
-        values = np.array([self.forward(float(t)) for t in grid])
+        values = self.forward(np.linspace(0.0, 1.0, samples)[1:-1])
         if np.any(np.diff(values) <= 0):
             raise ValueError(f"map {self.name!r} is not strictly increasing on (0, 1)")
 
     @staticmethod
     def identity() -> "MonotoneMap":
-        return MonotoneMap("identity", lambda t: t, lambda u: u, lambda t: 1.0)
+        return MonotoneMap("identity", lambda t: t, lambda u: u, lambda t: np.ones(np.shape(t)))
 
+    # np.sqrt is correctly rounded, as math.sqrt is
     @staticmethod
     def square() -> "MonotoneMap":
-        return MonotoneMap("square", lambda t: t * t, math.sqrt, lambda t: 2.0 * t)
+        return MonotoneMap("square", lambda t: t * t, np.sqrt, lambda t: 2.0 * t)
 
     @staticmethod
     def sqrt() -> "MonotoneMap":
-        return MonotoneMap("sqrt", math.sqrt, lambda u: u * u, lambda t: 0.5 / math.sqrt(t))
+        return MonotoneMap("sqrt", np.sqrt, lambda u: u * u, lambda t: 0.5 / np.sqrt(t))
 
 
 @dataclass(frozen=True)
@@ -126,9 +129,9 @@ class PushforwardReference:
     base: object
     map: MonotoneMap
 
-    def cdf_at(self, u: float) -> float:
-        return float(self.base.cdf_at(self.map.inverse(u)))
+    def cdf_at(self, u) -> np.ndarray:
+        return self.base.cdf_at(self.map.inverse(u))
 
-    def density_at(self, u: float) -> float:
+    def density_at(self, u) -> np.ndarray:
         v = self.map.inverse(u)
-        return float(self.base.density_at(v) / self.map.dforward(v))
+        return self.base.density_at(v) / self.map.dforward(v)

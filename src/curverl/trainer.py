@@ -213,11 +213,10 @@ def train_step(state: TrainerState) -> tuple[StepLog, ReferenceDistribution]:
         at = np.clip(exact[batch[active]], 1e-12, 1.0 - 1e-12)
     else:
         at = p_hat[active]
-    # the weight depends on the rate alone: evaluate it once per distinct rate
-    distinct, inverse = np.unique(at, return_inverse=True)
-    table = np.array([weighting.pointwise_weight(step_scheme, float(r)) for r in distinct])
     weights = np.zeros(cfg.batch_size)
-    weights[active] = table[inverse]
+    weights[active] = weighting.pointwise_weight(step_scheme, at)
+    if not (np.isfinite(weights) & (weights >= 0.0)).all():
+        raise ValueError(f"step {state.step}: weights must be finite and nonnegative")
 
     # a rollout's coefficient w * (r - p_hat) / N: column r of this table
     coeff = weights[:, None] * (np.array([0.0, 1.0]) - p_hat[:, None]) / cfg.n_rollouts

@@ -16,6 +16,10 @@ The distribution-aware family reads a reference distribution over pass rates:
 * ``IntegratedConvex``   w(p) = (1 - lam) / p + lam f_ref(p) / F_ref(p)
 * ``IntegratedProduct``  w(p) = -(ln F_ref(p) / p + f_ref(p) ln p / F_ref(p))
 
+:func:`pointwise_weight` and the references' ``cdf_at`` / ``density_at``
+work elementwise over arrays of pass rates, so each caller makes one call
+and a rate's weight has the same bits in any array.
+
 Every pointwise weight with a finite tail integral is itself a reverse hazard
 rate of a unique prior CDF, F(p) = exp(-integral_p^1 w); ``induced_prior``
 gives the closed forms and ``induced_prior_numeric`` recovers them by
@@ -225,52 +229,52 @@ class ClippedLog:
 # pointwise weights
 # ---------------------------------------------------------------------------
 
-def _entropic_weight(eta: float, p: float) -> float:
-    # w = a / (eta (1 + a p)) = 1 / (eta (1/a + p)) with a = e^eta - 1.
-    # For eta > 30, 1/a and e^-eta agree to a relative error below e^-30,
-    # and e^-eta never overflows; this also covers eta beyond exp's range,
-    # where the weight reduces to 1 / (eta p).
-    if eta > 30.0:
-        return 1.0 / (eta * (p + math.exp(-eta)))
-    a = math.expm1(eta)
-    return a / (eta * (1.0 + a * p))
+def _log(x) -> np.ndarray:
+    # elementwise math.log: np.log differs from it in the last bit on ~0.35% of rates
+    x = np.asarray(x, dtype=np.float64)
+    return np.fromiter(map(math.log, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
-def _resolve_reference(reference) -> object:
-    if reference in ("window", "uniform"):
-        return ContinuousUniform()
-    return reference
-
-
-def pointwise_weight(scheme: WeightScheme, p: float) -> float:
-    """Weight assigned to a prompt with pass rate ``p`` strictly inside (0, 1).
+def pointwise_weight(scheme: WeightScheme, p) -> np.ndarray:
+    """Weights of the pass rates ``p`` (an array, or a scalar), each strictly
+    inside (0, 1); the result has ``p``'s shape.
 
     Curve/Integrated schemes without a concrete reference use the uniform
     cold-start fallback, under which Curve equals the 1/p rule exactly.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"pass rate must lie strictly inside (0, 1), got {p!r}")
+    p = np.asarray(p, dtype=np.float64)
+    inside = (p > 0.0) & (p < 1.0)
+    if not inside.all():
+        bad = float(p[~inside][0])
+        raise ValueError(f"pass rate must lie strictly inside (0, 1), got {bad!r}")
     if isinstance(scheme, Reinforce):
-        return 1.0
+        return np.ones_like(p)
     if isinstance(scheme, Grpo):
-        return 1.0 / math.sqrt(p * (1.0 - p))
+        return 1.0 / np.sqrt(p * (1.0 - p))
     if isinstance(scheme, MaxRL):
         return 1.0 / p
     if isinstance(scheme, EntropicRisk):
-        return _entropic_weight(scheme.eta, p)
+        # w = a / (eta (1 + a p)) = 1 / (eta (1/a + p)) with a = e^eta - 1.
+        # For eta > 30, 1/a and e^-eta agree to a relative error below e^-30,
+        # and e^-eta never overflows; this also covers eta beyond exp's range,
+        # where the weight reduces to 1 / (eta p).
+        eta = scheme.eta
+        if eta > 30.0:
+            return 1.0 / (eta * (p + math.exp(-eta)))
+        a = math.expm1(eta)
+        return a / (eta * (1.0 + a * p))
+    if not needs_reference(scheme):
+        raise TypeError(f"unknown scheme {scheme!r}")
+    ref = scheme.reference
+    if ref in ("window", "uniform"):
+        ref = ContinuousUniform()
+    cdf = ref.cdf_at(p)
+    dens = ref.density_at(p)
     if isinstance(scheme, Curve):
-        ref = _resolve_reference(scheme.reference)
-        return ref.density_at(p) / ref.cdf_at(p)
+        return dens / cdf
     if isinstance(scheme, IntegratedConvex):
-        ref = _resolve_reference(scheme.reference)
-        hazard = ref.density_at(p) / ref.cdf_at(p)
-        return (1.0 - scheme.lam) / p + scheme.lam * hazard
-    if isinstance(scheme, IntegratedProduct):
-        ref = _resolve_reference(scheme.reference)
-        cdf = ref.cdf_at(p)
-        dens = ref.density_at(p)
-        return -(math.log(cdf) / p + dens * math.log(p) / cdf)
-    raise TypeError(f"unknown scheme {scheme!r}")
+        return (1.0 - scheme.lam) / p + scheme.lam * (dens / cdf)
+    return -(_log(cdf) / p + dens * _log(p) / cdf)
 
 
 def weight_function(scheme: WeightScheme) -> Callable[[float], float]:
@@ -330,7 +334,7 @@ def reverse_hazard_identity_check(scheme: WeightScheme, p: float, step: float = 
     f_plus = induced_prior(scheme, p + step)
     f_minus = induced_prior(scheme, p - step)
     deriv = (f_plus - f_minus) / (2.0 * step)
-    return abs(deriv / induced_prior(scheme, p) - pointwise_weight(scheme, p))
+    return float(abs(deriv / induced_prior(scheme, p) - pointwise_weight(scheme, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +368,8 @@ def distribution_utility(psi, ref, pass_rates, weights=None, floored: bool = Tru
     """
     rates = np.asarray(pass_rates, dtype=np.float64).ravel()
     w = _weights_or_uniform(rates.size, weights)
-    if floored or not hasattr(ref, "raw_cdf_at"):
-        cdf = ref.cdf_at
-    else:
-        cdf = ref.raw_cdf_at
-    return float(sum(wi * psi.value(cdf(r)) for wi, r in zip(w, rates)))
+    cdf = ref.cdf_at if floored or not hasattr(ref, "raw_cdf_at") else ref.raw_cdf_at
+    return float(sum(wi * psi.value(u) for wi, u in zip(w, cdf(rates))))
 
 
 def utility_gap_bound_check(psi, pass_rates, ref, weights=None) -> tuple[float, float]:
@@ -416,19 +417,19 @@ def relative_multiplier(psi, ref, p: float) -> float:
 WEIGHT_CSV_HEADER = ("scheme", "p", "weight", "normalized_weight")
 
 
-def weight_table(scheme: WeightScheme, n_rollouts: int) -> list[tuple[float, float, float]]:
-    """(p, weight, normalized weight) on the interior rollout grid."""
+def weight_table(scheme: WeightScheme,
+                 n_rollouts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, weight, normalized weight) columns on the interior rollout grid."""
     if n_rollouts < 2:
         raise ValueError("n_rollouts must be >= 2")
     grid = np.arange(1, n_rollouts) / n_rollouts
-    values = [pointwise_weight(scheme, float(p)) for p in grid]
-    total = float(sum(values))
-    return [(float(p), v, v / total) for p, v in zip(grid, values)]
+    weights = pointwise_weight(scheme, grid)
+    # left to right: np.sum's pairwise order would move the table's last bits
+    total = sum(weights.tolist())
+    return grid, weights, weights / total
 
 
 def write_weight_table(path, scheme: WeightScheme, n_rollouts: int) -> None:
-    table = weight_table(scheme, n_rollouts)
-    write_csv(path, WEIGHT_CSV_HEADER, (
-        [scheme_name(scheme)] * len(table),
-        [p for p, _, _ in table], [w for _, w, _ in table], [nw for _, _, nw in table],
-    ))
+    grid, weights, normalized = weight_table(scheme, n_rollouts)
+    write_csv(path, WEIGHT_CSV_HEADER,
+              ([scheme_name(scheme)] * grid.size, grid, weights, normalized))

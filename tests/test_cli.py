@@ -343,6 +343,19 @@ class TestWeights:
         assert "cdf must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scheme", ["curve", "integrated_product"])
+    def test_zero_cdf_snapshot_cell_rejected(self, tmp_path, capsys, scheme):
+        # the weights divide by F and take its log
+        snap = tmp_path / "refdist.csv"
+        snap.write_text("step,grid_point,mass,cdf,density\n"
+                        "0,0.25,0,0,0\n0,0.5,1,1,4\n0,0.75,0,1,0\n")
+        out = tmp_path / "w.csv"
+        assert main(["weights", "--scheme", scheme, "--ref", str(snap), "--n-rollouts", "4",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{snap}: step 0, grid point 0.25: cdf must be > 0, got 0" in err
+        assert not out.exists()
+
     def test_pinned_uniform_reference_needs_no_ref(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["weights", "--scheme", "curve:reference=uniform", "--out", str(a)]) == 0

@@ -21,7 +21,6 @@ from curverl.refdist import (
     wasserstein1,
     REFERENCE_CSV_HEADER,
     _grid_indices,
-    _snap_index,
 )
 
 
@@ -138,17 +137,30 @@ def rates_and_grid(draw):
     return rates, n
 
 
+def round_snap(rate: float, n: int) -> tuple[int, bool]:
+    """Scalar reference of the snap rule: Python's round (half to even),
+    clamped to [1, N - 1], and whether the rate was off the interior grid."""
+    k = round(rate * n)
+    return min(max(k, 1), n - 1), abs(rate * n - k) > 1e-9 or not 1 <= k <= n - 1
+
+
 class TestGridSnap:
     @given(rates_and_grid())
     @settings(max_examples=300, deadline=None)
-    def test_vectorised_snap_matches_point_snap(self, case):
+    def test_grid_indices_and_lookups_match_round(self, case):
         rates, n = case
-        assert _grid_indices(np.array(rates), n).tolist() == [_snap_index(r, n) for r in rates]
+        expected = [round_snap(r, n) for r in rates]
+        assert _grid_indices(np.array(rates), n).tolist() == [k for k, _ in expected]
+        ref = uniform_reference(n)
+        before = offgrid_snap_count()
+        got = ref.cdf_at(np.array(rates))
+        assert got.tolist() == [ref.cdf[k - 1] for k, _ in expected]
+        assert offgrid_snap_count() - before == sum(off for _, off in expected)
 
     def test_every_half_grid_tie(self):
         for n in range(2, 65):
-            ties = (np.arange(n) + 0.5) / n
-            assert _grid_indices(ties, n).tolist() == [_snap_index(r, n) for r in ties]
+            ties = ((np.arange(n) + 0.5) / n).tolist()
+            assert _grid_indices(np.array(ties), n).tolist() == [round_snap(r, n)[0] for r in ties]
 
     def test_ties_round_half_to_even_then_clamp(self):
         ties = (np.arange(8) + 0.5) / 8  # exact in binary
@@ -182,6 +194,18 @@ class TestAccessors:
         before = offgrid_snap_count()
         assert ref.cdf_at(0.26) == 0.25  # snaps to 2/8
         assert offgrid_snap_count() == before + 1
+        # an array is one lookup of every rate in it; 0 and 1 clamp into the grid
+        got = ref.density_at(np.array([0.26, 0.25, 0.0, 1.0]))
+        assert got.tolist() == [1.0] * 4
+        assert ref.raw_cdf_at(np.array([0.0, 1.0])).tolist() == [0.125, 0.875]
+        assert offgrid_snap_count() == before + 1 + 3 + 2
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_queries_rejected(self, bad):
+        ref = uniform_reference(8)
+        for lookup in (ref.cdf_at, ref.density_at, ref.raw_cdf_at):
+            with pytest.raises(ValueError, match="finite"):
+                lookup(np.array([0.5, bad]))
 
     def test_floors_shrink_with_sample_count(self):
         small = distribution_from_rates([0.5] * 3, 8)

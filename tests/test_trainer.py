@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curverl import weighting
 from curverl.config import _dump, _parse
 from curverl.kernels import accumulate_gradients, sample_responses
 from curverl.passrate import (
@@ -24,6 +25,7 @@ from curverl.references import (
     ReflectedTruncatedExponential,
     TruncatedExponential,
 )
+from curverl.refdist import offgrid_snap_count
 from curverl.trainer import (
     StepLog,
     TrainConfig,
@@ -347,8 +349,8 @@ class TestWeightArgumentModes:
             logs[mode] = entry
             # reference: one scalar weight call per active row
             at = exact[entry.prompt_ids] if mode else entry.p_hat
-            expected = [pointwise_weight(cfg.scheme, float(r)) if 0.0 < p < 1.0 else 0.0
-                        for r, p in zip(at, entry.p_hat)]
+            expected = [float(pointwise_weight(cfg.scheme, r)) if 0.0 < p < 1.0 else 0.0
+                        for r, p in zip(at.tolist(), entry.p_hat)]
             np.testing.assert_array_equal(entry.weights, expected)
         active = logs[False].weights > 0
         assert active.any()
@@ -379,6 +381,67 @@ class TestWeightArgumentModes:
         gap = float(np.abs(empirical_mean - fixed_target).max())
         assert np.all(np.isfinite(empirical_mean))
         print(f"empirical-weight bias probe: max componentwise gap = {gap:.4f}")
+
+
+class BrokenReference:
+    """A reference whose density is ``dens`` at every rate."""
+
+    def __init__(self, dens):
+        self.dens = dens
+
+    def cdf_at(self, p):
+        return np.full(np.shape(p), 0.5)
+
+    def density_at(self, p):
+        return np.full(np.shape(p), self.dens)
+
+
+class TestWeightPath:
+    @pytest.mark.parametrize("dens", [-1.0, math.nan, math.inf])
+    def test_weight_outside_finite_nonnegative_names_the_step(self, dens):
+        pop = beta_population(20, seed=13)
+        cfg = TrainConfig(steps=1, scheme=Curve(BrokenReference(dens)), batch_size=32, seed=21)
+        state = TrainerState(pop, cfg)
+        with pytest.raises(ValueError, match="step 0: weights must be finite and nonnegative"):
+            train_step(state)
+
+    def test_weight_is_looked_up_through_the_module_once_per_step(self, monkeypatch):
+        # a benchmark probe wraps weighting.pointwise_weight where the trainer looks it up
+        calls = []
+        real = weighting.pointwise_weight
+
+        def spy(scheme, p):
+            calls.append(np.asarray(p).copy())
+            return real(scheme, p)
+
+        monkeypatch.setattr(weighting, "pointwise_weight", spy)
+        pop = beta_population(20, seed=13)
+        cfg = TrainConfig(steps=4, scheme=IntegratedProduct(), batch_size=32, seed=21,
+                          min_window_count=0)
+        result = run_training(pop, cfg)
+        assert len(calls) == cfg.steps
+        for at, entry in zip(calls, result.step_logs):
+            active = (entry.p_hat > 0.0) & (entry.p_hat < 1.0)
+            np.testing.assert_array_equal(at, entry.p_hat[active])
+
+    @pytest.mark.parametrize("scheme", [Curve(), IntegratedProduct()])
+    def test_exact_rate_step_counts_every_off_grid_query(self, scheme):
+        # the uniform cold-start reference is looked up twice (F and f) per
+        # active row, repeated prompts included
+        pop = beta_population(20, seed=13)
+        cfg = TrainConfig(steps=1, scheme=scheme, batch_size=64, seed=21,
+                          weight_at_exact_pass_rate=True)
+        state = TrainerState(pop, cfg)
+        exact = np.clip(state.exact_pass_rates(), 1e-12, 1.0 - 1e-12)
+        before = offgrid_snap_count()
+        entry, _ = train_step(state)
+        active = (entry.p_hat > 0.0) & (entry.p_hat < 1.0)
+        n = cfg.n_rollouts
+        off = sum(abs(r * n - round(r * n)) > 1e-9 or not 1 <= round(r * n) <= n - 1
+                  for r in exact[entry.prompt_ids[active]].tolist())
+        assert off > 0
+        assert len(set(entry.prompt_ids[active].tolist())) < active.sum()
+        assert offgrid_snap_count() - before == 2 * off
 
 
 class TestDegenerationEquivalence:

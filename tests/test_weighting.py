@@ -14,6 +14,7 @@ from curverl.references import (
     TruncatedExponential,
 )
 from curverl.weighting import (
+    SCHEMES,
     ClippedLog,
     Curve,
     EntropicRisk,
@@ -27,10 +28,12 @@ from curverl.weighting import (
     distribution_utility,
     induced_prior,
     induced_prior_numeric,
+    needs_reference,
     pointwise_utility,
     pointwise_weight,
     relative_multiplier,
     reverse_hazard_identity_check,
+    scheme_name,
     utility_gap_bound_check,
     weight_function,
     weight_table,
@@ -118,6 +121,92 @@ class TestPointwiseWeights:
         for eta in (0.5, 2.0, 10.0):
             values = [pointwise_weight(EntropicRisk(eta), float(p)) for p in grid]
             assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def oracle_weight(scheme, p: float, cdf: float, dens: float) -> float:
+    """One rate's weight from its scheme's formula in scalar ``math``, given
+    the reference's F and f at that rate."""
+    name = scheme_name(scheme)
+    if name == "reinforce":
+        return 1.0
+    if name == "grpo":
+        return 1.0 / math.sqrt(p * (1.0 - p))
+    if name == "maxrl":
+        return 1.0 / p
+    if name == "entropic_risk":
+        if scheme.eta > 30.0:
+            return 1.0 / (scheme.eta * (p + math.exp(-scheme.eta)))
+        a = math.expm1(scheme.eta)
+        return a / (scheme.eta * (1.0 + a * p))
+    if name == "curve":
+        return dens / cdf
+    if name == "integrated_convex":
+        return (1.0 - scheme.lam) / p + scheme.lam * (dens / cdf)
+    if name == "integrated_product":
+        return -(math.log(cdf) / p + dens * math.log(p) / cdf)
+    raise AssertionError(f"no scalar oracle for scheme {name!r}")
+
+
+def oracle_schemes(name, ref):
+    """Instances of scheme ``name`` over its parameter range, reading ``ref``."""
+    cls = SCHEMES[name]
+    if name == "entropic_risk":  # both branches of the formula
+        return [cls(1e-4), cls(2.0), cls(30.0), cls(50.0), cls(5000.0)]
+    if name == "integrated_convex":
+        return [cls(lam, ref) for lam in (0.0, 0.25, 1.0)]
+    if needs_reference(cls()):
+        return [cls(ref)]
+    return [cls()]
+
+
+# 10^4 rates off every grid, and the exact-rate mode's clamp ends
+OFF_GRID = np.concatenate([
+    np.random.default_rng(2024).uniform(1e-12, 1.0 - 1e-12, 10_000), [1e-12, 1.0 - 1e-12],
+])
+
+
+def oracle_references(n):
+    window = refdist.distribution_from_rates(
+        np.random.default_rng(n).choice(np.arange(1, n) / n, size=50), n)
+    return {"window_histogram": window, "uniform": refdist.uniform_reference(n),
+            "truncated_exponential": TruncatedExponential(4.0)}
+
+
+class TestArrayWeightOracle:
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_array_weight_equals_scalar_oracle_bitwise(self, name, n):
+        rates = np.concatenate([np.arange(1, n) / n, OFF_GRID])
+        for ref in oracle_references(n).values():
+            cdf, dens = ref.cdf_at(rates).tolist(), ref.density_at(rates).tolist()
+            schemes = oracle_schemes(name, ref)
+            for scheme in schemes:
+                got = pointwise_weight(scheme, rates)
+                want = np.array([oracle_weight(scheme, p, c, d)
+                                 for p, c, d in zip(rates.tolist(), cdf, dens)])
+                assert got.shape == rates.shape
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            if not needs_reference(schemes[0]):
+                break
+
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_reference_lookups_are_elementwise(self, n):
+        rates = np.concatenate([np.arange(1, n) / n, OFF_GRID[:500], OFF_GRID[-2:]])
+        for label, ref in oracle_references(n).items():
+            for lookup in (ref.cdf_at, ref.density_at):
+                one_by_one = [float(lookup(p)) for p in rates.tolist()]
+                assert lookup(rates).tolist() == one_by_one, label
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -0.5, 1.0, 1.5, math.nan, math.inf, -math.inf])
+    def test_rate_outside_open_interval_rejected(self, name, bad):
+        for scheme in oracle_schemes(name, refdist.uniform_reference(8)):
+            with pytest.raises(ValueError, match="strictly inside"):
+                pointwise_weight(scheme, np.array([0.5, bad, 0.25]))
+
+    def test_scalar_rate_gives_a_zero_dimensional_weight(self):
+        assert np.shape(pointwise_weight(Grpo(), 0.5)) == ()
+        assert pointwise_weight(IntegratedProduct(), np.empty(0)).shape == (0,)
 
 
 class TestInducedPrior:
@@ -323,18 +412,17 @@ class TestRelativeMultiplier:
 
 class TestWeightTable:
     def test_group_normalized_table_is_symmetric(self):
-        rows = weight_table(Grpo(), 8)
-        assert len(rows) == 7
-        weights = [w for _, w, _ in rows]
-        assert weights == weights[::-1]
+        grid, weights, _ = weight_table(Grpo(), 8)
+        assert grid.tolist() == [k / 8 for k in range(1, 8)]
+        assert weights.tolist() == weights[::-1].tolist()
 
     def test_inverse_rate_table_strictly_decreasing(self):
-        weights = [w for _, w, _ in weight_table(MaxRL(), 8)]
-        assert all(a > b for a, b in zip(weights, weights[1:]))
+        _, weights, _ = weight_table(MaxRL(), 8)
+        assert (np.diff(weights) < 0).all()
 
     def test_normalization_sums_to_one(self):
-        norm = [nw for _, _, nw in weight_table(EntropicRisk(2.0), 8)]
-        assert sum(norm) == pytest.approx(1.0, abs=1e-12)
+        _, _, norm = weight_table(EntropicRisk(2.0), 8)
+        assert norm.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPositivity:
