@@ -110,6 +110,14 @@ class TrainerState:
     a cached rate has the same bits as a fresh :func:`population_pass_rates`
     over the whole matrix. ``theta`` is owned by :func:`train_step`: change
     it any other way and the cache no longer describes it.
+
+    The state also owns a zeroed (P, M) scratch for the step's gradient norm.
+    :func:`train_step` writes the update's squares into the sampled rows,
+    sums the whole scratch and zeroes those rows again. So a step allocates
+    only O(B·M), beside the O(P) CDF of its batch draw, and no O(P·M)
+    buffer is freed and faulted back in on every step. The sum still reads
+    all P·M entries, because the norm's bits are those of numpy's pairwise
+    sum over the whole flat array.
     """
 
     def __init__(self, population: PromptPopulation, config: TrainConfig):
@@ -122,6 +130,7 @@ class TrainerState:
         self.step = 0
         self._cold_start_logged = False
         self._exact = population_pass_rates(self.theta, self.masks)
+        self._norm_scratch = np.zeros(self.theta.shape)
 
     def exact_pass_rates(self) -> np.ndarray:
         """A copy of the cached exact pass rates of the current ``theta``."""
@@ -200,8 +209,7 @@ def train_step(state: TrainerState) -> tuple[StepLog, ReferenceDistribution]:
     uniforms = rng.random((cfg.batch_size, cfg.n_rollouts))
 
     probs = softmax(state.theta[batch])
-    cum = np.cumsum(probs, axis=1)
-    responses = sample_responses(cum, uniforms)
+    responses = sample_responses(np.cumsum(probs, axis=1), uniforms)
     rewards = np.take_along_axis(state.masks[batch], responses, axis=1)
     counts = rewards.sum(axis=1)
     p_hat = counts / cfg.n_rollouts
@@ -221,18 +229,28 @@ def train_step(state: TrainerState) -> tuple[StepLog, ReferenceDistribution]:
     # a rollout's coefficient w * (r - p_hat) / N: column r of this table
     coeff = weights[:, None] * (np.array([0.0, 1.0]) - p_hat[:, None]) / cfg.n_rollouts
     grads = accumulate_gradients(probs, responses, rewards, coeff)
-    prompt_norms = np.sqrt((grads * grads).sum(axis=1))
-
+    # each (B, M) temporary is dropped, or squared in place, once last read,
+    # so that fewer of them are live at the step's peak
+    del probs
     rows, total = _sum_by_prompt(batch, grads)
+    grads *= grads
+    prompt_norms = np.sqrt(grads.sum(axis=1))
+    del grads
+
     total /= cfg.batch_size
+    updated = state.theta[rows]
+    updated += cfg.learning_rate * total
     # numpy's pairwise sum runs over the flat array, so the norm sums the
-    # squares of the whole (P, M) update, zero rows included, to keep its bits
-    squares = np.zeros(state.theta.shape)
-    squares[rows] = total * total
-    grad_norm = float(np.sqrt(squares.sum()))
+    # squares of the whole (P, M) update, zero rows included, to keep its
+    # bits. That O(P·M) read stays, but the squares go into the state's
+    # zeroed scratch, whose rows are zeroed again before any check can raise
+    total *= total
+    scratch = state._norm_scratch
+    scratch[rows] = total
+    grad_norm = float(np.sqrt(scratch.sum()))
+    scratch[rows] = 0.0
     if not math.isfinite(grad_norm):
         raise ValueError(f"step {state.step}: gradient norm is {grad_norm}")
-    updated = state.theta[rows] + cfg.learning_rate * total
     # only the sampled rows changed, so only they can have left the finite range
     if not np.isfinite(updated).all():
         raise ValueError(f"step {state.step}: updated logits are not finite")

@@ -2,13 +2,14 @@
 
 import math
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curverl import weighting
+from curverl import trainer, weighting
 from curverl.config import _dump, _parse
 from curverl.kernels import accumulate_gradients, sample_responses
 from curverl.passrate import (
@@ -231,6 +232,8 @@ class TestTrainStep:
         # an inf logit makes the softmax compute inf - inf
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
             train_step(state)
+        # the norm scratch is zeroed again before either check raises
+        assert not state._norm_scratch.any()
 
     def test_cold_start_curve_step_equals_maxrl_step(self):
         pop = beta_population(30, seed=1)
@@ -332,6 +335,46 @@ class TestStepInvariants:
             assert entry.window_size <= t0 * batch_size
             assert np.all(np.diff(ref.cdf) >= 0.0) and np.all(ref.cdf <= 1.0)
             assert 0.0 <= entry.mean_exact_pass_rate <= 1.0
+
+
+class TestNormScratch:
+    @given(
+        size=st.integers(1, 40),
+        m=st.integers(2, 9),
+        batch_size=st.integers(1, 80),
+        exact=st.booleans(),
+        hopeless=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    # more draws than prompts, so prompts repeat, and no prompt is ever active
+    @example(size=3, m=4, batch_size=80, exact=False, hopeless=True, seed=0)
+    @example(size=5, m=3, batch_size=64, exact=True, hopeless=False, seed=1)
+    @settings(max_examples=40, deadline=None)
+    def test_grad_norm_is_the_sum_of_a_fresh_zeroed_matrix(self, size, m, batch_size, exact,
+                                                          hopeless, seed):
+        pop = beta_population(size, seed=seed, alpha=1.0, beta=2.0, m=m)
+        if hopeless:
+            pop = PromptPopulation(pop.logits, np.zeros(pop.correct.shape, dtype=bool))
+        cfg = TrainConfig(steps=4, scheme=Reinforce(), batch_size=batch_size, n_rollouts=4,
+                          learning_rate=4.0, seed=seed, weight_at_exact_pass_rate=exact)
+        state = TrainerState(pop, cfg)
+        sums = []
+
+        def capture(batch, grads):
+            rows, total = _sum_by_prompt(batch, grads)
+            # the step scales and squares ``total`` in place
+            sums.append((rows.copy(), total.copy()))
+            return rows, total
+
+        with mock.patch.object(trainer, "_sum_by_prompt", capture):
+            for _ in range(cfg.steps):
+                entry, _ = train_step(state)
+                rows, total = sums.pop()
+                mean = total / batch_size
+                z = np.zeros((size, m))
+                z[rows] = mean * mean
+                assert entry.grad_norm.hex() == float(np.sqrt(z.sum())).hex()
+                assert not state._norm_scratch.any()
 
 
 class TestWeightArgumentModes:
@@ -621,8 +664,6 @@ class TestExactRateCache:
         assert np.all(state.exact_pass_rates() >= 0.0)
 
     def test_step_recomputes_only_the_batch_rows(self, monkeypatch):
-        from curverl import trainer
-
         rows_seen = []
 
         def counted(theta, masks):
@@ -730,3 +771,26 @@ class TestArtifactMemory:
             tracemalloc.stop()
         assert sum(1 for _ in open(tmp_path / "per_prompt.csv")) == batch * steps + 1
         assert peak <= 10 * 2**20
+
+
+class TestStepMemory:
+    def test_a_step_allocates_nothing_of_the_population_shape(self):
+        # one (P, M) float64 array is 2 MiB here, while a step's (B, M)
+        # arrays are about 8 KiB; the norm reuses the state's scratch
+        import tracemalloc
+
+        size, m = 4000, 64
+        pop = beta_population(size, seed=6, m=m)
+        cfg = TrainConfig(steps=4, scheme=Reinforce(), batch_size=16, n_rollouts=8, seed=2)
+        state = TrainerState(pop, cfg)
+        train_step(state)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(cfg.steps - 1):
+                tracemalloc.reset_peak()
+                train_step(state)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < size * m * 8 / 2
