@@ -399,31 +399,32 @@ class TestWeightArgumentModes:
         assert active.any()
         assert np.any(logs[False].weights[active] != logs[True].weights[active])
 
-    def test_empirical_weight_bias_is_measured_not_bounded(self):
+    def test_empirical_weight_bias_matches_the_effective_weight(self):
         # the weight w(p_hat) is correlated with the rewards inside the same
-        # estimator; measure the gap against the fixed-weight expectation and
-        # report it -- no bound is asserted
-        from curverl import kernels as kern
-
+        # estimator. Given c correct rollouts of N, the expected update is
+        # w_eff(p) * grad(p) with
+        #   w_eff(p) = sum_{c=1}^{N-1} Binom(c; N, p) w(c/N) (c/N)(1 - c/N) / (p(1 - p)),
+        # here for w(q) = 1/q; the naive (1 - 1/N) w(p) grad(p) is the negative control
         logits, mask = prompt([1.2, 0.0, -0.5, 0.3], {0})
         n, batches = 8, 50_000
         rng = np.random.default_rng(31)
         probs = softmax(logits)[None, :].repeat(batches, axis=0)
-        cum = np.cumsum(probs, axis=1)
-        responses = kern.sample_responses(cum, rng.random((batches, n)))
+        responses = sample_responses(np.cumsum(probs, axis=1), rng.random((batches, n)))
         rewards = mask[responses]
         counts = rewards.sum(axis=1)
         p_hat = counts / n
         active = (counts > 0) & (counts < n)
         w_hat = np.where(active, 1.0 / np.where(active, p_hat, 1.0), 0.0)
         coeff = w_hat[:, None] * (np.array([0.0, 1.0]) - p_hat[:, None]) / n
-        grads = kern.accumulate_gradients(probs, responses, rewards, coeff)
-        empirical_mean = grads.mean(axis=0)
+        grads = accumulate_gradients(probs, responses, rewards, coeff)
+        mean = grads.mean(axis=0)
+        se = grads.std(axis=0, ddof=1) / math.sqrt(batches)
         p = exact_pass_rate(logits, mask)
-        fixed_target = (1 - 1 / n) * (1.0 / p) * exact_pass_rate_gradient(logits, mask)
-        gap = float(np.abs(empirical_mean - fixed_target).max())
-        assert np.all(np.isfinite(empirical_mean))
-        print(f"empirical-weight bias probe: max componentwise gap = {gap:.4f}")
+        grad_p = exact_pass_rate_gradient(logits, mask)
+        w_eff = sum(math.comb(n, c) * p**c * (1 - p)**(n - c) * (n / c) * (c / n) * (1 - c / n)
+                    for c in range(1, n)) / (p * (1 - p))
+        assert np.all(np.abs(mean - w_eff * grad_p) <= 3 * se)
+        assert np.all(np.abs(mean - (1 - 1 / n) * (1.0 / p) * grad_p) >= 10 * se)
 
 
 class BrokenReference:
