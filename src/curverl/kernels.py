@@ -7,8 +7,7 @@ arrays and training stays deterministic.
 Both kernels take arrays from a softmax: ``cum`` is a row-wise cumulative sum
 of nonnegative probabilities, so every row of it is nondecreasing. The
 sampler relies on that; neither kernel forms a (B, N, M) array, so a step
-costs O(B·N·log M) to sample and, in cache-sized row blocks, 2·B·M
-multiplies plus B·N·M adds to accumulate.
+costs O(B·N·log M) to sample and O(B·(N + M)) to accumulate.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ import numpy as np
 
 __all__ = ["sample_responses", "accumulate_gradients"]
 
-# rows per gradient block: about 2**15 float64 entries of ``probs``, a 256 KB
-# tile, whose table of products is twice that
+# rows per block of the gradient's S * probs products: about 2**15 float64
+# entries, a 256 KB tile
 _BLOCK_ENTRIES = 2**15
 
 
@@ -54,23 +53,20 @@ def sample_responses(cum: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 def accumulate_gradients(probs: np.ndarray, responses: np.ndarray, rewards: np.ndarray,
                          coeff: np.ndarray) -> np.ndarray:
-    """Per-prompt sum_i c_i * (onehot(y_i) - probs), accumulated one rollout
-    at a time, where c_i = coeff[b, rewards[b, i]].
+    """Per-prompt sum_i c_i * (onehot(y_i) - probs), where
+    c_i = coeff[b, rewards[b, i]].
 
     With binary rewards and a per-prompt baseline a rollout's coefficient
     takes one of two values per prompt, so ``rewards`` is the (B, N) bool
     array and ``coeff`` is (B, 2): column 0 for a wrong rollout, column 1 for
     a correct one.
 
-    Training artifacts depend on this operation order bit for bit: every
-    entry starts at 0, then for i = 0, 1, ... adds (-c_i) * probs and, at
-    column y_i, adds c_i. A product (-c) * p is the same whichever rollout
-    it is computed for, so each row block first builds its two product rows
-    per prompt once, as a (2k, M) table, and rollout i then adds the table
-    rows it selects. The loop runs over row blocks of about 2**15 entries
-    so that a block stays in cache across all N rollouts; rows are
-    independent, so blocking changes which rows share a numpy call but not
-    any entry's sequence of operations. No row is skipped, not even one whose
+    The sum is scatter(c) - S * probs with S = sum_i c_i, and training
+    artifacts depend on this operation order bit for bit: one ``np.bincount``
+    adds, from 0.0 and in rollout order, each c_i at column y_i of its row;
+    S adds the row's c_i from 0.0 in rollout order too; then every row
+    subtracts S times its ``probs`` row, in cache-sized row blocks so that no
+    (B, M) product is live. No row is skipped, not even one whose
     coefficients are all zero: 0 * NaN is NaN, and a NaN ``probs`` row must
     reach the result.
     """
@@ -80,26 +76,17 @@ def accumulate_gradients(probs: np.ndarray, responses: np.ndarray, rewards: np.n
                          f"{responses.shape}, got {rewards.dtype} {rewards.shape}")
     if coeff.shape != (n_prompts, 2):
         raise ValueError(f"coeff must have shape ({n_prompts}, 2), got {coeff.shape}")
-    out = np.zeros((n_prompts, m))
-    flat = out.reshape(-1)
-    # rollout-major copies, so that rollout i's rewards and flat indices into
-    # ``out`` are contiguous
-    right = np.ascontiguousarray(rewards.T)
-    at = np.ascontiguousarray((responses + np.arange(n_prompts)[:, None] * m).T)
-    neg = -coeff
+    n_rollouts = responses.shape[1]
+    # each rollout's row, then, in place, its flat index into the result
+    at = np.arange(n_prompts).repeat(n_rollouts)
+    c = coeff.ravel().take(2 * at + rewards.ravel())
+    total = np.zeros(n_prompts)
+    for col in c.reshape(n_prompts, n_rollouts).T:
+        total += col
+    at *= m
+    at += responses.ravel()
+    out = np.bincount(at, c, minlength=n_prompts * m).reshape(n_prompts, m)
     block = max(1, _BLOCK_ENTRIES // m)
-    table = np.empty((2 * min(block, n_prompts), m))
     for lo in range(0, n_prompts, block):
-        hi = min(lo + block, n_prompts)
-        k = hi - lo
-        acc, products = out[lo:hi], table[:2 * k]
-        # row r * k + j of the table, like entry r * k + j of coeff's stacked
-        # columns, is prompt lo + j's for reward r; sel[i] picks rollout i's
-        np.multiply(probs[lo:hi], neg[lo:hi, :1], out=products[:k])
-        np.multiply(probs[lo:hi], neg[lo:hi, 1:], out=products[k:])
-        sel = right[:, lo:hi] * k + np.arange(k)
-        added = coeff[lo:hi].T.ravel().take(sel)
-        for i in range(responses.shape[1]):
-            acc += products.take(sel[i], axis=0)
-            flat[at[i, lo:hi]] += added[i]
+        out[lo:lo + block] -= total[lo:lo + block, None] * probs[lo:lo + block]
     return out

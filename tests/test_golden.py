@@ -97,73 +97,73 @@ CASES = {
 
 DIGESTS = {
     "curve_exact_pass_rate": {
-        "train_log.csv": "a1080434730bb0904e6d72e8a8c16aee12f0b16daa7f9ddeb4dc9f768c9d9cdb",
+        "train_log.csv": "9ea905370ec7435187f94242399bf0e435c2dbe1bdc3495ef155544ebf4482fa",
         "refdist.csv": "f3fc2acdbb1acea9dbff5baf370def5f1ee787ff6b2662a137505e8ddd830fce",
-        "per_prompt.csv": "d0227efc4542fdb7f08b98dd1b75df4602935b95d8a69d7b4b7f231fad94bbb9",
+        "per_prompt.csv": "725ea4b830fd9e6e484c40b7f6c6255b0201d9a851c573041fcaa55cc41a70dd",
         "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
     },
     "curve_window_cold_start": {
-        "train_log.csv": "fed2e0a9e69a261466408697e5e0187e6111d8ca1db4f04c474b08ee345b4426",
+        "train_log.csv": "a8f1f30676e6bd7432059d7ab6fa295a3663b7834d47d60ed71a40ac9d60cff2",
         "refdist.csv": "761577fb3bc7b3797695f13b90115975b807c81b0049dcacb6df7c95af69f49b",
-        "per_prompt.csv": "8a6656fa9ecf092973d6f190eead3e434014d7500821b7e5ec99f12dcaaf0fab",
+        "per_prompt.csv": "62b1f3a54eba7e8c9a2fda69f21ed184c3feab7f6472f65a94c5033ce0649969",
         "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
     },
     "entropic_risk": {
-        "train_log.csv": "e5e6307eb33782f17e90eec467f0e03682bca59e865a4ce60ce37da477e136d8",
+        "train_log.csv": "cfeab18494a5f0760f71a695d7e69269ef04e80318bc751014a5f062ab924365",
         "refdist.csv": "bcbf228cc4961cf427b126a1ee01c89803c8b4a2342419281db5066af40a7a03",
         "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
     },
     "entropic_risk_exact_pass_rate": {
-        "train_log.csv": "f42630c750f47db3796d94647713bb20057419f31f246e0bba1e86eebb9076e9",
+        "train_log.csv": "ca4aa13b4f02df4385a7844d45faecd116701675fc54a188ded8f656100ef1a6",
         "refdist.csv": "11e83fc53a2330f8cea48f364026a00bfe17b9cefb6090d230cdad108470ce1c",
-        "per_prompt.csv": "b3aa4a62d77364fe8973aaed7c9a5e934ddb956b66154ba232aa21db822fdb44",
+        "per_prompt.csv": "70be0aa27cbea0ed3634ca6e9ed635e4414bc179bda1cb9185209a358e2f2973",
         "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
     },
     "grpo_per_prompt": {
         "train_log.csv": "e7db9391dda0c86f9550749159b0c2fd6729b18ede77bc94eb02f1006a5da15f",
         "refdist.csv": "d536fd20b34972ee1cfe62175f21393cc58d3eb45ea00d6c0dac2791aa93b3ac",
-        "per_prompt.csv": "37574a4c0ae7e50e0bf8ec4f1d177030c4a41a811d94d643a46a29a54aefa3a5",
+        "per_prompt.csv": "fa3ef5bed0a90af1681b8eef05f4898d4b95140d66f0825d98fac22420c8c807",
         "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
     },
     "integrated_convex_per_prompt": {
-        "train_log.csv": "cf4003c28a271cbd83a330df462a80b3600d416d4c8ef422ad72a70ff675f85c",
+        "train_log.csv": "2e7846bb76bd87096a311f7bbd78eff3a5112714cb1aa947e843cd1e78abfb69",
         "refdist.csv": "761577fb3bc7b3797695f13b90115975b807c81b0049dcacb6df7c95af69f49b",
-        "per_prompt.csv": "31ab162c6377a46875effed284cad8101ce019ec0f8885c40fc77110b7a83642",
+        "per_prompt.csv": "8137ea98710f1da0cbbff6b0f308d8610c9811f589a7121901380f765e5ae7b1",
         "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
     },
     "integrated_product": {
-        "train_log.csv": "e21c5d719d478cce9818eff2a3252abfdbf73c1d50402da40266d4ddfb747332",
+        "train_log.csv": "624f9f89c14f64245550acd25f49c89518c867caa771148c89fcf7f01d15a749",
         "refdist.csv": "4544be8c9f2095cdf61be4b033e716ffa462184a2c5d5963ea4be3c1c7eed128",
         "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
     },
     "integrated_product_exact_pass_rate": {
-        "train_log.csv": "a853da917e3e135041917fc1993a59b85c518626fec34dac3c100d575f42008a",
+        "train_log.csv": "2ffa452781c4272ebb1ea667934fa0eab373d42e2db5580fdc5236cac21e1456",
         "refdist.csv": "8d46a7d84b799ee492b4ea6d0614bdf2585f68d9b3cbb3aedc17f7d8705c80a6",
-        "per_prompt.csv": "aba492bb4afd5a95dcfb6b831e3f995af3c1a66debf7beb3a8280586c2e54111",
+        "per_prompt.csv": "313cabf8994a6a35e938f94e036e4c8445094d7a0fff543d63d97a70bdac1ef0",
         "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
     },
     "maxrl_per_prompt": {
-        "train_log.csv": "74ac21f53187bf95ff930372c1a09eb960f4b83f469ed2bb25356122722ad77c",
+        "train_log.csv": "36406175d4d6313d1ed1547d7c4dc5f49facceffd09f4321ece0806a09ce7479",
         "refdist.csv": "761577fb3bc7b3797695f13b90115975b807c81b0049dcacb6df7c95af69f49b",
-        "per_prompt.csv": "ea3553ee398ba094c83befb895c4a4511229146fa61b5cefbdbef6e3a7ceb5c6",
+        "per_prompt.csv": "3d3f7c73c4c46fc7a933cad8f17b1ca4f3f8922ca3cd4b6dd25f0ca217ba45ec",
         "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
     },
     "blocks_curve_window": {
-        "train_log.csv": "6f65ecd99b8ed6c29df6d43204538036a797b0f99ad3668ab4946822fd2698a5",
+        "train_log.csv": "2c15a83944672c587637e53d6cf153d8913dd3274bf653bc56b5d27f4ebfc10d",
         "refdist.csv": "b1729f1c64098507778823f4292d77f384b4215d0c9254a2c3c923446d4278fd",
-        "per_prompt.csv": "e64739c44f936ec3b43adc641997aed695c6f9d775339076c6aa11a0aa7b5a74",
+        "per_prompt.csv": "7e88a66ad7926d6004f315ff54b21cf74a2ed8e5783ce9c7e03ecdf5f9ed9c2e",
         "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
     },
     "wide_curve_window": {
-        "train_log.csv": "c6dec26cf15bdcb11764170e7ebc006d41f468052048326f08a25ab3bcc191e3",
+        "train_log.csv": "320a671006a88a9aa49b3d0483c81cc2c098f7bf1a5f338b54740d3132b0d70f",
         "refdist.csv": "4c249ca4f5a3003ce9987cf81f2d8d852aa739419ad86fea470176ead85ca10e",
-        "per_prompt.csv": "253de8b793719385b3698a9d4b840c881c37493b188ac7c4afbe2ddc6ba38f2a",
+        "per_prompt.csv": "3fff0003c594fb25aa25227ee403c299ef1e5d2a4efc8fa4220f5918e561f82b",
         "population.json": "8794cd0cc57a4b81271b532ecb131bbc7504daeb8f2a7ea6fb6c1c8984337d2c",
     },
     "wide_reinforce": {
-        "train_log.csv": "80033514c2181a464bcd21ec377e8615795b4188329afcae01ed64a288075384",
+        "train_log.csv": "97ca7575f809b3f991c349c8e92025e6c4a281ce64cd4cc253e10ce01a52daf5",
         "refdist.csv": "8537718a3164b9ca0d8392405726a2ab0f82824d594861f0a34c71c320ab061a",
-        "per_prompt.csv": "926faecec364b01892ab9d7229bbf552710d90c7a5f5d77d3fadd35949e40744",
+        "per_prompt.csv": "ac46235bea738bf1f5131d80fd90c097b66a77a10d526eae57506cce519ec6fe",
         "population.json": "8794cd0cc57a4b81271b532ecb131bbc7504daeb8f2a7ea6fb6c1c8984337d2c",
     },
 }

@@ -38,7 +38,24 @@ def naive_sample(cum, uniforms):
 
 
 def naive_accumulate(probs, responses, coeff):
-    """The oracle, on per-rollout (B, N) coefficients."""
+    """The oracle, on per-rollout (B, N) coefficients: per row, add each c_i
+    at column y_i and into the row's sum S, both from 0.0 in rollout order,
+    then subtract S * probs."""
+    n_prompts, m = probs.shape
+    out = np.zeros((n_prompts, m))
+    for b in range(n_prompts):
+        s = 0.0
+        for i in range(responses.shape[1]):
+            out[b, responses[b, i]] += coeff[b, i]
+            s += coeff[b, i]
+        for j in range(m):
+            out[b, j] -= s * probs[b, j]
+    return out
+
+
+def sequential_accumulate(probs, responses, coeff):
+    """The rollout-at-a-time order that training used before the scatter:
+    per rollout, add (-c_i) * probs, then c_i at column y_i."""
     n_prompts, m = probs.shape
     out = np.zeros((n_prompts, m))
     for b in range(n_prompts):
@@ -161,7 +178,8 @@ class TestSamplerEdges:
 
 class TestAccumulationEdges:
     def test_ragged_last_block(self):
-        # two full row blocks at M = 256 and a last one of 44 rows
+        # two full row blocks of the S * probs subtraction at M = 256 and a
+        # last one of 44 rows
         block = kernels._BLOCK_ENTRIES // 256
         rng = np.random.default_rng(300)
         probs, cum, uniforms, rewards, coeff = make_inputs(rng, 2 * block + 44, 256, 6)
@@ -169,7 +187,7 @@ class TestAccumulationEdges:
 
     @pytest.mark.parametrize("correct", [False, True])
     def test_rows_all_wrong_or_all_correct(self, correct):
-        # every rollout of a row selects the same product row of the table
+        # every rollout of a row picks the same coefficient column
         rng = np.random.default_rng(11)
         probs, cum, uniforms, rewards, coeff = make_inputs(rng, 9, 16, 8)
         rewards[::2] = correct
@@ -219,11 +237,13 @@ class TestAccumulationEdges:
 
     def test_wide_call_forms_no_term_array(self):
         # an (N, B, M) float array of the per-rollout terms at (512, 256, 64)
-        # would be 64 MB; the result itself is 1 MB
+        # would be 64 MB and a whole (B, M) S * probs product 1 MB; the result
+        # itself is 1 MB, so twice its size leaves room for (B, N) arrays only
         import tracemalloc
 
+        n_prompts, m = 512, 256
         rng = np.random.default_rng(15)
-        probs, cum, uniforms, rewards, coeff = make_inputs(rng, 512, 256, 64)
+        probs, cum, uniforms, rewards, coeff = make_inputs(rng, n_prompts, m, 64)
         responses = sample_responses(cum, uniforms)
         tracemalloc.start()
         try:
@@ -232,4 +252,33 @@ class TestAccumulationEdges:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert peak < 2 * n_prompts * m * 8
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff of float64."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
+
+
+class TestGapToSequentialOrder:
+    """The scatter form and the old rollout-at-a-time order round the same
+    sum, sum_i c_i ([y_i = j] - p_j) at entry (b, j), in different orders.
+    With T = sum_i |c_i| (p_j + [y_i = j]), the old order adds up to 2N
+    terms from 0.0, each product rounded once, so it is within gamma_{2N} T
+    of the exact sum; the scatter adds up to N terms into the entry and N
+    into S, then rounds S * p_j and the subtraction once, so it is within
+    gamma_{N+1} T (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., sections 3.1 and 4.2). Their gap is within gamma_{3N+1} T."""
+
+    @pytest.mark.parametrize("shape", [(256, 16, 8), (512, 256, 64)])
+    def test_gap_within_the_rounding_bound(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        probs, cum, uniforms, rewards, coeff = make_inputs(rng, *shape)
+        responses = sample_responses(cum, uniforms)
+        c = per_rollout(coeff, rewards)
+        old = sequential_accumulate(probs, responses, c)
+        new = accumulate_gradients(probs, responses, rewards, coeff)
+        magnitude = np.abs(c).sum(axis=1)[:, None] * probs
+        np.add.at(magnitude, (np.arange(shape[0])[:, None], responses), np.abs(c))
+        assert np.all(np.abs(new - old) <= gamma(3 * shape[2] + 1) * magnitude)
