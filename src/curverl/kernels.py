@@ -16,9 +16,8 @@ import numpy as np
 
 __all__ = ["sample_responses", "accumulate_gradients"]
 
-# rows per block of the gradient's S * probs products: about 2**15 float64
-# entries, a 256 KB tile
-_BLOCK_ENTRIES = 2**15
+# rows per gradient block: about 2**14 float64 entries, a 128 KB tile
+_BLOCK_ENTRIES = 2**14
 
 
 def sample_responses(cum: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -62,11 +61,11 @@ def accumulate_gradients(probs: np.ndarray, responses: np.ndarray, rewards: np.n
     a correct one.
 
     The sum is scatter(c) - S * probs with S = sum_i c_i, and training
-    artifacts depend on this operation order bit for bit: one ``np.bincount``
-    adds, from 0.0 and in rollout order, each c_i at column y_i of its row;
-    S adds the row's c_i from 0.0 in rollout order too; then every row
-    subtracts S times its ``probs`` row, in cache-sized row blocks so that no
-    (B, M) product is live. No row is skipped, not even one whose
+    artifacts depend on this operation order bit for bit: in each row, every
+    c_i is added at column y_i and into S, both from 0.0 in rollout order
+    (one ``np.bincount`` each), and then S * probs is subtracted. Rows are
+    independent, so the kernel works through cache-sized row blocks and only
+    the result is as large as (B, M). No row is skipped, not even one whose
     coefficients are all zero: 0 * NaN is NaN, and a NaN ``probs`` row must
     reach the result.
     """
@@ -77,16 +76,18 @@ def accumulate_gradients(probs: np.ndarray, responses: np.ndarray, rewards: np.n
     if coeff.shape != (n_prompts, 2):
         raise ValueError(f"coeff must have shape ({n_prompts}, 2), got {coeff.shape}")
     n_rollouts = responses.shape[1]
-    # each rollout's row, then, in place, its flat index into the result
-    at = np.arange(n_prompts).repeat(n_rollouts)
-    c = coeff.ravel().take(2 * at + rewards.ravel())
-    total = np.zeros(n_prompts)
-    for col in c.reshape(n_prompts, n_rollouts).T:
-        total += col
-    at *= m
-    at += responses.ravel()
-    out = np.bincount(at, c, minlength=n_prompts * m).reshape(n_prompts, m)
+    out = np.empty((n_prompts, m))
     block = max(1, _BLOCK_ENTRIES // m)
     for lo in range(0, n_prompts, block):
-        out[lo:lo + block] -= total[lo:lo + block, None] * probs[lo:lo + block]
+        hi = min(lo + block, n_prompts)
+        k = hi - lo
+        # each rollout's row in the block, then, in place, its flat index
+        at = np.arange(k).repeat(n_rollouts)
+        c = coeff[lo:hi].ravel().take(2 * at + rewards[lo:hi].ravel())
+        total = np.bincount(at, c, minlength=k)
+        at *= m
+        at += responses[lo:hi].ravel()
+        scatter = np.bincount(at, c, minlength=k * m).reshape(k, m)
+        np.multiply(total[:, None], probs[lo:hi], out=out[lo:hi])
+        np.subtract(scatter, out[lo:hi], out=out[lo:hi])
     return out

@@ -178,8 +178,7 @@ class TestSamplerEdges:
 
 class TestAccumulationEdges:
     def test_ragged_last_block(self):
-        # two full row blocks of the S * probs subtraction at M = 256 and a
-        # last one of 44 rows
+        # two full row blocks at M = 256 and a last one of 44 rows
         block = kernels._BLOCK_ENTRIES // 256
         rng = np.random.default_rng(300)
         probs, cum, uniforms, rewards, coeff = make_inputs(rng, 2 * block + 44, 256, 6)
@@ -237,8 +236,8 @@ class TestAccumulationEdges:
 
     def test_wide_call_forms_no_term_array(self):
         # an (N, B, M) float array of the per-rollout terms at (512, 256, 64)
-        # would be 64 MB and a whole (B, M) S * probs product 1 MB; the result
-        # itself is 1 MB, so twice its size leaves room for (B, N) arrays only
+        # would be 64 MB; the result itself is 1 MB, and any (B, M) temporary
+        # beside it would take the peak past twice that
         import tracemalloc
 
         n_prompts, m = 512, 256
