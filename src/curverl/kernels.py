@@ -81,7 +81,8 @@ def accumulate_gradients(probs: np.ndarray, responses: np.ndarray, rewards: np.n
     for lo in range(0, n_prompts, block):
         hi = min(lo + block, n_prompts)
         k = hi - lo
-        # each rollout's row in the block, then, in place, its flat index
+        # each rollout's row in the block; 2 * row + reward picks its
+        # coefficient, and row * m + response, made in place, its entry
         at = np.arange(k).repeat(n_rollouts)
         c = coeff[lo:hi].ravel().take(2 * at + rewards[lo:hi].ravel())
         total = np.bincount(at, c, minlength=k)
