@@ -33,14 +33,19 @@ def sample_responses(cum: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     branchless binary search runs over all (B, N) uniforms in lockstep: k
     rounds of "advance by step if the entry step - 1 ahead is <= u". On a
     nondecreasing row the entries <= u form a prefix, so the search lands
-    exactly on its length, the count above.
+    exactly on its length, the count above. The search reads no column past
+    2**k - 2, so when M is a power of two it runs on ``cum`` itself, whose
+    column M - 1 it never reads, and no table is made.
     """
     n_prompts, m = cum.shape
     rounds = (m - 1).bit_length()
     width = 1 << rounds
-    table = np.full((n_prompts, width), np.inf)
-    table[:, :m - 1] = cum[:, :m - 1]
-    flat = table.ravel()
+    if width == m:
+        flat = cum.ravel()
+    else:
+        table = np.full((n_prompts, width), np.inf)
+        table[:, :m - 1] = cum[:, :m - 1]
+        flat = table.ravel()
     start = np.arange(n_prompts, dtype=np.int64)[:, None] * width
     pos = np.repeat(start, uniforms.shape[1], axis=1)
     for r in range(rounds - 1, -1, -1):

@@ -30,6 +30,7 @@ __all__ = [
     "write_population_json",
     "population_from_json",
     "population_pass_rates",
+    "pass_rates_from_probs",
     "population_pass_rate_gradients",
 ]
 
@@ -97,7 +98,12 @@ class PromptPopulation:
 
 def population_pass_rates(theta: np.ndarray, correct_masks: np.ndarray) -> np.ndarray:
     """Vector of exact pass rates for a (P, M) logit matrix, clamped to [0, 1]."""
-    probs = softmax(theta)
+    return pass_rates_from_probs(softmax(theta), correct_masks)
+
+
+def pass_rates_from_probs(probs: np.ndarray, correct_masks: np.ndarray) -> np.ndarray:
+    """Each row's mass on its correct responses, clamped to [0, 1]; row by
+    row, so the rates of some rows of ``probs`` are those rows of the rates."""
     return np.clip(np.where(correct_masks, probs, 0.0).sum(axis=1), 0.0, 1.0)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import refdist, weighting
 from .ioutil import write_csv
 from .kernels import accumulate_gradients, sample_responses
-from .passrate import PromptPopulation, population_pass_rates, softmax
+from .passrate import PromptPopulation, pass_rates_from_probs, softmax
 from .refdist import ReferenceDistribution, SlidingWindow
 
 log = logging.getLogger("curverl.trainer")
@@ -104,20 +104,18 @@ class TrainResult:
 class TrainerState:
     """Mutable policy + window + config bundle consumed by train_step.
 
-    The state keeps every prompt's exact pass rate in a cache: computed over
-    all P rows at construction, then recomputed by :func:`train_step` for
-    the rows it updated. The softmax and the masked sum work row by row, so
-    a cached rate has the same bits as a fresh :func:`population_pass_rates`
-    over the whole matrix. ``theta`` is owned by :func:`train_step`: change
-    it any other way and the cache no longer describes it.
+    The state caches the policy's softmax ``probs`` (P, M) and every
+    prompt's exact pass rate, both computed over all P rows at construction.
+    After each update :func:`train_step` recomputes the softmax of the rows
+    it moved, stores it in ``probs`` and takes their rates from it, and a
+    step's batch reads its rows of ``probs`` instead of a fresh softmax. The
+    softmax and the masked sum work row by row, so the cache has the same
+    bits as :func:`softmax` and :func:`population_pass_rates` over the whole
+    matrix. ``theta`` is owned by :func:`train_step`: change it any other
+    way and the cache no longer describes it.
 
-    The state also owns a zeroed (P, M) scratch for the step's gradient norm.
-    :func:`train_step` writes the update's squares into the sampled rows,
-    sums the whole scratch and zeroes those rows again. So a step allocates
-    only O(B·M), beside the O(P) CDF of its batch draw, and no O(P·M)
-    buffer is freed and faulted back in on every step. The sum still reads
-    all P·M entries, because the norm's bits are those of numpy's pairwise
-    sum over the whole flat array.
+    A step allocates only O(B·M); the batch draw searches a CDF of the base
+    weights built once here.
     """
 
     def __init__(self, population: PromptPopulation, config: TrainConfig):
@@ -129,8 +127,16 @@ class TrainerState:
         self.window = SlidingWindow(t0=config.t0, capacity=config.t0 * config.batch_size)
         self.step = 0
         self._cold_start_logged = False
-        self._exact = population_pass_rates(self.theta, self.masks)
-        self._norm_scratch = np.zeros(self.theta.shape)
+        self.probs = softmax(self.theta)
+        self._exact = pass_rates_from_probs(self.probs, self.masks)
+        # the CDF that Generator.choice(P, B, p=base_weights) builds on every call
+        self._batch_cdf = population.base_weights.cumsum()
+        self._batch_cdf /= self._batch_cdf[-1]
+
+    def draw_batch(self, rng: np.random.Generator) -> np.ndarray:
+        """``rng.choice(P, size=B, p=base_weights)``: the same int64 prompt
+        ids, and ``rng`` left in the same state, from the CDF built once."""
+        return self._batch_cdf.searchsorted(rng.random(self.config.batch_size), side="right")
 
     def exact_pass_rates(self) -> np.ndarray:
         """A copy of the cached exact pass rates of the current ``theta``."""
@@ -204,13 +210,12 @@ def train_step(state: TrainerState) -> tuple[StepLog, ReferenceDistribution]:
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(state.step,))
     )
-    batch = rng.choice(len(state.population), size=cfg.batch_size,
-                       p=state.population.base_weights)
+    batch = state.draw_batch(rng)
     uniforms = rng.random((cfg.batch_size, cfg.n_rollouts))
 
-    probs = softmax(state.theta[batch])
+    probs = state.probs[batch]
     responses = sample_responses(np.cumsum(probs, axis=1), uniforms)
-    rewards = np.take_along_axis(state.masks[batch], responses, axis=1)
+    rewards = state.masks[batch[:, None], responses]
     counts = rewards.sum(axis=1)
     p_hat = counts / cfg.n_rollouts
     active = (counts > 0) & (counts < cfg.n_rollouts)
@@ -240,22 +245,20 @@ def train_step(state: TrainerState) -> tuple[StepLog, ReferenceDistribution]:
     total /= cfg.batch_size
     updated = state.theta[rows]
     updated += cfg.learning_rate * total
-    # numpy's pairwise sum runs over the flat array, so the norm sums the
-    # squares of the whole (P, M) update, zero rows included, to keep its
-    # bits. That O(P·M) read stays, but the squares go into the state's
-    # zeroed scratch, whose rows are zeroed again before any check can raise
+    # the update is zero outside the rows it moved, so its norm sums theirs;
+    # the squares go before the refresh below allocates its softmax
     total *= total
-    scratch = state._norm_scratch
-    scratch[rows] = total
-    grad_norm = float(np.sqrt(scratch.sum()))
-    scratch[rows] = 0.0
+    grad_norm = float(np.sqrt(total.sum()))
+    del total
     if not math.isfinite(grad_norm):
         raise ValueError(f"step {state.step}: gradient norm is {grad_norm}")
     # only the sampled rows changed, so only they can have left the finite range
     if not np.isfinite(updated).all():
         raise ValueError(f"step {state.step}: updated logits are not finite")
     state.theta[rows] = updated
-    state._exact[rows] = population_pass_rates(updated, state.masks[rows])
+    probs = softmax(updated)
+    state.probs[rows] = probs
+    state._exact[rows] = pass_rates_from_probs(probs, state.masks[rows])
 
     state.window.push(state.step, p_hat[active])
 

@@ -97,7 +97,7 @@ CASES = {
 
 DIGESTS = {
     "curve_exact_pass_rate": {
-        "train_log.csv": "9ea905370ec7435187f94242399bf0e435c2dbe1bdc3495ef155544ebf4482fa",
+        "train_log.csv": "8819ea2530d96b5493062ef640707e786cb75f269342afbdae895331379817ed",
         "refdist.csv": "f3fc2acdbb1acea9dbff5baf370def5f1ee787ff6b2662a137505e8ddd830fce",
         "per_prompt.csv": "725ea4b830fd9e6e484c40b7f6c6255b0201d9a851c573041fcaa55cc41a70dd",
         "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
@@ -120,7 +120,7 @@ DIGESTS = {
         "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
     },
     "grpo_per_prompt": {
-        "train_log.csv": "e7db9391dda0c86f9550749159b0c2fd6729b18ede77bc94eb02f1006a5da15f",
+        "train_log.csv": "3ef6eb14dfadc07a4188d8801813b03947ce9f7705adc93fa985aae0b6aa723b",
         "refdist.csv": "d536fd20b34972ee1cfe62175f21393cc58d3eb45ea00d6c0dac2791aa93b3ac",
         "per_prompt.csv": "fa3ef5bed0a90af1681b8eef05f4898d4b95140d66f0825d98fac22420c8c807",
         "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
@@ -137,13 +137,13 @@ DIGESTS = {
         "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
     },
     "integrated_product_exact_pass_rate": {
-        "train_log.csv": "2ffa452781c4272ebb1ea667934fa0eab373d42e2db5580fdc5236cac21e1456",
+        "train_log.csv": "e02275019ebbbf4b3f5d49fae77392f399d0ee857f7817086ee247c4856aec40",
         "refdist.csv": "8d46a7d84b799ee492b4ea6d0614bdf2585f68d9b3cbb3aedc17f7d8705c80a6",
         "per_prompt.csv": "313cabf8994a6a35e938f94e036e4c8445094d7a0fff543d63d97a70bdac1ef0",
         "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
     },
     "maxrl_per_prompt": {
-        "train_log.csv": "36406175d4d6313d1ed1547d7c4dc5f49facceffd09f4321ece0806a09ce7479",
+        "train_log.csv": "a73996106a3ccce0649a5779ddca2a7e5992ee13b347bad6f09cb49a7f914028",
         "refdist.csv": "761577fb3bc7b3797695f13b90115975b807c81b0049dcacb6df7c95af69f49b",
         "per_prompt.csv": "3d3f7c73c4c46fc7a933cad8f17b1ca4f3f8922ca3cd4b6dd25f0ca217ba45ec",
         "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
@@ -155,13 +155,13 @@ DIGESTS = {
         "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
     },
     "wide_curve_window": {
-        "train_log.csv": "320a671006a88a9aa49b3d0483c81cc2c098f7bf1a5f338b54740d3132b0d70f",
+        "train_log.csv": "1ea43631976ee31cb6990a72e268bf5c8d4c6e7cbf3ade40405d0d221cbaef62",
         "refdist.csv": "4c249ca4f5a3003ce9987cf81f2d8d852aa739419ad86fea470176ead85ca10e",
         "per_prompt.csv": "3fff0003c594fb25aa25227ee403c299ef1e5d2a4efc8fa4220f5918e561f82b",
         "population.json": "8794cd0cc57a4b81271b532ecb131bbc7504daeb8f2a7ea6fb6c1c8984337d2c",
     },
     "wide_reinforce": {
-        "train_log.csv": "97ca7575f809b3f991c349c8e92025e6c4a281ce64cd4cc253e10ce01a52daf5",
+        "train_log.csv": "7f33b6506883d6a86938fa8856ce439e9f74e344ccc682f0a6258d448d408c4b",
         "refdist.csv": "8537718a3164b9ca0d8392405726a2ab0f82824d594861f0a34c71c320ab061a",
         "per_prompt.csv": "ac46235bea738bf1f5131d80fd90c097b66a77a10d526eae57506cce519ec6fe",
         "population.json": "8794cd0cc57a4b81271b532ecb131bbc7504daeb8f2a7ea6fb6c1c8984337d2c",

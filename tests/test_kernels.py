@@ -159,6 +159,29 @@ class TestSamplerEdges:
         np.testing.assert_array_equal(out, naive_sample(cum, uniforms))
         assert np.all(out == m - 1)
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 16, 17, 256])
+    def test_equals_the_capped_count_and_never_reads_the_last_column(self, m):
+        # at M = 2**k the search runs on cum itself, elsewhere on a padded
+        # copy of its first M - 1 columns; both must be the brute-force
+        # min(#{j : cum[j] <= u}, M - 1)
+        rng = np.random.default_rng(300 + m)
+        cum = cdf_rows(rng, 4, m)
+        cum[0, -1] = np.nextafter(1.0, 0.0) - 4 * np.finfo(float).eps
+        last = cum[:, -2:-1]
+        # random draws, every cum entry itself, draws at and past cum[M - 2],
+        # and one between a last entry under 1 and 1
+        uniforms = np.concatenate([
+            rng.random((4, 16)), cum, last, np.nextafter(last, 1.0),
+            last + (1.0 - last) * rng.random((4, 8)),
+            np.full((4, 1), np.nextafter(1.0, 0.0)),
+        ], axis=1)
+        want = np.minimum((cum[:, None, :] <= uniforms[:, :, None]).sum(axis=2), m - 1)
+        np.testing.assert_array_equal(sample_responses(cum, uniforms), want)
+        assert np.any(want == m - 1)
+        garbled = cum.copy()
+        garbled[:, -1] = np.nan
+        np.testing.assert_array_equal(sample_responses(garbled, uniforms), want)
+
     def test_wide_call_forms_no_dense_compare(self):
         # a (B, N, M) boolean array at (512, 64, 256) alone is 8 MB
         import tracemalloc

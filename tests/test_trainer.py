@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from curverl import trainer, weighting
@@ -16,6 +16,7 @@ from curverl.passrate import (
     DifficultyProfile,
     PromptPopulation,
     make_population,
+    pass_rates_from_probs,
     population_pass_rate_gradients,
     population_pass_rates,
     softmax,
@@ -229,11 +230,17 @@ class TestTrainStep:
         train_step(state)
         train_step(state)
         state.theta[:, 0] = planted
-        # an inf logit makes the softmax compute inf - inf
+        # the cached softmax and rates must describe theta, so they see the
+        # planted value too; a +inf logit makes the softmax compute inf - inf
+        with np.errstate(invalid="ignore"):
+            state.probs[:] = softmax(state.theta)
+            state._exact[:] = population_pass_rates(state.theta, state.masks)
+        theta, probs = state.theta.copy(), state.probs.copy()
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
             train_step(state)
-        # the norm scratch is zeroed again before either check raises
-        assert not state._norm_scratch.any()
+        # either check raises before the step writes the policy or its cache
+        np.testing.assert_array_equal(state.theta, theta)
+        np.testing.assert_array_equal(state.probs.view(np.uint64), probs.view(np.uint64))
 
     def test_cold_start_curve_step_equals_maxrl_step(self):
         pop = beta_population(30, seed=1)
@@ -337,44 +344,84 @@ class TestStepInvariants:
             assert 0.0 <= entry.mean_exact_pass_rate <= 1.0
 
 
-class TestNormScratch:
-    @given(
-        size=st.integers(1, 40),
-        m=st.integers(2, 9),
-        batch_size=st.integers(1, 80),
-        exact=st.booleans(),
-        hopeless=st.booleans(),
-        seed=st.integers(0, 2**16),
-    )
+def updates_of_steps(state, steps):
+    """Run ``steps`` steps; yield each step's log, the rows it moved and
+    their batch-mean gradient, the update direction."""
+    sums = []
+
+    def capture(batch, grads):
+        rows, total = _sum_by_prompt(batch, grads)
+        # the step scales and squares ``total`` in place
+        sums.append((rows.copy(), total.copy()))
+        return rows, total
+
+    with mock.patch.object(trainer, "_sum_by_prompt", capture):
+        for _ in range(steps):
+            entry, _ = train_step(state)
+            rows, total = sums.pop()
+            yield entry, rows, total / state.config.batch_size
+
+
+GRAD_NORM_DRAWS = dict(
+    size=st.integers(1, 40),
+    m=st.integers(2, 17),
+    batch_size=st.integers(1, 80),
+    exact=st.booleans(),
+    hopeless=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+
+
+def grad_norm_state(size, m, batch_size, exact, hopeless, seed):
+    pop = beta_population(size, seed=seed, alpha=1.0, beta=2.0, m=m)
+    if hopeless:
+        pop = PromptPopulation(pop.logits, np.zeros(pop.correct.shape, dtype=bool))
+    cfg = TrainConfig(steps=4, scheme=Reinforce(), batch_size=batch_size, n_rollouts=4,
+                      learning_rate=4.0, seed=seed, weight_at_exact_pass_rate=exact)
+    return TrainerState(pop, cfg)
+
+
+def full_matrix_norm(state, rows, mean):
+    """The norm as the sum of squares over the whole (P, M) update."""
+    z = np.zeros(state.theta.shape)
+    z[rows] = mean * mean
+    return float(np.sqrt(z.sum()))
+
+
+class TestGradNorm:
+    """grad_norm is sqrt(sum of squares) of the update direction over the
+    rows the step moved; the update is zero on every other row."""
+
+    @given(**GRAD_NORM_DRAWS)
     # more draws than prompts, so prompts repeat, and no prompt is ever active
     @example(size=3, m=4, batch_size=80, exact=False, hopeless=True, seed=0)
     @example(size=5, m=3, batch_size=64, exact=True, hopeless=False, seed=1)
     @settings(max_examples=40, deadline=None)
-    def test_grad_norm_is_the_sum_of_a_fresh_zeroed_matrix(self, size, m, batch_size, exact,
-                                                          hopeless, seed):
-        pop = beta_population(size, seed=seed, alpha=1.0, beta=2.0, m=m)
-        if hopeless:
-            pop = PromptPopulation(pop.logits, np.zeros(pop.correct.shape, dtype=bool))
-        cfg = TrainConfig(steps=4, scheme=Reinforce(), batch_size=batch_size, n_rollouts=4,
-                          learning_rate=4.0, seed=seed, weight_at_exact_pass_rate=exact)
-        state = TrainerState(pop, cfg)
-        sums = []
+    def test_grad_norm_is_the_norm_of_the_updated_rows(self, **draw):
+        state = grad_norm_state(**draw)
+        for entry, _, mean in updates_of_steps(state, state.config.steps):
+            assert entry.grad_norm.hex() == float(np.sqrt(np.sum(mean * mean))).hex()
 
-        def capture(batch, grads):
-            rows, total = _sum_by_prompt(batch, grads)
-            # the step scales and squares ``total`` in place
-            sums.append((rows.copy(), total.copy()))
-            return rows, total
+    @given(**GRAD_NORM_DRAWS)
+    @settings(max_examples=40, deadline=None)
+    def test_grad_norm_is_within_4_ulp_of_the_full_matrix_sum(self, **draw):
+        state = grad_norm_state(**draw)
+        for entry, rows, mean in updates_of_steps(state, state.config.steps):
+            assert abs(entry.grad_norm - full_matrix_norm(state, rows, mean)) \
+                <= 4 * np.finfo(float).eps * entry.grad_norm
 
-        with mock.patch.object(trainer, "_sum_by_prompt", capture):
-            for _ in range(cfg.steps):
-                entry, _ = train_step(state)
-                rows, total = sums.pop()
-                mean = total / batch_size
-                z = np.zeros((size, m))
-                z[rows] = mean * mean
-                assert entry.grad_norm.hex() == float(np.sqrt(z.sum())).hex()
-                assert not state._norm_scratch.any()
+    def test_the_canonical_shape_moves_some_bits_within_the_bound(self):
+        # P = 500, M = 16, B = 256: numpy's pairwise sum over the whole
+        # (P, M) update groups the squares differently from the sum over
+        # the moved rows, so some steps differ from the full-matrix norm in
+        # the last bit, and none by more than 4 ulp
+        pop = beta_population(500, seed=47, alpha=1.0, beta=4.0, unsolvable=0.1)
+        state = TrainerState(pop, TrainConfig(steps=30, scheme=Curve(), learning_rate=8.0,
+                                              seed=47))
+        gaps = [abs(entry.grad_norm - full_matrix_norm(state, rows, mean)) / entry.grad_norm
+                for entry, rows, mean in updates_of_steps(state, state.config.steps)]
+        assert any(gaps)
+        assert max(gaps) <= 4 * np.finfo(float).eps
 
 
 class TestWeightArgumentModes:
@@ -638,25 +685,9 @@ class TestConfigValidation:
 
 
 class TestExactRateCache:
-    """The state's exact pass rates are cached and refreshed only for the
-    rows a step updated; they must stay the full recomputation's bits."""
-
-    @pytest.mark.parametrize("scheme, exact_mode", [
-        (Curve(), False), (Reinforce(), False), (MaxRL(), True),
-    ], ids=["curve", "reinforce", "weight_at_exact_pass_rate"])
-    def test_cache_equals_full_recomputation_bitwise(self, scheme, exact_mode):
-        # 12 prompts and batches of 48: every batch repeats prompts
-        pop = beta_population(12, seed=5, unsolvable=0.2)
-        cfg = TrainConfig(steps=10, scheme=scheme, batch_size=48, t0=2, seed=4,
-                          learning_rate=4.0, min_window_count=8,
-                          weight_at_exact_pass_rate=exact_mode)
-        state = TrainerState(pop, cfg)
-        for _ in range(cfg.steps):
-            entry, _ = train_step(state)
-            assert np.unique(entry.prompt_ids).size < cfg.batch_size
-            full = population_pass_rates(state.theta, state.masks)
-            np.testing.assert_array_equal(state.exact_pass_rates().view(np.uint64),
-                                          full.view(np.uint64))
+    """The state's softmax and exact pass rates are cached and refreshed
+    only for the rows a step updated; they must stay the full
+    recomputation's bits."""
 
     def test_exact_pass_rates_is_a_copy(self):
         state = TrainerState(beta_population(6, seed=1), TrainConfig(steps=1, scheme=Reinforce()))
@@ -665,21 +696,87 @@ class TestExactRateCache:
         assert np.all(state.exact_pass_rates() >= 0.0)
 
     def test_step_recomputes_only_the_batch_rows(self, monkeypatch):
-        rows_seen = []
+        # the batch reads its rows of the cached softmax, so the step's only
+        # softmax and rate sum run over the distinct prompts it updated
+        seen = {"softmax": [], "rates": []}
 
-        def counted(theta, masks):
-            rows_seen.append(theta.shape[0])
-            return population_pass_rates(theta, masks)
+        def counted(name, fn):
+            def wrapper(array, *args):
+                seen[name].append(array.shape[0])
+                return fn(array, *args)
+            return wrapper
 
-        monkeypatch.setattr(trainer, "population_pass_rates", counted)
+        monkeypatch.setattr(trainer, "softmax", counted("softmax", softmax))
+        monkeypatch.setattr(trainer, "pass_rates_from_probs",
+                            counted("rates", pass_rates_from_probs))
         pop = beta_population(200, seed=3)
         cfg = TrainConfig(steps=5, scheme=Reinforce(), batch_size=16, seed=8)
         state = TrainerState(pop, cfg)
-        assert rows_seen == [200]
+        assert seen == {"softmax": [200], "rates": [200]}
         for _ in range(cfg.steps):
-            rows_seen.clear()
+            seen["softmax"].clear()
+            seen["rates"].clear()
+            entry, _ = train_step(state)
+            distinct = np.unique(entry.prompt_ids).size
+            assert seen == {"softmax": [distinct], "rates": [distinct]}
+
+    @given(
+        scheme=st.sampled_from([Reinforce(), Curve(), MaxRL()]),
+        size=st.integers(1, 30),
+        m=st.sampled_from([2, 3, 4, 5, 8, 16, 17]),
+        batch_size=st.integers(1, 64),
+        exact=st.booleans(),
+        unsolvable=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(0, 2**16),
+    )
+    # batches four times the population repeat prompts; a third unsolvable
+    @example(scheme=Curve(), size=10, m=16, batch_size=40, exact=False, unsolvable=0.3, seed=2)
+    @example(scheme=MaxRL(), size=10, m=5, batch_size=40, exact=True, unsolvable=0.3, seed=3)
+    @settings(max_examples=40, deadline=None)
+    def test_cache_is_the_full_softmax_after_every_step(self, scheme, size, m, batch_size,
+                                                       exact, unsolvable, seed):
+        pop = beta_population(size, seed=seed, alpha=1.0, beta=2.0, unsolvable=unsolvable, m=m)
+        cfg = TrainConfig(steps=4, scheme=scheme, batch_size=batch_size, n_rollouts=4, t0=2,
+                          learning_rate=4.0, seed=seed, min_window_count=8,
+                          weight_at_exact_pass_rate=exact)
+        state = TrainerState(pop, cfg)
+        for _ in range(cfg.steps):
             train_step(state)
-            assert sum(rows_seen) <= cfg.batch_size
+            np.testing.assert_array_equal(state.probs.view(np.uint64),
+                                          softmax(state.theta).view(np.uint64))
+            full = population_pass_rates(state.theta, state.masks)
+            np.testing.assert_array_equal(state.exact_pass_rates().view(np.uint64),
+                                          full.view(np.uint64))
+
+
+class TestBatchDraw:
+    """TrainerState.draw_batch searches a CDF built once per run; it must be
+    Generator.choice(P, B, p=base_weights) in values, dtype and the state it
+    leaves the generator in."""
+
+    @given(
+        weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+        zeros_before=st.integers(0, 3),
+        zeros_after=st.integers(0, 3),
+        batch_size=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(weights=[1.0], zeros_before=0, zeros_after=0, batch_size=5, seed=0)
+    @example(weights=[0.5, 0.5], zeros_before=2, zeros_after=3, batch_size=64, seed=1)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_generator_choice(self, weights, zeros_before, zeros_after, batch_size, seed):
+        w = np.array([0.0] * zeros_before + weights + [0.0] * zeros_after)
+        assume(w.sum() > 0.0)
+        w /= w.sum()
+        pop = PromptPopulation(np.zeros((w.size, 2)), np.zeros((w.size, 2), dtype=bool),
+                               base_weights=w)
+        state = TrainerState(pop, TrainConfig(steps=1, scheme=Reinforce(), batch_size=batch_size))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = state.draw_batch(got_rng)
+        want = want_rng.choice(w.size, size=batch_size, p=pop.base_weights)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestBatchGradientSum:
@@ -777,7 +874,7 @@ class TestArtifactMemory:
 class TestStepMemory:
     def test_a_step_allocates_nothing_of_the_population_shape(self):
         # one (P, M) float64 array is 2 MiB here, while a step's (B, M)
-        # arrays are about 8 KiB; the norm reuses the state's scratch
+        # arrays are about 8 KiB; the norm sums only the moved rows
         import tracemalloc
 
         size, m = 4000, 64
