@@ -282,9 +282,22 @@ def run_training(population: PromptPopulation, config: TrainConfig) -> TrainResu
     state = TrainerState(population, config)
     logs: list[StepLog] = []
     refs: list[ReferenceDistribution] = []
-    for _ in range(config.steps):
+    # each step's four per-row arrays are copied into rows of blocks made
+    # before the first step: kept per step, they are small heap blocks left
+    # among the step's freed (B, M) temporaries, and where they land can
+    # split the free space later steps reuse, growing the heap by MBs in
+    # some process layouts and not in others
+    shape = (config.steps, config.batch_size)
+    prompt_ids = np.empty(shape, dtype=np.int64)
+    p_hat, weights, prompt_norms = np.empty((3, *shape))
+    for t in range(config.steps):
         entry, window_ref = train_step(state)
-        logs.append(entry)
+        prompt_ids[t] = entry.prompt_ids
+        p_hat[t] = entry.p_hat
+        weights[t] = entry.weights
+        prompt_norms[t] = entry.prompt_grad_norms
+        logs.append(replace(entry, prompt_ids=prompt_ids[t], p_hat=p_hat[t],
+                            weights=weights[t], prompt_grad_norms=prompt_norms[t]))
         refs.append(window_ref)
     return TrainResult(
         config=config,

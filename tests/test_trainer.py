@@ -892,3 +892,20 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
         assert max(peaks) < size * m * 8 / 2
+
+
+class TestRunMemory:
+    def test_per_row_logs_are_rows_of_one_block_per_field(self):
+        # the step's own arrays, copied into (steps, B) blocks made before
+        # the first step, so a run keeps no per-step heap allocation
+        pop = beta_population(40, seed=6)
+        cfg = TrainConfig(steps=5, scheme=Curve(), batch_size=16, t0=2, seed=3,
+                          min_window_count=8)
+        result = run_training(pop, cfg)
+        state = TrainerState(pop, cfg)
+        assert_step_logs_equal(result.step_logs,
+                               [train_step(state)[0] for _ in range(cfg.steps)])
+        for name in ("prompt_ids", "p_hat", "weights", "prompt_grad_norms"):
+            rows = [getattr(entry, name) for entry in result.step_logs]
+            assert rows[0].base is not None
+            assert all(row.base is rows[0].base for row in rows)
