@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ioutil import fmt_float_rows
 from .rootfind import brentq_lanes
 
 log = logging.getLogger("curverl.passrate")
@@ -251,21 +252,40 @@ def make_population(
 # serialization (bit-exact round trip at 17 significant digits)
 # ---------------------------------------------------------------------------
 
+# floats rendered at a time by the population writer
+_JSON_BLOCK_VALUES = 2**12
+
+
+def _prompt_lines(pop: PromptPopulation, lo: int, hi: int) -> str:
+    """The population.json lines of prompts ``lo`` to ``hi - 1``."""
+    logits = fmt_float_rows(pop.logits[lo:hi])
+    correct = pop.correct[lo:hi]
+    indices = list(map(str, np.nonzero(correct)[1].tolist()))
+    ends = np.cumsum(np.count_nonzero(correct, axis=1)).tolist()
+    lines, start = [], 0
+    for i, (row, end) in enumerate(zip(logits, ends), lo):
+        tail = "," if i < len(pop) - 1 else ""
+        lines.append(f'    {{"id": {i}, "logits": [{row}], '
+                     f'"correct": [{", ".join(indices[start:end])}]}}{tail}\n')
+        start = end
+    return "".join(lines)
+
+
 def _population_json_lines(pop: PromptPopulation):
-    """Yield population.json as lines: the header, one line per prompt, the
-    footer. A prompt line is rendered from that row alone, so no more than
-    one row's text is held at a time. Floats go through ``%.17g``, the
-    digits of :func:`curverl.ioutil.fmt_float`."""
+    """Yield population.json in pieces: the header, the prompt lines one
+    block of about 2**12 logits at a time, and the base weights line in
+    blocks of as many values. So the writer holds one block's text, not the
+    whole file's. Floats go through :func:`curverl.ioutil.fmt_float_rows`,
+    the digits of :func:`curverl.ioutil.fmt_float`."""
     yield f'{{\n  "m": {pop.m},\n  "prompts": [\n'
-    floats = ", ".join(["%.17g"] * pop.m)
-    last = len(pop) - 1
-    for i, (row, correct) in enumerate(zip(pop.logits, pop.correct)):
-        logits = floats % tuple(row.tolist())
-        indices = ", ".join(map(str, np.flatnonzero(correct).tolist()))
-        tail = "," if i < last else ""
-        yield f'    {{"id": {i}, "logits": [{logits}], "correct": [{indices}]}}{tail}\n'
-    weights = ", ".join(["%.17g"] * len(pop)) % tuple(pop.base_weights.tolist())
-    yield f'  ],\n  "base_weights": [{weights}]\n}}\n'
+    rows_per_block = max(1, _JSON_BLOCK_VALUES // pop.m)
+    for lo in range(0, len(pop), rows_per_block):
+        yield _prompt_lines(pop, lo, lo + rows_per_block)
+    yield '  ],\n  "base_weights": ['
+    for lo in range(0, len(pop), _JSON_BLOCK_VALUES):
+        yield (", " if lo else "") + fmt_float_rows(
+            pop.base_weights[None, lo:lo + _JSON_BLOCK_VALUES])[0]
+    yield "]\n}\n"
 
 
 def population_to_json(pop: PromptPopulation) -> str:
@@ -274,15 +294,18 @@ def population_to_json(pop: PromptPopulation) -> str:
 
 
 def write_population_json(path: str | os.PathLike, pop: PromptPopulation) -> None:
-    """Write :func:`population_to_json`'s text to ``path`` one line at a time."""
+    """Write :func:`population_to_json`'s text to ``path`` one block of
+    prompts at a time."""
     with open(path, "w", newline="\n") as fh:
         fh.writelines(_population_json_lines(pop))
 
 
 def population_from_json(text: str) -> PromptPopulation:
     """Parse :func:`population_to_json` output; prompt ids must be the row
-    indices 0, 1, ..."""
-    doc = json.loads(text)
+    indices 0, 1, ... and each prompt's correct entries distinct response
+    indices. A logit written as ``-0`` comes back as -0.0."""
+    # "-0" is how the writer renders -0.0; json alone would read the int 0
+    doc = json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
     expected = {"m", "prompts", "base_weights"}
     unknown = set(doc) - expected
     if unknown:
@@ -294,13 +317,18 @@ def population_from_json(text: str) -> PromptPopulation:
         bad = set(entry) - {"id", "logits", "correct"}
         if bad:
             raise ValueError(f"unknown prompt keys: {sorted(bad)}")
-        if entry["id"] != i:
+        if type(entry["id"]) is not int or entry["id"] != i:
             raise ValueError(f"prompt {entry['id']!r}: expected id {i}, the row index")
         row = np.asarray(entry["logits"], dtype=np.float64)
         if row.shape != (m,):
             raise ValueError(f"prompt {i}: expected {m} logits")
-        indices = np.asarray(entry["correct"], dtype=np.int64)
-        if np.any((indices < 0) | (indices >= m)):
+        indices = entry["correct"]
+        # type, not isinstance: true and false are ints to isinstance
+        if not isinstance(indices, list) or any(type(j) is not int for j in indices):
+            raise ValueError(f"prompt {i}: correct must be a list of response indices")
+        if len(set(indices)) < len(indices):
+            raise ValueError(f"prompt {i}: repeated correct index")
+        if any(not 0 <= j < m for j in indices):
             raise ValueError(f"prompt {i}: correct index out of range")
         logits[i] = row
         correct[i, indices] = True

@@ -279,6 +279,27 @@ class TestSerialization:
         with pytest.raises(ValueError, match="prompt 2: expected id 1"):
             population_from_json(text.replace('"id": 1,', '"id": 2,'))
 
+    @pytest.mark.parametrize("given_id", ["true", "1.0"])
+    def test_id_must_be_an_integer(self, given_id):
+        text = population_to_json(make_population(3, m=4, seed=0))
+        with pytest.raises(ValueError, match="expected id 1"):
+            population_from_json(text.replace('"id": 1,', f'"id": {given_id},'))
+
+    def test_negative_zero_logit_round_trips(self):
+        # the writer renders -0.0 as "-0", which json alone reads as the int 0
+        pop = prompt([-0.0, 0.0, 1.5], {2})
+        back = population_from_json(population_to_json(pop))
+        assert np.signbit(back.logits).tolist() == [[True, False, False]]
+        assert population_to_json(back) == population_to_json(pop)
+
+    @pytest.mark.parametrize("entry", ["[0.7]", "[true]", "[1, 1]", "[1.0]", "[-0]", "1"])
+    def test_correct_entries_must_be_distinct_indices(self, entry):
+        pop = PromptPopulation([[0.0, 0.0], [1.0, 2.0]], [[True, False], [False, True]])
+        text = population_to_json(pop)
+        assert text.count('"correct": [1]') == 1
+        with pytest.raises(ValueError, match="prompt 1: (correct must be|repeated)"):
+            population_from_json(text.replace('"correct": [1]', f'"correct": {entry}'))
+
 
 @pytest.fixture(scope="module")
 def wide_population():
@@ -286,7 +307,74 @@ def wide_population():
     return make_population(2000, 256, seed=0)
 
 
+def population_json_per_row(pop):
+    """The reference writer: each prompt line from one ``%`` template call
+    over that row, and the base weights from one call over all of them."""
+    floats = ", ".join(["%.17g"] * pop.m)
+    lines = [f'{{\n  "m": {pop.m},\n  "prompts": [\n']
+    last = len(pop) - 1
+    for i, (row, correct) in enumerate(zip(pop.logits, pop.correct)):
+        logits = floats % tuple(row.tolist())
+        indices = ", ".join(map(str, np.flatnonzero(correct).tolist()))
+        tail = "," if i < last else ""
+        lines.append(f'    {{"id": {i}, "logits": [{logits}], "correct": [{indices}]}}{tail}\n')
+    weights = ", ".join(["%.17g"] * len(pop)) % tuple(pop.base_weights.tolist())
+    lines.append(f'  ],\n  "base_weights": [{weights}]\n}}\n')
+    return "".join(lines)
+
+
+# values at and around the edges of the writer's fast renderer, some of
+# which it must leave to the template
+SPECIAL_LOGITS = [-0.0, 5e-324, 1e-5, 1e-6, 9.9999999999999995e-07, 1e8, -1e8, 1e20,
+                  2.0**53 + 1]
+
+
+def adversarial_population():
+    """300 x 16 logits spread over 1e-8 to 1e9 in magnitude, one special
+    value in every third row and a row of them all; uneven base weights
+    with a zero and a subnormal."""
+    rng = np.random.default_rng(21)
+    logits = rng.standard_normal((300, 16)) * 10.0 ** rng.integers(-8, 10, size=(300, 1))
+    for i, v in enumerate(SPECIAL_LOGITS * 11):
+        logits[3 * i, i % 16] = v
+    logits[-1, :len(SPECIAL_LOGITS)] = SPECIAL_LOGITS
+    weights = rng.random(300)
+    weights[:2] = 0.0
+    weights /= weights.sum()
+    weights[1] = 5e-324
+    return PromptPopulation(logits, rng.random((300, 16)) < 0.25, weights)
+
+
+def tall_population():
+    """More prompts than one block of logits or of base weights holds."""
+    rng = np.random.default_rng(5)
+    weights = rng.random(5000)
+    return PromptPopulation(rng.standard_normal((5000, 2)), rng.random((5000, 2)) < 0.5,
+                            weights / weights.sum())
+
+
 class TestWriter:
+    @pytest.mark.parametrize("case", sorted(POPULATION_CASES))
+    def test_text_equals_per_row_writer_on_golden_populations(self, case):
+        profile, seed = POPULATION_CASES[case]
+        pop = make_population(64, 64, profile, seed=seed)
+        assert population_to_json(pop) == population_json_per_row(pop)
+
+    def test_text_equals_per_row_writer_on_wide_population(self, wide_population):
+        assert population_to_json(wide_population) == population_json_per_row(wide_population)
+
+    @pytest.mark.parametrize("build", [adversarial_population, tall_population])
+    def test_text_equals_per_row_writer_at_the_edges(self, build, tmp_path):
+        pop = build()
+        text = population_to_json(pop)
+        assert text == population_json_per_row(pop)
+        write_population_json(tmp_path / "population.json", pop)
+        assert (tmp_path / "population.json").read_bytes() == text.encode()
+        back = population_from_json(text)
+        for name in ("logits", "correct", "base_weights"):
+            np.testing.assert_array_equal(getattr(back, name).view(np.uint8),
+                                          getattr(pop, name).view(np.uint8))
+
     @pytest.mark.parametrize("case", sorted(POPULATION_CASES))
     def test_file_equals_text_on_golden_populations(self, case, tmp_path):
         profile, seed = POPULATION_CASES[case]
