@@ -1,7 +1,9 @@
 """Pass-rate oracle tests: closed forms, finite differences, sampling."""
 
+import contextlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +13,10 @@ from hypothesis import strategies as st
 from curverl import passrate
 from curverl.kernels import accumulate_gradients, sample_responses
 from curverl.passrate import (
+    _OFFSET_BRACKET,
     DifficultyProfile,
     PromptPopulation,
+    _solve_logit_offsets,
     make_population,
     population_from_json,
     population_pass_rate_gradients,
@@ -21,6 +25,7 @@ from curverl.passrate import (
     softmax,
     write_population_json,
 )
+from curverl.rootfind import brentq_lanes
 from test_golden import POPULATION_CASES
 from test_trainer import per_prompt_gradient
 
@@ -51,6 +56,51 @@ def sample_rewards(pr, n, rng):
     """n rewards of the prompt's policy, drawn by the one response sampler."""
     responses = sample_responses(np.cumsum(softmax(pr.logits), axis=1), rng.random((1, n)))
     return np.take_along_axis(pr.correct, responses, axis=1)[0], responses[0]
+
+
+OFFSET_TOLERANCES = dict(xtol=1e-13, rtol=8.9e-16, maxiter=200)
+
+
+def brentq(f, a, b, **kwargs):
+    """A root of the scalar ``f`` in [a, b]: one lane of :func:`brentq_lanes`,
+    called the way ``scipy.optimize.brentq`` is."""
+    root = brentq_lanes(lambda x, lanes: [f(float(x[0]))], [float(a)], [float(b)], **kwargs)
+    return float(root[0])
+
+
+def offset_gap(base, mask, target):
+    """One offset problem as a scalar function: the textbook pass rate of the
+    shifted row minus the target."""
+    return lambda d: float(softmax(base + d * mask)[mask].sum()) - target
+
+
+@contextlib.contextmanager
+def counting_gap_evaluations():
+    """Count the offset solve's gap evaluations into the yielded one-item list."""
+    calls = [0]
+
+    def counting(f, a, b, **kwargs):
+        def counted(x, lanes):
+            calls[0] += 1
+            return f(x, lanes)
+
+        return brentq_lanes(counted, a, b, **kwargs)
+
+    with mock.patch.object(passrate, "brentq_lanes", counting):
+        yield calls
+
+
+def offset_rows(m, sizes, seed):
+    """Standard-normal base logits with one row per correct-set size in
+    ``sizes``, and targets; the first two at the clipped ends of (0, 1)."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((len(sizes), m))
+    mask = np.zeros(base.shape, dtype=bool)
+    for row, size in zip(mask, sizes):
+        row[rng.choice(m, size=size, replace=False)] = True
+    targets = rng.uniform(0.0, 1.0, len(sizes))
+    targets[:2] = 1e-8, 1.0 - 1e-8
+    return base, mask, targets
 
 
 class TestExactPassRate:
@@ -224,19 +274,12 @@ class TestPopulation:
         assert not pop.correct.any()
         assert population_pass_rates(pop.logits, pop.correct).tolist() == [0.0]
 
-    def test_offsets_are_solved_in_lockstep(self, monkeypatch):
-        # one softmax pass per Brent iteration over all prompts, not one per
+    def test_offsets_are_solved_in_lockstep(self):
+        # one gap evaluation per Brent iteration over all prompts, not one per
         # prompt and iteration (thousands at this size)
-        calls = 0
-
-        def counted(z):
-            nonlocal calls
-            calls += 1
-            return softmax(z)
-
-        monkeypatch.setattr(passrate, "softmax", counted)
-        make_population(500, 16, seed=0)
-        assert calls <= 64
+        with counting_gap_evaluations() as calls:
+            make_population(500, 16, seed=0)
+        assert 0 < calls[0] <= 64
 
     def test_generation_is_deterministic(self):
         a = make_population(20, seed=3)
@@ -253,6 +296,32 @@ class TestPopulation:
         for arr in (pop.logits, pop.correct, pop.base_weights):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
+
+
+class TestOffsetSolve:
+    """Each lane of a batched solve against the textbook gap solved alone."""
+
+    @pytest.mark.parametrize("m, sizes", [
+        # 64 lanes: sizes 1 to 48 out of order, 1 to 16 twice
+        (256, [(5 * i) % 48 + 1 for i in range(64)]),
+        # exactly 8 entries, and more than numpy's 128-entry pairwise block
+        (1024, [129, 8, 1, 256, 8, 130, 2, 200]),
+    ])
+    def test_lanes_equal_textbook_one_lane_solves(self, m, sizes):
+        base, mask, targets = offset_rows(m, sizes, seed=m)
+        roots = _solve_logit_offsets(base, mask, targets)
+        for i, root in enumerate(roots):
+            expected = brentq(offset_gap(base[i], mask[i], targets[i]),
+                              -_OFFSET_BRACKET, _OFFSET_BRACKET, **OFFSET_TOLERANCES)
+            assert float(root).hex() == expected.hex(), f"lane {i}"
+
+    @pytest.mark.parametrize("empty", [0, 2])
+    def test_empty_correct_set_names_its_lane(self, empty):
+        base, mask, targets = offset_rows(16, [3, 1, 2], seed=0)
+        mask[empty] = False
+        with pytest.raises(ValueError,
+                           match=rf"^lane {empty}: f\(a\) and f\(b\) must have different signs$"):
+            _solve_logit_offsets(base, mask, targets)
 
 
 class TestSerialization:
@@ -291,6 +360,27 @@ class TestSerialization:
         back = population_from_json(population_to_json(pop))
         assert np.signbit(back.logits).tolist() == [[True, False, False]]
         assert population_to_json(back) == population_to_json(pop)
+
+    @pytest.mark.parametrize("literal", ["true", "false"])
+    def test_logits_must_be_numbers(self, literal):
+        text = population_to_json(prompt([0.5, 1.5], {1}))
+        assert text.count("[0.5, 1.5]") == 1
+        with pytest.raises(ValueError, match="prompt 0: logits must be a list of numbers"):
+            population_from_json(text.replace("[0.5, 1.5]", f"[{literal}, 1.5]"))
+
+    @pytest.mark.parametrize("literal", ["true", "false"])
+    def test_base_weights_must_be_numbers(self, literal):
+        text = population_to_json(make_population(3, m=4, seed=0))
+        head, _, _ = text.partition('"base_weights": [')
+        doc = head + f'"base_weights": [0.5, {literal}, 0.5]\n}}\n'
+        with pytest.raises(ValueError, match="prompt 1: base weight must be a number"):
+            population_from_json(doc)
+
+    @pytest.mark.parametrize("m", ["2.9", "2.0", "true", "1"])
+    def test_m_must_be_an_integer_of_at_least_two(self, m):
+        text = population_to_json(prompt([0.5, 1.5], {1}))
+        with pytest.raises(ValueError, match="m must be an integer >= 2"):
+            population_from_json(text.replace('"m": 2,', f'"m": {m},'))
 
     @pytest.mark.parametrize("entry", ["[0.7]", "[true]", "[1, 1]", "[1.0]", "[-0]", "1"])
     def test_correct_entries_must_be_distinct_indices(self, entry):

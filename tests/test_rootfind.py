@@ -4,7 +4,6 @@ scipy is only the oracle here; curverl itself never imports it.
 """
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,24 +12,11 @@ from hypothesis import strategies as st
 
 scipy_optimize = pytest.importorskip("scipy.optimize")
 
-from curverl import passrate  # noqa: E402
-from curverl.passrate import _OFFSET_BRACKET, _solve_logit_offsets, softmax  # noqa: E402
+from curverl.passrate import _OFFSET_BRACKET, _solve_logit_offsets  # noqa: E402
 from curverl.rootfind import brentq_lanes  # noqa: E402
+from test_passrate import OFFSET_TOLERANCES, brentq, counting_gap_evaluations, offset_gap  # noqa: E402
 
 targets = st.floats(min_value=1e-8, max_value=1.0 - 1e-8)
-OFFSET_TOLERANCES = dict(xtol=1e-13, rtol=8.9e-16, maxiter=200)
-
-
-def brentq(f, a, b, **kwargs):
-    """A root of the scalar ``f`` in [a, b]: one lane of :func:`brentq_lanes`,
-    called the way ``scipy.optimize.brentq`` is."""
-    root = brentq_lanes(lambda x, lanes: [f(float(x[0]))], [float(a)], [float(b)], **kwargs)
-    return float(root[0])
-
-
-def offset_gap(base, mask, target):
-    """One offset problem as a scalar function, the way scipy sees it."""
-    return lambda d: float(softmax(base + d * mask)[mask].sum()) - target
 
 
 def offset_problem(m, seed, target):
@@ -56,33 +42,29 @@ def offset_batch(m, seed, problems):
 def offset_batches(draw, max_lanes=32):
     """1 to ``max_lanes`` offset problems at one M, each with its own
     correct-set size."""
-    m = draw(st.sampled_from([2, 16, 256]))
+    m = draw(st.sampled_from([2, 16, 256, 1024]))
     problems = draw(st.lists(st.tuples(st.integers(1, max(1, m // 4)), targets),
                              min_size=1, max_size=max_lanes))
     return offset_batch(m, draw(st.integers(0, 2**32 - 1)), problems)
 
 
 # the extreme targets at both ends of M, then a batch whose lanes converge
-# at different iterations (see TestLanes.test_lanes_converge_at_different_iterations)
+# at different iterations (see TestLanes.test_lanes_converge_at_different_iterations),
+# then correct sets of exactly 8 entries and of more than numpy's 128-entry
+# pairwise block
 EDGE_BATCHES = [
     offset_batch(2, 0, [(1, 1e-8), (1, 1.0 - 1e-8)]),
     offset_batch(256, 0, [(64, 1.0 - 1e-8), (1, 1e-8), (9, 0.5), (33, 1e-8)]),
     offset_batch(16, 3, [(1, 0.01), (4, 0.99), (2, 0.5), (3, 1e-8), (1, 0.3)]),
+    offset_batch(1024, 1, [(129, 0.7), (8, 0.3), (256, 1e-8), (8, 1.0 - 1e-8), (200, 0.5)]),
 ]
 
 
 def solve_counting(base, mask, target):
-    """Lockstep offset roots and the number of softmax passes the solve took."""
-    calls = 0
-
-    def counted(z):
-        nonlocal calls
-        calls += 1
-        return softmax(z)
-
-    with mock.patch.object(passrate, "softmax", counted):
+    """Lockstep offset roots and the number of gap evaluations the solve took."""
+    with counting_gap_evaluations() as calls:
         roots = _solve_logit_offsets(base, mask, target)
-    return roots, calls
+    return roots, calls[0]
 
 
 def outcome(solver, f, a, b):
@@ -98,6 +80,7 @@ class TestMatchesScipy:
     @given(batch=offset_batches())
     @example(batch=EDGE_BATCHES[0])
     @example(batch=EDGE_BATCHES[1])
+    @example(batch=EDGE_BATCHES[3])
     def test_softmax_offset_roots(self, batch):
         # one lockstep solve; every lane's root is scipy's on that problem alone
         base, mask, target = batch
@@ -167,6 +150,7 @@ class TestLanes:
     @settings(max_examples=30, deadline=None)
     @given(batch=offset_batches(max_lanes=8))
     @example(batch=EDGE_BATCHES[2])
+    @example(batch=EDGE_BATCHES[3])
     def test_batch_equals_one_lane_solves(self, batch):
         base, mask, target = batch
         roots, calls = solve_counting(base, mask, target)
