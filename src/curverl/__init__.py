@@ -10,8 +10,6 @@ from .passrate import DifficultyProfile, PromptPopulation, make_population
 from .refdist import (
     ColdStartError,
     ReferenceDistribution,
-    SlidingWindow,
-    estimate,
     exact_policy_distribution,
     uniform_reference,
     wasserstein1,
@@ -41,8 +39,6 @@ __all__ = [
     "make_population",
     "ColdStartError",
     "ReferenceDistribution",
-    "SlidingWindow",
-    "estimate",
     "exact_policy_distribution",
     "uniform_reference",
     "wasserstein1",

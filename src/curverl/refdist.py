@@ -2,9 +2,9 @@
 
 With N rollouts per prompt, empirical pass rates kept for training live on
 the interior grid {1/N, ..., (N-1)/N} (rates 0 and 1 carry no gradient and
-are dropped). A sliding window of recent rates feeds a histogram estimate of
-the reference CDF and density; bin width is 1/N, so density is mass * N and
-is exact for grid-valued data.
+are dropped). The trainer counts its recent rates c/N by c, and the counts
+give a histogram estimate of the reference CDF and density; bin width is 1/N,
+so density is mass * N and is exact for grid-valued data.
 
 Floors keep the CDF and density away from zero because the adaptive weight
 divides by the CDF: cdf_floor = 1/(count+1), density_floor = 0.5*N/(count+1).
@@ -18,8 +18,7 @@ count the off-grid ones (:func:`offgrid_snap_count`).
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +26,9 @@ from .passrate import population_pass_rates
 
 __all__ = [
     "ColdStartError",
-    "SlidingWindow",
     "ReferenceDistribution",
     "uniform_reference",
-    "estimate",
+    "distribution_from_counts",
     "distribution_from_rates",
     "exact_policy_distribution",
     "wasserstein1",
@@ -42,7 +40,7 @@ __all__ = [
 
 
 class ColdStartError(RuntimeError):
-    """The window holds no rates yet; callers fall back to the uniform reference."""
+    """There is no mass to estimate from; callers fall back to the uniform reference."""
 
 
 _offgrid_snaps = 0
@@ -69,57 +67,6 @@ def _query_indices(p, n_rollouts: int) -> np.ndarray:
     # a query whose rounding was clamped lies at least half a bin away
     _offgrid_snaps += int(np.count_nonzero(np.abs(p * n_rollouts - k) > 1e-9))
     return k - 1
-
-
-@dataclass
-class SlidingWindow:
-    """FIFO store of per-step pass-rate arrays covering the last t0 steps.
-
-    Each push appends one ``(step, rates)`` entry. Eviction is by step tag:
-    pushing at step t first removes every entry with tag <= t - t0, so the
-    window always spans steps (t - t0, t]. Rates outside (0, 1) are dropped
-    on append; they carry no gradient and would distort the reference
-    estimate. ``len`` counts rates, not entries. ``capacity`` (t0 x batch
-    size, when known) is an invariant the step-tag eviction guarantees for
-    per-step pushes of at most one batch; it is asserted when set.
-    """
-
-    t0: int
-    capacity: int | None = None
-    entries: deque = field(default_factory=deque)
-    _size: int = field(default=0, init=False, repr=False)
-    _last_step: int | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.t0 < 1:
-            raise ValueError("t0 must be >= 1")
-        if self.capacity is not None and self.capacity < 1:
-            raise ValueError("capacity must be >= 1 when given")
-
-    def __len__(self) -> int:
-        return self._size
-
-    def push(self, step: int, pass_rates) -> None:
-        if self._last_step is not None and step < self._last_step:
-            raise ValueError(f"steps must be nondecreasing (got {step} after {self._last_step})")
-        self._last_step = step
-        cutoff = step - self.t0
-        while self.entries and self.entries[0][0] <= cutoff:
-            self._size -= self.entries.popleft()[1].size
-        rates = np.asarray(pass_rates, dtype=np.float64).ravel()
-        kept = rates[(rates > 0.0) & (rates < 1.0)]
-        if kept.size:
-            self.entries.append((step, kept))
-            self._size += kept.size
-        if self.capacity is not None and self._size > self.capacity:
-            raise RuntimeError(
-                f"window holds {self._size} rates, beyond capacity {self.capacity}"
-            )
-
-    def rates(self) -> np.ndarray:
-        if not self.entries:
-            return np.empty(0)
-        return np.concatenate([r for _, r in self.entries])
 
 
 @dataclass(frozen=True)
@@ -196,22 +143,11 @@ def uniform_reference(n_rollouts: int) -> ReferenceDistribution:
     )
 
 
-def estimate(window: SlidingWindow, n_rollouts: int) -> ReferenceDistribution:
-    """Histogram estimate of the reference distribution from the lagged window."""
-    return distribution_from_rates(window.rates(), n_rollouts)
-
-
-def distribution_from_rates(rates, n_rollouts: int, weights=None) -> ReferenceDistribution:
-    """Snap finite rates onto the interior grid and histogram them, with
-    optional per-rate weights."""
-    rates = np.asarray(rates, dtype=np.float64).ravel()
-    if rates.size == 0:
-        raise ColdStartError("no rates to build a reference distribution from")
-    if not np.all(np.isfinite(rates)):
-        raise ValueError("rates must be finite")
-    w = None if weights is None else np.asarray(weights, dtype=np.float64).ravel()
-    counts = np.bincount(_grid_indices(rates, n_rollouts) - 1, weights=w,
-                         minlength=n_rollouts - 1).astype(np.float64)
+def distribution_from_counts(counts, sample_count: int) -> ReferenceDistribution:
+    """Histogram of ``counts``, entry k - 1 the count (or weight) at k/N, so
+    N is ``len(counts) + 1``; ``sample_count`` samples size the floors."""
+    counts = np.asarray(counts, dtype=np.float64)
+    n_rollouts = counts.size + 1
     total = counts.sum()
     if total <= 0:
         raise ColdStartError("no mass to build a reference distribution from")
@@ -225,17 +161,28 @@ def distribution_from_rates(rates, n_rollouts: int, weights=None) -> ReferenceDi
         bin_mass=mass,
         cdf=cdf,
         density=mass * n_rollouts,
-        sample_count=rates.size,
-        cdf_floor=1.0 / (rates.size + 1),
-        density_floor=0.5 * n_rollouts / (rates.size + 1),
+        sample_count=sample_count,
+        cdf_floor=1.0 / (sample_count + 1),
+        density_floor=0.5 * n_rollouts / (sample_count + 1),
     )
+
+
+def distribution_from_rates(rates, n_rollouts: int, weights=None) -> ReferenceDistribution:
+    """Snap finite rates onto the interior grid and histogram them, with
+    optional per-rate weights."""
+    rates = np.asarray(rates, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(rates)):
+        raise ValueError("rates must be finite")
+    counts = np.bincount(_grid_indices(rates, n_rollouts) - 1, minlength=n_rollouts - 1,
+                         weights=None if weights is None else np.ravel(weights))
+    return distribution_from_counts(counts, rates.size)
 
 
 def exact_policy_distribution(population, n_rollouts: int) -> ReferenceDistribution:
     """Grid histogram of the analytic pass rates of a population under d0.
 
     This is the pushforward of the base prompt distribution through the exact
-    pass-rate map, used as the oracle target for :func:`estimate`.
+    pass-rate map, used as the oracle target for the trainer's window estimate.
     """
     rates = population_pass_rates(population.logits, population.correct)
     return distribution_from_rates(rates, n_rollouts, weights=population.base_weights)
@@ -271,39 +218,50 @@ def load_reference_csv(path) -> ReferenceDistribution:
     Loaded cdf/density columns are already floored, so the instance carries
     zero floors and reproduces the dumped weights exactly.
     """
-    steps: dict[int, list[tuple[float, float, float, float]]] = {}
+    steps: dict[int, list[tuple]] = {}  # per step: (grid_point, mass, cdf, density, line)
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if tuple(header) != REFERENCE_CSV_HEADER:
-            raise ValueError(f"unexpected reference CSV header: {header}")
-        for line in fh:
-            line = line.strip()
-            if not line:
+            raise ValueError(f"{path}: unexpected reference CSV header: {header}")
+        for lineno, line in enumerate(fh, start=2):
+            cells = line.strip().split(",")
+            if cells == [""]:
                 continue
-            step_s, grid_s, mass_s, cdf_s, dens_s = line.split(",")
-            steps.setdefault(int(step_s), []).append(
-                (float(grid_s), float(mass_s), float(cdf_s), float(dens_s))
-            )
+            where = f"{path}: line {lineno}"
+            if len(cells) != len(REFERENCE_CSV_HEADER):
+                raise ValueError(f"{where}: expected 5 fields, got {len(cells)}")
+            row = []
+            for name, cell in zip(REFERENCE_CSV_HEADER, cells):
+                parse, kind = (int, "an integer") if name == "step" else (float, "a number")
+                try:
+                    row.append(parse(cell))
+                except ValueError:
+                    raise ValueError(f"{where}: {name} must be {kind}, got {cell!r}") from None
+                if not 0 <= row[-1] < np.inf:
+                    raise ValueError(f"{where}: {name} must be finite and nonnegative, got {cell}")
+            steps.setdefault(row[0], []).append((*row[1:], lineno))
     if not steps:
         raise ValueError(f"no reference rows in {path}")
     last = max(steps)
     rows = sorted(steps[last], key=lambda r: r[0])
     n = len(rows) + 1
-    grid = np.array([r[0] for r in rows])
+    grid, mass, cdf, density = np.array([r[:4] for r in rows]).T
     if not np.allclose(grid, np.arange(1, n) / n, atol=1e-12):
-        raise ValueError("reference CSV grid is not of the form k/N")
-    cdf = np.array([r[2] for r in rows])
-    # the weights divide by the cdf and take its log
-    zero = np.flatnonzero(cdf <= 0.0)
-    if zero.size:
-        i = zero[0]
-        raise ValueError(f"{path}: step {last}, grid point {grid[i]:.17g}: "
-                         f"cdf must be > 0, got {cdf[i]:.17g}")
+        raise ValueError(f"{path}: step {last}: reference CSV grid is not of the form k/N")
+    # the weights divide by the cdf and take its log, and the lookups would
+    # clamp a cell above 1; a drop is checked as ReferenceDistribution does
+    for i in range(n - 1):
+        if not 0.0 < cdf[i] <= 1.0:
+            raise ValueError(f"{path}: step {last}, grid point {grid[i]:.17g}: cdf must be "
+                             f"{'> 0' if cdf[i] <= 0.0 else '<= 1'}, got {cdf[i]:.17g}")
+        if i and cdf[i] - cdf[i - 1] < -1e-12:
+            raise ValueError(f"{path}: line {rows[i][4]}: cdf must be nondecreasing, "
+                             f"got {cdf[i]:.17g} after {cdf[i - 1]:.17g}")
     return ReferenceDistribution(
         n_rollouts=n,
-        bin_mass=np.array([r[1] for r in rows]),
+        bin_mass=mass,
         cdf=cdf,
-        density=np.array([r[3] for r in rows]),
+        density=density,
         sample_count=0,
         cdf_floor=0.0,
         density_floor=0.0,

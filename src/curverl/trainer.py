@@ -1,11 +1,11 @@
 """Training loop for the policy-reweighted contextual bandit.
 
-One step: estimate the reference distribution from the lagged sliding window
-(uniform cold start while it is underfilled), draw a batch of prompts from
-the base distribution, roll out N responses per prompt, weight each active
-prompt (empirical pass rate strictly inside (0, 1)) at its p-hat, average the
-weighted score-function gradients over the batch, take a plain gradient-ascent
-step, then append the active pass rates to the window and evict stale ones.
+One step: estimate the reference distribution from the window of the last t0
+steps' counts (uniform cold start while it is underfilled), draw a batch of
+prompts from the base distribution, roll out N responses per prompt, weight
+each active prompt (c of N rollouts correct, 0 < c < N) at its p-hat c/N,
+average the weighted score-function gradients over the batch, take a plain
+gradient-ascent step, then count the active prompts at each c into the window.
 
 Runs are deterministic: all randomness comes from per-step seed sequences
 derived from the config seed.
@@ -24,7 +24,7 @@ from . import refdist, weighting
 from .ioutil import write_csv
 from .kernels import accumulate_gradients, sample_responses
 from .passrate import PromptPopulation, pass_rates_from_probs, softmax
-from .refdist import ReferenceDistribution, SlidingWindow
+from .refdist import ReferenceDistribution
 
 log = logging.getLogger("curverl.trainer")
 
@@ -104,6 +104,9 @@ class TrainResult:
 class TrainerState:
     """Mutable policy + window + config bundle consumed by train_step.
 
+    ``window`` holds ``min(t0, steps)`` int64 rows of N - 1 counts: row
+    ``step % rows`` counts that step's active prompts by c (entry c - 1).
+
     The state caches the policy's softmax ``probs`` (P, M) and every
     prompt's exact pass rate, both computed over all P rows at construction.
     After each update :func:`train_step` recomputes the softmax of the rows
@@ -124,7 +127,7 @@ class TrainerState:
         # the population's arrays are read-only; the trainer updates a copy
         self.theta = population.logits.copy()
         self.masks = population.correct
-        self.window = SlidingWindow(t0=config.t0, capacity=config.t0 * config.batch_size)
+        self.window = np.zeros((min(config.t0, config.steps), config.n_rollouts - 1), np.int64)
         self.step = 0
         self._cold_start_logged = False
         self.probs = softmax(self.theta)
@@ -152,10 +155,11 @@ class TrainerState:
 
 
 def _window_reference(state: TrainerState) -> ReferenceDistribution:
-    """What the sliding window currently says; uniform when empty."""
-    if len(state.window) == 0:
+    """What the window currently says; uniform when empty."""
+    counts = state.window.sum(axis=0)
+    if not counts.any():
         return refdist.uniform_reference(state.config.n_rollouts)
-    return refdist.estimate(state.window, state.config.n_rollouts)
+    return refdist.distribution_from_counts(counts, int(counts.sum()))
 
 
 def _scheme_for_step(state: TrainerState, window_ref: ReferenceDistribution):
@@ -165,11 +169,11 @@ def _scheme_for_step(state: TrainerState, window_ref: ReferenceDistribution):
         return scheme
     ref = scheme.reference
     if ref == "window":
-        if len(state.window) < state.config.min_window_count:
+        if window_ref.sample_count < state.config.min_window_count:
             if not state._cold_start_logged:
                 log.info(
                     "step %d: window holds %d < %d rates, using the uniform cold-start reference",
-                    state.step, len(state.window), state.config.min_window_count,
+                    state.step, window_ref.sample_count, state.config.min_window_count,
                 )
                 state._cold_start_logged = True
             resolved = refdist.uniform_reference(state.config.n_rollouts)
@@ -260,7 +264,8 @@ def train_step(state: TrainerState) -> tuple[StepLog, ReferenceDistribution]:
     state.probs[rows] = probs
     state._exact[rows] = pass_rates_from_probs(probs, state.masks[rows])
 
-    state.window.push(state.step, p_hat[active])
+    state.window[state.step % len(state.window)] = np.bincount(
+        counts[active] - 1, minlength=cfg.n_rollouts - 1)
 
     entry = StepLog(
         step=state.step,
@@ -271,7 +276,7 @@ def train_step(state: TrainerState) -> tuple[StepLog, ReferenceDistribution]:
         mean_exact_pass_rate=mean_exact,
         active_fraction=float(active.sum() / cfg.batch_size),
         z_theta=float(weights.sum() / cfg.batch_size),
-        window_size=len(state.window),
+        window_size=int(state.window.sum()),
         grad_norm=grad_norm,
     )
     state.step += 1

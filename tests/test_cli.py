@@ -356,6 +356,39 @@ class TestWeights:
         assert f"{snap}: step 0, grid point 0.25: cdf must be > 0, got 0" in err
         assert not out.exists()
 
+    def test_cdf_above_one_snapshot_cell_rejected(self, tmp_path, capsys):
+        # no floored CDF exceeds 1, and the lookups would clamp the cell to 1
+        snap = tmp_path / "refdist.csv"
+        snap.write_text("step,grid_point,mass,cdf,density\n"
+                        "0,0.25,0.5,0.5,2\n0,0.5,0.5,1.5,2\n0,0.75,0,1.5,0\n")
+        out = tmp_path / "w.csv"
+        assert main(["weights", "--scheme", "curve", "--ref", str(snap), "--n-rollouts", "4",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{snap}: step 0, grid point 0.5: cdf must be <= 1, got 1.5" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row, message", [
+        ("0,0.5,0.5,1", "expected 5 fields, got 4"),
+        ("0,0.5,0.5,1,2,7", "expected 5 fields, got 6"),
+        ("x,0.5,0.5,1,2", "step must be an integer, got 'x'"),
+        ("0.0,0.5,0.5,1,2", "step must be an integer, got '0.0'"),
+        ("0,0.5,abc,1,2", "mass must be a number, got 'abc'"),
+        ("0,0.5,0.5,nan,2", "cdf must be finite and nonnegative, got nan"),
+        ("0,0.5,0.5,1,inf", "density must be finite and nonnegative, got inf"),
+        ("0,0.5,-0.5,1,2", "mass must be finite and nonnegative, got -0.5"),
+        ("0,0.5,0.5,0.25,2", "cdf must be nondecreasing, got 0.25 after 0.5"),
+    ])
+    def test_bad_snapshot_cell_names_path_and_line(self, tmp_path, capsys, row, message):
+        snap = tmp_path / "refdist.csv"
+        snap.write_text("step,grid_point,mass,cdf,density\n"
+                        f"0,0.25,0.5,0.5,2\n{row}\n0,0.75,0,1,0\n")
+        out = tmp_path / "w.csv"
+        assert main(["weights", "--scheme", "curve", "--ref", str(snap), "--n-rollouts", "4",
+                     "--out", str(out)]) == 2
+        assert f"{snap}: line 3: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pinned_uniform_reference_needs_no_ref(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["weights", "--scheme", "curve:reference=uniform", "--out", str(a)]) == 0

@@ -1,18 +1,24 @@
-"""Sliding window, histogram reference estimation, Wasserstein distance."""
+"""Sliding count window, histogram reference estimation, Wasserstein distance."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curverl.ioutil import write_csv
-from curverl.passrate import DifficultyProfile, make_population, population_pass_rates
+from curverl.passrate import (
+    DifficultyProfile,
+    PromptPopulation,
+    make_population,
+    population_pass_rates,
+)
 from curverl.refdist import (
     ColdStartError,
     ReferenceDistribution,
-    SlidingWindow,
+    distribution_from_counts,
     distribution_from_rates,
-    estimate,
     exact_policy_distribution,
     load_reference_csv,
     offgrid_snap_count,
@@ -22,6 +28,8 @@ from curverl.refdist import (
     REFERENCE_CSV_HEADER,
     _grid_indices,
 )
+from curverl.trainer import TrainConfig, TrainerState, train_step
+from curverl.weighting import Reinforce
 
 
 def random_reference(rng, n=8):
@@ -30,86 +38,98 @@ def random_reference(rng, n=8):
     return distribution_from_rates(rates, n)
 
 
+def assert_references_bitwise_equal(a, b):
+    """Every field of two references, arrays and floors, has the same bits."""
+    for f in fields(ReferenceDistribution):
+        x, y = np.asarray(getattr(a, f.name)), np.asarray(getattr(b, f.name))
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
+
+
+def window_run(t0, steps, population=None, seed=3):
+    """The trainer state and step logs of a short Reinforce run (N = 8)."""
+    if population is None:
+        population = make_population(
+            20, m=8, seed=seed,
+            profile=DifficultyProfile(kind="beta", unsolvable_fraction=0.3))
+    state = TrainerState(population, TrainConfig(steps=steps, scheme=Reinforce(),
+                                                 batch_size=16, t0=t0, seed=seed))
+    return state, [train_step(state)[0] for _ in range(steps)]
+
+
+def step_counts(entry, n=8):
+    """One step log's active prompts counted by c = N * p_hat, entry c - 1."""
+    c = np.rint(entry.p_hat * n).astype(np.int64)
+    return np.bincount(c[(c > 0) & (c < n)] - 1, minlength=n - 1)
+
+
 class TestSlidingWindow:
+    """The trainer's window: one row of counts per step, over the last t0 steps."""
+
     def test_full_eviction_at_t0_one(self):
-        w = SlidingWindow(t0=1)
-        w.push(0, [0.25, 0.5, 0.75])
-        assert len(w) == 3
-        w.push(1, [0.125])
-        assert len(w) == 1
-        assert w.rates().tolist() == [0.125]
+        state, logs = window_run(t0=1, steps=4)
+        assert state.window.shape == (1, 7)
+        np.testing.assert_array_equal(state.window[0], step_counts(logs[-1]))
+        assert [e.window_size for e in logs] == [step_counts(e).sum() for e in logs]
 
     def test_degenerate_rates_are_dropped(self):
-        w = SlidingWindow(t0=4)
-        w.push(0, [0.0, 0.5, 1.0])
-        assert len(w) == 1
-        assert w.rates().tolist() == [0.5]
+        # every prompt is all-correct or all-wrong, so every p_hat is 0 or 1
+        solved = np.zeros((6, 4), dtype=bool)
+        solved[::2] = True
+        pop = PromptPopulation(np.zeros((6, 4)), solved)
+        state, logs = window_run(t0=4, steps=3, population=pop)
+        assert {p for e in logs for p in e.p_hat.tolist()} == {0.0, 1.0}
+        assert not state.window.any()
+        assert all(e.window_size == 0 for e in logs)
 
     def test_eviction_keeps_exactly_last_t0_steps(self):
-        w = SlidingWindow(t0=3)
-        for step in range(10):
-            w.push(step, [0.5, 0.25])
-        # steps 7, 8, 9 remain
-        assert len(w) == 6
-        assert {s for s, _ in w.entries} == {7, 8, 9}
-
-    def test_capacity_bound_holds(self):
-        batch = 5
-        w = SlidingWindow(t0=4)
-        rng = np.random.default_rng(0)
-        for step in range(50):
-            w.push(step, rng.uniform(0.01, 0.99, size=batch))
-            assert len(w) <= 4 * batch
+        state, logs = window_run(t0=3, steps=10)
+        # steps 7, 8, 9 remain, in rows 7 % 3, 8 % 3 and 9 % 3
+        for step in (7, 8, 9):
+            np.testing.assert_array_equal(state.window[step % 3], step_counts(logs[step]))
+        assert logs[-1].window_size == sum(step_counts(logs[s]).sum() for s in (7, 8, 9))
 
     def test_identical_runs_identical_contents(self):
-        def run():
-            w = SlidingWindow(t0=2)
-            rng = np.random.default_rng(11)
-            for step in range(6):
-                w.push(step, rng.uniform(0, 1, size=4))
-            return w.rates(), [step for step, _ in w.entries]
-
-        (rates_a, steps_a), (rates_b, steps_b) = run(), run()
-        np.testing.assert_array_equal(rates_a, rates_b, strict=True)
-        assert steps_a == steps_b
-
-    def test_steps_must_not_regress(self):
-        w = SlidingWindow(t0=2)
-        w.push(5, [0.5])
-        with pytest.raises(ValueError):
-            w.push(4, [0.5])
+        (a, _), (b, _) = window_run(t0=2, steps=6), window_run(t0=2, steps=6)
+        assert a.window.dtype == b.window.dtype == np.int64
+        assert a.window.tobytes() == b.window.tobytes()
 
     def test_t0_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SlidingWindow(t0=0)
+        with pytest.raises(ValueError, match="t0=0"):
+            TrainConfig(steps=1, scheme=Reinforce(), t0=0)
+
+
+@st.composite
+def grid_counts(draw):
+    """N from the trainer's usual grids and a count at each interior point."""
+    n = draw(st.sampled_from([2, 3, 5, 8, 16, 64]))
+    return np.array(draw(st.lists(st.integers(0, 40), min_size=n - 1, max_size=n - 1)),
+                    dtype=np.int64), n
 
 
 class TestEstimate:
     def test_single_rate(self):
-        w = SlidingWindow(t0=1)
-        w.push(0, [0.5])
-        ref = estimate(w, 8)
+        ref = distribution_from_counts(np.array([0, 0, 0, 1, 0, 0, 0]), 1)
         assert ref.bin_mass[3] == 1.0  # grid point 4/8
         assert ref.cdf_at(0.5) == 1.0
         assert ref.density_at(0.5) == 8.0
 
     def test_uniform_window(self):
-        w = SlidingWindow(t0=1)
-        w.push(0, np.arange(1, 8) / 8)
-        ref = estimate(w, 8)
+        ref = distribution_from_counts(np.ones(7, dtype=np.int64), 7)
         for k in range(1, 8):
             assert ref.cdf[k - 1] == pytest.approx(k / 7, abs=1e-12)
 
     def test_empty_window_signals_cold_start(self):
         with pytest.raises(ColdStartError):
-            estimate(SlidingWindow(t0=1), 8)
+            distribution_from_counts(np.zeros(7, dtype=np.int64), 0)
+        with pytest.raises(ColdStartError):
+            distribution_from_rates([], 8)
 
     def test_invariants_after_estimate(self):
+        # off-grid rates snap into counts first
         rng = np.random.default_rng(3)
         for _ in range(25):
-            w = SlidingWindow(t0=10)
-            w.push(0, rng.uniform(0.01, 0.99, size=int(rng.integers(1, 100))))
-            ref = estimate(w, 8)
+            ref = distribution_from_rates(rng.uniform(0.01, 0.99, size=int(rng.integers(1, 100))),
+                                          8)
             assert np.all(np.diff(ref.cdf) >= -1e-15)
             assert ref.cdf[-1] == pytest.approx(1.0, abs=1e-12)
             np.testing.assert_allclose(ref.density, ref.bin_mass * 8, atol=1e-12)
@@ -120,12 +140,27 @@ class TestEstimate:
     def test_cdf_never_rounds_above_one_before_empty_top_bins(self):
         # these masses sum to 1 + 1 ulp, so a plain cumsum reads above 1 at
         # the last occupied bin and then drops to the pinned terminal 1
-        counts = [17, 9, 15, 9, 14, 5, 6, 3, 0, 0]
-        rates = np.repeat(np.arange(1, 11) / 11, counts)
-        assert np.cumsum(np.asarray(counts) / sum(counts))[7] > 1.0
-        cdf = distribution_from_rates(rates, 11).cdf
+        counts = np.array([17, 9, 15, 9, 14, 5, 6, 3, 0, 0])
+        assert np.cumsum(counts / counts.sum())[7] > 1.0
+        cdf = distribution_from_counts(counts, int(counts.sum())).cdf
         assert np.all(cdf <= 1.0) and np.all(np.diff(cdf) >= 0.0)
         np.testing.assert_array_equal(cdf[7:], 1.0)
+
+    @given(grid_counts())
+    @example((np.zeros(1, dtype=np.int64), 2))
+    @example((np.zeros(63, dtype=np.int64), 64))
+    @settings(max_examples=200, deadline=None)
+    def test_counts_equal_their_rates_bitwise(self, case):
+        counts, n = case
+        rates = np.repeat(np.arange(1, n) / n, counts)
+        if not counts.any():
+            with pytest.raises(ColdStartError):
+                distribution_from_counts(counts, 0)
+            with pytest.raises(ColdStartError):
+                distribution_from_rates(rates, n)
+            return
+        assert_references_bitwise_equal(distribution_from_counts(counts, int(counts.sum())),
+                                        distribution_from_rates(rates, n))
 
 
 @st.composite
@@ -229,18 +264,16 @@ class TestExactPolicyDistribution:
         assert ref.bin_mass[5] == pytest.approx(0.5, abs=1e-12)  # 6/8
 
     def test_estimate_converges_to_exact_distribution(self):
-        # Monte Carlo oracle: push the exact pass rates of prompts sampled
-        # from d0 and compare the histogram against the analytic pushforward.
+        # Monte Carlo oracle: histogram the exact pass rates of prompts
+        # sampled from d0 and compare it against the analytic pushforward.
         pop = make_population(
             60, m=16, seed=9, profile=DifficultyProfile(kind="beta", alpha=2.0, beta=2.0)
         )
         exact = exact_policy_distribution(pop, 8)
         rates = population_pass_rates(pop.logits, pop.correct)
         rng = np.random.default_rng(17)
-        w = SlidingWindow(t0=1)
         picks = rng.choice(len(pop), size=10_000, p=pop.base_weights)
-        w.push(0, rates[picks])
-        est = estimate(w, 8)
+        est = distribution_from_rates(rates[picks], 8)
         tv = 0.5 * np.abs(est.bin_mass - exact.bin_mass).sum()
         assert tv < 0.05
 
@@ -252,10 +285,8 @@ class TestExactPolicyDistribution:
         rates = population_pass_rates(pop.logits, pop.correct)
         for seed in (0, 1, 2):
             rng = np.random.default_rng(seed)
-            w = SlidingWindow(t0=1)
             picks = rng.choice(len(pop), size=2000, p=pop.base_weights)
-            w.push(0, rates[picks])
-            assert wasserstein1(estimate(w, 8), exact) < 0.05
+            assert wasserstein1(distribution_from_rates(rates[picks], 8), exact) < 0.05
 
 
 class TestWasserstein:
@@ -314,8 +345,9 @@ class TestCsvSnapshot:
     def test_rejects_malformed_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             load_reference_csv(path)
+        assert str(err.value).startswith(f"{path}: unexpected reference CSV header")
 
 
 class TestValidation:

@@ -27,7 +27,7 @@ from curverl.references import (
     ReflectedTruncatedExponential,
     TruncatedExponential,
 )
-from curverl.refdist import offgrid_snap_count
+from curverl.refdist import distribution_from_rates, offgrid_snap_count, uniform_reference
 from curverl.trainer import (
     StepLog,
     TrainConfig,
@@ -47,6 +47,7 @@ from curverl.weighting import (
     Reinforce,
     pointwise_weight,
 )
+from test_refdist import assert_references_bitwise_equal
 
 
 def per_prompt_gradient(logits: np.ndarray, correct: np.ndarray, responses,
@@ -257,9 +258,11 @@ class TestTrainStep:
         cfg = TrainConfig(steps=1, scheme=Reinforce(), batch_size=64, seed=3)
         state = TrainerState(pop, cfg)
         entry, _ = train_step(state)
-        active = (entry.p_hat > 0.0) & (entry.p_hat < 1.0)
-        assert entry.window_size == active.sum()
-        assert all(0.0 < r < 1.0 for r in state.window.rates())
+        counts = np.rint(entry.p_hat * cfg.n_rollouts).astype(np.int64)
+        active = (counts > 0) & (counts < cfg.n_rollouts)
+        assert 0 < entry.window_size == active.sum() < cfg.batch_size
+        np.testing.assert_array_equal(
+            state.window[0], np.bincount(counts[active] - 1, minlength=cfg.n_rollouts - 1))
 
     def test_weight_scaling_scales_gradient_exactly(self):
         # scaling all weights by c > 0 scales the batch gradient by c and
@@ -298,6 +301,33 @@ class TestTrainStep:
         cfg = TrainConfig(steps=12, scheme=Reinforce(), batch_size=16, t0=3, seed=2)
         result = run_training(pop, cfg)
         assert all(entry.window_size <= 3 * 16 for entry in result.step_logs)
+
+    @pytest.mark.parametrize("scheme", [Curve(), Reinforce()], ids=["curve", "reinforce"])
+    @pytest.mark.parametrize("t0", [1, 3, 11])
+    def test_reference_is_the_histogram_of_the_last_t0_steps(self, scheme, t0):
+        # oracle: the logged float p-hats of steps t - t0 .. t - 1, binned
+        # by the path every other rate takes
+        pop = beta_population(30, seed=5, unsolvable=0.2)
+        cfg = TrainConfig(steps=9, scheme=scheme, batch_size=16, t0=t0, seed=4,
+                          learning_rate=2.0, min_window_count=8)
+        result = run_training(pop, cfg)
+        for t, ref in enumerate(result.references):
+            rates = np.concatenate([np.empty(0)] +
+                                   [e.p_hat for e in result.step_logs[max(0, t - t0):t]])
+            rates = rates[(rates > 0.0) & (rates < 1.0)]
+            expected = (distribution_from_rates(rates, cfg.n_rollouts) if rates.size
+                        else uniform_reference(cfg.n_rollouts))
+            assert_references_bitwise_equal(ref, expected)
+
+    def test_huge_t0_runs_as_t0_equal_to_steps(self):
+        # the window has one row per step of the run, however large t0 is
+        pop = beta_population(30, seed=5)
+        runs = [run_training(pop, TrainConfig(steps=5, scheme=Curve(), batch_size=16, t0=t0,
+                                              seed=4, min_window_count=8))
+                for t0 in (10**12, 5)]
+        assert_step_logs_equal(runs[0].step_logs, runs[1].step_logs)
+        big = TrainerState(pop, TrainConfig(steps=5, scheme=Curve(), t0=10**12))
+        assert big.window.shape == (5, 7)
 
     def test_active_fraction_times_batch_is_integer(self):
         pop = beta_population(30, seed=8, unsolvable=0.2)
