@@ -47,7 +47,7 @@ from curverl.weighting import (
     Reinforce,
     pointwise_weight,
 )
-from test_refdist import assert_references_bitwise_equal
+from test_refdist import assert_references_bitwise_equal, step_counts
 
 
 def per_prompt_gradient(logits: np.ndarray, correct: np.ndarray, responses,
@@ -258,11 +258,9 @@ class TestTrainStep:
         cfg = TrainConfig(steps=1, scheme=Reinforce(), batch_size=64, seed=3)
         state = TrainerState(pop, cfg)
         entry, _ = train_step(state)
-        counts = np.rint(entry.p_hat * cfg.n_rollouts).astype(np.int64)
-        active = (counts > 0) & (counts < cfg.n_rollouts)
-        assert 0 < entry.window_size == active.sum() < cfg.batch_size
-        np.testing.assert_array_equal(
-            state.window[0], np.bincount(counts[active] - 1, minlength=cfg.n_rollouts - 1))
+        row = step_counts(entry, cfg.n_rollouts)
+        assert 0 < entry.window_size == row.sum() < cfg.batch_size
+        np.testing.assert_array_equal(state.window[0], row)
 
     def test_weight_scaling_scales_gradient_exactly(self):
         # scaling all weights by c > 0 scales the batch gradient by c and
