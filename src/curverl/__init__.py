@@ -16,14 +16,11 @@ from .refdist import (
 )
 from .trainer import TrainConfig, TrainResult, run_training
 from .weighting import (
-    ClippedLog,
     Curve,
     EntropicRisk,
     Grpo,
-    Identity,
     IntegratedConvex,
     IntegratedProduct,
-    Log,
     MaxRL,
     Reinforce,
     induced_prior,
@@ -45,14 +42,11 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "run_training",
-    "ClippedLog",
     "Curve",
     "EntropicRisk",
     "Grpo",
-    "Identity",
     "IntegratedConvex",
     "IntegratedProduct",
-    "Log",
     "MaxRL",
     "Reinforce",
     "induced_prior",

@@ -50,7 +50,7 @@ def _train_once(cfg: ExperimentConfig, population, out: Path):
     out.mkdir(parents=True, exist_ok=True)
     write_training_artifacts(result, out)
     write_population_json(out / "population.json", population)
-    (out / "manifest.json").write_text(cfg.with_out_dir(str(out)).to_json())
+    (out / "manifest.json").write_text(replace(cfg, out_dir=str(out)).to_json())
     return result
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -195,9 +195,6 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d) -> "ExperimentConfig":
         return _parse(cls, d)
-
-    def with_out_dir(self, out_dir: str) -> "ExperimentConfig":
-        return replace(self, out_dir=out_dir)
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:

@@ -16,6 +16,7 @@ maps act on arrays too.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,6 +29,10 @@ __all__ = [
     "MonotoneMap",
     "PushforwardReference",
 ]
+
+
+# the largest x with a finite exp(x)
+_MAX_EXP_ARG = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -74,8 +79,8 @@ class ReflectedTruncatedExponential:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError("rate must be > 0")
+        if not 0 < self.rate <= _MAX_EXP_ARG:  # exp(rate) must be finite
+            raise ValueError(f"rate must be in (0, {_MAX_EXP_ARG!r}], got {self.rate!r}")
 
     def cdf_at(self, p) -> np.ndarray:
         return np.expm1(self.rate * p) / math.expm1(self.rate)

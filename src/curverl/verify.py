@@ -8,16 +8,18 @@ one record per check; the CLI prints a pass/fail line for each. Suites:
 * ``corollary1``     degeneration of the adaptive weight to 1/p under the
                      exactly uniform reference
 * ``prop1``          the entropic-risk weight's two limits and monotonicity
-* ``prop2``          the Lipschitz transport bound on the utility gap
+* ``prop2``          the Lipschitz transport bound on the utility gap, to
+                     roundoff, and its failure under an understated constant
 * ``prop4``          monotone calibration invariance (and its failure for
                      the pointwise 1/p rule)
-* ``aggressiveness`` monotonicity of the relative multiplier for the
+* ``aggressiveness`` monotonicity of the relative multiplier p f/F for the
                      truncated-exponential reference family
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -60,7 +62,7 @@ def _suite_theorem1() -> list[Check]:
     checks = []
     for scheme in (weighting.Reinforce(), weighting.Grpo(), weighting.MaxRL()):
         name = weighting.scheme_name(scheme)
-        fn = weighting.weight_function(scheme)
+        fn = partial(weighting.pointwise_weight, scheme)
         worst_prior = 0.0
         worst_hazard = 0.0
         for p in GRID_19:
@@ -100,23 +102,36 @@ def _suite_prop1() -> list[Check]:
     return checks
 
 
+# (label, utility of a CDF value, its Lipschitz constant on [0, 1])
+PROP2_UTILITIES = (
+    ("identity", lambda u: u, 1.0),
+    ("clipped_log", lambda u: np.log(np.maximum(u, 1e-3)), 1e3),
+)
+# every rate is on the grid, where gap <= bound holds exactly; this is roundoff
+GAP_BOUND_TOL = 1e-9
+
+
 def _suite_prop2(n_pairs: int = 50, n_rollouts: int = 8, seed: int = 1234) -> list[Check]:
     rng = np.random.default_rng(seed)
     grid = np.arange(1, n_rollouts) / n_rollouts
-    checks = []
-    for psi, label in ((weighting.Identity(), "identity"),
-                       (weighting.ClippedLog(1e-3), "clipped_log")):
-        worst_excess = -np.inf
+
+    def worst_excess(psi, lipschitz):  # over n_pairs fresh pairs of rate samples
+        worst = -np.inf
         for _ in range(n_pairs):
             rates = rng.choice(grid, size=rng.integers(5, 60))
-            ref_rates = rng.choice(grid, size=rng.integers(5, 60))
-            ref = refdist.distribution_from_rates(ref_rates, n_rollouts)
-            gap, bound = weighting.utility_gap_bound_check(psi, rates, ref)
-            worst_excess = max(worst_excess, gap - bound)
-        checks.append(
-            Check(f"utility gap minus transport bound ({label})",
-                  float(worst_excess), 2.0 / n_rollouts)
-        )
+            ref = refdist.distribution_from_rates(rng.choice(grid, size=rng.integers(5, 60)),
+                                                  n_rollouts)
+            gap, bound = weighting.utility_gap_bound_check(psi, lipschitz, rates, ref)
+            worst = max(worst, gap - bound)
+        return float(worst)
+
+    checks = [Check(f"utility gap minus transport bound ({label})",
+                    worst_excess(psi, lipschitz), GAP_BOUND_TOL)
+              for label, psi, lipschitz in PROP2_UTILITIES]
+    # negative control: the clipped log's slope reaches 1e3, so L = 1 understates it
+    label, psi, _ = PROP2_UTILITIES[1]
+    checks.append(Check(f"utility gap exceeds an understated bound ({label}, L=1)",
+                        worst_excess(psi, 1.0), GAP_BOUND_TOL, at_least=True))
     return checks
 
 
@@ -172,14 +187,14 @@ def _suite_prop4() -> list[Check]:
 
 
 def _suite_aggressiveness() -> list[Check]:
-    psi = weighting.Log()
     checks = []
     for ref, label, decreasing in (
         (TruncatedExponential(4.0), "truncated_exponential", True),
         (ReflectedTruncatedExponential(4.0), "reflected_truncated_exponential", False),
     ):
-        values = [weighting.relative_multiplier(psi, ref, float(p)) for p in GRID_19]
-        diffs = np.diff(values)
+        # p f/F, the log utility's multiplier over the 1/p rule (per_prompt.csv's
+        # rel_multiplier); decreasing means low pass rates weigh more than under 1/p
+        diffs = np.diff(GRID_19 * weighting.pointwise_weight(weighting.Curve(ref), GRID_19))
         if decreasing:
             checks.append(Check(f"relative multiplier strictly decreasing ({label})",
                                 float(np.min(-diffs)), 0.0, at_least=True))

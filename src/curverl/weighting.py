@@ -1,4 +1,4 @@
-"""Prompt-weighting schemes, distortion utilities, and induced priors.
+"""Prompt-weighting schemes, their induced priors, and the utility-gap bound.
 
 A weighting scheme maps a prompt's pass rate p in (0, 1) to a nonnegative
 gradient multiplier. The pointwise family:
@@ -26,6 +26,10 @@ gives the closed forms and ``induced_prior_numeric`` recovers them by
 quadrature as an independent cross-check. With the exactly uniform reference
 the Curve weight degenerates to 1/p, which is the boundary case of that
 correspondence.
+
+A weight is the derivative of a utility in pass-rate space; each is kept here
+as that derivative over arrays, with no separate utility object. p times the
+Curve weight, p f_ref(p) / F_ref(p), is the log utility's multiplier over 1/p.
 """
 
 from __future__ import annotations
@@ -50,21 +54,14 @@ __all__ = [
     "IntegratedConvex",
     "IntegratedProduct",
     "WeightScheme",
-    "Identity",
-    "Log",
-    "ClippedLog",
     "needs_reference",
     "scheme_name",
     "SCHEMES",
     "pointwise_weight",
-    "weight_function",
     "induced_prior",
     "induced_prior_numeric",
     "reverse_hazard_identity_check",
-    "pointwise_utility",
-    "distribution_utility",
     "utility_gap_bound_check",
-    "relative_multiplier",
     "weight_table",
     "write_weight_table",
     "WEIGHT_CSV_HEADER",
@@ -173,59 +170,6 @@ def scheme_name(scheme: WeightScheme) -> str:
 
 
 # ---------------------------------------------------------------------------
-# distortion functions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Identity:
-    lipschitz: float = 1.0
-
-    def value(self, u: float) -> float:
-        return float(u)
-
-    def derivative(self, u: float) -> float:
-        return 1.0
-
-
-@dataclass(frozen=True)
-class Log:
-    lipschitz: None = None  # unbounded slope near 0
-
-    def value(self, u: float) -> float:
-        if u <= 0.0:
-            raise ValueError("log distortion needs a positive argument")
-        return math.log(u)
-
-    def derivative(self, u: float) -> float:
-        if u <= 0.0:
-            raise ValueError("log distortion needs a positive argument")
-        return 1.0 / u
-
-
-@dataclass(frozen=True)
-class ClippedLog:
-    """log clamped below ``floor``; Lipschitz on [0, 1] with constant 1/floor."""
-
-    floor: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.floor < 1.0:
-            raise ValueError("floor must be in (0, 1)")
-
-    @property
-    def lipschitz(self) -> float:
-        return 1.0 / self.floor
-
-    def value(self, u: float) -> float:
-        return math.log(max(u, self.floor))
-
-    def derivative(self, u: float) -> float:
-        if u < self.floor:
-            return 0.0
-        return 1.0 / max(u, self.floor)
-
-
-# ---------------------------------------------------------------------------
 # pointwise weights
 # ---------------------------------------------------------------------------
 
@@ -275,11 +219,6 @@ def pointwise_weight(scheme: WeightScheme, p) -> np.ndarray:
     if isinstance(scheme, IntegratedConvex):
         return (1.0 - scheme.lam) / p + scheme.lam * (dens / cdf)
     return -(_log(cdf) / p + dens * _log(p) / cdf)
-
-
-def weight_function(scheme: WeightScheme) -> Callable[[float], float]:
-    """p -> pointwise_weight(scheme, p), for quadrature and tabulation."""
-    return lambda p: pointwise_weight(scheme, p)
 
 
 # ---------------------------------------------------------------------------
@@ -338,76 +277,26 @@ def reverse_hazard_identity_check(scheme: WeightScheme, p: float, step: float = 
 
 
 # ---------------------------------------------------------------------------
-# utilities and diagnostics
+# utility-gap transport bound
 # ---------------------------------------------------------------------------
 
-def _weights_or_uniform(n: int, weights) -> np.ndarray:
-    if weights is None:
-        return np.full(n, 1.0 / n)
-    w = np.asarray(weights, dtype=np.float64).ravel()
-    if w.shape != (n,):
-        raise ValueError("weights must match the number of rates")
-    if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must be nonnegative and sum to 1")
-    return w
+def utility_gap_bound_check(psi: Callable[[np.ndarray], np.ndarray], lipschitz: float,
+                            pass_rates, ref) -> tuple[float, float]:
+    """(gap, bound): gap = |U(ref) - U(own histogram)|, where U(F) is the mean
+    of psi(F(p)) over the pass rates under the raw, pre-floor CDF, and
+    bound = lipschitz * max density of the histogram * W1(ref, histogram).
 
-
-def pointwise_utility(g, pass_rates, weights=None) -> float:
-    """Weighted mean of g applied to each pass rate."""
-    rates = np.asarray(pass_rates, dtype=np.float64).ravel()
-    w = _weights_or_uniform(rates.size, weights)
-    return float(sum(wi * g.value(r) for wi, r in zip(w, rates)))
-
-
-def distribution_utility(psi, ref, pass_rates, weights=None, floored: bool = True) -> float:
-    """Weighted mean of psi(F_ref(p)) over the pass rates.
-
-    ``floored=False`` evaluates the raw, pre-floor CDF when the reference has
-    one; the bound diagnostics use that mode because the floors are a
-    weighting safeguard, not part of the measure.
+    ``psi`` acts elementwise on an array of CDF values in [0, 1], with
+    Lipschitz constant ``lipschitz`` there (e.g. ``np.log(np.maximum(u,
+    1e-3))`` with 1e3). On the shared grid gap <= bound holds up to roundoff.
     """
-    rates = np.asarray(pass_rates, dtype=np.float64).ravel()
-    w = _weights_or_uniform(rates.size, weights)
-    cdf = ref.cdf_at if floored or not hasattr(ref, "raw_cdf_at") else ref.raw_cdf_at
-    return float(sum(wi * psi.value(u) for wi, u in zip(w, cdf(rates))))
-
-
-def utility_gap_bound_check(psi, pass_rates, ref, weights=None) -> tuple[float, float]:
-    """Gap between the reference utility and the self-referential utility,
-    next to its Lipschitz transport bound.
-
-    Returns ``(gap, bound)`` with gap = |U(ref) - U(own histogram)| and
-    bound = L_psi * max density of the histogram * W1(ref, histogram); on the
-    shared grid gap <= bound holds exactly (tests allow 2/N slack for
-    off-grid rates that had to be snapped).
-    """
-    if psi.lipschitz is None:
-        raise ValueError("bound check needs a Lipschitz distortion (Identity or ClippedLog)")
     rates = np.asarray(pass_rates, dtype=np.float64).ravel()
     if rates.size == 0:
         raise ValueError("need at least one pass rate")
-    own = refdist.distribution_from_rates(rates, ref.n_rollouts, weights=weights)
-    gap = abs(
-        distribution_utility(psi, ref, rates, weights, floored=False)
-        - distribution_utility(psi, own, rates, weights, floored=False)
-    )
-    bound = psi.lipschitz * float(own.density.max()) * refdist.wasserstein1(ref, own)
+    own = refdist.distribution_from_rates(rates, ref.n_rollouts)
+    gap = abs(float(np.mean(psi(ref.raw_cdf_at(rates)) - psi(own.raw_cdf_at(rates)))))
+    bound = lipschitz * float(own.density.max()) * refdist.wasserstein1(ref, own)
     return gap, bound
-
-
-def relative_multiplier(psi, ref, p: float) -> float:
-    """Ratio of the distribution-aware weight to the pointwise weight at p.
-
-    R(p) = psi'(F_ref(p)) f_ref(p) / psi'(p). For the log distortion this is
-    p f_ref(p) / F_ref(p); a strictly decreasing R means the reference
-    reweights low pass rates more aggressively than the pointwise rule.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly inside (0, 1)")
-    denom = psi.derivative(p)
-    if denom == 0.0:
-        raise ValueError(f"pointwise distortion slope vanishes at p={p!r}")
-    return psi.derivative(ref.cdf_at(p)) * ref.density_at(p) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +313,15 @@ def weight_table(scheme: WeightScheme,
         raise ValueError("n_rollouts must be >= 2")
     grid = np.arange(1, n_rollouts) / n_rollouts
     weights = pointwise_weight(scheme, grid)
+    bad = ~(np.isfinite(weights) & (weights >= 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"grid point {grid[i]:.17g}: weight must be finite and nonnegative, "
+                         f"got {float(weights[i])!r}")
     # left to right: np.sum's pairwise order would move the table's last bits
     total = sum(weights.tolist())
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"weights must have a finite, positive sum, got {total!r}")
     return grid, weights, weights / total
 
 

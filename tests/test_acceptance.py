@@ -15,6 +15,7 @@ test_trainer.py.
 import json
 import time
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
@@ -43,12 +44,9 @@ from curverl.trainer import (
 )
 from curverl.verify import calibration_gradients
 from curverl.weighting import (
-    ClippedLog,
     Curve,
     EntropicRisk,
     Grpo,
-    Identity,
-    Log,
     MaxRL,
     Reinforce,
 )
@@ -83,7 +81,7 @@ def test_criterion_1_induced_prior_recovery():
     with Stopwatch(1.0) as clock:
         worst = 0.0
         for scheme in POINTWISE:
-            fn = weighting.weight_function(scheme)
+            fn = partial(weighting.pointwise_weight, scheme)
             for p in GRID_19:
                 closed = weighting.induced_prior(scheme, float(p))
                 numeric = weighting.induced_prior_numeric(fn, float(p))
@@ -106,7 +104,7 @@ def test_criterion_1_integrand_calls_bounded():
         return wrapped
 
     for scheme in POINTWISE:
-        fn = counted(weighting.weight_function(scheme))
+        fn = counted(partial(weighting.pointwise_weight, scheme))
         for p in GRID_19:
             weighting.induced_prior_numeric(fn, float(p))
     assert calls <= 100_000
@@ -201,24 +199,25 @@ def test_criterion_6_utility_gap_transport_bound():
             rates = rng.choice(grid, size=int(rng.integers(5, 80)))
             ref_rates = rng.choice(grid, size=int(rng.integers(5, 80)))
             ref = refdist.distribution_from_rates(ref_rates, n)
-            for psi in (Identity(), ClippedLog(1e-3)):
-                gap, bound = weighting.utility_gap_bound_check(psi, rates, ref)
-                assert gap <= bound + 2.0 / n
+            for psi, lipschitz in ((lambda u: u, 1.0),
+                                   (lambda u: np.log(np.maximum(u, 1e-3)), 1e3)):
+                gap, bound = weighting.utility_gap_bound_check(psi, lipschitz, rates, ref)
+                # every rate is on the grid, where the bound holds up to roundoff
+                assert gap <= bound + 1e-9
                 worst_excess = max(worst_excess, gap - bound)
     report("criterion 6 (utility-gap transport bound)",
-           f"max(gap - bound) = {worst_excess:.3e} <= 2/N = {2.0 / n} over 50 pairs "
+           f"max(gap - bound) = {worst_excess:.3e} <= 1e-9 over 50 pairs "
            f"in {clock.elapsed:.2f}s")
 
 
 def test_criterion_7_aggressiveness_ordering(tmp_path):
     with Stopwatch(5.0) as clock:
-        psi = Log()
-        agg = [weighting.relative_multiplier(psi, TruncatedExponential(4.0), float(p))
-               for p in GRID_19]
-        con = [weighting.relative_multiplier(psi, ReflectedTruncatedExponential(4.0), float(p))
-               for p in GRID_19]
-        assert all(a > b for a, b in zip(agg, agg[1:]))
-        assert all(a < b for a, b in zip(con, con[1:]))
+        # the log utility's multiplier over the 1/p rule is p f/F, p times the Curve weight
+        agg = GRID_19 * weighting.pointwise_weight(Curve(TruncatedExponential(4.0)), GRID_19)
+        con = GRID_19 * weighting.pointwise_weight(Curve(ReflectedTruncatedExponential(4.0)),
+                                                   GRID_19)
+        assert (np.diff(agg) < 0).all()
+        assert (np.diff(con) > 0).all()
         # the empirical multiplier (p-hat * weight, i.e. weight relative to
         # the 1/p rule) is logged per step of every training run
         pop = make_population(40, m=16, seed=3,

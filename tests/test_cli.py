@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from curverl.cli import main
@@ -366,6 +367,22 @@ class TestWeights:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"{snap}: step 0, grid point 0.5: cdf must be <= 1, got 1.5" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scheme, row", [
+        ("curve", "0,0.25,0.5,1e-320,2"),  # subnormal F: f/F overflows
+        ("integrated_product", "0,0.25,0.5,0.5,1e308"),  # f ln p / F overflows
+    ])
+    def test_non_finite_weight_names_grid_point(self, tmp_path, capsys, scheme, row):
+        snap = tmp_path / "refdist.csv"
+        snap.write_text("step,grid_point,mass,cdf,density\n"
+                        f"{row}\n0,0.5,0.5,1,2\n0,0.75,0,1,0\n")
+        out = tmp_path / "w.csv"
+        with np.errstate(over="ignore"):
+            assert main(["weights", "--scheme", scheme, "--ref", str(snap), "--n-rollouts", "4",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "grid point 0.25: weight must be finite and nonnegative, got inf" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("row, message", [

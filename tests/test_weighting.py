@@ -1,11 +1,13 @@
-"""Weight schemes, induced priors, distortion utilities, quadrature."""
+"""Weight schemes, induced priors, the utility-gap bound, weight tables, quadrature."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from curverl import refdist
+from curverl.verify import GAP_BOUND_TOL, PROP2_UTILITIES
 from curverl.config import ConfigError, _dump, parse_scheme
 from curverl.quadrature import DivergentIntegralError, tail_integral
 from curverl.references import (
@@ -15,27 +17,20 @@ from curverl.references import (
 )
 from curverl.weighting import (
     SCHEMES,
-    ClippedLog,
     Curve,
     EntropicRisk,
     Grpo,
-    Identity,
     IntegratedConvex,
     IntegratedProduct,
-    Log,
     MaxRL,
     Reinforce,
-    distribution_utility,
     induced_prior,
     induced_prior_numeric,
     needs_reference,
-    pointwise_utility,
     pointwise_weight,
-    relative_multiplier,
     reverse_hazard_identity_check,
     scheme_name,
     utility_gap_bound_check,
-    weight_function,
     weight_table,
 )
 
@@ -235,7 +230,7 @@ class TestInducedPrior:
 
     def test_quadrature_recovers_closed_forms(self):
         for scheme in (Reinforce(), Grpo(), MaxRL()):
-            fn = weight_function(scheme)
+            fn = partial(pointwise_weight, scheme)
             for p in GRID_19:
                 closed = induced_prior(scheme, float(p))
                 numeric = induced_prior_numeric(fn, float(p))
@@ -300,50 +295,23 @@ class TestCorollaryDegeneration:
 
 
 class TestUtilities:
-    def test_identity_utility(self):
-        assert pointwise_utility(Identity(), [0.2, 0.8]) == pytest.approx(0.5, abs=1e-15)
-
-    def test_log_utility_of_ones(self):
-        assert pointwise_utility(Log(), [1.0, 1.0]) == 0.0
-
-    def test_log_utility_hand_value(self):
-        got = pointwise_utility(Log(), [0.5, 0.25])
-        assert got == pytest.approx(-1.0397207708399179, abs=1e-15)
-
-    def test_log_rejects_zero_rate(self):
-        with pytest.raises(ValueError):
-            pointwise_utility(Log(), [0.5, 0.0])
-
     def test_distribution_utility_with_own_cdf_is_noninformative(self):
         # rank transform of a variable by its own CDF is uniform, mean ~ 1/2
         n = 8
         grid = np.arange(1, n) / n
         rates = np.concatenate([grid, grid])  # every grid point twice
         own = refdist.distribution_from_rates(rates, n)
-        got = distribution_utility(Identity(), own, rates)
-        assert abs(got - 0.5) <= 1.0 / n
+        assert abs(own.raw_cdf_at(rates).mean() - 0.5) <= 1.0 / n
 
     def test_log_distribution_utility_under_uniform_matches_pointwise(self):
         n = 8
         rates = np.array([1, 3, 5, 7]) / n
         uniform = refdist.uniform_reference(n)
-        a = distribution_utility(Log(), uniform, rates)
-        b = pointwise_utility(Log(), rates)
-        assert abs(a - b) < 1e-12
+        assert abs(np.log(uniform.raw_cdf_at(rates)).mean() - np.log(rates).mean()) < 1e-12
 
     def test_single_full_rate_gives_zero(self):
-        n = 8
-        own = refdist.distribution_from_rates([7 / 8], n)
-        assert distribution_utility(Log(), own, [7 / 8]) == pytest.approx(0.0, abs=1e-15)
-
-    def test_log_of_zero_raw_cdf_is_domain_error(self):
-        # all reference mass above the queried rate: raw CDF is 0 there, and
-        # only the floor makes the log admissible
-        n = 8
-        ref = refdist.distribution_from_rates([7 / 8], n)
-        with pytest.raises(ValueError):
-            distribution_utility(Log(), ref, [1 / 8], floored=False)
-        assert np.isfinite(distribution_utility(Log(), ref, [1 / 8]))  # floored path
+        own = refdist.distribution_from_rates([7 / 8], 8)
+        assert np.log(own.raw_cdf_at([7 / 8])).mean() == 0.0
 
 
 class TestUtilityGapBound:
@@ -351,7 +319,7 @@ class TestUtilityGapBound:
         n = 8
         rates = np.array([1, 2, 5]) / n
         own = refdist.distribution_from_rates(rates, n)
-        gap, bound = utility_gap_bound_check(Identity(), rates, own)
+        gap, bound = utility_gap_bound_check(lambda u: u, 1.0, rates, own)
         assert gap == 0.0
         assert bound == 0.0
 
@@ -363,51 +331,70 @@ class TestUtilityGapBound:
             rates = rng.choice(grid[:-1], size=20)
             shifted = rates + 1.0 / n
             ref = refdist.distribution_from_rates(shifted, n)
-            for psi in (Identity(), ClippedLog(1e-3)):
-                gap, bound = utility_gap_bound_check(psi, rates, ref)
-                assert gap <= bound + 2.0 / n
+            for _, psi, lipschitz in PROP2_UTILITIES:
+                gap, bound = utility_gap_bound_check(psi, lipschitz, rates, ref)
+                assert gap <= bound + GAP_BOUND_TOL
 
     def test_degenerate_rates(self):
         n = 8
         rates = np.full(11, 0.5)
         ref = refdist.distribution_from_rates([0.25, 0.75], n)
-        for psi in (Identity(), ClippedLog(1e-3)):
-            gap, bound = utility_gap_bound_check(psi, rates, ref)
-            assert gap <= bound + 2.0 / n
+        for _, psi, lipschitz in PROP2_UTILITIES:
+            gap, bound = utility_gap_bound_check(psi, lipschitz, rates, ref)
+            assert gap <= bound + GAP_BOUND_TOL
 
-    def test_plain_log_unsupported(self):
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 64])
+    def test_bound_holds_to_roundoff_on_every_grid(self, n):
+        rng = np.random.default_rng(n)
+        grid = np.arange(1, n) / n
+        for _ in range(200):
+            rates = rng.choice(grid, size=int(rng.integers(1, 60)))
+            ref = refdist.distribution_from_rates(rng.choice(grid, size=int(rng.integers(1, 60))),
+                                                  n)
+            for _, psi, lipschitz in PROP2_UTILITIES:
+                gap, bound = utility_gap_bound_check(psi, lipschitz, rates, ref)
+                assert gap <= bound + GAP_BOUND_TOL
+
+    def test_understated_lipschitz_constant_fails(self):
+        # negative control: the clipped log's slope reaches 1e3, not 1
         n = 8
-        ref = refdist.distribution_from_rates([0.5], n)
-        with pytest.raises(ValueError):
-            utility_gap_bound_check(Log(), [0.5], ref)
+        rates = np.full(10, 1 / n)
+        ref = refdist.distribution_from_rates([6 / n], n)
+        _, clipped_log, lipschitz = PROP2_UTILITIES[1]
+        gap, bound = utility_gap_bound_check(clipped_log, lipschitz, rates, ref)
+        assert gap <= bound + GAP_BOUND_TOL
+        gap, bound = utility_gap_bound_check(clipped_log, 1.0, rates, ref)
+        assert gap > bound + GAP_BOUND_TOL
+
+    def test_empty_rates_rejected(self):
+        ref = refdist.distribution_from_rates([0.5], 8)
+        with pytest.raises(ValueError, match="at least one pass rate"):
+            utility_gap_bound_check(lambda u: u, 1.0, [], ref)
+
+
+def relative_multiplier(ref, p):
+    """p f/F: the log utility's multiplier over the 1/p rule, i.e. p times the Curve weight."""
+    return p * pointwise_weight(Curve(ref), p)
 
 
 class TestRelativeMultiplier:
     def test_log_under_uniform_is_one(self):
-        for p in (0.1, 0.5, 0.9):
-            assert relative_multiplier(Log(), ContinuousUniform(), p) == pytest.approx(
-                1.0, abs=1e-12
-            )
+        p = np.array([0.1, 0.5, 0.9])
+        np.testing.assert_allclose(relative_multiplier(ContinuousUniform(), p), 1.0, atol=1e-12)
 
     def test_low_mass_reference_is_aggressive(self):
         ref = TruncatedExponential(4.0)
-        assert relative_multiplier(Log(), ref, 0.2) > relative_multiplier(Log(), ref, 0.8)
+        assert relative_multiplier(ref, 0.2) > relative_multiplier(ref, 0.8)
 
     def test_reflected_reference_is_conservative(self):
         ref = ReflectedTruncatedExponential(4.0)
-        assert relative_multiplier(Log(), ref, 0.2) < relative_multiplier(Log(), ref, 0.8)
+        assert relative_multiplier(ref, 0.2) < relative_multiplier(ref, 0.8)
 
     def test_monotone_on_grid(self):
-        agg = [relative_multiplier(Log(), TruncatedExponential(4.0), float(p)) for p in GRID_19]
-        con = [relative_multiplier(Log(), ReflectedTruncatedExponential(4.0), float(p))
-               for p in GRID_19]
-        assert all(a > b for a, b in zip(agg, agg[1:]))
-        assert all(a < b for a, b in zip(con, con[1:]))
-
-    def test_zero_slope_denominator_rejected(self):
-        # clipped log has zero slope below its floor
-        with pytest.raises(ValueError):
-            relative_multiplier(ClippedLog(0.1), ContinuousUniform(), 0.05)
+        agg = relative_multiplier(TruncatedExponential(4.0), GRID_19)
+        con = relative_multiplier(ReflectedTruncatedExponential(4.0), GRID_19)
+        assert (np.diff(agg) < 0).all()
+        assert (np.diff(con) > 0).all()
 
 
 class TestWeightTable:
@@ -423,6 +410,23 @@ class TestWeightTable:
     def test_normalization_sums_to_one(self):
         _, _, norm = weight_table(EntropicRisk(2.0), 8)
         assert norm.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_all_zero_weights_rejected(self):
+        ref = refdist.ReferenceDistribution(
+            n_rollouts=4, bin_mass=[0.5, 0.5, 0.0], cdf=[0.5, 1.0, 1.0],
+            density=[0.0, 0.0, 0.0], sample_count=0, cdf_floor=0.0, density_floor=0.0)
+        with pytest.raises(ValueError, match="finite, positive sum, got 0.0"):
+            weight_table(Curve(ref), 4)
+
+
+class TestReferences:
+    def test_reflected_exponential_rejects_an_overflowing_rate(self):
+        # exp(rate) must be finite, or every lookup overflows
+        largest = math.log(np.finfo(np.float64).max)
+        assert np.isfinite(ReflectedTruncatedExponential(largest).cdf_at(0.5))
+        for rate in (np.nextafter(largest, np.inf), 710.0, 1e4, math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="rate must be in"):
+                ReflectedTruncatedExponential(rate)
 
 
 class TestPositivity:
