@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ioutil import fmt_float_rows
-from .rootfind import brentq_lanes
 
 log = logging.getLogger("curverl.passrate")
 
@@ -155,99 +154,8 @@ class DifficultyProfile:
 
 
 _TARGET_CLIP = (1e-8, 1.0 - 1e-8)
-_OFFSET_BRACKET = 80.0
 # logits shifted and checked at a time by make_population
 _SHIFT_BLOCK_VALUES = 2**16
-
-
-def _solve_logit_offsets(base: np.ndarray, mask: np.ndarray, targets: np.ndarray,
-                         rows: np.ndarray | None = None) -> np.ndarray:
-    """Per-row shift of the correct logits so each of ``rows`` (default: all)
-    hits its target.
-
-    A row's pass rate is strictly increasing in its shift (derivative
-    p(1-p)), so a bracketed root find is exact to solver tolerance. All the
-    rows are solved at once, one lockstep Brent lane per row. Each
-    evaluation is one subtract, one ``exp`` and one row sum over a scratch
-    block the shape of ``base``, every row included, plus flat gathers of
-    the correct entries; its values are bit for bit those of
-    ``softmax(base + shift * mask)`` summed over the correct entries in
-    ascending column order:
-
-    - Each row's max is ``max(incorrect max, correct max + shift)``, both
-      maxima taken once: rounding is monotone, so it is exactly the shifted
-      row's max.
-    - The correct entries are overwritten with ``(base + shift) - max``,
-      the same two roundings as shifting the row and then subtracting.
-    - Only the correct entries are divided by the row sum; the other
-      probabilities are never read.
-    - The lanes are ordered by correct-set size (a stable sort), so the
-      correct entries of each size form one block of exact-length rows.
-    """
-    if rows is None:
-        rows = np.arange(len(base))
-    n_correct = np.count_nonzero(mask, axis=1)[rows]
-    order = np.argsort(n_correct, kind="stable")
-    lane_rows = rows[order]
-    # (sorted lanes, entries, shape) of each correct-set size's block
-    sizes = np.bincount(n_correct)
-    lane_ends, entry_ends = np.cumsum(sizes), np.cumsum(sizes * np.arange(sizes.size))
-    blocks = [(slice(lane_end - n, lane_end), slice(entry_end - n * size, entry_end), (n, size))
-              for size, (n, lane_end, entry_end) in enumerate(zip(sizes, lane_ends, entry_ends))
-              if size and n]
-
-    # every array an evaluation writes is made here, so that an evaluation
-    # allocates nothing row- or entry-sized; and before the index
-    # temporaries below, which then leave no hole under them in the heap
-    z = np.empty(base.shape)  # C order, so z_flat is a view of it
-    z_flat = z.reshape(-1)
-    logit, probs, per_entry = np.empty((3, n_correct.sum()))
-    row, flat = np.empty((2, logit.size), dtype=np.intp)
-    # the correct entries lane by lane in that order, ascending columns
-    # within a lane: the gather order of probs[mask] on each row
-    lane, col = np.nonzero(mask[lane_rows])
-    np.take(lane_rows, lane, out=row)
-    np.multiply(row, base.shape[1], out=flat)
-    flat += col
-    del lane, col
-    np.take(base.reshape(-1), flat, out=logit)
-    np.copyto(z, base)
-    z_flat[flat] = -np.inf
-    incorrect_max = z.max(axis=1)
-    correct_max = np.full(len(base), -np.inf)
-    for span, entries, shape in blocks:
-        correct_max[lane_rows[span]] = logit[entries].reshape(shape).max(axis=1)
-    lane_targets = targets[rows]
-
-    def gap(delta: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        shift = np.zeros(len(base))  # 0 on the rows of converged lanes
-        shift[rows[lanes]] = delta
-        row_max = np.maximum(incorrect_max, correct_max + shift)
-        np.subtract(base, row_max[:, None], out=z)
-        # (base + shift) - max on the correct entries; take's default mode
-        # would copy through a temporary, and every index is in range
-        np.add(logit, np.take(shift, row, out=per_entry, mode="clip"), out=probs)
-        np.subtract(probs, np.take(row_max, row, out=per_entry, mode="clip"), out=probs)
-        z_flat[flat] = probs
-        np.exp(z, out=z)
-        np.take(z_flat, flat, out=probs, mode="clip")
-        np.divide(probs, np.take(z.sum(axis=1), row, out=per_entry, mode="clip"), out=probs)
-        # The correct mass of a lane is the ascending-index sum over its own
-        # exact-length row of probabilities, one contiguous (n, size) block
-        # per correct-set size. population_pass_rates' masked row sum can
-        # differ from it in the last bit, which moves the roots and so
-        # population.json's bytes; padding rows to a common width would too,
-        # as numpy's pairwise sum spreads a row of 8 or more entries over
-        # eight accumulators.
-        sorted_mass = np.zeros(len(rows))  # 0 on empty correct sets
-        for span, entries, shape in blocks:
-            sorted_mass[span] = probs[entries].reshape(shape).sum(axis=1)
-        mass = np.empty(len(rows))
-        mass[order] = sorted_mass
-        return mass[lanes] - lane_targets[lanes]
-
-    bracket = np.full(len(rows), _OFFSET_BRACKET)
-    return brentq_lanes(gap, -bracket, bracket, xtol=1e-13, rtol=8.9e-16, maxiter=200)
 
 
 def make_population(
@@ -259,13 +167,13 @@ def make_population(
 ) -> PromptPopulation:
     """Synthesize a population whose initial pass rates match a target profile.
 
-    Targets are realized to within 1e-9 by root-finding a scalar offset added
-    to the correct-set logits on top of standard-normal base logits. The
-    random draws are made prompt by prompt; then one lockstep Brent solve
-    finds the offsets of all solvable prompts at once. Each of its
-    evaluations is one ``exp`` pass over the whole (size, m) logit block, the
-    rows of converged and unsolvable prompts included
-    (:func:`_solve_logit_offsets`).
+    Each solvable prompt's correct logits are shifted by one offset on top of
+    standard-normal base logits. The pass rate is logistic in the offset: with
+    S_c and S_i a row's softmax mass on its correct and its incorrect entries
+    before the shift, p(delta) = S_c e^delta / (S_c e^delta + S_i), so the
+    offset that hits target t is ``log t - log1p(-t) + log S_i - log S_c``.
+    The random draws are made prompt by prompt; then the offsets are computed,
+    applied and checked (to within 1e-9) a block of rows at a time.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -293,17 +201,23 @@ def make_population(
         if not unsolvable[i]:
             n_correct = int(rng.integers(1, max_correct + 1))
             correct[i, rng.choice(m, size=n_correct, replace=False)] = True
-    solvable = np.flatnonzero(~unsolvable)
-    delta = _solve_logit_offsets(logits, correct, targets, solvable)
-    # the shift and the check a block of rows at a time, each row's values
-    # as over the whole array, so that neither makes a (size, m) temporary
+    # a block of rows at a time, so that no (size, m) temporary is made
     block = max(1, _SHIFT_BLOCK_VALUES // m)
     achieved = np.empty(size)
     for lo in range(0, size, block):
-        at = slice(*np.searchsorted(solvable, [lo, lo + block]))
-        logits[solvable[at]] += delta[at, None] * correct[solvable[at]]
-        achieved[lo:lo + block] = population_pass_rates(logits[lo:lo + block],
-                                                        correct[lo:lo + block])
+        z, mask = logits[lo:lo + block], correct[lo:lo + block]
+        solvable = ~unsolvable[lo:lo + block]
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        # S_i summed over its own entries, not 1 - S_c, so that a row whose
+        # correct mass is near 1 keeps its digits; unsolvable rows (S_c = 0)
+        # keep offset 0
+        s_c = np.where(mask, e, 0.0).sum(axis=1)[solvable]
+        s_i = np.where(mask, 0.0, e).sum(axis=1)[solvable]
+        t = targets[lo:lo + block][solvable]
+        delta = np.zeros(len(z))
+        delta[solvable] = np.log(t) - np.log1p(-t) + np.log(s_i) - np.log(s_c)
+        z += delta[:, None] * mask
+        achieved[lo:lo + block] = population_pass_rates(z, mask)
     missed = np.flatnonzero(~unsolvable & (np.abs(achieved - targets) > 1e-9))
     if missed.size:
         i = missed[0]

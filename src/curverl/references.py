@@ -86,7 +86,8 @@ class ReflectedTruncatedExponential:
         return np.expm1(self.rate * p) / math.expm1(self.rate)
 
     def density_at(self, p) -> np.ndarray:
-        return self.rate * np.exp(self.rate * p) / math.expm1(self.rate)
+        # divided first: exp(rate p) alone overflows for rates above about 703
+        return self.rate * (np.exp(self.rate * p) / math.expm1(self.rate))
 
 
 @dataclass(frozen=True)

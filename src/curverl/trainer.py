@@ -231,7 +231,9 @@ def train_step(state: TrainerState) -> tuple[StepLog, ReferenceDistribution]:
     else:
         at = p_hat[active]
     weights = np.zeros(cfg.batch_size)
-    weights[active] = weighting.pointwise_weight(step_scheme, at)
+    # an overflow is reported below, naming the step
+    with np.errstate(all="ignore"):
+        weights[active] = weighting.pointwise_weight(step_scheme, at)
     if not (np.isfinite(weights) & (weights >= 0.0)).all():
         raise ValueError(f"step {state.step}: weights must be finite and nonnegative")
 

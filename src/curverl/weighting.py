@@ -312,7 +312,9 @@ def weight_table(scheme: WeightScheme,
     if n_rollouts < 2:
         raise ValueError("n_rollouts must be >= 2")
     grid = np.arange(1, n_rollouts) / n_rollouts
-    weights = pointwise_weight(scheme, grid)
+    # an overflow is reported below, naming its grid point
+    with np.errstate(all="ignore"):
+        weights = pointwise_weight(scheme, grid)
     bad = ~(np.isfinite(weights) & (weights >= 0.0))
     if bad.any():
         i = int(np.argmax(bad))

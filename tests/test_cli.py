@@ -378,12 +378,33 @@ class TestWeights:
         snap.write_text("step,grid_point,mass,cdf,density\n"
                         f"{row}\n0,0.5,0.5,1,2\n0,0.75,0,1,0\n")
         out = tmp_path / "w.csv"
-        with np.errstate(over="ignore"):
-            assert main(["weights", "--scheme", scheme, "--ref", str(snap), "--n-rollouts", "4",
-                         "--out", str(out)]) == 2
+        assert main(["weights", "--scheme", scheme, "--ref", str(snap), "--n-rollouts", "4",
+                     "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "grid point 0.25: weight must be finite and nonnegative, got inf" in err
         assert not out.exists()
+
+    def test_overflowing_weight_prints_only_the_named_error(self, tmp_path):
+        # in a fresh process, where numpy's warning would reach stderr
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        snap = tmp_path / "refdist.csv"
+        snap.write_text("step,grid_point,mass,cdf,density\n"
+                        "0,0.25,0.5,1e-320,2\n0,0.5,0.5,1,2\n0,0.75,0,1,0\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        run = ("import sys; from curverl.cli import main; "
+               "sys.exit(main(['weights', '--scheme', 'curve', '--ref', sys.argv[1], "
+               "'--n-rollouts', '4', '--out', sys.argv[2]]))")
+        done = subprocess.run([sys.executable, "-c", run, str(snap), str(tmp_path / "w.csv")],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 2
+        assert "RuntimeWarning" not in done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("curverl: invalid value: ")
 
     @pytest.mark.parametrize("row, message", [
         ("0,0.5,0.5,1", "expected 5 fields, got 4"),

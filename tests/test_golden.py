@@ -97,74 +97,74 @@ CASES = {
 
 DIGESTS = {
     "curve_exact_pass_rate": {
-        "train_log.csv": "8819ea2530d96b5493062ef640707e786cb75f269342afbdae895331379817ed",
+        "train_log.csv": "0926c525dc474712816a53cdc3f19ffef10e67bd72eb2651ccc8309e27b79530",
         "refdist.csv": "f3fc2acdbb1acea9dbff5baf370def5f1ee787ff6b2662a137505e8ddd830fce",
         "per_prompt.csv": "725ea4b830fd9e6e484c40b7f6c6255b0201d9a851c573041fcaa55cc41a70dd",
-        "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
+        "population.json": "416c6edc346aeadbf361899cf793a5a21e911c3e93ed41239c3b060c6e72bb05",
     },
     "curve_window_cold_start": {
-        "train_log.csv": "a8f1f30676e6bd7432059d7ab6fa295a3663b7834d47d60ed71a40ac9d60cff2",
+        "train_log.csv": "4d1e6e5a8cbb04a5643de8855fff058f24291bda640daefd41c977f6558bef82",
         "refdist.csv": "761577fb3bc7b3797695f13b90115975b807c81b0049dcacb6df7c95af69f49b",
         "per_prompt.csv": "62b1f3a54eba7e8c9a2fda69f21ed184c3feab7f6472f65a94c5033ce0649969",
-        "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
+        "population.json": "416c6edc346aeadbf361899cf793a5a21e911c3e93ed41239c3b060c6e72bb05",
     },
     "entropic_risk": {
-        "train_log.csv": "cfeab18494a5f0760f71a695d7e69269ef04e80318bc751014a5f062ab924365",
+        "train_log.csv": "a26b3946c9aaed12bee79075264a1c607cf7e49bc65a27508c978d2cfc78f0ef",
         "refdist.csv": "bcbf228cc4961cf427b126a1ee01c89803c8b4a2342419281db5066af40a7a03",
-        "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
+        "population.json": "416c6edc346aeadbf361899cf793a5a21e911c3e93ed41239c3b060c6e72bb05",
     },
     "entropic_risk_exact_pass_rate": {
-        "train_log.csv": "ca4aa13b4f02df4385a7844d45faecd116701675fc54a188ded8f656100ef1a6",
+        "train_log.csv": "9fe70c65a2bdf829096b6f183925879bdac40d5587e1b5c7a47d14426ac4e21c",
         "refdist.csv": "11e83fc53a2330f8cea48f364026a00bfe17b9cefb6090d230cdad108470ce1c",
-        "per_prompt.csv": "70be0aa27cbea0ed3634ca6e9ed635e4414bc179bda1cb9185209a358e2f2973",
-        "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
+        "per_prompt.csv": "580bc72a0a756554a05ee6e60e81def53e57cf57e05a4811ade2c18dfd777c5e",
+        "population.json": "416c6edc346aeadbf361899cf793a5a21e911c3e93ed41239c3b060c6e72bb05",
     },
     "grpo_per_prompt": {
-        "train_log.csv": "3ef6eb14dfadc07a4188d8801813b03947ce9f7705adc93fa985aae0b6aa723b",
+        "train_log.csv": "4d385f33663044db967e7050cb2634f94f378abcf355efbe5eec33ab0c42dccb",
         "refdist.csv": "d536fd20b34972ee1cfe62175f21393cc58d3eb45ea00d6c0dac2791aa93b3ac",
         "per_prompt.csv": "fa3ef5bed0a90af1681b8eef05f4898d4b95140d66f0825d98fac22420c8c807",
-        "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
+        "population.json": "416c6edc346aeadbf361899cf793a5a21e911c3e93ed41239c3b060c6e72bb05",
     },
     "integrated_convex_per_prompt": {
-        "train_log.csv": "2e7846bb76bd87096a311f7bbd78eff3a5112714cb1aa947e843cd1e78abfb69",
+        "train_log.csv": "91371afb64b96e00ff9060fada0b7d9a926513bc5251be897033c1d3f779c50b",
         "refdist.csv": "761577fb3bc7b3797695f13b90115975b807c81b0049dcacb6df7c95af69f49b",
         "per_prompt.csv": "8137ea98710f1da0cbbff6b0f308d8610c9811f589a7121901380f765e5ae7b1",
-        "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
+        "population.json": "416c6edc346aeadbf361899cf793a5a21e911c3e93ed41239c3b060c6e72bb05",
     },
     "integrated_product": {
-        "train_log.csv": "624f9f89c14f64245550acd25f49c89518c867caa771148c89fcf7f01d15a749",
+        "train_log.csv": "74a1b5091ec26e8c8a648e51bed8c9bbe9936c22c4df075ea375e6d19e23aef2",
         "refdist.csv": "4544be8c9f2095cdf61be4b033e716ffa462184a2c5d5963ea4be3c1c7eed128",
-        "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
+        "population.json": "416c6edc346aeadbf361899cf793a5a21e911c3e93ed41239c3b060c6e72bb05",
     },
     "integrated_product_exact_pass_rate": {
-        "train_log.csv": "e02275019ebbbf4b3f5d49fae77392f399d0ee857f7817086ee247c4856aec40",
+        "train_log.csv": "6ba7871800381271277dd38780a979db4ea4cc7f0163edf89a34e1f0def982ec",
         "refdist.csv": "8d46a7d84b799ee492b4ea6d0614bdf2585f68d9b3cbb3aedc17f7d8705c80a6",
-        "per_prompt.csv": "313cabf8994a6a35e938f94e036e4c8445094d7a0fff543d63d97a70bdac1ef0",
-        "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
+        "per_prompt.csv": "1826302b445ba29a001bc7960d5489cbfa787f037075df785e64426184c9a142",
+        "population.json": "416c6edc346aeadbf361899cf793a5a21e911c3e93ed41239c3b060c6e72bb05",
     },
     "maxrl_per_prompt": {
-        "train_log.csv": "a73996106a3ccce0649a5779ddca2a7e5992ee13b347bad6f09cb49a7f914028",
+        "train_log.csv": "7f7e0101bdbc99ea8f9825727d52696c290e725bc84cd24759bb02d9485e4ea6",
         "refdist.csv": "761577fb3bc7b3797695f13b90115975b807c81b0049dcacb6df7c95af69f49b",
         "per_prompt.csv": "3d3f7c73c4c46fc7a933cad8f17b1ca4f3f8922ca3cd4b6dd25f0ca217ba45ec",
-        "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
+        "population.json": "416c6edc346aeadbf361899cf793a5a21e911c3e93ed41239c3b060c6e72bb05",
     },
     "blocks_curve_window": {
-        "train_log.csv": "2c15a83944672c587637e53d6cf153d8913dd3274bf653bc56b5d27f4ebfc10d",
+        "train_log.csv": "02a0d1cf69fce12f3ccf28365da29ce7de4945c56ef8ced3779575dd93454232",
         "refdist.csv": "b1729f1c64098507778823f4292d77f384b4215d0c9254a2c3c923446d4278fd",
         "per_prompt.csv": "7e88a66ad7926d6004f315ff54b21cf74a2ed8e5783ce9c7e03ecdf5f9ed9c2e",
-        "population.json": "45b3f64601d4d329304d5a0227d4fdf08d1feadd8c2c059f498badf70ffe1b83",
+        "population.json": "416c6edc346aeadbf361899cf793a5a21e911c3e93ed41239c3b060c6e72bb05",
     },
     "wide_curve_window": {
-        "train_log.csv": "1ea43631976ee31cb6990a72e268bf5c8d4c6e7cbf3ade40405d0d221cbaef62",
+        "train_log.csv": "0aa417488a02bab11a5cb0086928e839395abaff535cb50ab5a143e0c59a4521",
         "refdist.csv": "4c249ca4f5a3003ce9987cf81f2d8d852aa739419ad86fea470176ead85ca10e",
         "per_prompt.csv": "3fff0003c594fb25aa25227ee403c299ef1e5d2a4efc8fa4220f5918e561f82b",
-        "population.json": "8794cd0cc57a4b81271b532ecb131bbc7504daeb8f2a7ea6fb6c1c8984337d2c",
+        "population.json": "3ce563103a2f01931d9ad2b4f788306be9080179007fbba463d568394ab49d31",
     },
     "wide_reinforce": {
-        "train_log.csv": "7f33b6506883d6a86938fa8856ce439e9f74e344ccc682f0a6258d448d408c4b",
+        "train_log.csv": "c88d8c7509ee462e392361c2b3f50de0ee22b7548ae04fbe783e6dbfd60c5cba",
         "refdist.csv": "8537718a3164b9ca0d8392405726a2ab0f82824d594861f0a34c71c320ab061a",
         "per_prompt.csv": "ac46235bea738bf1f5131d80fd90c097b66a77a10d526eae57506cce519ec6fe",
-        "population.json": "8794cd0cc57a4b81271b532ecb131bbc7504daeb8f2a7ea6fb6c1c8984337d2c",
+        "population.json": "3ce563103a2f01931d9ad2b4f788306be9080179007fbba463d568394ab49d31",
     },
 }
 
@@ -378,10 +378,9 @@ def test_golden_weights(tmp_path, case):
     )
 
 
-# populations at M = 64, where a correct set holds up to 16 responses: the
-# solver's correct-mass sum spreads a set of 8 or more over numpy's eight
-# pairwise-sum accumulators, so a gather padded to a common width would
-# change these bytes (at M = 8 above no set reaches 8)
+# populations at M = 64, where a correct set holds up to 16 responses (at
+# M = 8 above it holds at most 2), at beta targets and at the clipped ends
+# of (0, 1)
 POPULATION_CASES = {
     "beta_unsolvable": (DifficultyProfile(kind="beta", alpha=0.5, beta=0.5,
                                           unsolvable_fraction=0.25), 13),
@@ -390,8 +389,8 @@ POPULATION_CASES = {
 }
 
 POPULATION_DIGESTS = {
-    "beta_unsolvable": "4b11cd1d4a9ade58dd736d03edcc45f9d1f0bed6b2464626486ea36113f0979d",
-    "fixed_extremes": "d87511053d8348bb1f0962ebe9155441ecbe8726c9435fd8eed26b735b678465",
+    "beta_unsolvable": "635a2aa508bb3bf7314b797888bf67296dfdfffdf23bde3daeb643a73bfbde9f",
+    "fixed_extremes": "9a15ffbd185b708779a581d2bef1a0468e95ef47f162350b92c39f25ed6bdea3",
 }
 
 

@@ -1,22 +1,17 @@
 """Pass-rate oracle tests: closed forms, finite differences, sampling."""
 
-import contextlib
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curverl import passrate
 from curverl.kernels import accumulate_gradients, sample_responses
 from curverl.passrate import (
-    _OFFSET_BRACKET,
     DifficultyProfile,
     PromptPopulation,
-    _solve_logit_offsets,
     make_population,
     population_from_json,
     population_pass_rate_gradients,
@@ -25,7 +20,6 @@ from curverl.passrate import (
     softmax,
     write_population_json,
 )
-from curverl.rootfind import brentq_lanes
 from test_golden import POPULATION_CASES
 from test_trainer import per_prompt_gradient
 
@@ -56,51 +50,6 @@ def sample_rewards(pr, n, rng):
     """n rewards of the prompt's policy, drawn by the one response sampler."""
     responses = sample_responses(np.cumsum(softmax(pr.logits), axis=1), rng.random((1, n)))
     return np.take_along_axis(pr.correct, responses, axis=1)[0], responses[0]
-
-
-OFFSET_TOLERANCES = dict(xtol=1e-13, rtol=8.9e-16, maxiter=200)
-
-
-def brentq(f, a, b, **kwargs):
-    """A root of the scalar ``f`` in [a, b]: one lane of :func:`brentq_lanes`,
-    called the way ``scipy.optimize.brentq`` is."""
-    root = brentq_lanes(lambda x, lanes: [f(float(x[0]))], [float(a)], [float(b)], **kwargs)
-    return float(root[0])
-
-
-def offset_gap(base, mask, target):
-    """One offset problem as a scalar function: the textbook pass rate of the
-    shifted row minus the target."""
-    return lambda d: float(softmax(base + d * mask)[mask].sum()) - target
-
-
-@contextlib.contextmanager
-def counting_gap_evaluations():
-    """Count the offset solve's gap evaluations into the yielded one-item list."""
-    calls = [0]
-
-    def counting(f, a, b, **kwargs):
-        def counted(x, lanes):
-            calls[0] += 1
-            return f(x, lanes)
-
-        return brentq_lanes(counted, a, b, **kwargs)
-
-    with mock.patch.object(passrate, "brentq_lanes", counting):
-        yield calls
-
-
-def offset_rows(m, sizes, seed):
-    """Standard-normal base logits with one row per correct-set size in
-    ``sizes``, and targets; the first two at the clipped ends of (0, 1)."""
-    rng = np.random.default_rng(seed)
-    base = rng.standard_normal((len(sizes), m))
-    mask = np.zeros(base.shape, dtype=bool)
-    for row, size in zip(mask, sizes):
-        row[rng.choice(m, size=size, replace=False)] = True
-    targets = rng.uniform(0.0, 1.0, len(sizes))
-    targets[:2] = 1e-8, 1.0 - 1e-8
-    return base, mask, targets
 
 
 class TestExactPassRate:
@@ -269,17 +218,10 @@ class TestPopulation:
         assert abs(pop.base_weights.sum() - 1.0) < 1e-12
 
     def test_every_prompt_unsolvable(self):
-        # the offset solve has no lanes at all
+        # no row has an offset to compute
         pop = make_population(1, 8, DifficultyProfile(unsolvable_fraction=0.6))
         assert not pop.correct.any()
         assert population_pass_rates(pop.logits, pop.correct).tolist() == [0.0]
-
-    def test_offsets_are_solved_in_lockstep(self):
-        # one gap evaluation per Brent iteration over all prompts, not one per
-        # prompt and iteration (thousands at this size)
-        with counting_gap_evaluations() as calls:
-            make_population(500, 16, seed=0)
-        assert 0 < calls[0] <= 64
 
     def test_generation_is_deterministic(self):
         a = make_population(20, seed=3)
@@ -298,30 +240,65 @@ class TestPopulation:
                 arr[0] = 1
 
 
-class TestOffsetSolve:
-    """Each lane of a batched solve against the textbook gap solved alone."""
+def drawn_population(size, m, profile, seed):
+    """The targets, base logits and correct masks of ``make_population``'s
+    draws, made here with the same generator calls in the same order."""
+    rng = np.random.default_rng(seed)
+    if profile.kind == "beta":
+        targets = rng.beta(profile.alpha, profile.beta, size=size)
+    else:
+        targets = np.resize(np.asarray(profile.targets, dtype=np.float64), size)
+    unsolvable = np.zeros(size, dtype=bool)
+    n_unsolvable = int(round(size * profile.unsolvable_fraction))
+    if n_unsolvable:
+        unsolvable[rng.choice(size, size=n_unsolvable, replace=False)] = True
+    base = np.empty((size, m))
+    correct = np.zeros((size, m), dtype=bool)
+    for i in range(size):
+        base[i] = rng.standard_normal(m)
+        if not unsolvable[i]:
+            n_correct = int(rng.integers(1, max(1, m // 4) + 1))
+            correct[i, rng.choice(m, size=n_correct, replace=False)] = True
+    return np.clip(targets, 1e-8, 1.0 - 1e-8), base, correct
 
-    @pytest.mark.parametrize("m, sizes", [
-        # 64 lanes: sizes 1 to 48 out of order, 1 to 16 twice
-        (256, [(5 * i) % 48 + 1 for i in range(64)]),
-        # exactly 8 entries, and more than numpy's 128-entry pairwise block
-        (1024, [129, 8, 1, 256, 8, 130, 2, 200]),
-    ])
-    def test_lanes_equal_textbook_one_lane_solves(self, m, sizes):
-        base, mask, targets = offset_rows(m, sizes, seed=m)
-        roots = _solve_logit_offsets(base, mask, targets)
-        for i, root in enumerate(roots):
-            expected = brentq(offset_gap(base[i], mask[i], targets[i]),
-                              -_OFFSET_BRACKET, _OFFSET_BRACKET, **OFFSET_TOLERANCES)
-            assert float(root).hex() == expected.hex(), f"lane {i}"
 
-    @pytest.mark.parametrize("empty", [0, 2])
-    def test_empty_correct_set_names_its_lane(self, empty):
-        base, mask, targets = offset_rows(16, [3, 1, 2], seed=0)
-        mask[empty] = False
-        with pytest.raises(ValueError,
-                           match=rf"^lane {empty}: f\(a\) and f\(b\) must have different signs$"):
-            _solve_logit_offsets(base, mask, targets)
+EDGE_TARGETS = (0.0, 1e-8, 0.5, 1.0 - 1e-8, 1.0)
+
+profiles = st.one_of(
+    st.builds(DifficultyProfile, kind=st.just("beta"), alpha=st.floats(0.1, 10.0),
+              beta=st.floats(0.1, 10.0), unsolvable_fraction=st.floats(0.0, 0.9)),
+    st.builds(DifficultyProfile, kind=st.just("fixed"),
+              targets=st.lists(st.sampled_from(EDGE_TARGETS), min_size=1, max_size=5).map(tuple),
+              unsolvable_fraction=st.floats(0.0, 0.9)),
+)
+
+
+class TestClosedFormOffsets:
+    @given(size=st.integers(1, 400), m=st.integers(2, 300), profile=profiles,
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_every_row_hits_its_clipped_target(self, size, m, profile, seed):
+        # sizes past one shift block (2**16 // m rows) make several blocks
+        pop = make_population(size, m, profile, seed=seed)
+        targets, _, correct = drawn_population(size, m, profile, seed)
+        rates = population_pass_rates(pop.logits, pop.correct)
+        solvable = correct.any(axis=1)
+        assert np.abs(rates - targets)[solvable].max(initial=0.0) <= 1e-14
+        assert (rates[~solvable] == 0.0).all()
+
+    @pytest.mark.parametrize("size, m, seed", [(2000, 256, 47), (500, 16, 311), (300, 3, 1)])
+    def test_only_the_correct_logits_move(self, size, m, seed):
+        profile = DifficultyProfile(kind="beta", alpha=1.0, beta=4.0, unsolvable_fraction=0.1)
+        pop = make_population(size, m, profile, seed=seed)
+        _, base, correct = drawn_population(size, m, profile, seed)
+        np.testing.assert_array_equal(pop.correct, correct)
+        # bit for bit the drawn standard normals
+        assert pop.logits[~correct].tobytes() == base[~correct].tobytes()
+        # each solvable row's correct logits move by one offset
+        shift = pop.logits - base
+        spread = (np.where(correct, shift, -np.inf).max(axis=1)
+                  - np.where(correct, shift, np.inf).min(axis=1))
+        assert spread[correct.any(axis=1)].max() < 1e-13
 
 
 class TestSerialization:

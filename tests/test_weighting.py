@@ -428,6 +428,13 @@ class TestReferences:
             with pytest.raises(ValueError, match="rate must be in"):
                 ReflectedTruncatedExponential(rate)
 
+    def test_reflected_exponential_density_is_finite_at_a_steep_rate(self):
+        # exp(rate p) alone overflows here; the density itself is about rate
+        rate, p = 709.0, np.array([0.999, 0.9999])
+        expected = rate * np.exp(rate * (p - 1.0)) / -math.expm1(-rate)
+        np.testing.assert_allclose(ReflectedTruncatedExponential(rate).density_at(p), expected,
+                                   rtol=1e-9, atol=0.0)
+
 
 class TestPositivity:
     def test_all_schemes_positive_on_interior_grid(self):
