@@ -158,6 +158,29 @@ _TARGET_CLIP = (1e-8, 1.0 - 1e-8)
 _SHIFT_BLOCK_VALUES = 2**16
 
 
+def _logit_offsets(e: np.ndarray, mask: np.ndarray, targets: np.ndarray,
+                   lanes: np.ndarray) -> np.ndarray:
+    """One offset per row of ``e``, the exponentials of a block of logits
+    less a constant per row: on the rows (lanes) that ``lanes`` selects, the
+    offset that brings the pass rate of the row to its target when added to
+    its correct logits in ``mask``, ``log t - log1p(-t) + log S_i - log S_c``;
+    0 on the other rows. Each selected correct set must be nonempty and
+    proper; the first lane whose set is not is named."""
+    has_correct = mask.any(axis=1)
+    bad = np.flatnonzero(lanes & (~has_correct | mask.all(axis=1)))
+    if bad.size:
+        kind = "full" if has_correct[bad[0]] else "empty"
+        raise ValueError(f"lane {bad[0]}: {kind} correct set, no offset reaches the target")
+    # S_i summed over its own entries, not 1 - S_c, so that a row whose
+    # correct mass is near 1 keeps its digits
+    s_c = np.where(mask, e, 0.0).sum(axis=1)[lanes]
+    s_i = np.where(mask, 0.0, e).sum(axis=1)[lanes]
+    t = targets[lanes]
+    delta = np.zeros(len(e))
+    delta[lanes] = np.log(t) - np.log1p(-t) + np.log(s_i) - np.log(s_c)
+    return delta
+
+
 def make_population(
     size: int,
     m: int = 16,
@@ -206,16 +229,11 @@ def make_population(
     achieved = np.empty(size)
     for lo in range(0, size, block):
         z, mask = logits[lo:lo + block], correct[lo:lo + block]
-        solvable = ~unsolvable[lo:lo + block]
+        # e is held from one block to the next, so that the allocator keeps
+        # its pages instead of faulting in fresh ones for every block
         e = np.exp(z - z.max(axis=1, keepdims=True))
-        # S_i summed over its own entries, not 1 - S_c, so that a row whose
-        # correct mass is near 1 keeps its digits; unsolvable rows (S_c = 0)
-        # keep offset 0
-        s_c = np.where(mask, e, 0.0).sum(axis=1)[solvable]
-        s_i = np.where(mask, 0.0, e).sum(axis=1)[solvable]
-        t = targets[lo:lo + block][solvable]
-        delta = np.zeros(len(z))
-        delta[solvable] = np.log(t) - np.log1p(-t) + np.log(s_i) - np.log(s_c)
+        # unsolvable rows (S_c = 0) keep offset 0
+        delta = _logit_offsets(e, mask, targets[lo:lo + block], ~unsolvable[lo:lo + block])
         z += delta[:, None] * mask
         achieved[lo:lo + block] = population_pass_rates(z, mask)
     missed = np.flatnonzero(~unsolvable & (np.abs(achieved - targets) > 1e-9))

@@ -2,16 +2,20 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curverl import passrate
 from curverl.kernels import accumulate_gradients, sample_responses
 from curverl.passrate import (
+    _SHIFT_BLOCK_VALUES,
     DifficultyProfile,
     PromptPopulation,
+    _logit_offsets,
     make_population,
     population_from_json,
     population_pass_rate_gradients,
@@ -223,6 +227,21 @@ class TestPopulation:
         assert not pop.correct.any()
         assert population_pass_rates(pop.logits, pop.correct).tolist() == [0.0]
 
+    def test_offsets_are_solved_in_lockstep(self):
+        # one offset computation per block of rows over all its prompts, not
+        # one per prompt (hundreds at these sizes)
+        for size, m in [(500, 16), (500, 256), (1, 8)]:
+            calls = []
+
+            def counting(e, mask, targets, lanes):
+                calls.append(len(e))
+                return _logit_offsets(e, mask, targets, lanes)
+
+            with mock.patch.object(passrate, "_logit_offsets", counting):
+                make_population(size, m, seed=0)
+            block = _SHIFT_BLOCK_VALUES // m
+            assert calls == [min(block, size - lo) for lo in range(0, size, block)], (size, m)
+
     def test_generation_is_deterministic(self):
         a = make_population(20, seed=3)
         b = make_population(20, seed=3)
@@ -299,6 +318,66 @@ class TestClosedFormOffsets:
         spread = (np.where(correct, shift, -np.inf).max(axis=1)
                   - np.where(correct, shift, np.inf).min(axis=1))
         assert spread[correct.any(axis=1)].max() < 1e-13
+
+
+def offset_rows(m, sizes, seed):
+    """Standard-normal base logits with one row per correct-set size in
+    ``sizes``, and targets; the first two at the clipped ends of (0, 1)."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((len(sizes), m))
+    mask = np.zeros(base.shape, dtype=bool)
+    for row, size in zip(mask, sizes):
+        row[rng.choice(m, size=size, replace=False)] = True
+    targets = rng.uniform(0.0, 1.0, len(sizes))
+    targets[:2] = 1e-8, 1.0 - 1e-8
+    return base, mask, targets
+
+
+class TestOffsetSolve:
+    """Each lane of a batched offset computation against the lane alone and
+    the textbook pass rate of its shifted row."""
+
+    @pytest.mark.parametrize("m, sizes", [
+        # 64 lanes: sizes 1 to 48 out of order, 1 to 16 twice
+        (256, [(5 * i) % 48 + 1 for i in range(64)]),
+        # exactly 8 entries, and more than numpy's 128-entry pairwise block
+        (1024, [129, 8, 1, 256, 8, 130, 2, 200]),
+    ])
+    def test_lanes_equal_textbook_one_lane_solves(self, m, sizes):
+        base, mask, targets = offset_rows(m, sizes, seed=m)
+        e = np.exp(base - base.max(axis=1, keepdims=True))
+        offsets = _logit_offsets(e, mask, targets, np.ones(len(sizes), dtype=bool))
+        for i, offset in enumerate(offsets):
+            alone = _logit_offsets(e[i:i + 1], mask[i:i + 1], targets[i:i + 1],
+                                   np.ones(1, dtype=bool))[0]
+            assert float(offset).hex() == float(alone).hex(), f"lane {i}"
+            rate = softmax(base[i] + offset * mask[i])[mask[i]].sum()
+            assert abs(rate - targets[i]) <= 1e-14, f"lane {i}"
+
+    @pytest.mark.parametrize("empty", [0, 2])
+    def test_empty_correct_set_names_its_lane(self, empty):
+        base, mask, targets = offset_rows(16, [3, 1, 2], seed=0)
+        mask[empty] = False
+        with pytest.raises(ValueError,
+                           match=rf"^lane {empty}: empty correct set, no offset reaches the target$"):
+            _logit_offsets(np.exp(base), mask, targets, np.ones(3, dtype=bool))
+
+    def test_full_correct_set_names_its_lane(self):
+        base, mask, targets = offset_rows(16, [3, 1, 2], seed=0)
+        mask[1] = True
+        with pytest.raises(ValueError,
+                           match=r"^lane 1: full correct set, no offset reaches the target$"):
+            _logit_offsets(np.exp(base), mask, targets, np.ones(3, dtype=bool))
+
+    def test_lanes_left_out_keep_offset_zero(self):
+        # an unsolvable row is left out, and its empty set raises nothing
+        base, mask, targets = offset_rows(16, [3, 1, 2], seed=0)
+        mask[1] = False
+        lanes = np.array([True, False, True])
+        offsets = _logit_offsets(np.exp(base), mask, targets, lanes)
+        assert offsets[1] == 0.0
+        assert offsets[[0, 2]].tolist() == _logit_offsets(
+            np.exp(base[[0, 2]]), mask[[0, 2]], targets[[0, 2]], np.ones(2, dtype=bool)).tolist()
 
 
 class TestSerialization:
