@@ -127,7 +127,14 @@ class TrainerState:
         # the population's arrays are read-only; the trainer updates a copy
         self.theta = population.logits.copy()
         self.masks = population.correct
-        self.window = np.zeros((min(config.t0, config.steps), config.n_rollouts - 1), np.int64)
+        try:
+            self.window = np.zeros((min(config.t0, config.steps), config.n_rollouts - 1),
+                                   np.int64)
+        except (MemoryError, ValueError):  # too large to map, or to index
+            raise ValueError(
+                f"t0={config.t0} and n_rollouts={config.n_rollouts}: the window is too large "
+                "to allocate"
+            ) from None
         self.step = 0
         self._cold_start_logged = False
         self.probs = softmax(self.theta)
@@ -295,8 +302,14 @@ def run_training(population: PromptPopulation, config: TrainConfig) -> TrainResu
     # split the free space later steps reuse, growing the heap by MBs in
     # some process layouts and not in others
     shape = (config.steps, config.batch_size)
-    prompt_ids = np.empty(shape, dtype=np.int64)
-    p_hat, weights, prompt_norms = np.empty((3, *shape))
+    try:
+        prompt_ids = np.empty(shape, dtype=np.int64)
+        p_hat, weights, prompt_norms = np.empty((3, *shape))
+    except (MemoryError, ValueError):  # too large to map, or to index
+        raise ValueError(
+            f"steps={config.steps} and batch_size={config.batch_size}: the step logs are too "
+            "large to allocate"
+        ) from None
     for t in range(config.steps):
         entry, window_ref = train_step(state)
         prompt_ids[t] = entry.prompt_ids

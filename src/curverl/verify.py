@@ -3,8 +3,9 @@
 Each suite runs a set of numeric checks with pinned tolerances and returns
 one record per check; the CLI prints a pass/fail line for each. Suites:
 
-* ``theorem1``       quadrature recovery of the closed-form induced priors,
-                     plus the finite-difference reverse-hazard identity
+* ``theorem1``       tanh-sinh quadrature recovery of the closed-form induced
+                     priors (one array call per scheme over the 19-point
+                     grid), plus the finite-difference reverse-hazard identity
 * ``corollary1``     degeneration of the adaptive weight to 1/p under the
                      exactly uniform reference
 * ``prop1``          the entropic-risk weight's two limits and monotonicity
@@ -63,15 +64,11 @@ def _suite_theorem1() -> list[Check]:
     for scheme in (weighting.Reinforce(), weighting.Grpo(), weighting.MaxRL()):
         name = weighting.scheme_name(scheme)
         fn = partial(weighting.pointwise_weight, scheme)
-        worst_prior = 0.0
-        worst_hazard = 0.0
-        for p in GRID_19:
-            closed = weighting.induced_prior(scheme, float(p))
-            numeric = weighting.induced_prior_numeric(fn, float(p))
-            worst_prior = max(worst_prior, abs(closed - numeric))
-            worst_hazard = max(
-                worst_hazard, weighting.reverse_hazard_identity_check(scheme, float(p))
-            )
+        closed = np.array([weighting.induced_prior(scheme, float(p)) for p in GRID_19])
+        worst_prior = float(np.abs(closed - weighting.induced_prior_numeric(fn, GRID_19)).max())
+        worst_hazard = max(
+            weighting.reverse_hazard_identity_check(scheme, float(p)) for p in GRID_19
+        )
         checks.append(Check(f"induced_prior[{name}] quadrature vs closed form", worst_prior, 1e-6))
         checks.append(Check(f"reverse_hazard[{name}] finite-difference residual", worst_hazard, 1e-4))
     return checks

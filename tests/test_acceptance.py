@@ -82,33 +82,35 @@ def test_criterion_1_induced_prior_recovery():
         worst = 0.0
         for scheme in POINTWISE:
             fn = partial(weighting.pointwise_weight, scheme)
-            for p in GRID_19:
-                closed = weighting.induced_prior(scheme, float(p))
-                numeric = weighting.induced_prior_numeric(fn, float(p))
-                worst = max(worst, abs(closed - numeric))
+            closed = np.array([weighting.induced_prior(scheme, float(p)) for p in GRID_19])
+            numeric = weighting.induced_prior_numeric(fn, GRID_19)
+            worst = max(worst, float(np.abs(closed - numeric).max()))
         assert worst < 1e-6
     report("criterion 1 (induced-prior recovery)",
            f"max |closed - quadrature| = {worst:.3e} < 1e-6 in {clock.elapsed:.2f}s")
 
 
 def test_criterion_1_integrand_calls_bounded():
-    # the quadrature's cost on the criterion-1 grid as a count, so a slower
-    # panel rule shows up here rather than as a budget overrun
-    calls = 0
+    # the quadrature's cost on the criterion-1 grid as counts, so a slower
+    # rule shows up here rather than as a budget overrun: the points bound
+    # the rule's size, the calls catch a fall back to one scalar at a time
+    calls = points = 0
 
     def counted(fn):
         def wrapped(p):
-            nonlocal calls
+            nonlocal calls, points
             calls += 1
+            points += np.size(p)
             return fn(p)
         return wrapped
 
     for scheme in POINTWISE:
-        fn = counted(partial(weighting.pointwise_weight, scheme))
-        for p in GRID_19:
-            weighting.induced_prior_numeric(fn, float(p))
-    assert calls <= 100_000
-    report("criterion 1 (quadrature cost)", f"{calls} integrand calls <= 100000")
+        weighting.induced_prior_numeric(counted(partial(weighting.pointwise_weight, scheme)),
+                                        GRID_19)
+    assert points <= 100_000
+    assert calls <= 64
+    report("criterion 1 (quadrature cost)",
+           f"{points} integrand points <= 100000 in {calls} calls <= 64")
 
 
 def test_criterion_2_reverse_hazard_identity():

@@ -72,6 +72,20 @@ class TestTrain:
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
         assert "t0" in capsys.readouterr().err
 
+    # sizes no machine can map (or numpy can index), so the allocation fails
+    # before any page is touched
+    @pytest.mark.parametrize("size", [10**15, 10**20])
+    @pytest.mark.parametrize("field, names", [
+        ("steps", ("steps", "batch_size")),
+        ("n_rollouts", ("t0", "n_rollouts")),
+    ])
+    def test_unallocatable_run_names_its_sizes(self, tmp_path, capsys, field, names, size):
+        path = write_config(tmp_path, config_doc(**{field: size}))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "too large to allocate" in err
+        assert all(f"{name}=" in err for name in names)
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         doc = config_doc()
         doc["surprise"] = 1

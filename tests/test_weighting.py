@@ -231,41 +231,72 @@ class TestInducedPrior:
     def test_quadrature_recovers_closed_forms(self):
         for scheme in (Reinforce(), Grpo(), MaxRL()):
             fn = partial(pointwise_weight, scheme)
-            for p in GRID_19:
-                closed = induced_prior(scheme, float(p))
-                numeric = induced_prior_numeric(fn, float(p))
-                assert abs(closed - numeric) < 1e-6
+            numeric = induced_prior_numeric(fn, GRID_19)
+            for p, value in zip(GRID_19, numeric):
+                assert abs(induced_prior(scheme, float(p)) - value) < 1e-6
+                # a scalar p reads the same value as its entry of the array
+                assert induced_prior_numeric(fn, float(p)) == value
 
     def test_divergent_weight_is_detected(self):
         with pytest.raises(DivergentIntegralError):
             induced_prior_numeric(lambda t: 1.0 / (1.0 - t), 0.5)
 
+    @pytest.mark.parametrize("p", [0.0, -0.1, 1.5, math.nan])
+    def test_rate_outside_the_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError, match="p must lie"):
+            induced_prior_numeric(partial(pointwise_weight, MaxRL()), [0.5, p])
 
+
+# integrands are called on arrays of points; no RuntimeWarning may escape
+# (pyproject turns every one into an error)
 class TestQuadrature:
     def test_smooth_integrands(self):
-        # leaf errors share a sign for convex integrands, so the global error
-        # sits near n_leaves * tol; 1e-7 reflects the actual contract
         assert tail_integral(lambda t: t * t, 0.0) == pytest.approx(1.0 / 3.0, abs=1e-7)
-        assert tail_integral(math.exp, 0.25) == pytest.approx(math.e - math.exp(0.25), abs=1e-7)
+        assert tail_integral(np.exp, 0.25) == pytest.approx(math.e - math.exp(0.25), abs=1e-7)
 
     def test_integrable_endpoint_singularity(self):
-        v = tail_integral(lambda t: 1.0 / math.sqrt(1.0 - t), 0.0)
+        v = tail_integral(lambda t: 1.0 / np.sqrt(1.0 - t), 0.0)
         assert abs(v - 2.0) < 1e-6
 
     def test_singular_lower_endpoint(self):
-        v = tail_integral(lambda t: 1.0 / math.sqrt(t), 0.0, 1.0)
+        v = tail_integral(lambda t: 1.0 / np.sqrt(t), 0.0, 1.0)
         assert abs(v - 2.0) < 1e-6
 
+    def test_array_of_lower_limits_matches_one_at_a_time(self):
+        lower = np.array([[0.0, 0.25], [0.5, 1.0]])
+        values = tail_integral(lambda t: t * t, lower)
+        assert values.shape == lower.shape
+        np.testing.assert_allclose(values, (1.0 - lower ** 3) / 3.0, rtol=0, atol=1e-12)
+        for a, v in zip(lower.ravel(), values.ravel()):
+            assert tail_integral(lambda t: t * t, float(a)) == v
+
     def test_strong_divergence_hits_cap(self):
-        with pytest.raises(DivergentIntegralError):
+        with pytest.raises(DivergentIntegralError, match="cap"):
             tail_integral(lambda t: (1.0 - t) ** -1.5, 0.5)
+
+    def test_logarithmic_divergence_at_the_lower_end(self):
+        # every node is representable here, so the end terms never decay
+        with pytest.raises(DivergentIntegralError, match="decayed"):
+            tail_integral(lambda t: 1.0 / t, 0.0)
 
     def test_interior_singularity_reports_cleanly(self):
         with pytest.raises(DivergentIntegralError, match="0.5"):
             tail_integral(lambda t: 1.0 / (t - 0.5), 0.0, 1.0)
 
+    def test_pole_between_nodes(self):
+        with pytest.raises(DivergentIntegralError, match="disagree"):
+            tail_integral(lambda t: 1.0 / (t - 0.3), 0.0, 1.0)
+
+    def test_logarithmic_divergence_names_the_lower_limit(self):
+        with pytest.raises(DivergentIntegralError, match="from 0.5: steps .* disagree"):
+            tail_integral(lambda t: 1.0 / (1.0 - t), [1.0, 0.5])
+
     def test_empty_interval(self):
         assert tail_integral(lambda t: 1.0, 0.7, 0.7) == 0.0
+
+    def test_reversed_interval_rejected(self):
+        with pytest.raises(ValueError, match="lower"):
+            tail_integral(lambda t: t, 0.8, 0.7)
 
 
 class TestReverseHazardIdentity:
