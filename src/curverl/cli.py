@@ -60,7 +60,6 @@ def _eval_policies(cfg: ExperimentConfig, thetas, masks):
         thetas, masks,
         r=cfg.eval.rollouts,
         k_list=cfg.eval.k_list,
-        resamples=cfg.eval.resamples,
         seed=cfg.eval.seed,
     )
 
@@ -150,7 +149,7 @@ def cmd_compare(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     population = cfg.population.build()
     # train every scheme first, keeping only its policy, then evaluate all
-    # policies in one pass that shares each prompt's bootstrap draws
+    # policies in one pass that shares each prompt's pool uniforms
     thetas = {}
     for idx, scheme in enumerate(schemes):
         label = f"{idx:02d}_{weighting.scheme_name(scheme)}"

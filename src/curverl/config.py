@@ -13,6 +13,11 @@ dataclasses recursively, and a weighting scheme by its ``name`` in
 fields (a distribution-aware scheme's ``reference`` defaults to "window").
 The constructors check the values. :func:`_dump` writes the fields back in
 their declared order, leaving out the ones that are None.
+
+Two keys that v1 configs and manifests may carry are read by no field any
+more and are ignored on load: ``train.backend`` (there is one kernel
+backend) and ``eval.resamples`` (pass@k is computed in closed form, with no
+bootstrap resamples). A manifest written now carries neither.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ class ConfigError(ValueError):
 _TYPE_TEXT = {int: "an integer", float: "a finite number", bool: "true or false",
               str: "a string"}
 _FLOAT_MAX = int(sys.float_info.max)
+# dotted paths of the keys that v1 documents may carry and no field reads
+_RETIRED_KEYS = frozenset({"train.backend", "eval.resamples"})
 
 
 def _check_value(where: str, value, kind: type) -> None:
@@ -95,15 +102,12 @@ def _parse(cls, doc, where: str = ""):
     label = where or "config"
     if not isinstance(doc, dict):
         raise ConfigError(f"{label} must be a JSON object, got {doc!r}")
-    doc = dict(doc)
+    doc = {key: value for key, value in doc.items() if f"{where}.{key}" not in _RETIRED_KEYS}
     if cls == WeightScheme:
         name = doc.pop("name", None)
         cls = SCHEMES.get(name) if isinstance(name, str) else None
         if cls is None:
             raise ConfigError(f"{label}.name must be one of {sorted(SCHEMES)}, got {name!r}")
-    if cls is TrainConfig:
-        # v1 manifests named a kernel backend; there is one now, so the key is ignored
-        doc.pop("backend", None)
     known = {f.name: f for f in fields(cls)}
     unknown = set(doc) - set(known)
     if unknown:
@@ -161,9 +165,12 @@ class PopulationSpec:
 
 @dataclass(frozen=True)
 class EvalSpec:
+    """Evaluation of a policy: a pool of ``rollouts`` responses per prompt,
+    drawn from generators seeded by ``seed``, and the k of pass@k, which each
+    pool gives in closed form."""
+
     rollouts: int = 256
     k_list: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
-    resamples: int = 1000
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -173,8 +180,6 @@ class EvalSpec:
             raise ValueError("k_list must not be empty")
         if any(k < 1 or k > self.rollouts for k in self.k_list):
             raise ValueError(f"k_list entries must lie in [1, {self.rollouts}]")
-        if self.resamples < 1:
-            raise ValueError(f"resamples must be >= 1, got {self.resamples}")
 
 
 @dataclass(frozen=True)

@@ -203,6 +203,13 @@ def make_population(
     if m < 2:
         raise ValueError("m must be >= 2")
     profile = profile or DifficultyProfile()
+    try:
+        logits = np.empty((size, m))
+        correct = np.zeros((size, m), dtype=bool)
+    except (MemoryError, ValueError):  # too large to map, or to index
+        raise ValueError(
+            f"size={size} and m={m}: the population is too large to allocate"
+        ) from None
     rng = np.random.default_rng(seed)
 
     n_unsolvable = int(round(size * profile.unsolvable_fraction))
@@ -216,8 +223,6 @@ def make_population(
     if n_unsolvable:
         unsolvable[rng.choice(size, size=n_unsolvable, replace=False)] = True
 
-    logits = np.empty((size, m))
-    correct = np.zeros((size, m), dtype=bool)
     max_correct = max(1, m // 4)
     for i in range(size):
         rng.standard_normal(out=logits[i])

@@ -313,7 +313,12 @@ def weight_table(scheme: WeightScheme,
     """(p, weight, normalized weight) columns on the interior rollout grid."""
     if n_rollouts < 2:
         raise ValueError("n_rollouts must be >= 2")
-    grid = np.arange(1, n_rollouts) / n_rollouts
+    try:
+        grid = np.arange(1, n_rollouts) / n_rollouts
+    except (MemoryError, ValueError):  # too large to map, or to index
+        raise ValueError(
+            f"n_rollouts={n_rollouts}: the weight grid is too large to allocate"
+        ) from None
     # an overflow is reported below, naming its grid point
     with np.errstate(all="ignore"):
         weights = pointwise_weight(scheme, grid)
@@ -322,8 +327,9 @@ def weight_table(scheme: WeightScheme,
         i = int(np.argmax(bad))
         raise ValueError(f"grid point {grid[i]:.17g}: weight must be finite and nonnegative, "
                          f"got {float(weights[i])!r}")
-    # left to right: np.sum's pairwise order would move the table's last bits
-    total = sum(weights.tolist())
+    # left to right: np.sum's pairwise order, or the compensated builtin sum
+    # of Python 3.12 on, would move the table's last bits
+    total = float(np.add.accumulate(weights)[-1])
     if not 0.0 < total < math.inf:
         raise ValueError(f"weights must have a finite, positive sum, got {total!r}")
     return grid, weights, weights / total

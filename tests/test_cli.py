@@ -33,7 +33,7 @@ def config_doc(steps=2, scheme=None, out_dir=None, **train_overrides):
                            "unsolvable_fraction": 0.0},
         },
         "train": train,
-        "eval": {"rollouts": 32, "k_list": [1, 2, 4], "resamples": 200, "seed": 1},
+        "eval": {"rollouts": 32, "k_list": [1, 2, 4], "seed": 1},
     }
     if out_dir is not None:
         doc["out_dir"] = str(out_dir)
@@ -209,6 +209,7 @@ class TestTrain:
                 {}, optional={k: nested.get(k, any_json) | any_json for k in keys}
             )
 
+        # train.backend and eval.resamples are retired keys: any value is dropped
         doc = section(
             ["version", "population", "train", "eval", "out_dir"],
             population=section(["size", "m", "seed", "difficulty"], difficulty=section(
@@ -247,6 +248,18 @@ class TestTrain:
         for doc in replayed:
             del doc["out_dir"]
         assert replayed[0] == replayed[1]
+
+    def test_v1_config_resamples_key_is_ignored(self, tmp_path):
+        doc = config_doc(steps=1)
+        legacy = json.loads(json.dumps(doc))
+        legacy["eval"]["resamples"] = 200
+        path = write_config(tmp_path, doc)
+        legacy_path = write_config(tmp_path, legacy, name="legacy.json")
+        assert load_experiment_config(legacy_path) == load_experiment_config(path)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(legacy_path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["eval"] == doc["eval"]
 
     def test_seed_override_changes_run(self, tmp_path):
         path = write_config(tmp_path, config_doc(steps=2))
@@ -335,6 +348,15 @@ class TestWeights:
         out = tmp_path / "w.csv"
         assert main(["weights", "--scheme", spec, "--ref", "uniform", "--out", str(out)]) == 2
         assert text in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unallocatable_grid_names_n_rollouts(self, tmp_path, capsys):
+        # a grid no machine can map, so the allocation fails before any page is touched
+        out = tmp_path / "w.csv"
+        assert main(["weights", "--scheme", "maxrl", "--n-rollouts", str(10**15),
+                     "--out", str(out)]) == 2
+        assert "n_rollouts=1000000000000000: the weight grid is too large to allocate" in (
+            capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("n", ["1", "0", "-3"])
@@ -573,6 +595,23 @@ class TestPassK:
         assert values[1] <= values[2] <= values[4]
         buckets = (out / "passk_buckets.csv").read_text().splitlines()
         assert len(buckets) == 5
+
+    # sizes no machine can map, so the allocation fails before any page is touched
+    @pytest.mark.parametrize("section, field, names", [
+        ("population", "size", ("size", "m")),
+        ("population", "m", ("size", "m")),
+        ("eval", "rollouts", ("rollouts",)),
+    ])
+    def test_unallocatable_population_or_pool_names_its_sizes(self, tmp_path, capsys,
+                                                              section, field, names):
+        doc = config_doc(steps=1)
+        doc[section][field] = 10**15
+        path = write_config(tmp_path, doc)
+        assert main(["passk", "--config", str(path), "--out", str(tmp_path / "pk")]) == 2
+        err = capsys.readouterr().err
+        assert "too large to allocate" in err
+        assert all(f"{name}=" in err for name in names)
+        assert f"{field}=1000000000000000" in err
 
     def test_report_is_deterministic(self, tmp_path):
         path = write_config(tmp_path, config_doc(steps=1))

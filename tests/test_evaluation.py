@@ -5,15 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curverl import evaluation
 from curverl.evaluation import (
-    _RAW_DRAW_BLOCK,
-    _RAW_DRAW_FLOOR,
-    _draw_indices,
     difficulty_histogram,
     evaluate_policy,
     pass_at_k,
-    pass_at_k_exact_with_replacement,
     pass_at_k_exact_without_replacement,
 )
 from curverl.kernels import sample_responses
@@ -25,12 +20,16 @@ def sample_set(rewards):
     return np.asarray(rewards).astype(bool)
 
 
+def with_replacement(q: float, k: int) -> float:
+    """pass@k of a pool of accuracy q, as a Python float expression."""
+    return q if k == 1 else 1.0 - (1.0 - q) ** k
+
+
 class TestPassAtK:
     def test_all_correct_is_one_for_every_k(self):
         s = sample_set(np.ones(16))
-        rng = np.random.default_rng(0)
         for k in (1, 2, 8, 16):
-            assert pass_at_k(s, k, rng=rng) == 1.0
+            assert pass_at_k(s, k) == 1.0
 
     def test_k1_is_raw_mean(self):
         s = sample_set([1, 0, 0, 0])
@@ -43,48 +42,40 @@ class TestPassAtK:
     @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("k", [2, 4, 16])
     def test_bootstrap_converges_to_with_replacement_formula(self, q, k):
+        # the bootstrap's limit is what pass_at_k computes, exactly
         r = 100
         rewards = np.zeros(r, dtype=int)
         rewards[: int(q * r)] = 1
         s = sample_set(rewards)
-        est = pass_at_k(s, k, resamples=100_000, rng=np.random.default_rng(17))
-        assert abs(est - (1.0 - (1.0 - q) ** k)) < 0.01
+        assert pass_at_k(s, k) == 1.0 - (1.0 - q) ** k
 
-    @given(seed=st.integers(0, 2**32 - 1),
-           rewards=st.lists(st.booleans(), min_size=1, max_size=40),
-           k=st.integers(2, 40), resamples=st.integers(1, 300))
-    @settings(max_examples=150, deadline=None)
-    def test_hit_count_equals_max_then_mean(self, seed, rewards, k, resamples):
-        # the integer form: the max reward of each resample, averaged
-        s = sample_set(rewards)
-        k = min(k, s.size)
-        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        idx = ref_rng.integers(0, s.size, size=(resamples, k))
-        expected = float(s.astype(np.int64)[idx].max(axis=1).mean())
-        assert pass_at_k(s, k, resamples=resamples, rng=rng) == expected
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-    @given(seed=st.integers(0, 2**32 - 1),
-           rows=st.integers(1, 30).flatmap(lambda r: st.lists(
+    @given(rows=st.integers(1, 40).flatmap(lambda r: st.lists(
                st.lists(st.booleans(), min_size=r, max_size=r), min_size=1, max_size=5)),
-           k=st.integers(1, 30), resamples=st.integers(1, 300))
-    @settings(max_examples=150, deadline=None)
-    def test_block_row_equals_one_pool_call(self, seed, rows, k, resamples):
-        # every row of a block is scored against the same draw as a lone pool
+           k=st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_accuracy_at_k1_and_closed_form_above(self, rows, k):
         block = np.asarray(rows, dtype=bool)
         k = min(k, block.shape[1])
-        rng = np.random.default_rng(seed)
-        got = pass_at_k(block, k, resamples=resamples, rng=rng)
+        got = pass_at_k(block, k)
+        for row, value in zip(block, got):
+            assert value == with_replacement(float(row.mean()), k)
+
+    @given(rows=st.integers(1, 30).flatmap(lambda r: st.lists(
+               st.lists(st.booleans(), min_size=r, max_size=r), min_size=1, max_size=5)),
+           k=st.integers(1, 30))
+    @settings(max_examples=150, deadline=None)
+    def test_block_row_equals_one_pool_call(self, rows, k):
+        block = np.asarray(rows, dtype=bool)
+        k = min(k, block.shape[1])
+        got = pass_at_k(block, k)
         assert isinstance(got, np.ndarray) and got.shape == (len(block),)
         for row, value in zip(block, got):
-            row_rng = np.random.default_rng(seed)
-            alone = pass_at_k(row, k, resamples=resamples, rng=row_rng)
+            alone = pass_at_k(row, k)
             assert isinstance(alone, float) and value == alone
-            assert row_rng.bit_generator.state == rng.bit_generator.state
 
     def test_exact_with_replacement_matches_formula(self):
         s = sample_set([1, 1, 0, 0, 0])
-        assert pass_at_k_exact_with_replacement(s, 3) == pytest.approx(1 - 0.6 ** 3, abs=1e-15)
+        assert pass_at_k(s, 3) == 1 - 0.6 ** 3
 
     def test_without_replacement_cross_check(self):
         # the two exact estimators agree as the pool grows (k fixed)
@@ -92,7 +83,7 @@ class TestPassAtK:
         rewards = np.zeros(r, dtype=int)
         rewards[: int(q * r)] = 1
         s = sample_set(rewards)
-        a = pass_at_k_exact_with_replacement(s, k)
+        a = pass_at_k(s, k)
         b = pass_at_k_exact_without_replacement(s, k)
         assert abs(a - b) < 1e-3
 
@@ -103,90 +94,15 @@ class TestPassAtK:
 
     def test_nondecreasing_in_k(self):
         s = sample_set([1, 0, 0, 0, 0, 0, 0, 0])
-        exact = [pass_at_k_exact_with_replacement(s, k) for k in (1, 2, 4, 8)]
+        exact = [pass_at_k(s, k) for k in (1, 2, 4, 8)]
         assert all(b >= a for a, b in zip(exact, exact[1:]))
-        # bootstrap estimates stay within 0.02 of the exact curve
-        rng = np.random.default_rng(3)
-        for k in (2, 4, 8):
-            est = pass_at_k(s, k, resamples=100_000, rng=rng)
-            assert abs(est - pass_at_k_exact_with_replacement(s, k)) < 0.02
-
-
-def same_state(a, b) -> bool:
-    """Strict equality of two ``bit_generator.state`` values, array fields included."""
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(same_state(a[key], b[key]) for key in a)
-    return type(a) is type(b) and np.array_equal(a, b)
-
-
-BIT_GENERATORS = {
-    "PCG64": np.random.PCG64,
-    "MT19937": np.random.MT19937,
-    "Philox": np.random.Philox,
-    "SFC64": np.random.SFC64,
-}
-
-
-class TestDrawIndices:
-    # a power of two up to 2**32 may read raw words; other ranges, and every
-    # generator but PCG64, go through integers
-    @given(seed=st.integers(0, 2**64 - 1),
-           r=st.one_of(st.integers(1, 32).map(lambda b: 2**b),
-                       st.sampled_from([3, 200, 1000, 2**31 + 1, 2**32 - 1])),
-           n=st.one_of(st.integers(0, 64), st.integers(_RAW_DRAW_FLOOR - 3, 3 * _RAW_DRAW_BLOCK)),
-           buffered=st.booleans(),
-           # PCG64 at least half the time: only it can take the raw-word path
-           bit_generator=st.one_of(st.just("PCG64"), st.sampled_from(sorted(BIT_GENERATORS))))
-    @settings(max_examples=300, deadline=None)
-    def test_equals_integers_values_dtype_and_state(self, seed, r, n, buffered, bit_generator):
-        rng, ref_rng = (np.random.Generator(BIT_GENERATORS[bit_generator](seed))
-                        for _ in range(2))
-        if buffered:
-            # an odd count of 32-bit draws that never reject leaves half a word
-            for g in (rng, ref_rng):
-                g.integers(0, 8, size=3)
-            if bit_generator == "PCG64":
-                assert rng.bit_generator.state["has_uint32"] == 1
-        got = _draw_indices(rng, r, n)
-        expected = ref_rng.integers(0, r, size=n)
-        assert got.dtype == expected.dtype and got.shape == expected.shape
-        np.testing.assert_array_equal(got, expected)
-        assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
-
-    @pytest.mark.parametrize("r, n, raw", [
-        (256, 2 * _RAW_DRAW_FLOOR, True),
-        (2**32, _RAW_DRAW_FLOOR, True),
-        (2, 2 * _RAW_DRAW_BLOCK + 6, True),  # two full blocks of raw words and a ragged one
-        (256, 2 * _RAW_DRAW_FLOOR + 1, False),  # odd
-        (256, _RAW_DRAW_FLOOR - 2, False),  # below the floor
-        (200, 2 * _RAW_DRAW_FLOOR, False),  # no power of two
-    ])
-    def test_raw_words_draw_all_but_two(self, r, n, raw):
-        # a stand-in generator that records what reaches integers
-        class Recorder:
-            def __init__(self, seed):
-                self.generator = np.random.default_rng(seed)
-                self.bit_generator = self.generator.bit_generator
-                self.sizes = []
-
-            def integers(self, low, high, size):
-                self.sizes.append(size)
-                return self.generator.integers(low, high, size=size)
-
-        rng = Recorder(7)
-        got = _draw_indices(rng, r, n)
-        assert rng.sizes == ([2] if raw else [n])
-        ref_rng = np.random.default_rng(7)
-        np.testing.assert_array_equal(got, ref_rng.integers(0, r, size=n))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestBooleanPool:
     @pytest.mark.parametrize("bad", [[0, 1], [1.0, 0.0], [[True, False]]])
     def test_non_boolean_pool_rejected(self, bad):
-        for estimator in (pass_at_k_exact_with_replacement, pass_at_k_exact_without_replacement):
-            with pytest.raises(ValueError, match="1-d boolean"):
-                estimator(np.asarray(bad), 1)
+        with pytest.raises(ValueError, match="1-d boolean"):
+            pass_at_k_exact_without_replacement(np.asarray(bad), 1)
         # pass_at_k also scores a 2-d block of pools, one per row, but no
         # non-boolean pool and nothing of more dimensions
         pool = np.asarray(bad)
@@ -199,7 +115,7 @@ class TestBooleanPool:
     def test_non_boolean_masks_rejected(self):
         theta, masks = eval_population(unsolvable=0.25)
         with pytest.raises(ValueError, match="boolean"):
-            evaluate_policy([theta], masks.astype(np.int64), 16, [1, 2], 10, 0)
+            evaluate_policy([theta], masks.astype(np.int64), 16, [1, 2], 0)
 
 
 def eval_population(unsolvable):
@@ -214,10 +130,10 @@ class TestEvaluatePolicy:
 
     def test_matches_pass_at_k_on_every_pool(self):
         # the same totals as scoring every pool, constant ones included, with
-        # pass_at_k on the pool's own seeded generator
+        # pass_at_k, summed in prompt order
         theta, masks = eval_population(unsolvable=0.25)
-        r, resamples, seed = 16, 50, 3
-        [(got, emp_rates)] = evaluate_policy([theta], masks, r, self.K_LIST, resamples, seed)
+        r, seed = 16, 3
+        [(got, emp_rates)] = evaluate_policy([theta], masks, r, self.K_LIST, seed)
         cum = np.cumsum(softmax(theta), axis=1)
         totals = dict.fromkeys(self.K_LIST, 0.0)
         constant = 0
@@ -228,63 +144,49 @@ class TestEvaluatePolicy:
             assert emp_rates[i] == s.mean()
             constant += s.min() == s.max()
             for k in self.K_LIST:
-                totals[k] += pass_at_k(s, k, resamples=resamples, rng=rng)
+                totals[k] += pass_at_k(s, k)
         assert constant >= 2 and constant < theta.shape[0]
         assert got == {k: totals[k] / theta.shape[0] for k in self.K_LIST}
+
+    @given(seed=st.integers(0, 2**32 - 1), k_list=st.sets(st.integers(1, 16), min_size=1))
+    @settings(max_examples=50, deadline=None)
+    def test_mean_is_the_prompt_order_mean_over_the_rates(self, seed, k_list):
+        theta_a, theta_b, masks = sharing_policies()
+        got = evaluate_policy([theta_a, theta_b], masks, 16, k_list, seed)
+        for passk, rates in got:
+            assert list(passk) == sorted(k_list)
+            for k, mean in passk.items():
+                total = 0.0
+                for q in rates.tolist():
+                    total += with_replacement(q, k)
+                assert mean == total / len(rates)
 
     def test_all_unsolvable_population(self):
         theta, masks = eval_population(unsolvable=0.0)
         masks = np.zeros_like(masks)
-        [(got, emp_rates)] = evaluate_policy([theta], masks, 16, self.K_LIST, 10, 0)
+        [(got, emp_rates)] = evaluate_policy([theta], masks, 16, self.K_LIST, 0)
         assert got == dict.fromkeys(self.K_LIST, 0.0)
         np.testing.assert_array_equal(emp_rates, 0.0)
-        # no pool draws a resample, yet resamples is still checked
-        with pytest.raises(ValueError, match="resamples"):
-            evaluate_policy([theta], masks, 16, self.K_LIST, 0, 0)
-
-    def test_resamples_unused_at_k1(self):
-        theta, masks = eval_population(unsolvable=0.25)
-        [(got, _)] = evaluate_policy([theta], masks, 16, [1], 0, 0)
-        assert list(got) == [1]
 
     @pytest.mark.parametrize("masks_shape", [(12, 5), (11, 6), (12,)])
     def test_shape_mismatch_rejected(self, masks_shape):
         theta, _ = eval_population(unsolvable=0.25)
         with pytest.raises(ValueError, match="equal shape"):
-            evaluate_policy([theta], np.zeros(masks_shape, dtype=bool), 16, [1, 2], 10, 0)
+            evaluate_policy([theta], np.zeros(masks_shape, dtype=bool), 16, [1, 2], 0)
 
     def test_one_dimensional_theta_rejected(self):
         with pytest.raises(ValueError, match="2-d"):
-            evaluate_policy([np.zeros(6)], np.zeros(6, dtype=bool), 16, [1, 2], 10, 0)
-
-    def test_each_live_prompt_calls_the_module_pass_at_k_once_per_k(self, monkeypatch):
-        # curvebench measures the bootstrap by replacing evaluation.pass_at_k
-        calls = []
-
-        def spy(pool, k, *args, **kwargs):
-            calls.append((pool.shape, k))
-            return real(pool, k, *args, **kwargs)
-
-        real = evaluation.pass_at_k
-        monkeypatch.setattr(evaluation, "pass_at_k", spy)
-        theta_a, theta_b, masks = sharing_policies()
-        got = evaluate_policy([theta_a, theta_b], masks, 16, self.K_LIST, 50, 3)
-        live = np.array([(rates > 0) & (rates < 1) for _, rates in got])
-        assert live.any(axis=0).any() and not live.any(axis=0).all()
-        # one call per k >= 2 of each prompt with a live pool, scoring all of them
-        expected = [((n_live, 16), k) for n_live in live.sum(axis=0) if n_live
-                    for k in self.K_LIST if k >= 2]
-        assert calls == expected
+            evaluate_policy([np.zeros(6)], np.zeros(6, dtype=bool), 16, [1, 2], 0)
 
     def test_no_policy_rejected(self):
         _, masks = eval_population(unsolvable=0.25)
         with pytest.raises(ValueError, match="at least one policy"):
-            evaluate_policy([], masks, 16, [1, 2], 10, 0)
+            evaluate_policy([], masks, 16, [1, 2], 0)
 
 
 def sharing_policies():
     """Two policies on one population whose pools differ in kind: on some
-    prompts A's pool is live and B's all right, on the unsolvable ones every
+    prompts A's pool is live (some rollouts right, some wrong) and B's all right, on the unsolvable ones every
     pool is all wrong, and on the rest both are live."""
     theta_a, masks = eval_population(unsolvable=0.25)
     theta_b = theta_a.copy()
@@ -300,7 +202,7 @@ class TestSharedEvaluation:
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_shared_pass_equals_each_policy_alone(self, seed):
         theta_a, theta_b, masks = sharing_policies()
-        args = (masks, 16, self.K_LIST, 50, seed)
+        args = (masks, 16, self.K_LIST, seed)
         [alone_a] = evaluate_policy([theta_a], *args)
         [alone_b] = evaluate_policy([theta_b], *args)
         live_a, live_b = ((rates > 0) & (rates < 1) for _, rates in (alone_a, alone_b))
@@ -316,23 +218,6 @@ class TestSharedEvaluation:
                 # float equality is bit equality here: no value is nan or -0.0
                 assert passk == passk_alone
                 assert rates.tobytes() == rates_alone.tobytes()
-
-    def test_ten_policies_span_two_bit_tables(self):
-        # pass_at_k packs eight pools per bit table: a prompt with nine or
-        # more live pools is scored through two
-        theta_a, theta_b, masks = sharing_policies()
-        rng = np.random.default_rng(5)
-        thetas = [theta_a, theta_b] + [theta_a + rng.normal(0.0, 0.5, theta_a.shape)
-                                       for _ in range(8)]
-        args = (masks, 16, self.K_LIST, 50, 3)
-        alone = [evaluate_policy([theta], *args)[0] for theta in thetas]
-        live = np.array([(rates > 0) & (rates < 1) for _, rates in alone])
-        assert live.sum(axis=0).max() > 8
-        got = evaluate_policy(thetas, *args)
-        assert len(got) == len(thetas)
-        for (passk, rates), (passk_alone, rates_alone) in zip(got, alone):
-            assert passk == passk_alone
-            assert rates.tobytes() == rates_alone.tobytes()
 
 
 class TestDifficultyHistogram:

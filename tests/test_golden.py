@@ -206,7 +206,7 @@ EVAL_CONFIG = {
     },
     "train": {"steps": 4, "scheme": {"name": "curve"}, "batch_size": 16, "n_rollouts": 8,
               "t0": 2, "learning_rate": 4.0, "seed": 3, "min_window_count": 0},
-    "eval": {"rollouts": 16, "k_list": [1, 2, 5, 16], "resamples": 64, "seed": 9},
+    "eval": {"rollouts": 16, "k_list": [1, 2, 5, 16], "seed": 9},
 }
 
 # manifest layout: the JSON each config is written back as, out_dir unset.
@@ -223,21 +223,21 @@ LAYOUT_CASES = {
 }
 
 LAYOUT_DIGESTS = {
-    "blocks_curve_window": "087c3b3bc7d1a02a02c78d90ea93978a6de853d605b3203404d12cc646e05352",
-    "curve_exact_pass_rate": "5625156c2ec41b3d94b2d4e85e2411302669e61db447619d1e6739fee8c62951",
-    "curve_window_cold_start": "3ed1c9207912733d452ee4948d2668b0fa66df32dab284503d2d0b9311cf36b6",
-    "entropic_risk": "f7bc5a28813c1463015c2a3356797a1aad5606307819b1f14c2606f567ccadcc",
-    "entropic_risk_exact_pass_rate": "c05283e55d57061943b0aa98874562569093642cd3f1e6a67635a5372f35b427",
-    "eval": "e822076bc07d0e1847b123aeea6dc4487429595866daf8a1f241d504e6c1fc93",
-    "grpo_per_prompt": "c642ad76ee2fbddd2c696012c90ebfc3682e8e5d2b3ed5eafd2f828797b23e8c",
-    "int_float": "f7bc5a28813c1463015c2a3356797a1aad5606307819b1f14c2606f567ccadcc",
-    "integrated_convex": "ea8e2f7bd91d027bd0aacea9fafdec65701b53ef5f93750627cfd4a6c4fa1bc9",
-    "integrated_convex_per_prompt": "f93395cd2356ed3df203dfab35a6137ab92ee3789261ef46900d04c0d73ccefa",
-    "integrated_product": "bbf4e51211f0ac4bd615e01419d73e8f90d8e45ce1d43427f569adab3a6a716b",
-    "integrated_product_exact_pass_rate": "a4974e943982b99adf127252e39d2502c19cc2d5decbd4bd91f39d81895c5ef8",
-    "maxrl_per_prompt": "0f3d37e741e63367fd3af9657cb5c705265447002326536806e5f68bf173a8ad",
-    "wide_curve_window": "05e7510e048e5c8382be251dfdc45cbdcc7c38b21665fc451ccb1c8cc8983f6f",
-    "wide_reinforce": "bbb6dbe4543e1f8aca0ff7cfa2f43f19826d719003f30582da92789ad15fa61f",
+    "blocks_curve_window": "945fd04b75042df7c92c498120cc0fd73412ab69bcbd4104f88e0d495b0ae1ea",
+    "curve_exact_pass_rate": "6dbc786f30686c30fef4413bac554ea8a78518d9ab3b8348029c394ff2fdca94",
+    "curve_window_cold_start": "99142c4d06c9d3d75f14862f5c3f285883e753a93ecf69cdfedeb6ecb342638d",
+    "entropic_risk": "ad55a5b8db2cb1eb9ea0dee88749cf29352b82e8f0207bbd9ab4a7e9c30791b0",
+    "entropic_risk_exact_pass_rate": "56a97f8cb7915a6ebd0616cc8d2011ed8702c09a77e5becbc780a71f699e3409",
+    "eval": "1b7c1fb20e768693db5886e799713f2ed6c8d8080dc8e0f8efa2d0d31825acfd",
+    "grpo_per_prompt": "d3a4d1fbe832c017ad59d422d9c2a1e4215c49e8c67889ce18d411b71e1b98f2",
+    "int_float": "ad55a5b8db2cb1eb9ea0dee88749cf29352b82e8f0207bbd9ab4a7e9c30791b0",
+    "integrated_convex": "a5220fd3ef920b28ef3a887119f4d127a098369e34b4e4d4a3a24489282f6283",
+    "integrated_convex_per_prompt": "15d034d7566eb4c21f734aa056564629823cf741873138b167b6e1788a07852f",
+    "integrated_product": "35f33f31c509255de6bd3f07c5dd9c4cb91192fa462990049673b6095fc99cdd",
+    "integrated_product_exact_pass_rate": "34f6e30b37d8a8c227b1cc41e7216c9ed51828072e134b3711adb04f050baaa2",
+    "maxrl_per_prompt": "b4625c8bcf1b890aeb2facd65e66e6f06c103ff2bcfb883823908b337219712f",
+    "wide_curve_window": "3929a2066cffed76ae2ebfcfdc495c96a5967aebdafa29888339c90ea342b2ca",
+    "wide_reinforce": "496db6967676272059a44dd38efd09af699bb01aaf29d70f5ef41d3b322cbe16",
 }
 
 
@@ -250,8 +250,8 @@ def test_manifest_layout(case):
 
 
 # a manifest as written before fields were dumped in their declared order:
-# the fixed profile has no alpha and beta, reference precedes lam, and the
-# learning rate is an integer
+# the fixed profile has no alpha and beta, reference precedes lam, the
+# learning rate is an integer, and eval carries the retired resamples key
 OLD_LAYOUT_MANIFEST = {
     "version": 1,
     "population": {"size": 24, "m": 8, "seed": 5, "difficulty": {
@@ -284,53 +284,49 @@ POWERS_OF_TWO_K = [1, 2, 4, 8, 16, 32, 64, 128]
 EVAL_CASES = {
     "passk": (["passk"], EVAL_CONFIG),
     "compare": (["compare", "--schemes", "grpo", "curve"], EVAL_CONFIG),
-    # three policies share each prompt's bootstrap draws; their buckets
-    # differ, so some prompts are live for one policy and constant for another
+    # three policies share each prompt's pool uniforms; their buckets differ,
+    # so some pools are all right or all wrong for one policy and not another
     "compare_three": (["compare", "--schemes", "reinforce", "integrated_product",
                        "entropic_risk:eta=2"], EVAL_CONFIG),
-    # the benchmark's evaluation shape on a few prompts: a power-of-two pool
-    # and (resamples, k) index draws large enough for the raw-word draw path
-    "passk_r256": (["passk"], eval_config(rollouts=256, k_list=POWERS_OF_TWO_K,
-                                          resamples=1000)),
+    # the benchmark's evaluation shape on a few prompts: a pool of 256 and
+    # k up to 128
+    "passk_r256": (["passk"], eval_config(rollouts=256, k_list=POWERS_OF_TWO_K)),
     "compare_r256": (["compare", "--schemes", "reinforce", "integrated_product",
                       "entropic_risk:eta=2"],
-                     eval_config(rollouts=256, k_list=POWERS_OF_TWO_K, resamples=1000)),
-    # a pool size that is no power of two: every draw goes through integers
-    "passk_r200": (["passk"], eval_config(rollouts=200, k_list=POWERS_OF_TWO_K,
-                                          resamples=1000)),
-    # 999 * 13 draws is odd: the generator keeps a buffered half word, so the
-    # even draws after it (k = 16, 128) go through integers too
-    "passk_odd_draw": (["passk"], eval_config(rollouts=256, k_list=[1, 2, 8, 13, 16, 128],
-                                              resamples=999)),
+                     eval_config(rollouts=256, k_list=POWERS_OF_TWO_K)),
+    # a pool size that is no power of two
+    "passk_r200": (["passk"], eval_config(rollouts=200, k_list=POWERS_OF_TWO_K)),
+    # a k that is no power of two
+    "passk_odd_draw": (["passk"], eval_config(rollouts=256, k_list=[1, 2, 8, 13, 16, 128])),
 }
 
 EVAL_DIGESTS = {
     "passk": {
-        "passk.csv": "b29272a32682238232356c6c572a4de39f088a36e5b774ff9e8b078e2ba1baca",
+        "passk.csv": "73efb6512b3b2d0019caed060226ebcc196f8fef6947a59a292613afdf2d2b03",
         "passk_buckets.csv": "800ac5f4e5d08d6507ec844107bebd7055f153dd2ad5feb52846678f697451f2",
     },
     "compare": {
-        "compare.csv": "7cb33979186234673082085b199246d60bc261d9de0cee2e54d8e2f262224304",
+        "compare.csv": "3eae494da55c39a21a1d25a2142c403ae54b711cef50da64d665a8efe953418a",
         "compare_buckets.csv": "1a5c7865e1741f59fa98ee6d864a34920308580ba1526970a54eb0cde7e4a233",
     },
     "compare_three": {
-        "compare.csv": "acf9640e2fb58548656d097e11e5d8c9bd50a301c4fc51d9339ce083d7f30e12",
+        "compare.csv": "22d13cbe6ba0db443d81e731a39134b1396371dcf04ffbbf8b6a5d5541f17dbf",
         "compare_buckets.csv": "3b1c6f9e7c2cf83ba135bab2630e2911446a63e8195c6312afbc144c3c4376d6",
     },
     "passk_r256": {
-        "passk.csv": "f96f08a2de3a392efdaff7611dc452269c07fed6e7457cc3d3e84083ab11cc03",
+        "passk.csv": "c2956430f7782fa5d83c8b18a1560aab4a2b1e2ee34035ad58e1bf5ce7b1ed5f",
         "passk_buckets.csv": "f314bfefa0923ccad01bab9d839acfcb6ff0b9b6070bb74ced15879ecf579b46",
     },
     "compare_r256": {
-        "compare.csv": "ee0d1cee4ef3c21705496de589fb140ce863af097ce49ccc3ce85f489050b257",
+        "compare.csv": "dd8e08380154624792b528585b32f6c9b63d48467be899e703b0518959c73eb6",
         "compare_buckets.csv": "a5fab9f0599d60cb9e86533b2ca5584c5f47563f05b66c8e7b4ef74108d02c3c",
     },
     "passk_r200": {
-        "passk.csv": "a4242bb4706e6cd6641f591a05708cda518d3adacdfb59d82dcd48159ffc5750",
+        "passk.csv": "41fb65a20562a4fa0fd176da807774306eb23d8048f3cd80b1c9139c306ddfdd",
         "passk_buckets.csv": "f314bfefa0923ccad01bab9d839acfcb6ff0b9b6070bb74ced15879ecf579b46",
     },
     "passk_odd_draw": {
-        "passk.csv": "3c70ffea3ea286b1463d038c0b097be5162a968f6da2fce211abca182e767e6d",
+        "passk.csv": "3261342a1640dbb22e5a3fd790cfd067498c6f4785b141f6bfa35ea6ec49073f",
         "passk_buckets.csv": "f314bfefa0923ccad01bab9d839acfcb6ff0b9b6070bb74ced15879ecf579b46",
     },
 }

@@ -1,7 +1,8 @@
 """Weight schemes, induced priors, the utility-gap bound, weight tables, quadrature."""
 
 import math
-from functools import partial
+import operator
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -441,6 +442,12 @@ class TestWeightTable:
     def test_normalization_sums_to_one(self):
         _, _, norm = weight_table(EntropicRisk(2.0), 8)
         assert norm.sum() == pytest.approx(1.0, abs=1e-12)
+        # the total is summed left to right on any Python; on this table that
+        # order differs from the pairwise and from the correctly rounded sum
+        _, weights, norm = weight_table(MaxRL(), 64)
+        total = reduce(operator.add, weights.tolist())
+        assert total != weights.sum() and total != math.fsum(weights.tolist())
+        assert norm.tobytes() == (weights / total).tobytes()
 
     def test_all_zero_weights_rejected(self):
         ref = refdist.ReferenceDistribution(
