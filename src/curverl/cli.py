@@ -8,6 +8,7 @@ Subcommands: train, verify, weights, compare, passk. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,7 +22,7 @@ from .evaluation import (
     evaluate_policy,
 )
 from .ioutil import fmt_float, set_log_level_from_env
-from .passrate import write_population_json
+from .passrate import population_digest
 from .trainer import run_training, write_training_artifacts
 
 __all__ = ["main"]
@@ -45,11 +46,14 @@ def _load_config(args) -> ExperimentConfig:
 
 def _train_once(cfg: ExperimentConfig, population, out: Path):
     """Train on ``population``, whose arrays are read-only: the trainer
-    updates a copy of the logits."""
+    updates a copy of the logits. ``population.json`` records the population
+    by its shape and digest; the manifest's spec rebuilds it."""
     result = run_training(population, cfg.train)
     out.mkdir(parents=True, exist_ok=True)
     write_training_artifacts(result, out)
-    write_population_json(out / "population.json", population)
+    record = {"size": len(population), "m": population.m,
+              "sha256": population_digest(population)}
+    (out / "population.json").write_text(json.dumps(record, indent=2) + "\n")
     (out / "manifest.json").write_text(replace(cfg, out_dir=str(out)).to_json())
     return result
 
@@ -126,7 +130,7 @@ def cmd_weights(args) -> int:
         if args.ref is None:
             raise ConfigError(f"scheme {args.scheme!r} needs --ref (refdist.csv path or 'uniform')")
         if args.ref == "uniform":
-            reference = refdist.uniform_reference(args.n_rollouts)
+            reference = "uniform"  # closed form: no grid is built before weight_table's
         else:
             reference = refdist.load_reference_csv(args.ref)
             if reference.n_rollouts != args.n_rollouts:

@@ -34,15 +34,12 @@ __all__ = [
 ]
 
 
-def _pool_size(pool: np.ndarray, k: int, block: bool = False) -> int:
+def _pool_size(pool: np.ndarray, k: int) -> int:
     """Size of a valid pool for pass@k; rejects a non-boolean pool and k
-    outside [1, size]. With ``block`` a 2-d array of pools, one per row, is
-    valid too."""
-    ndims = (1, 2) if block else (1,)
-    if not isinstance(pool, np.ndarray) or pool.dtype != bool or pool.ndim not in ndims:
-        raise ValueError("a rollout pool must be a 1-d boolean array"
-                         + (" (or a 2-d block of them)" if block else ""))
-    r = pool.shape[-1]
+    outside [1, size]."""
+    if not isinstance(pool, np.ndarray) or pool.dtype != bool or pool.ndim != 1:
+        raise ValueError("a rollout pool must be a 1-d boolean array")
+    r = pool.size
     if not 1 <= k <= r:
         raise ValueError(f"k must satisfy 1 <= k <= {r}, got {k}")
     return r
@@ -59,17 +56,11 @@ def _pass_at_k_of_rates(rates: np.ndarray, k: int) -> np.ndarray:
     return 1.0 - misses.reshape(rates.shape)
 
 
-def pass_at_k(pool: np.ndarray, k: int):
+def pass_at_k(pool: np.ndarray, k: int) -> float:
     """Probability that k draws with replacement from the pool hold a correct
-    answer: the accuracy q at k = 1, else 1 - (1 - q)^k.
-
-    ``pool`` may also be a 2-d block of pools, one per row; row j gets the
-    value the 1-d call on row j gets. A 1-d pool returns a float, a block an
-    array with one value per row.
-    """
-    _pool_size(pool, k, block=True)
-    rates = _pass_at_k_of_rates(pool.reshape(-1, pool.shape[-1]).mean(axis=1), k)
-    return rates if pool.ndim == 2 else float(rates[0])
+    answer: the accuracy q at k = 1, else 1 - (1 - q)^k."""
+    _pool_size(pool, k)
+    return float(_pass_at_k_of_rates(pool.mean(keepdims=True), k)[0])
 
 
 def pass_at_k_exact_without_replacement(pool: np.ndarray, k: int) -> float:

@@ -6,18 +6,19 @@ responses. A prompt's pass rate is the softmax mass on its correct set, so
 pass rates and their gradients are closed-form over whole populations and
 every estimator in the trainer can be checked against an exact oracle.
 Responses are sampled in one place, :func:`curverl.kernels.sample_responses`.
+
+A population is a pure function of its :class:`curverl.config.PopulationSpec`,
+so a run records it by :func:`population_digest`, a hash of its arrays, not
+by a copy of them.
 """
 
 from __future__ import annotations
 
-import json
+import hashlib
 import logging
-import os
 from dataclasses import dataclass
 
 import numpy as np
-
-from .ioutil import fmt_float_rows
 
 log = logging.getLogger("curverl.passrate")
 
@@ -26,9 +27,7 @@ __all__ = [
     "DifficultyProfile",
     "softmax",
     "make_population",
-    "population_to_json",
-    "write_population_json",
-    "population_from_json",
+    "population_digest",
     "population_pass_rates",
     "pass_rates_from_probs",
     "population_pass_rate_gradients",
@@ -249,99 +248,17 @@ def make_population(
 
 
 # ---------------------------------------------------------------------------
-# serialization (bit-exact round trip at 17 significant digits)
+# digest
 # ---------------------------------------------------------------------------
 
-# floats rendered at a time by the population writer
-_JSON_BLOCK_VALUES = 2**12
-
-
-def _prompt_lines(pop: PromptPopulation, lo: int, hi: int) -> str:
-    """The population.json lines of prompts ``lo`` to ``hi - 1``."""
-    logits = fmt_float_rows(pop.logits[lo:hi])
-    correct = pop.correct[lo:hi]
-    indices = list(map(str, np.nonzero(correct)[1].tolist()))
-    ends = np.cumsum(np.count_nonzero(correct, axis=1)).tolist()
-    lines, start = [], 0
-    for i, (row, end) in enumerate(zip(logits, ends), lo):
-        tail = "," if i < len(pop) - 1 else ""
-        lines.append(f'    {{"id": {i}, "logits": [{row}], '
-                     f'"correct": [{", ".join(indices[start:end])}]}}{tail}\n')
-        start = end
-    return "".join(lines)
-
-
-def _population_json_lines(pop: PromptPopulation):
-    """Yield population.json in pieces: the header, the prompt lines one
-    block of about 2**12 logits at a time, and the base weights line in
-    blocks of as many values. So the writer holds one block's text, not the
-    whole file's. Floats go through :func:`curverl.ioutil.fmt_float_rows`,
-    the digits of :func:`curverl.ioutil.fmt_float`."""
-    yield f'{{\n  "m": {pop.m},\n  "prompts": [\n'
-    rows_per_block = max(1, _JSON_BLOCK_VALUES // pop.m)
-    for lo in range(0, len(pop), rows_per_block):
-        yield _prompt_lines(pop, lo, lo + rows_per_block)
-    yield '  ],\n  "base_weights": ['
-    for lo in range(0, len(pop), _JSON_BLOCK_VALUES):
-        yield (", " if lo else "") + fmt_float_rows(
-            pop.base_weights[None, lo:lo + _JSON_BLOCK_VALUES])[0]
-    yield "]\n}\n"
-
-
-def population_to_json(pop: PromptPopulation) -> str:
-    """Serialize with a fixed 17-significant-digit decimal float format."""
-    return "".join(_population_json_lines(pop))
-
-
-def write_population_json(path: str | os.PathLike, pop: PromptPopulation) -> None:
-    """Write :func:`population_to_json`'s text to ``path`` one block of
-    prompts at a time."""
-    with open(path, "w", newline="\n") as fh:
-        fh.writelines(_population_json_lines(pop))
-
-
-def population_from_json(text: str) -> PromptPopulation:
-    """Parse :func:`population_to_json` output; prompt ids must be the row
-    indices 0, 1, ... and each prompt's correct entries distinct response
-    indices. A logit written as ``-0`` comes back as -0.0."""
-    # "-0" is how the writer renders -0.0; json alone would read the int 0
-    doc = json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
-    expected = {"m", "prompts", "base_weights"}
-    unknown = set(doc) - expected
-    if unknown:
-        raise ValueError(f"unknown population keys: {sorted(unknown)}")
-    m = doc["m"]
-    # type, not isinstance: true and false are ints to isinstance
-    if type(m) is not int or m < 2:
-        raise ValueError(f"m must be an integer >= 2, got {m!r}")
-    logits = np.empty((len(doc["prompts"]), m))
-    correct = np.zeros(logits.shape, dtype=bool)
-    for i, entry in enumerate(doc["prompts"]):
-        bad = set(entry) - {"id", "logits", "correct"}
-        if bad:
-            raise ValueError(f"unknown prompt keys: {sorted(bad)}")
-        if type(entry["id"]) is not int or entry["id"] != i:
-            raise ValueError(f"prompt {entry['id']!r}: expected id {i}, the row index")
-        # one pass over the types; numpy would read true and false as 1.0 and 0.0
-        row = entry["logits"]
-        if not isinstance(row, list) or not set(map(type, row)) <= {int, float}:
-            raise ValueError(f"prompt {i}: logits must be a list of numbers")
-        row = np.asarray(row, dtype=np.float64)
-        if row.shape != (m,):
-            raise ValueError(f"prompt {i}: expected {m} logits")
-        indices = entry["correct"]
-        if not isinstance(indices, list) or any(type(j) is not int for j in indices):
-            raise ValueError(f"prompt {i}: correct must be a list of response indices")
-        if len(set(indices)) < len(indices):
-            raise ValueError(f"prompt {i}: repeated correct index")
-        if any(not 0 <= j < m for j in indices):
-            raise ValueError(f"prompt {i}: correct index out of range")
-        logits[i] = row
-        correct[i, indices] = True
-    weights = doc["base_weights"]
-    if not isinstance(weights, list):
-        raise ValueError("base_weights must be a list of numbers")
-    for j, w in enumerate(weights):
-        if type(w) not in (int, float):
-            raise ValueError(f"prompt {j}: base weight must be a number")
-    return PromptPopulation(logits, correct, weights)
+def population_digest(pop: PromptPopulation) -> str:
+    """The sha256 hex digest of a population's arrays, one hash over the
+    bytes of ``logits`` (C order, little-endian float64), then ``correct``
+    (bool, one byte each) and then ``base_weights`` (little-endian float64).
+    Two populations have the same digest only if their arrays are bit for
+    bit the same, so a population rebuilt from a run's manifest can be
+    checked against the ``population.json`` that the run wrote."""
+    h = hashlib.sha256()
+    for arr, dtype in ((pop.logits, "<f8"), (pop.correct, "?"), (pop.base_weights, "<f8")):
+        h.update(np.ascontiguousarray(arr, dtype=dtype))
+    return h.hexdigest()

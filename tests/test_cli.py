@@ -8,6 +8,7 @@ import pytest
 from curverl.cli import main
 from curverl.config import ExperimentConfig, load_experiment_config
 from curverl.ioutil import write_csv
+from curverl.passrate import PromptPopulation, population_digest
 from curverl.refdist import distribution_from_rates, reference_csv_columns, REFERENCE_CSV_HEADER
 
 
@@ -66,6 +67,18 @@ class TestTrain:
         assert (out / "refdist.csv").exists()
         assert (out / "manifest.json").exists()
         assert (out / "population.json").exists()
+
+    def test_population_record_is_the_digest_of_the_manifest_population(self, tmp_path):
+        path = write_config(tmp_path, config_doc(steps=1))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+        record = json.loads((out / "population.json").read_text())
+        pop = load_experiment_config(out / "manifest.json").population.build()
+        assert record == {"size": len(pop), "m": pop.m, "sha256": population_digest(pop)}
+        logits = pop.logits.copy()
+        logits[0, 0] = np.nextafter(logits[0, 0], np.inf)
+        flipped = PromptPopulation(logits, pop.correct, pop.base_weights)
+        assert population_digest(flipped) != record["sha256"]
 
     def test_invalid_t0_names_field(self, tmp_path, capsys):
         path = write_config(tmp_path, config_doc(t0=0))
@@ -357,6 +370,14 @@ class TestWeights:
                      "--out", str(out)]) == 2
         assert "n_rollouts=1000000000000000: the weight grid is too large to allocate" in (
             capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_unallocatable_uniform_reference_grid_names_n_rollouts(self, tmp_path, capsys):
+        # --ref uniform builds no grid before the weight table's guarded one
+        out = tmp_path / "w.csv"
+        assert main(["weights", "--scheme", "curve", "--ref", "uniform",
+                     "--n-rollouts", str(10**15), "--out", str(out)]) == 2
+        assert "n_rollouts=" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("n", ["1", "0", "-3"])

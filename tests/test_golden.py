@@ -19,7 +19,7 @@ import pytest
 
 from curverl.cli import main
 from curverl.config import ExperimentConfig
-from curverl.passrate import DifficultyProfile, make_population, population_to_json
+from curverl.passrate import DifficultyProfile, make_population, population_digest
 
 GOLDEN_NUMPY = "2.4.6"
 
@@ -100,71 +100,71 @@ DIGESTS = {
         "train_log.csv": "0926c525dc474712816a53cdc3f19ffef10e67bd72eb2651ccc8309e27b79530",
         "refdist.csv": "f3fc2acdbb1acea9dbff5baf370def5f1ee787ff6b2662a137505e8ddd830fce",
         "per_prompt.csv": "725ea4b830fd9e6e484c40b7f6c6255b0201d9a851c573041fcaa55cc41a70dd",
-        "population.json": "416c6edc346aeadbf361899cf793a5a21e911c3e93ed41239c3b060c6e72bb05",
+        "population.json": "2a73109efd9567e1c2cb8071874570c6541e6580f913e9653bc60e7001386a2a",
     },
     "curve_window_cold_start": {
         "train_log.csv": "4d1e6e5a8cbb04a5643de8855fff058f24291bda640daefd41c977f6558bef82",
         "refdist.csv": "761577fb3bc7b3797695f13b90115975b807c81b0049dcacb6df7c95af69f49b",
         "per_prompt.csv": "62b1f3a54eba7e8c9a2fda69f21ed184c3feab7f6472f65a94c5033ce0649969",
-        "population.json": "416c6edc346aeadbf361899cf793a5a21e911c3e93ed41239c3b060c6e72bb05",
+        "population.json": "2a73109efd9567e1c2cb8071874570c6541e6580f913e9653bc60e7001386a2a",
     },
     "entropic_risk": {
         "train_log.csv": "a26b3946c9aaed12bee79075264a1c607cf7e49bc65a27508c978d2cfc78f0ef",
         "refdist.csv": "bcbf228cc4961cf427b126a1ee01c89803c8b4a2342419281db5066af40a7a03",
-        "population.json": "416c6edc346aeadbf361899cf793a5a21e911c3e93ed41239c3b060c6e72bb05",
+        "population.json": "2a73109efd9567e1c2cb8071874570c6541e6580f913e9653bc60e7001386a2a",
     },
     "entropic_risk_exact_pass_rate": {
         "train_log.csv": "9fe70c65a2bdf829096b6f183925879bdac40d5587e1b5c7a47d14426ac4e21c",
         "refdist.csv": "11e83fc53a2330f8cea48f364026a00bfe17b9cefb6090d230cdad108470ce1c",
         "per_prompt.csv": "580bc72a0a756554a05ee6e60e81def53e57cf57e05a4811ade2c18dfd777c5e",
-        "population.json": "416c6edc346aeadbf361899cf793a5a21e911c3e93ed41239c3b060c6e72bb05",
+        "population.json": "2a73109efd9567e1c2cb8071874570c6541e6580f913e9653bc60e7001386a2a",
     },
     "grpo_per_prompt": {
         "train_log.csv": "4d385f33663044db967e7050cb2634f94f378abcf355efbe5eec33ab0c42dccb",
         "refdist.csv": "d536fd20b34972ee1cfe62175f21393cc58d3eb45ea00d6c0dac2791aa93b3ac",
         "per_prompt.csv": "fa3ef5bed0a90af1681b8eef05f4898d4b95140d66f0825d98fac22420c8c807",
-        "population.json": "416c6edc346aeadbf361899cf793a5a21e911c3e93ed41239c3b060c6e72bb05",
+        "population.json": "2a73109efd9567e1c2cb8071874570c6541e6580f913e9653bc60e7001386a2a",
     },
     "integrated_convex_per_prompt": {
         "train_log.csv": "91371afb64b96e00ff9060fada0b7d9a926513bc5251be897033c1d3f779c50b",
         "refdist.csv": "761577fb3bc7b3797695f13b90115975b807c81b0049dcacb6df7c95af69f49b",
         "per_prompt.csv": "8137ea98710f1da0cbbff6b0f308d8610c9811f589a7121901380f765e5ae7b1",
-        "population.json": "416c6edc346aeadbf361899cf793a5a21e911c3e93ed41239c3b060c6e72bb05",
+        "population.json": "2a73109efd9567e1c2cb8071874570c6541e6580f913e9653bc60e7001386a2a",
     },
     "integrated_product": {
         "train_log.csv": "74a1b5091ec26e8c8a648e51bed8c9bbe9936c22c4df075ea375e6d19e23aef2",
         "refdist.csv": "4544be8c9f2095cdf61be4b033e716ffa462184a2c5d5963ea4be3c1c7eed128",
-        "population.json": "416c6edc346aeadbf361899cf793a5a21e911c3e93ed41239c3b060c6e72bb05",
+        "population.json": "2a73109efd9567e1c2cb8071874570c6541e6580f913e9653bc60e7001386a2a",
     },
     "integrated_product_exact_pass_rate": {
         "train_log.csv": "6ba7871800381271277dd38780a979db4ea4cc7f0163edf89a34e1f0def982ec",
         "refdist.csv": "8d46a7d84b799ee492b4ea6d0614bdf2585f68d9b3cbb3aedc17f7d8705c80a6",
         "per_prompt.csv": "1826302b445ba29a001bc7960d5489cbfa787f037075df785e64426184c9a142",
-        "population.json": "416c6edc346aeadbf361899cf793a5a21e911c3e93ed41239c3b060c6e72bb05",
+        "population.json": "2a73109efd9567e1c2cb8071874570c6541e6580f913e9653bc60e7001386a2a",
     },
     "maxrl_per_prompt": {
         "train_log.csv": "7f7e0101bdbc99ea8f9825727d52696c290e725bc84cd24759bb02d9485e4ea6",
         "refdist.csv": "761577fb3bc7b3797695f13b90115975b807c81b0049dcacb6df7c95af69f49b",
         "per_prompt.csv": "3d3f7c73c4c46fc7a933cad8f17b1ca4f3f8922ca3cd4b6dd25f0ca217ba45ec",
-        "population.json": "416c6edc346aeadbf361899cf793a5a21e911c3e93ed41239c3b060c6e72bb05",
+        "population.json": "2a73109efd9567e1c2cb8071874570c6541e6580f913e9653bc60e7001386a2a",
     },
     "blocks_curve_window": {
         "train_log.csv": "02a0d1cf69fce12f3ccf28365da29ce7de4945c56ef8ced3779575dd93454232",
         "refdist.csv": "b1729f1c64098507778823f4292d77f384b4215d0c9254a2c3c923446d4278fd",
         "per_prompt.csv": "7e88a66ad7926d6004f315ff54b21cf74a2ed8e5783ce9c7e03ecdf5f9ed9c2e",
-        "population.json": "416c6edc346aeadbf361899cf793a5a21e911c3e93ed41239c3b060c6e72bb05",
+        "population.json": "2a73109efd9567e1c2cb8071874570c6541e6580f913e9653bc60e7001386a2a",
     },
     "wide_curve_window": {
         "train_log.csv": "0aa417488a02bab11a5cb0086928e839395abaff535cb50ab5a143e0c59a4521",
         "refdist.csv": "4c249ca4f5a3003ce9987cf81f2d8d852aa739419ad86fea470176ead85ca10e",
         "per_prompt.csv": "3fff0003c594fb25aa25227ee403c299ef1e5d2a4efc8fa4220f5918e561f82b",
-        "population.json": "3ce563103a2f01931d9ad2b4f788306be9080179007fbba463d568394ab49d31",
+        "population.json": "87caea52c7e1d9028f28cb7ed954d565c1ff449a3ffe488bc0327e3bd6728ce2",
     },
     "wide_reinforce": {
         "train_log.csv": "c88d8c7509ee462e392361c2b3f50de0ee22b7548ae04fbe783e6dbfd60c5cba",
         "refdist.csv": "8537718a3164b9ca0d8392405726a2ab0f82824d594861f0a34c71c320ab061a",
         "per_prompt.csv": "ac46235bea738bf1f5131d80fd90c097b66a77a10d526eae57506cce519ec6fe",
-        "population.json": "3ce563103a2f01931d9ad2b4f788306be9080179007fbba463d568394ab49d31",
+        "population.json": "87caea52c7e1d9028f28cb7ed954d565c1ff449a3ffe488bc0327e3bd6728ce2",
     },
 }
 
@@ -385,8 +385,8 @@ POPULATION_CASES = {
 }
 
 POPULATION_DIGESTS = {
-    "beta_unsolvable": "635a2aa508bb3bf7314b797888bf67296dfdfffdf23bde3daeb643a73bfbde9f",
-    "fixed_extremes": "9a15ffbd185b708779a581d2bef1a0468e95ef47f162350b92c39f25ed6bdea3",
+    "beta_unsolvable": "2add33aebfb6f0b90c658e8634e8b206f367fa96502b6c42729d64e3b8b60c34",
+    "fixed_extremes": "47711f6b9fb16002745669b23f7e2332e21bbc075929809d886fd4fe7ddc598e",
 }
 
 
@@ -395,8 +395,7 @@ def test_golden_population(case):
     profile, seed = POPULATION_CASES[case]
     pop = make_population(64, 64, profile, seed=seed)
     assert pop.correct.sum(axis=1).max() >= 8
-    got = hashlib.sha256(population_to_json(pop).encode()).hexdigest()
-    assert got == POPULATION_DIGESTS[case], (
-        f"population.json digest changed for {case} (golden written with numpy "
+    assert population_digest(pop) == POPULATION_DIGESTS[case], (
+        f"population digest changed for {case} (golden written with numpy "
         f"{GOLDEN_NUMPY}, running numpy {np.__version__})"
     )

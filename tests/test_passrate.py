@@ -1,7 +1,7 @@
 """Pass-rate oracle tests: closed forms, finite differences, sampling."""
 
+import hashlib
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,14 +17,11 @@ from curverl.passrate import (
     PromptPopulation,
     _logit_offsets,
     make_population,
-    population_from_json,
+    population_digest,
     population_pass_rate_gradients,
     population_pass_rates,
-    population_to_json,
     softmax,
-    write_population_json,
 )
-from test_golden import POPULATION_CASES
 from test_trainer import per_prompt_gradient
 
 
@@ -74,9 +71,6 @@ class TestExactPassRate:
             PromptPopulation([[0.0, 0.0], [0.0, np.inf]], np.zeros((2, 2), dtype=bool))
         with pytest.raises(ValueError, match="shape"):
             PromptPopulation([[0.0, 0.0]], [[True, False, True]])
-        with pytest.raises(ValueError, match="prompt 0: correct index out of range"):
-            population_from_json(population_to_json(prompt([0.0, 0.0], {0})).replace(
-                '"correct": [0]', '"correct": [5]'))
 
 
 class TestGradient:
@@ -194,14 +188,6 @@ class TestPopulation:
         weights[1] = bad
         with pytest.raises(ValueError, match="prompt 1: base weight must be finite"):
             PromptPopulation(np.zeros((3, 4)), np.ones((3, 4), dtype=bool), weights)
-
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
-    def test_non_finite_base_weights_rejected_from_json(self, literal):
-        text = population_to_json(make_population(3, m=4, seed=0))
-        head, _, _ = text.partition('"base_weights": [')
-        doc = head + f'"base_weights": [0.5, {literal}, 0.5]\n}}\n'
-        with pytest.raises(ValueError, match="prompt 1: base weight must be finite"):
-            population_from_json(doc)
 
     def test_synthesis_hits_targets(self):
         targets = (0.1, 0.37, 0.62, 0.9, 0.005)
@@ -380,167 +366,20 @@ class TestOffsetSolve:
             np.exp(base[[0, 2]]), mask[[0, 2]], targets[[0, 2]], np.ones(2, dtype=bool)).tolist()
 
 
-class TestSerialization:
-    def test_round_trip_is_bit_exact(self):
-        pop = make_population(12, m=6, seed=8,
-                              profile=DifficultyProfile(kind="beta", alpha=2, beta=2,
-                                                        unsolvable_fraction=0.25))
-        text = population_to_json(pop)
-        back = population_from_json(text)
-        np.testing.assert_array_equal(pop.logits, back.logits)
-        np.testing.assert_array_equal(pop.base_weights, back.base_weights)
-        np.testing.assert_array_equal(pop.correct, back.correct)
-        # serialize(parse(serialize(x))) is byte-identical to serialize(x)
-        assert population_to_json(back) == text
+class TestDigest:
+    def test_hashes_logits_then_correct_then_base_weights(self):
+        pop = make_population(5, m=4, seed=3)
+        data = pop.logits.tobytes() + pop.correct.tobytes() + pop.base_weights.tobytes()
+        assert population_digest(pop) == hashlib.sha256(data).hexdigest()
 
-    def test_unknown_keys_rejected(self):
-        pop = make_population(2, m=4, seed=0)
-        doc = population_to_json(pop).replace('"m":', '"extra": 1, "m":', 1)
-        with pytest.raises(ValueError):
-            population_from_json(doc)
-
-    def test_id_must_be_row_index(self):
-        text = population_to_json(make_population(3, m=4, seed=0))
-        with pytest.raises(ValueError, match="prompt 2: expected id 1"):
-            population_from_json(text.replace('"id": 1,', '"id": 2,'))
-
-    @pytest.mark.parametrize("given_id", ["true", "1.0"])
-    def test_id_must_be_an_integer(self, given_id):
-        text = population_to_json(make_population(3, m=4, seed=0))
-        with pytest.raises(ValueError, match="expected id 1"):
-            population_from_json(text.replace('"id": 1,', f'"id": {given_id},'))
-
-    def test_negative_zero_logit_round_trips(self):
-        # the writer renders -0.0 as "-0", which json alone reads as the int 0
-        pop = prompt([-0.0, 0.0, 1.5], {2})
-        back = population_from_json(population_to_json(pop))
-        assert np.signbit(back.logits).tolist() == [[True, False, False]]
-        assert population_to_json(back) == population_to_json(pop)
-
-    @pytest.mark.parametrize("literal", ["true", "false"])
-    def test_logits_must_be_numbers(self, literal):
-        text = population_to_json(prompt([0.5, 1.5], {1}))
-        assert text.count("[0.5, 1.5]") == 1
-        with pytest.raises(ValueError, match="prompt 0: logits must be a list of numbers"):
-            population_from_json(text.replace("[0.5, 1.5]", f"[{literal}, 1.5]"))
-
-    @pytest.mark.parametrize("literal", ["true", "false"])
-    def test_base_weights_must_be_numbers(self, literal):
-        text = population_to_json(make_population(3, m=4, seed=0))
-        head, _, _ = text.partition('"base_weights": [')
-        doc = head + f'"base_weights": [0.5, {literal}, 0.5]\n}}\n'
-        with pytest.raises(ValueError, match="prompt 1: base weight must be a number"):
-            population_from_json(doc)
-
-    @pytest.mark.parametrize("m", ["2.9", "2.0", "true", "1"])
-    def test_m_must_be_an_integer_of_at_least_two(self, m):
-        text = population_to_json(prompt([0.5, 1.5], {1}))
-        with pytest.raises(ValueError, match="m must be an integer >= 2"):
-            population_from_json(text.replace('"m": 2,', f'"m": {m},'))
-
-    @pytest.mark.parametrize("entry", ["[0.7]", "[true]", "[1, 1]", "[1.0]", "[-0]", "1"])
-    def test_correct_entries_must_be_distinct_indices(self, entry):
-        pop = PromptPopulation([[0.0, 0.0], [1.0, 2.0]], [[True, False], [False, True]])
-        text = population_to_json(pop)
-        assert text.count('"correct": [1]') == 1
-        with pytest.raises(ValueError, match="prompt 1: (correct must be|repeated)"):
-            population_from_json(text.replace('"correct": [1]', f'"correct": {entry}'))
-
-
-@pytest.fixture(scope="module")
-def wide_population():
-    # train-wide's shape: population.json is about 11 MB
-    return make_population(2000, 256, seed=0)
-
-
-def population_json_per_row(pop):
-    """The reference writer: each prompt line from one ``%`` template call
-    over that row, and the base weights from one call over all of them."""
-    floats = ", ".join(["%.17g"] * pop.m)
-    lines = [f'{{\n  "m": {pop.m},\n  "prompts": [\n']
-    last = len(pop) - 1
-    for i, (row, correct) in enumerate(zip(pop.logits, pop.correct)):
-        logits = floats % tuple(row.tolist())
-        indices = ", ".join(map(str, np.flatnonzero(correct).tolist()))
-        tail = "," if i < last else ""
-        lines.append(f'    {{"id": {i}, "logits": [{logits}], "correct": [{indices}]}}{tail}\n')
-    weights = ", ".join(["%.17g"] * len(pop)) % tuple(pop.base_weights.tolist())
-    lines.append(f'  ],\n  "base_weights": [{weights}]\n}}\n')
-    return "".join(lines)
-
-
-# values at and around the edges of the writer's fast renderer, some of
-# which it must leave to the template
-SPECIAL_LOGITS = [-0.0, 5e-324, 1e-5, 1e-6, 9.9999999999999995e-07, 1e8, -1e8, 1e20,
-                  2.0**53 + 1]
-
-
-def adversarial_population():
-    """300 x 16 logits spread over 1e-8 to 1e9 in magnitude, one special
-    value in every third row and a row of them all; uneven base weights
-    with a zero and a subnormal."""
-    rng = np.random.default_rng(21)
-    logits = rng.standard_normal((300, 16)) * 10.0 ** rng.integers(-8, 10, size=(300, 1))
-    for i, v in enumerate(SPECIAL_LOGITS * 11):
-        logits[3 * i, i % 16] = v
-    logits[-1, :len(SPECIAL_LOGITS)] = SPECIAL_LOGITS
-    weights = rng.random(300)
-    weights[:2] = 0.0
-    weights /= weights.sum()
-    weights[1] = 5e-324
-    return PromptPopulation(logits, rng.random((300, 16)) < 0.25, weights)
-
-
-def tall_population():
-    """More prompts than one block of logits or of base weights holds."""
-    rng = np.random.default_rng(5)
-    weights = rng.random(5000)
-    return PromptPopulation(rng.standard_normal((5000, 2)), rng.random((5000, 2)) < 0.5,
-                            weights / weights.sum())
-
-
-class TestWriter:
-    @pytest.mark.parametrize("case", sorted(POPULATION_CASES))
-    def test_text_equals_per_row_writer_on_golden_populations(self, case):
-        profile, seed = POPULATION_CASES[case]
-        pop = make_population(64, 64, profile, seed=seed)
-        assert population_to_json(pop) == population_json_per_row(pop)
-
-    def test_text_equals_per_row_writer_on_wide_population(self, wide_population):
-        assert population_to_json(wide_population) == population_json_per_row(wide_population)
-
-    @pytest.mark.parametrize("build", [adversarial_population, tall_population])
-    def test_text_equals_per_row_writer_at_the_edges(self, build, tmp_path):
-        pop = build()
-        text = population_to_json(pop)
-        assert text == population_json_per_row(pop)
-        write_population_json(tmp_path / "population.json", pop)
-        assert (tmp_path / "population.json").read_bytes() == text.encode()
-        back = population_from_json(text)
-        for name in ("logits", "correct", "base_weights"):
-            np.testing.assert_array_equal(getattr(back, name).view(np.uint8),
-                                          getattr(pop, name).view(np.uint8))
-
-    @pytest.mark.parametrize("case", sorted(POPULATION_CASES))
-    def test_file_equals_text_on_golden_populations(self, case, tmp_path):
-        profile, seed = POPULATION_CASES[case]
-        pop = make_population(64, 64, profile, seed=seed)
-        write_population_json(tmp_path / "population.json", pop)
-        assert (tmp_path / "population.json").read_bytes() == population_to_json(pop).encode()
-
-    def test_file_equals_text_on_wide_population(self, wide_population, tmp_path):
-        write_population_json(tmp_path / "population.json", wide_population)
-        data = (tmp_path / "population.json").read_bytes()
-        assert data == population_to_json(wide_population).encode()
-        assert len(data) > 10 * 2**20
-
-    def test_write_holds_one_line_at_a_time(self, wide_population, tmp_path):
-        # the whole text, joined, would be more than ten times this bound
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            write_population_json(tmp_path / "population.json", wide_population)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+    def test_one_changed_entry_changes_the_digest(self):
+        pop = make_population(5, m=4, seed=3)
+        zero, negative_zero, correct = pop.logits.copy(), pop.logits.copy(), pop.correct.copy()
+        zero[2, 1], negative_zero[2, 1] = 0.0, -0.0
+        correct[4, 0] = ~correct[4, 0]
+        changed = [PromptPopulation(zero, pop.correct),
+                   PromptPopulation(negative_zero, pop.correct),
+                   PromptPopulation(pop.logits, correct),
+                   PromptPopulation(pop.logits, pop.correct, [0.1, 0.3, 0.2, 0.2, 0.2])]
+        digests = {population_digest(p) for p in [pop, *changed]}
+        assert len(digests) == 1 + len(changed)
