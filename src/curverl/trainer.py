@@ -1,11 +1,13 @@
 """Training loop for the policy-reweighted contextual bandit.
 
-One step: estimate the reference distribution from the window of the last t0
-steps' counts (uniform cold start while it is underfilled), draw a batch of
-prompts from the base distribution, roll out N responses per prompt, weight
-each active prompt (c of N rollouts correct, 0 < c < N) at its p-hat c/N,
-average the weighted score-function gradients over the batch, take a plain
-gradient-ascent step, then count the active prompts at each c into the window.
+One step: if the scheme weights by the window, estimate the reference
+distribution from the last t0 steps' counts (uniform cold start while it is
+underfilled), draw a batch of prompts from the base distribution, roll out N
+responses per prompt, weight each active prompt (c of N rollouts correct,
+0 < c < N) at its p-hat c/N, average the weighted score-function gradients
+over the batch, take a plain gradient-ascent step, then count the active
+prompts at each c into the window. Each step fills its row of the run record
+(:class:`TrainResult`), from which the artifacts are written.
 
 Runs are deterministic: all randomness comes from per-step seed sequences
 derived from the config seed.
@@ -30,9 +32,9 @@ log = logging.getLogger("curverl.trainer")
 
 __all__ = [
     "TrainConfig",
-    "StepLog",
     "TrainResult",
     "TrainerState",
+    "window_reference",
     "train_step",
     "run_training",
     "write_training_artifacts",
@@ -76,36 +78,38 @@ class TrainConfig:
                 raise ValueError(f"invalid TrainConfig field {name}={getattr(self, name)!r}")
 
 
-@dataclass(frozen=True)
-class StepLog:
-    """One step's scalars plus four per-batch-row arrays (prompt id, p-hat,
-    weight and per-prompt gradient norm; weight 0 marks an inactive row)."""
+@dataclass
+class TrainResult:
+    """The run record: the final ``theta`` and one row per step.
 
-    step: int
+    Row t of the (steps, B) blocks ``prompt_ids``, ``p_hat``, ``weights``
+    and ``prompt_grad_norms`` holds step t's batch (weight 0 marks an
+    inactive row). The (steps,) arrays are the scalar columns of
+    train_log.csv. Row t of the (steps, N - 1) int64 ``window_counts`` is the
+    window after step t's push, its active rates c/N counted by c (entry
+    c - 1): its sum is the step's window size, and row t - 1 is the window
+    step t read (empty at step 0).
+    """
+
+    config: TrainConfig
+    theta: np.ndarray
     prompt_ids: np.ndarray
     p_hat: np.ndarray
     weights: np.ndarray
     prompt_grad_norms: np.ndarray
-    mean_exact_pass_rate: float
-    active_fraction: float
-    z_theta: float
-    window_size: int
-    grad_norm: float
-
-
-@dataclass
-class TrainResult:
-    config: TrainConfig
-    theta: np.ndarray
-    step_logs: list[StepLog]
-    references: list[ReferenceDistribution]
+    mean_exact_pass_rate: np.ndarray
+    active_fraction: np.ndarray
+    z_theta: np.ndarray
+    grad_norm: np.ndarray
+    window_counts: np.ndarray
 
 
 class TrainerState:
-    """Mutable policy + window + config bundle consumed by train_step.
+    """Mutable policy + window + run record bundle consumed by train_step.
 
     ``window`` holds ``min(t0, steps)`` int64 rows of N - 1 counts: row
     ``step % rows`` counts that step's active prompts by c (entry c - 1).
+    ``record`` is the :class:`TrainResult` the steps fill, one row each.
 
     The state caches the policy's softmax ``probs`` (P, M) and every
     prompt's exact pass rate, both computed over all P rows at construction.
@@ -127,14 +131,6 @@ class TrainerState:
         # the population's arrays are read-only; the trainer updates a copy
         self.theta = population.logits.copy()
         self.masks = population.correct
-        try:
-            self.window = np.zeros((min(config.t0, config.steps), config.n_rollouts - 1),
-                                   np.int64)
-        except (MemoryError, ValueError):  # too large to map, or to index
-            raise ValueError(
-                f"t0={config.t0} and n_rollouts={config.n_rollouts}: the window is too large "
-                "to allocate"
-            ) from None
         self.step = 0
         self._cold_start_logged = False
         self.probs = softmax(self.theta)
@@ -142,6 +138,28 @@ class TrainerState:
         # the CDF that Generator.choice(P, B, p=base_weights) builds on every call
         self._batch_cdf = population.base_weights.cumsum()
         self._batch_cdf /= self._batch_cdf[-1]
+        # The record is made before the first step, and a step copies its
+        # arrays into their rows: kept per step, they are small heap blocks
+        # left among the step's freed (B, M) temporaries, and where they land
+        # can split the free space later steps reuse, growing the heap by MBs
+        # in some process layouts and not in others.
+        shape, grid = (config.steps, config.batch_size), config.n_rollouts - 1
+        try:
+            self.window = np.zeros((min(config.t0, config.steps), grid), np.int64)
+            p_hat, weights, prompt_norms = np.empty((3, *shape))
+            mean_exact, active, z_theta, grad_norm = np.empty((4, config.steps))
+            self.record = TrainResult(
+                config=config, theta=self.theta,
+                prompt_ids=np.empty(shape, np.int64), p_hat=p_hat, weights=weights,
+                prompt_grad_norms=prompt_norms, mean_exact_pass_rate=mean_exact,
+                active_fraction=active, z_theta=z_theta, grad_norm=grad_norm,
+                window_counts=np.empty((config.steps, grid), np.int64),
+            )
+        except (MemoryError, ValueError):  # too large to map, or to index
+            raise ValueError(
+                f"steps={config.steps}, batch_size={config.batch_size}, t0={config.t0} and "
+                f"n_rollouts={config.n_rollouts}: the run is too large to allocate"
+            ) from None
 
     def draw_batch(self, rng: np.random.Generator) -> np.ndarray:
         """``rng.choice(P, size=B, p=base_weights)``: the same int64 prompt
@@ -161,31 +179,35 @@ class TrainerState:
         return min(max(mean, 0.0), 1.0)
 
 
-def _window_reference(state: TrainerState) -> ReferenceDistribution:
-    """What the window currently says; uniform when empty."""
-    counts = state.window.sum(axis=0)
+def window_reference(counts: np.ndarray) -> ReferenceDistribution:
+    """The reference of a window holding ``counts``, entry c - 1 the count
+    at c/N (so N is ``len(counts) + 1``); uniform when empty."""
     if not counts.any():
-        return refdist.uniform_reference(state.config.n_rollouts)
+        return refdist.uniform_reference(counts.size + 1)
     return refdist.distribution_from_counts(counts, int(counts.sum()))
 
 
-def _scheme_for_step(state: TrainerState, window_ref: ReferenceDistribution):
+def _scheme_for_step(state: TrainerState):
     """Pin the step's reference into distribution-aware schemes."""
     scheme = state.config.scheme
     if not weighting.needs_reference(scheme):
         return scheme
     ref = scheme.reference
     if ref == "window":
-        if window_ref.sample_count < state.config.min_window_count:
+        t = state.step
+        # the window as the previous step left it, empty before the first
+        counts = state.record.window_counts[t - 1] if t else np.zeros_like(state.window[0])
+        size = int(counts.sum())
+        if size < state.config.min_window_count:
             if not state._cold_start_logged:
                 log.info(
                     "step %d: window holds %d < %d rates, using the uniform cold-start reference",
-                    state.step, window_ref.sample_count, state.config.min_window_count,
+                    t, size, state.config.min_window_count,
                 )
                 state._cold_start_logged = True
             resolved = refdist.uniform_reference(state.config.n_rollouts)
         else:
-            resolved = window_ref
+            resolved = window_reference(counts)
     elif ref == "uniform":
         resolved = refdist.uniform_reference(state.config.n_rollouts)
     else:
@@ -210,11 +232,10 @@ def _sum_by_prompt(batch: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, np
     return rows, total
 
 
-def train_step(state: TrainerState) -> tuple[StepLog, ReferenceDistribution]:
-    """One update; returns the step log and the window reference it saw."""
+def train_step(state: TrainerState) -> None:
+    """One update, logged in row ``state.step`` of ``state.record``."""
     cfg = state.config
-    window_ref = _window_reference(state)
-    step_scheme = _scheme_for_step(state, window_ref)
+    step_scheme = _scheme_for_step(state)
     exact = state._exact
     mean_exact = state.mean_exact_pass_rate(exact)
 
@@ -273,58 +294,28 @@ def train_step(state: TrainerState) -> tuple[StepLog, ReferenceDistribution]:
     state.probs[rows] = probs
     state._exact[rows] = pass_rates_from_probs(probs, state.masks[rows])
 
-    state.window[state.step % len(state.window)] = np.bincount(
+    t = state.step
+    state.window[t % len(state.window)] = np.bincount(
         counts[active] - 1, minlength=cfg.n_rollouts - 1)
 
-    entry = StepLog(
-        step=state.step,
-        prompt_ids=batch,
-        p_hat=p_hat,
-        weights=weights,
-        prompt_grad_norms=prompt_norms,
-        mean_exact_pass_rate=mean_exact,
-        active_fraction=float(active.sum() / cfg.batch_size),
-        z_theta=float(weights.sum() / cfg.batch_size),
-        window_size=int(state.window.sum()),
-        grad_norm=grad_norm,
-    )
+    rec = state.record
+    rec.prompt_ids[t] = batch
+    rec.p_hat[t] = p_hat
+    rec.weights[t] = weights
+    rec.prompt_grad_norms[t] = prompt_norms
+    rec.mean_exact_pass_rate[t] = mean_exact
+    rec.active_fraction[t] = active.sum() / cfg.batch_size
+    rec.z_theta[t] = weights.sum() / cfg.batch_size
+    rec.grad_norm[t] = grad_norm
+    rec.window_counts[t] = state.window.sum(axis=0)
     state.step += 1
-    return entry, window_ref
 
 
 def run_training(population: PromptPopulation, config: TrainConfig) -> TrainResult:
     state = TrainerState(population, config)
-    logs: list[StepLog] = []
-    refs: list[ReferenceDistribution] = []
-    # each step's four per-row arrays are copied into rows of blocks made
-    # before the first step: kept per step, they are small heap blocks left
-    # among the step's freed (B, M) temporaries, and where they land can
-    # split the free space later steps reuse, growing the heap by MBs in
-    # some process layouts and not in others
-    shape = (config.steps, config.batch_size)
-    try:
-        prompt_ids = np.empty(shape, dtype=np.int64)
-        p_hat, weights, prompt_norms = np.empty((3, *shape))
-    except (MemoryError, ValueError):  # too large to map, or to index
-        raise ValueError(
-            f"steps={config.steps} and batch_size={config.batch_size}: the step logs are too "
-            "large to allocate"
-        ) from None
-    for t in range(config.steps):
-        entry, window_ref = train_step(state)
-        prompt_ids[t] = entry.prompt_ids
-        p_hat[t] = entry.p_hat
-        weights[t] = entry.weights
-        prompt_norms[t] = entry.prompt_grad_norms
-        logs.append(replace(entry, prompt_ids=prompt_ids[t], p_hat=p_hat[t],
-                            weights=weights[t], prompt_grad_norms=prompt_norms[t]))
-        refs.append(window_ref)
-    return TrainResult(
-        config=config,
-        theta=state.theta,
-        step_logs=logs,
-        references=refs,
-    )
+    for _ in range(config.steps):
+        train_step(state)
+    return state.record
 
 
 # ---------------------------------------------------------------------------
@@ -342,44 +333,45 @@ def write_training_artifacts(result: TrainResult, out_dir: str | Path) -> None:
     """Write train_log.csv, refdist.csv and (optionally) per_prompt.csv."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    name = weighting.scheme_name(result.config.scheme)
+    cfg = result.config
+    steps = np.arange(cfg.steps)
+    counts = result.window_counts
 
-    logs = result.step_logs
     write_csv(
         out / "train_log.csv",
         TRAIN_CSV_HEADER,
         (
-            [entry.step for entry in logs],
-            [name] * len(logs),
-            [entry.mean_exact_pass_rate for entry in logs],
-            [entry.active_fraction for entry in logs],
-            [entry.z_theta for entry in logs],
-            [entry.window_size for entry in logs],
-            [entry.grad_norm for entry in logs],
+            steps,
+            [weighting.scheme_name(cfg.scheme)] * cfg.steps,
+            result.mean_exact_pass_rate,
+            result.active_fraction,
+            result.z_theta,
+            counts.sum(axis=1),
+            result.grad_norm,
         ),
     )
 
+    # step t read the window step t - 1 left, and step 0 an empty one
+    seen = np.concatenate([np.zeros_like(counts[:1]), counts[:-1]])
     write_csv(
         out / "refdist.csv",
         refdist.REFERENCE_CSV_HEADER,
-        refdist.reference_csv_columns([entry.step for entry in logs], result.references),
+        refdist.reference_csv_columns(steps, [window_reference(row) for row in seen]),
     )
 
-    if result.config.log_per_prompt:
-        rows_per_step = [entry.prompt_ids.size for entry in logs]
-        p_hat = np.concatenate([entry.p_hat for entry in logs])
-        weights = np.concatenate([entry.weights for entry in logs])
+    if cfg.log_per_prompt:
+        p_hat, weights = result.p_hat.ravel(), result.weights.ravel()
         # rel_multiplier = p_hat * weight, the step's weight relative to the
         # 1/p rule at the same pass rate (0 for inactive rows).
         write_csv(
             out / "per_prompt.csv",
             PER_PROMPT_CSV_HEADER,
             (
-                np.repeat([entry.step for entry in logs], rows_per_step),
-                np.concatenate([entry.prompt_ids for entry in logs]),
+                np.repeat(steps, cfg.batch_size),
+                result.prompt_ids.ravel(),
                 p_hat,
                 weights,
-                np.concatenate([entry.prompt_grad_norms for entry in logs]),
+                result.prompt_grad_norms.ravel(),
                 p_hat * weights,
             ),
         )

@@ -14,7 +14,6 @@ test_trainer.py.
 
 import json
 import time
-from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -37,7 +36,6 @@ from curverl.references import (
     TruncatedExponential,
 )
 from curverl.trainer import (
-    StepLog,
     TrainConfig,
     run_training,
     write_training_artifacts,
@@ -50,7 +48,7 @@ from curverl.weighting import (
     MaxRL,
     Reinforce,
 )
-from test_trainer import mc_gradient_mean
+from test_trainer import assert_results_equal, mc_gradient_mean
 
 GRID_19 = np.arange(1, 20) * 0.05
 POINTWISE = (Reinforce(), Grpo(), MaxRL())
@@ -137,9 +135,7 @@ def test_criterion_3_uniform_reference_degeneration(tmp_path):
             runs[label] = run_training(pop, cfg)
             write_training_artifacts(runs[label], tmp_path / label)
         np.testing.assert_array_equal(runs["curve"].theta, runs["maxrl"].theta)
-        for a, b in zip(runs["curve"].step_logs, runs["maxrl"].step_logs, strict=True):
-            for f in fields(StepLog):
-                np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name), strict=True)
+        assert_results_equal(runs["curve"], runs["maxrl"])
         curve_csv = (tmp_path / "curve" / "train_log.csv").read_text()
         maxrl_csv = (tmp_path / "maxrl" / "train_log.csv").read_text()
         assert curve_csv.replace("curve", "maxrl") == maxrl_csv

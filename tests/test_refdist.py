@@ -46,19 +46,21 @@ def assert_references_bitwise_equal(a, b):
 
 
 def window_run(t0, steps, population=None, seed=3):
-    """The trainer state and step logs of a short Reinforce run (N = 8)."""
+    """The trainer state and run record of a short Reinforce run (N = 8)."""
     if population is None:
         population = make_population(
             20, m=8, seed=seed,
             profile=DifficultyProfile(kind="beta", unsolvable_fraction=0.3))
     state = TrainerState(population, TrainConfig(steps=steps, scheme=Reinforce(),
                                                  batch_size=16, t0=t0, seed=seed))
-    return state, [train_step(state)[0] for _ in range(steps)]
+    for _ in range(steps):
+        train_step(state)
+    return state, state.record
 
 
-def step_counts(entry, n=8):
-    """One step log's active prompts counted by c = N * p_hat, entry c - 1."""
-    c = np.rint(entry.p_hat * n).astype(np.int64)
+def step_counts(p_hat, n=8):
+    """One step's active prompts counted by c = N * p_hat, entry c - 1."""
+    c = np.rint(p_hat * n).astype(np.int64)
     return np.bincount(c[(c > 0) & (c < n)] - 1, minlength=n - 1)
 
 
@@ -66,27 +68,28 @@ class TestSlidingWindow:
     """The trainer's window: one row of counts per step, over the last t0 steps."""
 
     def test_full_eviction_at_t0_one(self):
-        state, logs = window_run(t0=1, steps=4)
+        state, rec = window_run(t0=1, steps=4)
         assert state.window.shape == (1, 7)
-        np.testing.assert_array_equal(state.window[0], step_counts(logs[-1]))
-        assert [e.window_size for e in logs] == [step_counts(e).sum() for e in logs]
+        np.testing.assert_array_equal(state.window[0], step_counts(rec.p_hat[-1]))
+        assert rec.window_counts.sum(axis=1).tolist() == [step_counts(p).sum() for p in rec.p_hat]
 
     def test_degenerate_rates_are_dropped(self):
         # every prompt is all-correct or all-wrong, so every p_hat is 0 or 1
         solved = np.zeros((6, 4), dtype=bool)
         solved[::2] = True
         pop = PromptPopulation(np.zeros((6, 4)), solved)
-        state, logs = window_run(t0=4, steps=3, population=pop)
-        assert {p for e in logs for p in e.p_hat.tolist()} == {0.0, 1.0}
+        state, rec = window_run(t0=4, steps=3, population=pop)
+        assert set(rec.p_hat.ravel().tolist()) == {0.0, 1.0}
         assert not state.window.any()
-        assert all(e.window_size == 0 for e in logs)
+        assert all(rec.window_counts.sum(axis=1) == 0)
 
     def test_eviction_keeps_exactly_last_t0_steps(self):
-        state, logs = window_run(t0=3, steps=10)
+        state, rec = window_run(t0=3, steps=10)
         # steps 7, 8, 9 remain, in rows 7 % 3, 8 % 3 and 9 % 3
         for step in (7, 8, 9):
-            np.testing.assert_array_equal(state.window[step % 3], step_counts(logs[step]))
-        assert logs[-1].window_size == sum(step_counts(logs[s]).sum() for s in (7, 8, 9))
+            np.testing.assert_array_equal(state.window[step % 3], step_counts(rec.p_hat[step]))
+        assert rec.window_counts[-1].sum() == sum(step_counts(rec.p_hat[s]).sum()
+                                                  for s in (7, 8, 9))
 
     def test_identical_runs_identical_contents(self):
         (a, _), (b, _) = window_run(t0=2, steps=6), window_run(t0=2, steps=6)

@@ -1,5 +1,6 @@
 """Training loop: per-prompt gradients, determinism, degeneration, invariance."""
 
+import logging
 import math
 from dataclasses import fields
 from unittest import mock
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from curverl import trainer, weighting
+from curverl import refdist, trainer, weighting
 from curverl.config import _dump, _parse
 from curverl.kernels import accumulate_gradients, sample_responses
 from curverl.passrate import (
@@ -29,11 +30,12 @@ from curverl.references import (
 )
 from curverl.refdist import distribution_from_rates, offgrid_snap_count, uniform_reference
 from curverl.trainer import (
-    StepLog,
     TrainConfig,
     TrainerState,
+    TrainResult,
     run_training,
     train_step,
+    window_reference,
 )
 from curverl.trainer import _sum_by_prompt
 from curverl.verify import calibration_gradients
@@ -126,11 +128,19 @@ def sample(logits, n, rng):
     return sample_responses(np.cumsum(softmax(logits))[None, :], rng.random((1, n)))[0]
 
 
-def assert_step_logs_equal(a, b):
-    """Every scalar and every per-prompt array of two runs' step logs match exactly."""
-    for x, y in zip(a, b, strict=True):
-        for f in fields(StepLog):
-            np.testing.assert_array_equal(getattr(x, f.name), getattr(y, f.name), strict=True)
+def assert_results_equal(a, b):
+    """Every array of two run records, theta included, matches exactly."""
+    for f in fields(TrainResult):
+        if f.name != "config":
+            np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name), strict=True)
+
+
+def window_references(result):
+    """The window reference each step of ``result`` read: step t's is that
+    of the counts step t - 1 left, step 0's that of an empty window."""
+    counts = result.window_counts
+    return [window_reference(counts[t - 1] if t else np.zeros_like(counts[0]))
+            for t in range(len(counts))]
 
 
 def calibration_invariance_gap(pop, ref, mono):
@@ -200,11 +210,12 @@ class TestTrainStep:
         cfg = TrainConfig(steps=1, scheme=Reinforce(), batch_size=16, seed=0)
         state = TrainerState(pop, cfg)
         theta_before = state.theta.copy()
-        entry, _ = train_step(state)
+        train_step(state)
+        rec = state.record
         np.testing.assert_array_equal(state.theta, theta_before)
-        assert entry.active_fraction == 0.0
-        assert entry.window_size == 0
-        assert entry.grad_norm == 0.0
+        assert rec.active_fraction[0] == 0.0
+        assert rec.window_counts[0].sum() == 0
+        assert rec.grad_norm[0] == 0.0
 
     def test_mean_exact_pass_rate_stays_in_unit_interval(self):
         # every prompt solved: the d0-weighted mean of rates that are all 1
@@ -257,9 +268,10 @@ class TestTrainStep:
         pop = beta_population(20, seed=2, unsolvable=0.3)
         cfg = TrainConfig(steps=1, scheme=Reinforce(), batch_size=64, seed=3)
         state = TrainerState(pop, cfg)
-        entry, _ = train_step(state)
-        row = step_counts(entry, cfg.n_rollouts)
-        assert 0 < entry.window_size == row.sum() < cfg.batch_size
+        train_step(state)
+        rec = state.record
+        row = step_counts(rec.p_hat[0], cfg.n_rollouts)
+        assert 0 < rec.window_counts[0].sum() == row.sum() < cfg.batch_size
         np.testing.assert_array_equal(state.window[0], row)
 
     def test_weight_scaling_scales_gradient_exactly(self):
@@ -292,13 +304,13 @@ class TestTrainStep:
         a = run_training(pop, cfg)
         b = run_training(pop, cfg)
         np.testing.assert_array_equal(a.theta, b.theta)
-        assert_step_logs_equal(a.step_logs, b.step_logs)
+        assert_results_equal(a, b)
 
     def test_window_size_bounded_by_t0_times_batch(self):
         pop = beta_population(30, seed=8)
         cfg = TrainConfig(steps=12, scheme=Reinforce(), batch_size=16, t0=3, seed=2)
         result = run_training(pop, cfg)
-        assert all(entry.window_size <= 3 * 16 for entry in result.step_logs)
+        assert all(result.window_counts.sum(axis=1) <= 3 * 16)
 
     @pytest.mark.parametrize("scheme", [Curve(), Reinforce()], ids=["curve", "reinforce"])
     @pytest.mark.parametrize("t0", [1, 3, 11])
@@ -309,9 +321,8 @@ class TestTrainStep:
         cfg = TrainConfig(steps=9, scheme=scheme, batch_size=16, t0=t0, seed=4,
                           learning_rate=2.0, min_window_count=8)
         result = run_training(pop, cfg)
-        for t, ref in enumerate(result.references):
-            rates = np.concatenate([np.empty(0)] +
-                                   [e.p_hat for e in result.step_logs[max(0, t - t0):t]])
+        for t, ref in enumerate(window_references(result)):
+            rates = result.p_hat[max(0, t - t0):t].ravel()
             rates = rates[(rates > 0.0) & (rates < 1.0)]
             expected = (distribution_from_rates(rates, cfg.n_rollouts) if rates.size
                         else uniform_reference(cfg.n_rollouts))
@@ -323,7 +334,7 @@ class TestTrainStep:
         runs = [run_training(pop, TrainConfig(steps=5, scheme=Curve(), batch_size=16, t0=t0,
                                               seed=4, min_window_count=8))
                 for t0 in (10**12, 5)]
-        assert_step_logs_equal(runs[0].step_logs, runs[1].step_logs)
+        assert_results_equal(runs[0], runs[1])
         big = TrainerState(pop, TrainConfig(steps=5, scheme=Curve(), t0=10**12))
         assert big.window.shape == (5, 7)
 
@@ -331,8 +342,8 @@ class TestTrainStep:
         pop = beta_population(30, seed=8, unsolvable=0.2)
         cfg = TrainConfig(steps=5, scheme=Reinforce(), batch_size=32, seed=2)
         result = run_training(pop, cfg)
-        for entry in result.step_logs:
-            count = entry.active_fraction * 32
+        for fraction in result.active_fraction:
+            count = fraction * 32
             assert abs(count - round(count)) < 1e-12
 
 
@@ -362,19 +373,20 @@ class TestStepInvariants:
                           n_rollouts=n_rollouts, t0=t0, learning_rate=4.0, seed=seed,
                           min_window_count=min_window_count, weight_at_exact_pass_rate=exact)
         result = run_training(pop, cfg)
-        for entry, ref in zip(result.step_logs, result.references, strict=True):
-            assert np.all((entry.p_hat >= 0.0) & (entry.p_hat <= 1.0))
-            assert np.all(np.isfinite(entry.weights)) and np.all(entry.weights >= 0.0)
-            inactive = (entry.p_hat == 0.0) | (entry.p_hat == 1.0)
-            assert np.all(entry.weights[inactive] == 0.0)
-            assert entry.window_size <= t0 * batch_size
+        for t, ref in enumerate(window_references(result)):
+            p_hat, weights = result.p_hat[t], result.weights[t]
+            assert np.all((p_hat >= 0.0) & (p_hat <= 1.0))
+            assert np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
+            inactive = (p_hat == 0.0) | (p_hat == 1.0)
+            assert np.all(weights[inactive] == 0.0)
+            assert result.window_counts[t].sum() <= t0 * batch_size
             assert np.all(np.diff(ref.cdf) >= 0.0) and np.all(ref.cdf <= 1.0)
-            assert 0.0 <= entry.mean_exact_pass_rate <= 1.0
+            assert 0.0 <= result.mean_exact_pass_rate[t] <= 1.0
 
 
 def updates_of_steps(state, steps):
-    """Run ``steps`` steps; yield each step's log, the rows it moved and
-    their batch-mean gradient, the update direction."""
+    """Run ``steps`` steps; yield each step's grad_norm, the rows it moved
+    and their batch-mean gradient, the update direction."""
     sums = []
 
     def capture(batch, grads):
@@ -385,9 +397,10 @@ def updates_of_steps(state, steps):
 
     with mock.patch.object(trainer, "_sum_by_prompt", capture):
         for _ in range(steps):
-            entry, _ = train_step(state)
+            t = state.step
+            train_step(state)
             rows, total = sums.pop()
-            yield entry, rows, total / state.config.batch_size
+            yield state.record.grad_norm[t], rows, total / state.config.batch_size
 
 
 GRAD_NORM_DRAWS = dict(
@@ -427,16 +440,16 @@ class TestGradNorm:
     @settings(max_examples=40, deadline=None)
     def test_grad_norm_is_the_norm_of_the_updated_rows(self, **draw):
         state = grad_norm_state(**draw)
-        for entry, _, mean in updates_of_steps(state, state.config.steps):
-            assert entry.grad_norm.hex() == float(np.sqrt(np.sum(mean * mean))).hex()
+        for grad_norm, _, mean in updates_of_steps(state, state.config.steps):
+            assert grad_norm.hex() == float(np.sqrt(np.sum(mean * mean))).hex()
 
     @given(**GRAD_NORM_DRAWS)
     @settings(max_examples=40, deadline=None)
     def test_grad_norm_is_within_4_ulp_of_the_full_matrix_sum(self, **draw):
         state = grad_norm_state(**draw)
-        for entry, rows, mean in updates_of_steps(state, state.config.steps):
-            assert abs(entry.grad_norm - full_matrix_norm(state, rows, mean)) \
-                <= 4 * np.finfo(float).eps * entry.grad_norm
+        for grad_norm, rows, mean in updates_of_steps(state, state.config.steps):
+            assert abs(grad_norm - full_matrix_norm(state, rows, mean)) \
+                <= 4 * np.finfo(float).eps * grad_norm
 
     def test_the_canonical_shape_moves_some_bits_within_the_bound(self):
         # P = 500, M = 16, B = 256: numpy's pairwise sum over the whole
@@ -446,8 +459,8 @@ class TestGradNorm:
         pop = beta_population(500, seed=47, alpha=1.0, beta=4.0, unsolvable=0.1)
         state = TrainerState(pop, TrainConfig(steps=30, scheme=Curve(), learning_rate=8.0,
                                               seed=47))
-        gaps = [abs(entry.grad_norm - full_matrix_norm(state, rows, mean)) / entry.grad_norm
-                for entry, rows, mean in updates_of_steps(state, state.config.steps)]
+        gaps = [abs(grad_norm - full_matrix_norm(state, rows, mean)) / grad_norm
+                for grad_norm, rows, mean in updates_of_steps(state, state.config.steps)]
         assert any(gaps)
         assert max(gaps) <= 4 * np.finfo(float).eps
 
@@ -457,22 +470,23 @@ class TestWeightArgumentModes:
         # diagnostic mode: weight evaluated at the analytic rate instead of
         # the empirical one; the same batches then carry different weights
         pop = beta_population(20, seed=13)
-        logs = {}
+        weights = {}
         for mode in (False, True):
             cfg = TrainConfig(steps=1, scheme=MaxRL(), batch_size=32, seed=21,
                               weight_at_exact_pass_rate=mode)
             state = TrainerState(pop, cfg)
             exact = np.clip(state.exact_pass_rates(), 1e-12, 1.0 - 1e-12)
-            entry, _ = train_step(state)
-            logs[mode] = entry
+            train_step(state)
+            rec = state.record
+            weights[mode] = rec.weights[0]
             # reference: one scalar weight call per active row
-            at = exact[entry.prompt_ids] if mode else entry.p_hat
+            at = exact[rec.prompt_ids[0]] if mode else rec.p_hat[0]
             expected = [float(pointwise_weight(cfg.scheme, r)) if 0.0 < p < 1.0 else 0.0
-                        for r, p in zip(at.tolist(), entry.p_hat)]
-            np.testing.assert_array_equal(entry.weights, expected)
-        active = logs[False].weights > 0
+                        for r, p in zip(at.tolist(), rec.p_hat[0])]
+            np.testing.assert_array_equal(rec.weights[0], expected)
+        active = weights[False] > 0
         assert active.any()
-        assert np.any(logs[False].weights[active] != logs[True].weights[active])
+        assert np.any(weights[False][active] != weights[True][active])
 
     def test_empirical_weight_bias_matches_the_effective_weight(self):
         # the weight w(p_hat) is correlated with the rewards inside the same
@@ -539,9 +553,9 @@ class TestWeightPath:
                           min_window_count=0)
         result = run_training(pop, cfg)
         assert len(calls) == cfg.steps
-        for at, entry in zip(calls, result.step_logs):
-            active = (entry.p_hat > 0.0) & (entry.p_hat < 1.0)
-            np.testing.assert_array_equal(at, entry.p_hat[active])
+        for at, p_hat in zip(calls, result.p_hat):
+            active = (p_hat > 0.0) & (p_hat < 1.0)
+            np.testing.assert_array_equal(at, p_hat[active])
 
     @pytest.mark.parametrize("scheme", [Curve(), IntegratedProduct()])
     def test_exact_rate_step_counts_every_off_grid_query(self, scheme):
@@ -553,13 +567,14 @@ class TestWeightPath:
         state = TrainerState(pop, cfg)
         exact = np.clip(state.exact_pass_rates(), 1e-12, 1.0 - 1e-12)
         before = offgrid_snap_count()
-        entry, _ = train_step(state)
-        active = (entry.p_hat > 0.0) & (entry.p_hat < 1.0)
+        train_step(state)
+        p_hat, prompt_ids = state.record.p_hat[0], state.record.prompt_ids[0]
+        active = (p_hat > 0.0) & (p_hat < 1.0)
         n = cfg.n_rollouts
         off = sum(abs(r * n - round(r * n)) > 1e-9 or not 1 <= round(r * n) <= n - 1
-                  for r in exact[entry.prompt_ids[active]].tolist())
+                  for r in exact[prompt_ids[active]].tolist())
         assert off > 0
-        assert len(set(entry.prompt_ids[active].tolist())) < active.sum()
+        assert len(set(prompt_ids[active].tolist())) < active.sum()
         assert offgrid_snap_count() - before == 2 * off
 
 
@@ -572,7 +587,7 @@ class TestDegenerationEquivalence:
                               learning_rate=4.0)
             results[name] = run_training(pop, cfg)
         np.testing.assert_array_equal(results["curve"].theta, results["maxrl"].theta)
-        assert_step_logs_equal(results["curve"].step_logs, results["maxrl"].step_logs)
+        assert_results_equal(results["curve"], results["maxrl"])
 
     def test_degeneration_holds_on_non_dyadic_grids(self):
         # k/N is not exactly representable for N = 12, but both paths compute
@@ -584,7 +599,7 @@ class TestDegenerationEquivalence:
                               t0=4, seed=19, learning_rate=4.0)
             results[name] = run_training(pop, cfg)
         np.testing.assert_array_equal(results["curve"].theta, results["maxrl"].theta)
-        assert_step_logs_equal(results["curve"].step_logs, results["maxrl"].step_logs)
+        assert_results_equal(results["curve"], results["maxrl"])
 
 
 class TestAdaptiveSchemes:
@@ -596,10 +611,11 @@ class TestAdaptiveSchemes:
                           learning_rate=2.0, min_window_count=16)
         state = TrainerState(pop, cfg)
         adaptive_seen = False
-        for _ in range(cfg.steps):
-            entry, _ = train_step(state)
-            active = entry.weights > 0
-            if np.any(np.abs(entry.weights[active] - 1.0 / entry.p_hat[active]) > 1e-9):
+        for t in range(cfg.steps):
+            train_step(state)
+            weights, p_hat = state.record.weights[t], state.record.p_hat[t]
+            active = weights > 0
+            if np.any(np.abs(weights[active] - 1.0 / p_hat[active]) > 1e-9):
                 adaptive_seen = True
         assert adaptive_seen
 
@@ -611,12 +627,63 @@ class TestAdaptiveSchemes:
             cfg = TrainConfig(steps=6, scheme=scheme, batch_size=16, t0=3, seed=17,
                               learning_rate=2.0, min_window_count=8)
             result = run_training(pop, cfg)
-            assert len(result.step_logs) == 6
+            assert len(result.p_hat) == 6
             assert np.all(np.isfinite(result.theta))
-            weights = np.concatenate([entry.weights for entry in result.step_logs])
-            active = np.concatenate([(entry.p_hat > 0) & (entry.p_hat < 1)
-                                     for entry in result.step_logs])
+            weights = result.weights.ravel()
+            active = ((result.p_hat > 0) & (result.p_hat < 1)).ravel()
             assert active.any() and np.all(weights[active] > 0)
+
+
+def references_built(monkeypatch, scheme, steps=4, min_window_count=0):
+    """The names of the reference builders that ``steps`` steps of ``scheme`` call."""
+    built = []
+    for name in ("distribution_from_counts", "uniform_reference"):
+        def spy(*args, _name=name, _real=getattr(refdist, name)):
+            built.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(refdist, name, spy)
+    cfg = TrainConfig(steps=steps, scheme=scheme, batch_size=32, t0=2, seed=21,
+                      min_window_count=min_window_count)
+    state = TrainerState(beta_population(20, seed=13), cfg)
+    for _ in range(steps):
+        train_step(state)
+    return built
+
+
+class TestStepReference:
+    @pytest.mark.parametrize("scheme", [
+        Reinforce(), Grpo(), MaxRL(), EntropicRisk(eta=2.0), Curve(TruncatedExponential(4.0)),
+    ], ids=["reinforce", "grpo", "maxrl", "entropic_risk", "curve_fixed"])
+    def test_a_step_that_reads_no_window_builds_no_reference(self, monkeypatch, scheme):
+        assert references_built(monkeypatch, scheme) == []
+
+    def test_a_window_step_builds_its_reference(self, monkeypatch):
+        # the counting above sees the builders: uniform for the empty window,
+        # then the histogram of the counts
+        assert references_built(monkeypatch, Curve()) == (
+            ["uniform_reference"] + ["distribution_from_counts"] * 3)
+
+    @staticmethod
+    def cold_start_lines(caplog, scheme, min_window_count):
+        caplog.set_level(logging.INFO, logger="curverl.trainer")
+        cfg = TrainConfig(steps=6, scheme=scheme, batch_size=16, t0=3, seed=4,
+                          min_window_count=min_window_count)
+        result = run_training(beta_population(30, seed=5), cfg)
+        lines = [r.getMessage() for r in caplog.records if r.name == "curverl.trainer"]
+        return result, lines
+
+    def test_cold_start_is_logged_once_at_the_first_underfilled_step(self, caplog):
+        result, lines = self.cold_start_lines(caplog, Curve(), min_window_count=1000)
+        # every step reads an underfilled window, the first an empty one
+        assert result.window_counts.sum(axis=1).max() < 1000
+        assert lines == ["step 0: window holds 0 < 1000 rates, using the uniform cold-start "
+                         "reference"]
+
+    @pytest.mark.parametrize("scheme, min_window_count", [(Curve(), 0), (Reinforce(), 64)],
+                             ids=["no_minimum", "reinforce"])
+    def test_no_cold_start_is_logged(self, caplog, scheme, min_window_count):
+        _, lines = self.cold_start_lines(caplog, scheme, min_window_count)
+        assert lines == []
 
 
 class TestSharedPopulation:
@@ -652,7 +719,7 @@ class TestTrainingMovesPassRates:
             result = run_training(pop, cfg)
             final = float(np.dot(pop.base_weights,
                                  population_pass_rates(result.theta, pop.correct)))
-            initial = result.step_logs[0].mean_exact_pass_rate
+            initial = result.mean_exact_pass_rate[0]
             assert final > initial + 0.05
 
 
@@ -741,11 +808,11 @@ class TestExactRateCache:
         cfg = TrainConfig(steps=5, scheme=Reinforce(), batch_size=16, seed=8)
         state = TrainerState(pop, cfg)
         assert seen == {"softmax": [200], "rates": [200]}
-        for _ in range(cfg.steps):
+        for t in range(cfg.steps):
             seen["softmax"].clear()
             seen["rates"].clear()
-            entry, _ = train_step(state)
-            distinct = np.unique(entry.prompt_ids).size
+            train_step(state)
+            distinct = np.unique(state.record.prompt_ids[t]).size
             assert seen == {"softmax": [distinct], "rates": [distinct]}
 
     @given(
@@ -868,26 +935,22 @@ class TestArtifactMemory:
         # rows, whose text (3.8 MB) joined at once would peak near 18 MB
         import tracemalloc
 
-        from curverl.refdist import uniform_reference
-        from curverl.trainer import TrainResult, write_training_artifacts
+        from curverl.trainer import write_training_artifacts
 
         batch, steps, n = 256, 300, 8
         rng = np.random.default_rng(3)
-        ref = uniform_reference(n)
-        logs = []
-        for step in range(steps):
-            p_hat = rng.integers(0, n + 1, size=batch) / n
-            weights = np.where((p_hat > 0) & (p_hat < 1), 1.0 / np.maximum(p_hat, 1 / n), 0.0)
-            logs.append(StepLog(
-                step=step, prompt_ids=rng.integers(0, 500, size=batch), p_hat=p_hat,
-                weights=weights, prompt_grad_norms=rng.random(batch) * (weights > 0),
-                mean_exact_pass_rate=0.5, active_fraction=0.75, z_theta=1.5,
-                window_size=1000, grad_norm=0.25,
-            ))
+        p_hat = rng.integers(0, n + 1, size=(steps, batch)) / n
+        weights = np.where((p_hat > 0) & (p_hat < 1), 1.0 / np.maximum(p_hat, 1 / n), 0.0)
         cfg = TrainConfig(steps=steps, scheme=Curve(), batch_size=batch, n_rollouts=n,
                           log_per_prompt=True)
-        result = TrainResult(config=cfg, theta=np.zeros((1, 2)), step_logs=logs,
-                             references=[ref] * steps)
+        result = TrainResult(
+            config=cfg, theta=np.zeros((1, 2)),
+            prompt_ids=rng.integers(0, 500, size=(steps, batch)), p_hat=p_hat, weights=weights,
+            prompt_grad_norms=rng.random((steps, batch)) * (weights > 0),
+            mean_exact_pass_rate=np.full(steps, 0.5), active_fraction=np.full(steps, 0.75),
+            z_theta=np.full(steps, 1.5), grad_norm=np.full(steps, 0.25),
+            window_counts=np.zeros((steps, n - 1), np.int64),
+        )
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -924,16 +987,13 @@ class TestStepMemory:
 
 class TestRunMemory:
     def test_per_row_logs_are_rows_of_one_block_per_field(self):
-        # the step's own arrays, copied into (steps, B) blocks made before
-        # the first step, so a run keeps no per-step heap allocation
+        # a run is its steps, each writing its row of the record made with
+        # the state
         pop = beta_population(40, seed=6)
         cfg = TrainConfig(steps=5, scheme=Curve(), batch_size=16, t0=2, seed=3,
                           min_window_count=8)
         result = run_training(pop, cfg)
         state = TrainerState(pop, cfg)
-        assert_step_logs_equal(result.step_logs,
-                               [train_step(state)[0] for _ in range(cfg.steps)])
-        for name in ("prompt_ids", "p_hat", "weights", "prompt_grad_norms"):
-            rows = [getattr(entry, name) for entry in result.step_logs]
-            assert rows[0].base is not None
-            assert all(row.base is rows[0].base for row in rows)
+        for _ in range(cfg.steps):
+            train_step(state)
+        assert_results_equal(result, state.record)
