@@ -58,16 +58,6 @@ def _train_once(cfg: ExperimentConfig, population, out: Path):
     return result
 
 
-def _eval_policies(cfg: ExperimentConfig, thetas, masks):
-    """[(pass@k by k, empirical pass rates)] for each policy, in one pass."""
-    return evaluate_policy(
-        thetas, masks,
-        r=cfg.eval.rollouts,
-        k_list=cfg.eval.k_list,
-        seed=cfg.eval.seed,
-    )
-
-
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     out = _resolve_out_dir(args, cfg)
@@ -152,17 +142,14 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare needs at least 2 schemes")
     out.mkdir(parents=True, exist_ok=True)
     population = cfg.population.build()
-    # train every scheme first, keeping only its policy, then evaluate all
-    # policies in one pass that shares each prompt's pool uniforms
-    thetas = {}
+    passk_by_label, buckets_by_label = {}, {}
     for idx, scheme in enumerate(schemes):
         label = f"{idx:02d}_{weighting.scheme_name(scheme)}"
         run_cfg = replace(cfg, train=replace(cfg.train, scheme=scheme))
-        thetas[label] = _train_once(run_cfg, population, out / label).theta
-    evaluated = dict(zip(thetas, _eval_policies(cfg, list(thetas.values()), population.correct)))
-    passk_by_label = {label: passk for label, (passk, _) in evaluated.items()}
-    buckets_by_label = {label: difficulty_histogram(rates)
-                        for label, (_, rates) in evaluated.items()}
+        theta = _train_once(run_cfg, population, out / label).theta
+        passk, rates = evaluate_policy(theta, population.correct, cfg.eval.k_list)
+        passk_by_label[label] = passk
+        buckets_by_label[label] = difficulty_histogram(rates)
     write_passk_csv(out / "compare.csv", passk_by_label)
     write_bucket_csv(out / "compare_buckets.csv", buckets_by_label)
     print(f"wrote {out / 'compare.csv'}")
@@ -174,10 +161,10 @@ def cmd_passk(args) -> int:
     out = _resolve_out_dir(args, cfg)
     out.mkdir(parents=True, exist_ok=True)
     population = cfg.population.build()
-    [(passk, emp_rates)] = _eval_policies(cfg, [population.logits], population.correct)
+    passk, rates = evaluate_policy(population.logits, population.correct, cfg.eval.k_list)
     name = weighting.scheme_name(cfg.train.scheme)
     write_passk_csv(out / "passk.csv", {name: passk})
-    write_bucket_csv(out / "passk_buckets.csv", {name: difficulty_histogram(emp_rates)})
+    write_bucket_csv(out / "passk_buckets.csv", {name: difficulty_histogram(rates)})
     print(f"wrote {out / 'passk.csv'}")
     return 0
 

@@ -14,10 +14,11 @@ fields (a distribution-aware scheme's ``reference`` defaults to "window").
 The constructors check the values. :func:`_dump` writes the fields back in
 their declared order, leaving out the ones that are None.
 
-Two keys that v1 configs and manifests may carry are read by no field any
+Four keys that v1 configs and manifests may carry are read by no field any
 more and are ignored on load: ``train.backend`` (there is one kernel
-backend) and ``eval.resamples`` (pass@k is computed in closed form, with no
-bootstrap resamples). A manifest written now carries neither.
+backend), and ``eval.resamples``, ``eval.rollouts`` and ``eval.seed`` (pass@k
+is computed exactly from the closed-form pass rates, with no sampled pool and
+no bootstrap). A manifest written now carries none of them.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ _TYPE_TEXT = {int: "an integer", float: "a finite number", bool: "true or false"
               str: "a string"}
 _FLOAT_MAX = int(sys.float_info.max)
 # dotted paths of the keys that v1 documents may carry and no field reads
-_RETIRED_KEYS = frozenset({"train.backend", "eval.resamples"})
+_RETIRED_KEYS = frozenset({"train.backend", "eval.resamples", "eval.rollouts", "eval.seed"})
 
 
 def _check_value(where: str, value, kind: type) -> None:
@@ -165,21 +166,16 @@ class PopulationSpec:
 
 @dataclass(frozen=True)
 class EvalSpec:
-    """Evaluation of a policy: a pool of ``rollouts`` responses per prompt,
-    drawn from generators seeded by ``seed``, and the k of pass@k, which each
-    pool gives in closed form."""
+    """Evaluation of a policy: the k of its exact pass@k."""
 
-    rollouts: int = 256
     k_list: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.rollouts < 1:
-            raise ValueError(f"rollouts must be >= 1, got {self.rollouts}")
         if not self.k_list:
             raise ValueError("k_list must not be empty")
-        if any(k < 1 or k > self.rollouts for k in self.k_list):
-            raise ValueError(f"k_list entries must lie in [1, {self.rollouts}]")
+        # pass@k raises a float to the power k, so k must be a finite float
+        if any(k < 1 or k > _FLOAT_MAX for k in self.k_list):
+            raise ValueError("k_list entries must be >= 1 and within float range")
 
 
 @dataclass(frozen=True)

@@ -170,12 +170,10 @@ class TrainerState:
         """A copy of the cached exact pass rates of the current ``theta``."""
         return self._exact.copy()
 
-    def mean_exact_pass_rate(self, rates: np.ndarray | None = None) -> float:
-        """d0-weighted mean of ``rates``, by default :meth:`exact_pass_rates`."""
-        if rates is None:
-            rates = self._exact
+    def mean_exact_pass_rate(self) -> float:
+        """d0-weighted mean of :meth:`exact_pass_rates`."""
         # the dot product can round past 1 when every prompt is solved
-        mean = float(np.dot(self.population.base_weights, rates))
+        mean = float(np.dot(self.population.base_weights, self._exact))
         return min(max(mean, 0.0), 1.0)
 
 
@@ -235,9 +233,11 @@ def _sum_by_prompt(batch: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, np
 def train_step(state: TrainerState) -> None:
     """One update, logged in row ``state.step`` of ``state.record``."""
     cfg = state.config
+    if state.step >= cfg.steps:
+        raise ValueError(f"step {state.step}: the run has only steps={cfg.steps}")
     step_scheme = _scheme_for_step(state)
     exact = state._exact
-    mean_exact = state.mean_exact_pass_rate(exact)
+    mean_exact = state.mean_exact_pass_rate()
 
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(state.step,))

@@ -34,7 +34,7 @@ def config_doc(steps=2, scheme=None, out_dir=None, **train_overrides):
                            "unsolvable_fraction": 0.0},
         },
         "train": train,
-        "eval": {"rollouts": 32, "k_list": [1, 2, 4], "seed": 1},
+        "eval": {"k_list": [1, 2, 4]},
     }
     if out_dir is not None:
         doc["out_dir"] = str(out_dir)
@@ -145,7 +145,6 @@ class TestTrain:
         ("eval", "k_list", [1, 2.5]),
         ("train", "seed", -1),
         ("population", "seed", -1),
-        ("eval", "seed", -1),
     ])
     def test_mistyped_field_names_field(self, tmp_path, capsys, section, field, value):
         doc = config_doc()
@@ -222,7 +221,8 @@ class TestTrain:
                 {}, optional={k: nested.get(k, any_json) | any_json for k in keys}
             )
 
-        # train.backend and eval.resamples are retired keys: any value is dropped
+        # train.backend, eval.resamples, eval.rollouts and eval.seed are retired
+        # keys: any value is dropped
         doc = section(
             ["version", "population", "train", "eval", "out_dir"],
             population=section(["size", "m", "seed", "difficulty"], difficulty=section(
@@ -263,16 +263,18 @@ class TestTrain:
         assert replayed[0] == replayed[1]
 
     def test_v1_config_resamples_key_is_ignored(self, tmp_path):
+        # and each of the other retired eval keys
         doc = config_doc(steps=1)
-        legacy = json.loads(json.dumps(doc))
-        legacy["eval"]["resamples"] = 200
         path = write_config(tmp_path, doc)
-        legacy_path = write_config(tmp_path, legacy, name="legacy.json")
-        assert load_experiment_config(legacy_path) == load_experiment_config(path)
-        out = tmp_path / "run"
-        assert main(["train", "--config", str(legacy_path), "--out", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["eval"] == doc["eval"]
+        for key in ("resamples", "rollouts", "seed"):
+            legacy = json.loads(json.dumps(doc))
+            legacy["eval"][key] = 200
+            legacy_path = write_config(tmp_path, legacy, name=f"{key}.json")
+            assert load_experiment_config(legacy_path) == load_experiment_config(path)
+            out = tmp_path / key
+            assert main(["train", "--config", str(legacy_path), "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["eval"] == doc["eval"]
 
     def test_seed_override_changes_run(self, tmp_path):
         path = write_config(tmp_path, config_doc(steps=2))
@@ -595,13 +597,16 @@ class TestPatchedGlobals:
         assert {name for name, _, _ in calls} == {
             "run_training", "load_experiment_config", "write_training_artifacts",
             "evaluate_policy"}
-        # every scheme trains first, then one call evaluates all their policies
+        # each scheme's trained policy is evaluated once, after it trains
         trained = [result.theta for name, _, result in calls if name == "run_training"]
-        evaluations = [args for name, args, _ in calls if name == "evaluate_policy"]
-        assert len(trained) == 3 and len(evaluations) == 1
-        assert calls[-1][0] == "evaluate_policy"
-        assert len(evaluations[0][0]) == 3
-        assert all(a is b for a, b in zip(evaluations[0][0], trained))
+        evaluated = [args[0] for name, args, _ in calls if name == "evaluate_policy"]
+        assert len(trained) == 3 and len(evaluated) == 3
+        assert all(a is b for a, b in zip(evaluated, trained))
+        order = [name for name, _, _ in calls if name in ("run_training", "evaluate_policy")]
+        assert order == ["run_training", "evaluate_policy"] * 3
+        calls.clear()
+        assert main(["passk", "--config", str(path), "--out", str(tmp_path / "p")]) == 0
+        assert [name for name, _, _ in calls] == ["load_experiment_config", "evaluate_policy"]
 
 
 class TestPassK:
@@ -621,7 +626,6 @@ class TestPassK:
     @pytest.mark.parametrize("section, field, names", [
         ("population", "size", ("size", "m")),
         ("population", "m", ("size", "m")),
-        ("eval", "rollouts", ("rollouts",)),
     ])
     def test_unallocatable_population_or_pool_names_its_sizes(self, tmp_path, capsys,
                                                               section, field, names):
@@ -633,6 +637,14 @@ class TestPassK:
         assert "too large to allocate" in err
         assert all(f"{name}=" in err for name in names)
         assert f"{field}=1000000000000000" in err
+
+    def test_k_beyond_float_range_names_k_list(self, tmp_path, capsys):
+        doc = config_doc(steps=1)
+        doc["eval"]["k_list"] = [1, 10**400]
+        path = write_config(tmp_path, doc)
+        assert main(["passk", "--config", str(path), "--out", str(tmp_path / "pk")]) == 2
+        assert "k_list" in capsys.readouterr().err
+        assert not (tmp_path / "pk").exists()
 
     def test_report_is_deterministic(self, tmp_path):
         path = write_config(tmp_path, config_doc(steps=1))

@@ -193,8 +193,8 @@ def test_golden_trajectory(tmp_path, case):
 
 
 # pass@k evaluation: a fixed profile whose first target sits near 1 gives
-# all-right pools, the unsolvable fraction gives all-wrong ones, and k_list
-# spans 1 to the pool size
+# rates near 1, the unsolvable fraction gives rates of 0, and k_list spans
+# 1 to 16
 EVAL_CONFIG = {
     "version": 1,
     "population": {
@@ -206,7 +206,7 @@ EVAL_CONFIG = {
     },
     "train": {"steps": 4, "scheme": {"name": "curve"}, "batch_size": 16, "n_rollouts": 8,
               "t0": 2, "learning_rate": 4.0, "seed": 3, "min_window_count": 0},
-    "eval": {"rollouts": 16, "k_list": [1, 2, 5, 16], "seed": 9},
+    "eval": {"k_list": [1, 2, 5, 16]},
 }
 
 # manifest layout: the JSON each config is written back as, out_dir unset.
@@ -223,21 +223,21 @@ LAYOUT_CASES = {
 }
 
 LAYOUT_DIGESTS = {
-    "blocks_curve_window": "945fd04b75042df7c92c498120cc0fd73412ab69bcbd4104f88e0d495b0ae1ea",
-    "curve_exact_pass_rate": "6dbc786f30686c30fef4413bac554ea8a78518d9ab3b8348029c394ff2fdca94",
-    "curve_window_cold_start": "99142c4d06c9d3d75f14862f5c3f285883e753a93ecf69cdfedeb6ecb342638d",
-    "entropic_risk": "ad55a5b8db2cb1eb9ea0dee88749cf29352b82e8f0207bbd9ab4a7e9c30791b0",
-    "entropic_risk_exact_pass_rate": "56a97f8cb7915a6ebd0616cc8d2011ed8702c09a77e5becbc780a71f699e3409",
-    "eval": "1b7c1fb20e768693db5886e799713f2ed6c8d8080dc8e0f8efa2d0d31825acfd",
-    "grpo_per_prompt": "d3a4d1fbe832c017ad59d422d9c2a1e4215c49e8c67889ce18d411b71e1b98f2",
-    "int_float": "ad55a5b8db2cb1eb9ea0dee88749cf29352b82e8f0207bbd9ab4a7e9c30791b0",
-    "integrated_convex": "a5220fd3ef920b28ef3a887119f4d127a098369e34b4e4d4a3a24489282f6283",
-    "integrated_convex_per_prompt": "15d034d7566eb4c21f734aa056564629823cf741873138b167b6e1788a07852f",
-    "integrated_product": "35f33f31c509255de6bd3f07c5dd9c4cb91192fa462990049673b6095fc99cdd",
-    "integrated_product_exact_pass_rate": "34f6e30b37d8a8c227b1cc41e7216c9ed51828072e134b3711adb04f050baaa2",
-    "maxrl_per_prompt": "b4625c8bcf1b890aeb2facd65e66e6f06c103ff2bcfb883823908b337219712f",
-    "wide_curve_window": "3929a2066cffed76ae2ebfcfdc495c96a5967aebdafa29888339c90ea342b2ca",
-    "wide_reinforce": "496db6967676272059a44dd38efd09af699bb01aaf29d70f5ef41d3b322cbe16",
+    "blocks_curve_window": "9d53aad6ee29fe258114293db3fe23b3118113a3b9dd2ec3b57b94bebf6af39d",
+    "curve_exact_pass_rate": "2a4ba9c8e9fef5f92b1154d17a5a9bc72ac98b67eddcd89ed5cccc3ee1468e3c",
+    "curve_window_cold_start": "8bfaf7bf8ca335afa81d1797ae43f64b00c7932c9545524cd0017f4860c71c84",
+    "entropic_risk": "91726972d24dedb6a2c60d00703c0eec35eaa7ccc64c9b4ecce85e573f46f213",
+    "entropic_risk_exact_pass_rate": "47afa9dcfd3f7ad810bf11f75ec430d95f0ff9fef92cd51a5d6506c70d931a66",
+    "eval": "f5e39fae226c4dc5627034d71527235b7c633662d43009f6334a00a32e8cb52b",
+    "grpo_per_prompt": "839459255476d7ff70f22554dbd72a94ccc7314d01de2938f9550cbf6870d1b1",
+    "int_float": "91726972d24dedb6a2c60d00703c0eec35eaa7ccc64c9b4ecce85e573f46f213",
+    "integrated_convex": "f4e76b8076c59257dfccc36be249a187c32bcdaa8c5777deb5769ec23a6fde1d",
+    "integrated_convex_per_prompt": "7857efb480f00f1fdad8c135a44acc7dba896105d710dbc9dcf37de9063cc60a",
+    "integrated_product": "d70f7eeb6d9232b818ee0f855dbdd7daa551e42c707c8a0a760677b875b9428d",
+    "integrated_product_exact_pass_rate": "b5aeb68d2aadb969b97269e32f032d07adc1c75d9ecf94287887e13b644b013e",
+    "maxrl_per_prompt": "5a1db01d2761dae66948f72500c97eb30b8895ed45ea1229e33b3ff8e32d11bc",
+    "wide_curve_window": "322b57a1fc13112e1590f249e3d18bec5c685e787bfd944738d4d2049c1bbc99",
+    "wide_reinforce": "0817e942949012c58656f4b23df469bfb13fd448f0617605b00f47b8b9fe32c6",
 }
 
 
@@ -251,7 +251,8 @@ def test_manifest_layout(case):
 
 # a manifest as written before fields were dumped in their declared order:
 # the fixed profile has no alpha and beta, reference precedes lam, the
-# learning rate is an integer, and eval carries the retired resamples key
+# learning rate is an integer, and eval carries the retired resamples,
+# rollouts and seed keys
 OLD_LAYOUT_MANIFEST = {
     "version": 1,
     "population": {"size": 24, "m": 8, "seed": 5, "difficulty": {
@@ -273,61 +274,51 @@ def test_old_manifest_layout_loads_to_an_equal_config():
     assert ExperimentConfig.from_dict(json.loads(old.to_json())) == old
 
 
-def eval_config(**eval_overrides):
-    """EVAL_CONFIG with some of its eval fields replaced."""
-    return {**EVAL_CONFIG, "eval": {**EVAL_CONFIG["eval"], **eval_overrides}}
+def eval_config(k_list):
+    """EVAL_CONFIG with another k_list."""
+    return {**EVAL_CONFIG, "eval": {"k_list": k_list}}
 
 
 POWERS_OF_TWO_K = [1, 2, 4, 8, 16, 32, 64, 128]
 
-# case -> (command, config)
+# case -> (command, config). A case pins only the files no other case
+# writes the same: the buckets depend on the policies, not on k_list
 EVAL_CASES = {
     "passk": (["passk"], EVAL_CONFIG),
     "compare": (["compare", "--schemes", "grpo", "curve"], EVAL_CONFIG),
-    # three policies share each prompt's pool uniforms; their buckets differ,
-    # so some pools are all right or all wrong for one policy and not another
+    # three trained policies, whose buckets differ
     "compare_three": (["compare", "--schemes", "reinforce", "integrated_product",
                        "entropic_risk:eta=2"], EVAL_CONFIG),
-    # the benchmark's evaluation shape on a few prompts: a pool of 256 and
-    # k up to 128
-    "passk_r256": (["passk"], eval_config(rollouts=256, k_list=POWERS_OF_TWO_K)),
+    # the benchmark's k_list, 1 to 128 (the name keeps the pool size of 256
+    # these cases were written for)
+    "passk_r256": (["passk"], eval_config(k_list=POWERS_OF_TWO_K)),
     "compare_r256": (["compare", "--schemes", "reinforce", "integrated_product",
-                      "entropic_risk:eta=2"],
-                     eval_config(rollouts=256, k_list=POWERS_OF_TWO_K)),
-    # a pool size that is no power of two
-    "passk_r200": (["passk"], eval_config(rollouts=200, k_list=POWERS_OF_TWO_K)),
+                      "entropic_risk:eta=2"], eval_config(k_list=POWERS_OF_TWO_K)),
     # a k that is no power of two
-    "passk_odd_draw": (["passk"], eval_config(rollouts=256, k_list=[1, 2, 8, 13, 16, 128])),
+    "passk_odd_draw": (["passk"], eval_config(k_list=[1, 2, 8, 13, 16, 128])),
 }
 
 EVAL_DIGESTS = {
     "passk": {
-        "passk.csv": "73efb6512b3b2d0019caed060226ebcc196f8fef6947a59a292613afdf2d2b03",
-        "passk_buckets.csv": "800ac5f4e5d08d6507ec844107bebd7055f153dd2ad5feb52846678f697451f2",
+        "passk.csv": "aec3581d7f6afee1dbacf9350b34e30cef7efbec693edad34fae7b5ed4ea1316",
+        "passk_buckets.csv": "e0c957dcb97d86bc42424f84fda13a35c50bffe3ac7934b580f546857ddac214",
     },
     "compare": {
-        "compare.csv": "3eae494da55c39a21a1d25a2142c403ae54b711cef50da64d665a8efe953418a",
-        "compare_buckets.csv": "1a5c7865e1741f59fa98ee6d864a34920308580ba1526970a54eb0cde7e4a233",
+        "compare.csv": "d5619499113d95ab7558beaada6624ec19728e910eaa49d9500ef6cd7a97cac3",
+        "compare_buckets.csv": "c6ed1695702d1c8595d67f5845fd9448fd1610c239f3669347f779d12fb84cec",
     },
     "compare_three": {
-        "compare.csv": "22d13cbe6ba0db443d81e731a39134b1396371dcf04ffbbf8b6a5d5541f17dbf",
-        "compare_buckets.csv": "3b1c6f9e7c2cf83ba135bab2630e2911446a63e8195c6312afbc144c3c4376d6",
+        "compare.csv": "18447fbe5c0cdf7897b9336df9410cbe6183175a92b3c0a121d3f09c7cc44129",
+        "compare_buckets.csv": "f04a8bb98e5b446ad7fb083ba5838d050fef3030fe5b5bdbea481adb651519ac",
     },
     "passk_r256": {
-        "passk.csv": "c2956430f7782fa5d83c8b18a1560aab4a2b1e2ee34035ad58e1bf5ce7b1ed5f",
-        "passk_buckets.csv": "f314bfefa0923ccad01bab9d839acfcb6ff0b9b6070bb74ced15879ecf579b46",
+        "passk.csv": "0a25f28ab0892af11a156b58b88802163b85d633ccaa1833d2fef40464d9761a",
     },
     "compare_r256": {
-        "compare.csv": "dd8e08380154624792b528585b32f6c9b63d48467be899e703b0518959c73eb6",
-        "compare_buckets.csv": "a5fab9f0599d60cb9e86533b2ca5584c5f47563f05b66c8e7b4ef74108d02c3c",
-    },
-    "passk_r200": {
-        "passk.csv": "41fb65a20562a4fa0fd176da807774306eb23d8048f3cd80b1c9139c306ddfdd",
-        "passk_buckets.csv": "f314bfefa0923ccad01bab9d839acfcb6ff0b9b6070bb74ced15879ecf579b46",
+        "compare.csv": "d9fecbb92482726699c6a693ef65b5f4ead8ca90f4e989c818207db76e896c8f",
     },
     "passk_odd_draw": {
-        "passk.csv": "3261342a1640dbb22e5a3fd790cfd067498c6f4785b141f6bfa35ea6ec49073f",
-        "passk_buckets.csv": "f314bfefa0923ccad01bab9d839acfcb6ff0b9b6070bb74ced15879ecf579b46",
+        "passk.csv": "8fdb5cc403b36274551d99adae9ea3363342d8a345626b0a9dd0666a0f87adb9",
     },
 }
 

@@ -254,6 +254,19 @@ class TestTrainStep:
         np.testing.assert_array_equal(state.theta, theta)
         np.testing.assert_array_equal(state.probs.view(np.uint64), probs.view(np.uint64))
 
+    def test_step_past_the_run_is_rejected_before_it_moves(self):
+        pop = beta_population(20, seed=4)
+        cfg = TrainConfig(steps=2, scheme=Curve(), batch_size=32, seed=1, min_window_count=0)
+        state = TrainerState(pop, cfg)
+        train_step(state)
+        train_step(state)
+        before = [a.copy() for a in (state.theta, state.probs, state.window)]
+        with pytest.raises(ValueError, match=r"step 2: .*steps=2"):
+            train_step(state)
+        for now, then in zip((state.theta, state.probs, state.window), before):
+            assert now.tobytes() == then.tobytes()
+        assert state.step == 2
+
     def test_cold_start_curve_step_equals_maxrl_step(self):
         pop = beta_population(30, seed=1)
         thetas = {}
