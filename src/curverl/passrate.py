@@ -7,9 +7,9 @@ pass rates and their gradients are closed-form over whole populations and
 every estimator in the trainer can be checked against an exact oracle.
 Responses are sampled in one place, :func:`curverl.kernels.sample_responses`.
 
-A population is a pure function of its :class:`curverl.config.PopulationSpec`,
-so a run records it by :func:`population_digest`, a hash of its arrays, not
-by a copy of them.
+A population is a pure function of its :class:`curverl.config.PopulationSpec`
+(drawn in whole-array calls, with a stream that no block size changes), so a
+run records it by :func:`population_digest`, a hash of its arrays.
 """
 
 from __future__ import annotations
@@ -194,8 +194,8 @@ def make_population(
     S_c and S_i a row's softmax mass on its correct and its incorrect entries
     before the shift, p(delta) = S_c e^delta / (S_c e^delta + S_i), so the
     offset that hits target t is ``log t - log1p(-t) + log S_i - log S_c``.
-    The random draws are made prompt by prompt; then the offsets are computed,
-    applied and checked (to within 1e-9) a block of rows at a time.
+    Every draw is a whole-array call except the correct sets' keys, drawn a
+    block of rows at a time with the offsets, which are checked to within 1e-9.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -222,13 +222,10 @@ def make_population(
     if n_unsolvable:
         unsolvable[rng.choice(size, size=n_unsolvable, replace=False)] = True
 
-    max_correct = max(1, m // 4)
-    for i in range(size):
-        rng.standard_normal(out=logits[i])
-        if not unsolvable[i]:
-            n_correct = int(rng.integers(1, max_correct + 1))
-            correct[i, rng.choice(m, size=n_correct, replace=False)] = True
-    # a block of rows at a time, so that no (size, m) temporary is made
+    rng.standard_normal(out=logits)
+    n_correct = np.where(unsolvable, 0, rng.integers(1, max(1, m // 4) + 1, size=size))
+    # a block of rows at a time, so that no (size, m) temporary is made; each
+    # key takes one word of the stream, so the keys do not depend on the block
     block = max(1, _SHIFT_BLOCK_VALUES // m)
     achieved = np.empty(size)
     for lo in range(0, size, block):
@@ -236,6 +233,9 @@ def make_population(
         # e is held from one block to the next, so that the allocator keeps
         # its pages instead of faulting in fresh ones for every block
         e = np.exp(z - z.max(axis=1, keepdims=True))
+        # a row's correct set is the n_correct positions of its smallest keys
+        np.put_along_axis(mask, rng.random(z.shape).argsort(axis=1),
+                          np.arange(m) < n_correct[lo:lo + block, None], axis=1)
         # unsolvable rows (S_c = 0) keep offset 0
         delta = _logit_offsets(e, mask, targets[lo:lo + block], ~unsolvable[lo:lo + block])
         z += delta[:, None] * mask

@@ -97,74 +97,74 @@ CASES = {
 
 DIGESTS = {
     "curve_exact_pass_rate": {
-        "train_log.csv": "0926c525dc474712816a53cdc3f19ffef10e67bd72eb2651ccc8309e27b79530",
-        "refdist.csv": "f3fc2acdbb1acea9dbff5baf370def5f1ee787ff6b2662a137505e8ddd830fce",
-        "per_prompt.csv": "725ea4b830fd9e6e484c40b7f6c6255b0201d9a851c573041fcaa55cc41a70dd",
-        "population.json": "2a73109efd9567e1c2cb8071874570c6541e6580f913e9653bc60e7001386a2a",
+        "train_log.csv": "2c56303bada03cc7345cc31c723cbe52320ce7cc916ebd4101b434d5424d6902",
+        "refdist.csv": "4f59db38b8b396f0ad756f71f0ad12ca2003b98ebc7abeeb7fdf36881217cb64",
+        "per_prompt.csv": "615b8fbbaaf7fedcc97241887690e41fbcdec7be33456bb0b5d9edfb8e65d430",
+        "population.json": "f0d6b33675a869c48dc0471662996d607e3a6cbc03387663997ebf7870c977ef",
     },
     "curve_window_cold_start": {
-        "train_log.csv": "4d1e6e5a8cbb04a5643de8855fff058f24291bda640daefd41c977f6558bef82",
-        "refdist.csv": "761577fb3bc7b3797695f13b90115975b807c81b0049dcacb6df7c95af69f49b",
-        "per_prompt.csv": "62b1f3a54eba7e8c9a2fda69f21ed184c3feab7f6472f65a94c5033ce0649969",
-        "population.json": "2a73109efd9567e1c2cb8071874570c6541e6580f913e9653bc60e7001386a2a",
+        "train_log.csv": "6b57322d090e5aad517b5c06a9fd7054dcc81d1a094d25b7bc2c976cc394f833",
+        "refdist.csv": "c37d304d6aa3ee497403379f2f176327c4cf091eb5b06a0b8af8e3c77e508b32",
+        "per_prompt.csv": "4143106273ca500b3aa08128c27baa7da236a2435eba83bda59003624e02af51",
+        "population.json": "f0d6b33675a869c48dc0471662996d607e3a6cbc03387663997ebf7870c977ef",
     },
     "entropic_risk": {
-        "train_log.csv": "a26b3946c9aaed12bee79075264a1c607cf7e49bc65a27508c978d2cfc78f0ef",
-        "refdist.csv": "bcbf228cc4961cf427b126a1ee01c89803c8b4a2342419281db5066af40a7a03",
-        "population.json": "2a73109efd9567e1c2cb8071874570c6541e6580f913e9653bc60e7001386a2a",
+        "train_log.csv": "11befb65de252f89d19e54c15ce9141ca5883846840e7059a4cc02ee34f9fca3",
+        "refdist.csv": "45727f3f653cbf7ded4ef1134545a86e862f87361280b4b1ec3f3940b011254b",
+        "population.json": "f0d6b33675a869c48dc0471662996d607e3a6cbc03387663997ebf7870c977ef",
     },
     "entropic_risk_exact_pass_rate": {
-        "train_log.csv": "9fe70c65a2bdf829096b6f183925879bdac40d5587e1b5c7a47d14426ac4e21c",
-        "refdist.csv": "11e83fc53a2330f8cea48f364026a00bfe17b9cefb6090d230cdad108470ce1c",
-        "per_prompt.csv": "580bc72a0a756554a05ee6e60e81def53e57cf57e05a4811ade2c18dfd777c5e",
-        "population.json": "2a73109efd9567e1c2cb8071874570c6541e6580f913e9653bc60e7001386a2a",
+        "train_log.csv": "6cafb89edade25826938fa42dbb9e6c829d110c31df8c350c9446ceed4d27545",
+        "refdist.csv": "45727f3f653cbf7ded4ef1134545a86e862f87361280b4b1ec3f3940b011254b",
+        "per_prompt.csv": "a8679363bd79a05d7918792f97a5bbe7d8652e86e50fc654f2b7ac7e57145aa7",
+        "population.json": "f0d6b33675a869c48dc0471662996d607e3a6cbc03387663997ebf7870c977ef",
     },
     "grpo_per_prompt": {
-        "train_log.csv": "4d385f33663044db967e7050cb2634f94f378abcf355efbe5eec33ab0c42dccb",
-        "refdist.csv": "d536fd20b34972ee1cfe62175f21393cc58d3eb45ea00d6c0dac2791aa93b3ac",
-        "per_prompt.csv": "fa3ef5bed0a90af1681b8eef05f4898d4b95140d66f0825d98fac22420c8c807",
-        "population.json": "2a73109efd9567e1c2cb8071874570c6541e6580f913e9653bc60e7001386a2a",
+        "train_log.csv": "1aff32e37859e0f666e34d6dd14cb2cfb3431a40065238b883dc77910c81296d",
+        "refdist.csv": "abbdbaa5b6c58b3294e824e00cab7bc02574506ad522be8ecf18a2cac452c6a1",
+        "per_prompt.csv": "b54ba32a261e817b654b57eb13f96b16b8d013cf21400578dccc2a9aa5a41d86",
+        "population.json": "f0d6b33675a869c48dc0471662996d607e3a6cbc03387663997ebf7870c977ef",
     },
     "integrated_convex_per_prompt": {
-        "train_log.csv": "91371afb64b96e00ff9060fada0b7d9a926513bc5251be897033c1d3f779c50b",
-        "refdist.csv": "761577fb3bc7b3797695f13b90115975b807c81b0049dcacb6df7c95af69f49b",
-        "per_prompt.csv": "8137ea98710f1da0cbbff6b0f308d8610c9811f589a7121901380f765e5ae7b1",
-        "population.json": "2a73109efd9567e1c2cb8071874570c6541e6580f913e9653bc60e7001386a2a",
+        "train_log.csv": "7c418e388e6c31f7fc83de6d5cf44ab0a5895a31c11ef28dd2d5b7d83b00f11a",
+        "refdist.csv": "c37d304d6aa3ee497403379f2f176327c4cf091eb5b06a0b8af8e3c77e508b32",
+        "per_prompt.csv": "9d8bdf6a1ef08aca48f50d5d40020378af49a2e6733acd6ae81391100be75470",
+        "population.json": "f0d6b33675a869c48dc0471662996d607e3a6cbc03387663997ebf7870c977ef",
     },
     "integrated_product": {
-        "train_log.csv": "74a1b5091ec26e8c8a648e51bed8c9bbe9936c22c4df075ea375e6d19e23aef2",
-        "refdist.csv": "4544be8c9f2095cdf61be4b033e716ffa462184a2c5d5963ea4be3c1c7eed128",
-        "population.json": "2a73109efd9567e1c2cb8071874570c6541e6580f913e9653bc60e7001386a2a",
+        "train_log.csv": "a509f2de05bbe648b8b235a1c24b7e75d9057be4e13d0c217040a74deadd0581",
+        "refdist.csv": "d109f20ef5cead7c4654654e53c32cc8375f1c4e572e136e378a2ac5ae4e980c",
+        "population.json": "f0d6b33675a869c48dc0471662996d607e3a6cbc03387663997ebf7870c977ef",
     },
     "integrated_product_exact_pass_rate": {
-        "train_log.csv": "6ba7871800381271277dd38780a979db4ea4cc7f0163edf89a34e1f0def982ec",
-        "refdist.csv": "8d46a7d84b799ee492b4ea6d0614bdf2585f68d9b3cbb3aedc17f7d8705c80a6",
-        "per_prompt.csv": "1826302b445ba29a001bc7960d5489cbfa787f037075df785e64426184c9a142",
-        "population.json": "2a73109efd9567e1c2cb8071874570c6541e6580f913e9653bc60e7001386a2a",
+        "train_log.csv": "85106ef45d3e78af34a020afda236bf08e0036ddcc6f4d84397c439c6c557fb1",
+        "refdist.csv": "b1b28cb6b4f58efbae1b2aa3b3ec34a1b2300826167cd1e0ae284127358b9744",
+        "per_prompt.csv": "7f82045c9e1ea1c853e6653a657eaf8c6989982cf117d025323e539379684088",
+        "population.json": "f0d6b33675a869c48dc0471662996d607e3a6cbc03387663997ebf7870c977ef",
     },
     "maxrl_per_prompt": {
-        "train_log.csv": "7f7e0101bdbc99ea8f9825727d52696c290e725bc84cd24759bb02d9485e4ea6",
-        "refdist.csv": "761577fb3bc7b3797695f13b90115975b807c81b0049dcacb6df7c95af69f49b",
-        "per_prompt.csv": "3d3f7c73c4c46fc7a933cad8f17b1ca4f3f8922ca3cd4b6dd25f0ca217ba45ec",
-        "population.json": "2a73109efd9567e1c2cb8071874570c6541e6580f913e9653bc60e7001386a2a",
+        "train_log.csv": "748f8efb0110d9a78aa64bb167b29baa12e9c15497f95ed052dcd0c9b623ea94",
+        "refdist.csv": "c37d304d6aa3ee497403379f2f176327c4cf091eb5b06a0b8af8e3c77e508b32",
+        "per_prompt.csv": "13e0597f68238ff739ae53c26bf0006ad6dfb3198f856bb9d6ec6c6f89831452",
+        "population.json": "f0d6b33675a869c48dc0471662996d607e3a6cbc03387663997ebf7870c977ef",
     },
     "blocks_curve_window": {
-        "train_log.csv": "02a0d1cf69fce12f3ccf28365da29ce7de4945c56ef8ced3779575dd93454232",
-        "refdist.csv": "b1729f1c64098507778823f4292d77f384b4215d0c9254a2c3c923446d4278fd",
-        "per_prompt.csv": "7e88a66ad7926d6004f315ff54b21cf74a2ed8e5783ce9c7e03ecdf5f9ed9c2e",
-        "population.json": "2a73109efd9567e1c2cb8071874570c6541e6580f913e9653bc60e7001386a2a",
+        "train_log.csv": "feb781330dfdab8ceefdf981c8fd82eb7022ca3669e70c9b93f1752f06a0e3ef",
+        "refdist.csv": "5fbcebf1f3d6ba8dc276044874df42e7b9a70227e0ce2141202b67ba838ff4c8",
+        "per_prompt.csv": "64bc9b6c7f0734ec71bb2e6d9dfa9e3128fefbcaf0b4a95b7cc9838b5bef794c",
+        "population.json": "f0d6b33675a869c48dc0471662996d607e3a6cbc03387663997ebf7870c977ef",
     },
     "wide_curve_window": {
-        "train_log.csv": "0aa417488a02bab11a5cb0086928e839395abaff535cb50ab5a143e0c59a4521",
-        "refdist.csv": "4c249ca4f5a3003ce9987cf81f2d8d852aa739419ad86fea470176ead85ca10e",
-        "per_prompt.csv": "3fff0003c594fb25aa25227ee403c299ef1e5d2a4efc8fa4220f5918e561f82b",
-        "population.json": "87caea52c7e1d9028f28cb7ed954d565c1ff449a3ffe488bc0327e3bd6728ce2",
+        "train_log.csv": "5c0451d47026a2ccda87c6b680b44980ca6697c0bb22e799bd467b4854bbc484",
+        "refdist.csv": "cc9d5e6379db9fae1cb20bfae39ee3cf59df24572a2108c694816c393a56bf08",
+        "per_prompt.csv": "e8b28194c3b306f0dd4ad6a4d827b05cfcd39f1ec4e6325561a3092e06122011",
+        "population.json": "042d203ed0f87d521d559df5fc0605ca43c579b9449a8f742758b66e93f16f75",
     },
     "wide_reinforce": {
-        "train_log.csv": "c88d8c7509ee462e392361c2b3f50de0ee22b7548ae04fbe783e6dbfd60c5cba",
-        "refdist.csv": "8537718a3164b9ca0d8392405726a2ab0f82824d594861f0a34c71c320ab061a",
-        "per_prompt.csv": "ac46235bea738bf1f5131d80fd90c097b66a77a10d526eae57506cce519ec6fe",
-        "population.json": "87caea52c7e1d9028f28cb7ed954d565c1ff449a3ffe488bc0327e3bd6728ce2",
+        "train_log.csv": "38e2bfb0d1eccd8d6fc4e3c24f0dcdc7b56f7d217afdf8e26c8f4461b6a9a0d9",
+        "refdist.csv": "79bbd9e7f76355617b790461c22e441e7fde18962543f7ee683807e414ddf067",
+        "per_prompt.csv": "f7cb2f64591adce165ea329c0c04c13af5f90d864f264f54bd66f4f4c45de056",
+        "population.json": "042d203ed0f87d521d559df5fc0605ca43c579b9449a8f742758b66e93f16f75",
     },
 }
 
@@ -300,25 +300,25 @@ EVAL_CASES = {
 
 EVAL_DIGESTS = {
     "passk": {
-        "passk.csv": "aec3581d7f6afee1dbacf9350b34e30cef7efbec693edad34fae7b5ed4ea1316",
+        "passk.csv": "9df29b7c993b86fa07d2f06e45f3f2a647994030f3dbf82e0de19158e2a047f5",
         "passk_buckets.csv": "e0c957dcb97d86bc42424f84fda13a35c50bffe3ac7934b580f546857ddac214",
     },
     "compare": {
-        "compare.csv": "d5619499113d95ab7558beaada6624ec19728e910eaa49d9500ef6cd7a97cac3",
+        "compare.csv": "29eba01618460f5dd8adfa469885da2cfa7a9fbf1bca2250710fc0b4bf588ee9",
         "compare_buckets.csv": "c6ed1695702d1c8595d67f5845fd9448fd1610c239f3669347f779d12fb84cec",
     },
     "compare_three": {
-        "compare.csv": "18447fbe5c0cdf7897b9336df9410cbe6183175a92b3c0a121d3f09c7cc44129",
+        "compare.csv": "1028a7aba91a16b04d55ca31b3657986658a9e5bc3eea682eebcef9cf041462a",
         "compare_buckets.csv": "f04a8bb98e5b446ad7fb083ba5838d050fef3030fe5b5bdbea481adb651519ac",
     },
     "passk_r256": {
-        "passk.csv": "0a25f28ab0892af11a156b58b88802163b85d633ccaa1833d2fef40464d9761a",
+        "passk.csv": "698f18fba5d73fe8dbebeae7d2b6daa8955ce74fd2023977fbe1cefc4755612c",
     },
     "compare_r256": {
-        "compare.csv": "d9fecbb92482726699c6a693ef65b5f4ead8ca90f4e989c818207db76e896c8f",
+        "compare.csv": "f25e6fdb5daecd0406f00db3a9ae7acc88b38c6022493e410b09ab2a5f596b95",
     },
     "passk_odd_draw": {
-        "passk.csv": "8fdb5cc403b36274551d99adae9ea3363342d8a345626b0a9dd0666a0f87adb9",
+        "passk.csv": "873bfbca28cfe9b4ad971f339132fdc52feca34682f6375cda562569aac005eb",
     },
 }
 
@@ -346,7 +346,7 @@ WEIGHTS_CASES = {
 
 WEIGHTS_DIGESTS = {
     "entropic_risk_n16": "52e37f1a460c38a2dc7bb76fce45d6d15a446ed89b8b9fd80a3e4a60499c99c2",
-    "integrated_convex_refdist": "053560be72cc0da3edaabd577bcaa1a7cbc369f717e103349840f208dd94b4fb",
+    "integrated_convex_refdist": "5171b1be912f1b15cee1932785cde59e9e9006d6d9c0f9a61a2a6d6151f899c4",
 }
 
 
@@ -376,8 +376,8 @@ POPULATION_CASES = {
 }
 
 POPULATION_DIGESTS = {
-    "beta_unsolvable": "2add33aebfb6f0b90c658e8634e8b206f367fa96502b6c42729d64e3b8b60c34",
-    "fixed_extremes": "47711f6b9fb16002745669b23f7e2332e21bbc075929809d886fd4fe7ddc598e",
+    "beta_unsolvable": "28e45bb4747100fbd16718f35e0ffd4da203919092dcdd6cd8a6ef2ce5fbc76a",
+    "fixed_extremes": "99d7b0381bfd1fccf31e8ee136ff8eb09191ea793421dbdd8be6b0248b2a3310",
 }
 
 

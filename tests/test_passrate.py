@@ -228,6 +228,39 @@ class TestPopulation:
             block = _SHIFT_BLOCK_VALUES // m
             assert calls == [min(block, size - lo) for lo in range(0, size, block)], (size, m)
 
+    @pytest.mark.parametrize("rows", [1, 9, 2 * 700])
+    def test_stream_does_not_depend_on_the_block_size(self, monkeypatch, rows):
+        # one row per block, a ragged last block (700 = 77 * 9 + 7), and one block
+        size, m = 700, 32
+        profile = DifficultyProfile(unsolvable_fraction=0.1)
+        expected = population_digest(make_population(size, m, profile, seed=8))
+        monkeypatch.setattr(passrate, "_SHIFT_BLOCK_VALUES", rows * m)
+        assert population_digest(make_population(size, m, profile, seed=8)) == expected
+
+    @pytest.mark.parametrize("m", [2, 3, 16, 256])
+    def test_correct_set_sizes(self, m):
+        size = 2000
+        pop = make_population(size, m, DifficultyProfile(unsolvable_fraction=0.1), seed=m)
+        n = pop.correct.sum(axis=1)
+        rates = population_pass_rates(pop.logits, pop.correct)
+        np.testing.assert_array_equal(n == 0, rates == 0.0)
+        assert (n == 0).sum() == 200
+        # every size from 1 to the cap is drawn, and none above it
+        assert np.unique(n[n > 0]).tolist() == list(range(1, max(1, m // 4) + 1))
+
+    def test_correct_sets_are_uniform_over_positions(self):
+        # each position is correct in a row with probability n_i / m, so a
+        # column's count has mean sum(n_i) / m and variance
+        # sum((n_i / m) (1 - n_i / m)); a selection biased to some positions
+        # (say, always the first n) puts columns tens of SEs off
+        m = 16
+        pop = make_population(20_000, m, DifficultyProfile(unsolvable_fraction=0.1), seed=2024)
+        n = pop.correct.sum(axis=1)
+        q = n / m
+        se = math.sqrt((q * (1 - q)).sum())
+        z = (pop.correct.sum(axis=0) - n.sum() / m) / se
+        assert np.abs(z).max() < 4.0, z
+
     def test_generation_is_deterministic(self):
         a = make_population(20, seed=3)
         b = make_population(20, seed=3)
@@ -247,7 +280,8 @@ class TestPopulation:
 
 def drawn_population(size, m, profile, seed):
     """The targets, base logits and correct masks of ``make_population``'s
-    draws, made here with the same generator calls in the same order."""
+    draws, made here with the same generator calls in the same order, with
+    every correct set's keys drawn at once."""
     rng = np.random.default_rng(seed)
     if profile.kind == "beta":
         targets = rng.beta(profile.alpha, profile.beta, size=size)
@@ -257,14 +291,11 @@ def drawn_population(size, m, profile, seed):
     n_unsolvable = int(round(size * profile.unsolvable_fraction))
     if n_unsolvable:
         unsolvable[rng.choice(size, size=n_unsolvable, replace=False)] = True
-    base = np.empty((size, m))
-    correct = np.zeros((size, m), dtype=bool)
-    for i in range(size):
-        base[i] = rng.standard_normal(m)
-        if not unsolvable[i]:
-            n_correct = int(rng.integers(1, max(1, m // 4) + 1))
-            correct[i, rng.choice(m, size=n_correct, replace=False)] = True
-    return np.clip(targets, 1e-8, 1.0 - 1e-8), base, correct
+    base = rng.standard_normal((size, m))
+    n_correct = np.where(unsolvable, 0, rng.integers(1, max(1, m // 4) + 1, size=size))
+    # the rank of each key in its row; a correct set is its n smallest keys
+    ranks = rng.random((size, m)).argsort(axis=1).argsort(axis=1)
+    return np.clip(targets, 1e-8, 1.0 - 1e-8), base, ranks < n_correct[:, None]
 
 
 EDGE_TARGETS = (0.0, 1e-8, 0.5, 1.0 - 1e-8, 1.0)
