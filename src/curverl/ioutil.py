@@ -7,8 +7,10 @@ repeated runs produce byte-identical files and diffs stay meaningful.
 CSVs are written column-wise in blocks of :data:`_CSV_BLOCK_ROWS` rows. A
 numeric column repeats few values within a block (a step's p-hats sit on the
 rollout grid, its weights take one value per grid point, its rows share one
-step number), so each distinct value is formatted once and the strings are
-gathered back into row order.
+step number), so each distinct value is formatted once, with the column's
+separator appended, and the strings are gathered back into row order. Column
+j of a k-column block fills every k-th slot, from slot j, of one row-major
+list of cells, and the block is written with a single ``"".join``.
 """
 
 from __future__ import annotations
@@ -30,20 +32,21 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _render_block(part: np.ndarray) -> list[str]:
-    """The cells of ``part``, a block of a float64, int or bool column,
-    rendering each distinct value once: a float as ``%.17g`` (the digits of
-    :func:`fmt_float`), anything else with ``str``.
+def _render_block(part: np.ndarray, sep: str) -> list[str]:
+    """The cells of ``part``, a block of a float64, int or bool column, each
+    followed by ``sep``, rendering each distinct value once: a float as
+    ``%.17g`` (the digits of :func:`fmt_float`), anything else with ``str``.
 
     Floats are keyed on their ``uint64`` view: unique float values would
     merge 0.0 with -0.0, which render differently.
     """
     if part.dtype == np.float64:
         keys, inverse = np.unique(part.view(np.uint64), return_inverse=True)
-        text = ["%.17g" % x for x in keys.view(np.float64).tolist()]
+        template = "%.17g" + sep
+        text = [template % x for x in keys.view(np.float64).tolist()]
     else:  # str of the Python int or bool is that of the numpy scalar
         keys, inverse = np.unique(part, return_inverse=True)
-        text = list(map(str, keys.tolist()))
+        text = [str(x) + sep for x in keys.tolist()]
     return np.array(text, dtype=object)[inverse].tolist()
 
 
@@ -66,16 +69,20 @@ def write_csv(path: str | os.PathLike, header: Iterable[str],
     numerics = [a.dtype.kind in "biu"
                 or (a.dtype == np.float64 and (not n_rows or isinstance(col[0], float)))
                 for col, a in zip(columns, arrays)]
+    k = len(arrays)
+    seps = [","] * (k - 1) + ["\n"]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
-            cells = []
-            for col, a, numeric in zip(columns, arrays, numerics):
+            hi = min(lo + _CSV_BLOCK_ROWS, n_rows)
+            # row-major: row i's cells are cells[i * k:(i + 1) * k]
+            cells = [""] * ((hi - lo) * k)
+            for j, (col, a, numeric, sep) in enumerate(zip(columns, arrays, numerics, seps)):
                 if numeric:
-                    cells.append(_render_block(a[lo:lo + _CSV_BLOCK_ROWS]))
+                    cells[j::k] = _render_block(a[lo:hi], sep)
                 else:
-                    cells.append(list(map(str, col[lo:lo + _CSV_BLOCK_ROWS])))
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+                    cells[j::k] = [str(x) + sep for x in col[lo:hi]]
+            fh.write("".join(cells))
 
 
 def set_log_level_from_env() -> None:

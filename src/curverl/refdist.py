@@ -69,6 +69,27 @@ def _query_indices(p, n_rollouts: int) -> np.ndarray:
     return k - 1
 
 
+def _histogram(counts: np.ndarray, total, sample_count):
+    """Bin mass, raw CDF, raw density, CDF floor and density floor of the
+    histograms ``counts`` along the last axis (entry k - 1 the count at k/N,
+    so N is ``counts.shape[-1] + 1``). ``total``, each histogram's positive
+    sum, and ``sample_count``, which sizes its floors, broadcast against
+    ``counts``."""
+    n_rollouts = counts.shape[-1] + 1
+    mass = counts / total
+    # cumsum roundoff can leave the total an ulp either side of 1: cap every
+    # entry at 1 and pin the terminal one
+    cdf = np.minimum(np.cumsum(mass, axis=-1), 1.0)
+    cdf[..., -1] = 1.0
+    return (mass, cdf, mass * n_rollouts,
+            1.0 / (sample_count + 1), 0.5 * n_rollouts / (sample_count + 1))
+
+
+def _floor_cdf(cdf: np.ndarray, floor) -> np.ndarray:
+    """The CDF weighting reads: raised to ``floor`` and capped at 1."""
+    return np.minimum(np.maximum(cdf, floor), 1.0)
+
+
 @dataclass(frozen=True)
 class ReferenceDistribution:
     """Histogram distribution over the interior rollout grid.
@@ -115,7 +136,7 @@ class ReferenceDistribution:
         return self.floored_density()[_query_indices(p, self.n_rollouts)]
 
     def floored_cdf(self) -> np.ndarray:
-        return np.minimum(np.maximum(self.cdf, self.cdf_floor), 1.0)
+        return _floor_cdf(self.cdf, self.cdf_floor)
 
     def floored_density(self) -> np.ndarray:
         return np.maximum(self.density, self.density_floor)
@@ -147,23 +168,18 @@ def distribution_from_counts(counts, sample_count: int) -> ReferenceDistribution
     """Histogram of ``counts``, entry k - 1 the count (or weight) at k/N, so
     N is ``len(counts) + 1``; ``sample_count`` samples size the floors."""
     counts = np.asarray(counts, dtype=np.float64)
-    n_rollouts = counts.size + 1
     total = counts.sum()
     if total <= 0:
         raise ColdStartError("no mass to build a reference distribution from")
-    mass = counts / total
-    # cumsum roundoff can leave the total an ulp either side of 1: cap every
-    # entry at 1 and pin the terminal one
-    cdf = np.minimum(np.cumsum(mass), 1.0)
-    cdf[-1] = 1.0
+    mass, cdf, density, cdf_floor, density_floor = _histogram(counts, total, sample_count)
     return ReferenceDistribution(
-        n_rollouts=n_rollouts,
+        n_rollouts=counts.size + 1,
         bin_mass=mass,
         cdf=cdf,
-        density=mass * n_rollouts,
+        density=density,
         sample_count=sample_count,
-        cdf_floor=1.0 / (sample_count + 1),
-        density_floor=0.5 * n_rollouts / (sample_count + 1),
+        cdf_floor=cdf_floor,
+        density_floor=density_floor,
     )
 
 
@@ -198,17 +214,36 @@ def wasserstein1(a: ReferenceDistribution, b: ReferenceDistribution) -> float:
 REFERENCE_CSV_HEADER = ("step", "grid_point", "mass", "cdf", "density")
 
 
-def reference_csv_columns(steps, refs):
-    """The ``(step, grid_point, mass, cdf, density)`` columns for the
-    references ``refs`` logged at ``steps``: one row per grid point, the
-    references in order. cdf and density are the floored values actually
-    consumed by weighting, mass is raw."""
+def reference_csv_columns(steps, counts):
+    """The ``(step, grid_point, mass, cdf, density)`` columns for the window
+    count rows ``counts`` logged at ``steps``: one row per grid point, the
+    steps in order. Row t of the (steps, N - 1) ``counts`` holds the window's
+    count at c/N in entry c - 1, and gives the reference
+    ``trainer.window_reference`` builds from it: the histogram of
+    :func:`distribution_from_counts` with the row's sum as its sample count,
+    or the uniform reference when the row is empty. cdf and density are the
+    floored values actually consumed by weighting, mass is raw."""
+    counts = np.asarray(counts, dtype=np.int64)
+    n_steps, n_bins = counts.shape
+    n_rollouts = n_bins + 1
+    total = counts.sum(axis=1, keepdims=True)
+    empty = total[:, 0] == 0
+    # an empty row takes total 1 here and the uniform reference below
+    mass, cdf, density, cdf_floor, density_floor = _histogram(
+        counts, np.where(empty[:, None], 1, total), total)
+    cdf = _floor_cdf(cdf, cdf_floor)
+    density = np.maximum(density, density_floor)
+    if empty.any():
+        uniform = uniform_reference(n_rollouts)
+        mass[empty] = uniform.bin_mass
+        cdf[empty] = uniform.floored_cdf()
+        density[empty] = uniform.floored_density()
     return (
-        np.repeat(np.asarray(steps, dtype=np.int64), [ref.n_rollouts - 1 for ref in refs]),
-        np.concatenate([ref.grid for ref in refs]),
-        np.concatenate([ref.bin_mass for ref in refs]),
-        np.concatenate([ref.floored_cdf() for ref in refs]),
-        np.concatenate([ref.floored_density() for ref in refs]),
+        np.repeat(np.asarray(steps, dtype=np.int64), n_bins),
+        np.tile(np.arange(1, n_rollouts) / n_rollouts, n_steps),
+        mass.ravel(),
+        cdf.ravel(),
+        density.ravel(),
     )
 
 

@@ -356,7 +356,7 @@ def write_training_artifacts(result: TrainResult, out_dir: str | Path) -> None:
     write_csv(
         out / "refdist.csv",
         refdist.REFERENCE_CSV_HEADER,
-        refdist.reference_csv_columns(steps, [window_reference(row) for row in seen]),
+        refdist.reference_csv_columns(steps, seen),
     )
 
     if cfg.log_per_prompt:

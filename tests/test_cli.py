@@ -324,7 +324,8 @@ class TestWeights:
     def test_curve_from_snapshot_recomputes_hazard(self, tmp_path):
         ref = distribution_from_rates([1 / 8, 2 / 8, 2 / 8, 5 / 8], 8)
         snap = tmp_path / "refdist.csv"
-        write_csv(snap, REFERENCE_CSV_HEADER, reference_csv_columns([0], [ref]))
+        write_csv(snap, REFERENCE_CSV_HEADER,
+                  reference_csv_columns([0], [[1, 2, 0, 0, 1, 0, 0]]))
         out = tmp_path / "w.csv"
         assert main(["weights", "--scheme", "curve", "--ref", str(snap),
                      "--out", str(out)]) == 0
@@ -338,9 +339,8 @@ class TestWeights:
         assert main(["weights", "--scheme", "entropic_risk:eta=2.0", "--out", str(out)]) == 0
 
     def test_snapshot_grid_mismatch_rejected(self, tmp_path, capsys):
-        ref = distribution_from_rates([0.5], 8)
         snap = tmp_path / "refdist.csv"
-        write_csv(snap, REFERENCE_CSV_HEADER, reference_csv_columns([0], [ref]))
+        write_csv(snap, REFERENCE_CSV_HEADER, reference_csv_columns([0], [[0, 0, 0, 1, 0, 0, 0]]))
         assert main(["weights", "--scheme", "curve", "--ref", str(snap),
                      "--n-rollouts", "16", "--out", str(tmp_path / "w.csv")]) == 2
         assert "N=8" in capsys.readouterr().err
@@ -392,7 +392,7 @@ class TestWeights:
     def test_nan_snapshot_cell_rejected(self, tmp_path, capsys):
         snap = tmp_path / "refdist.csv"
         write_csv(snap, REFERENCE_CSV_HEADER,
-                  reference_csv_columns([0], [distribution_from_rates([0.5], 8)]))
+                  reference_csv_columns([0], [[0, 0, 0, 1, 0, 0, 0]]))
         lines = snap.read_text().splitlines()
         step, grid, mass, _, dens = lines[1].split(",")
         lines[1] = ",".join([step, grid, mass, "nan", dens])

@@ -95,36 +95,38 @@ class TestWriteCsv:
         assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
 
     def test_hazards_across_block_seams(self, tmp_path):
-        # more than two blocks; the planted values share blocks with their
-        # near twins, and one value (and one int) sits on both sides of the
-        # first seam
-        n = 2 * _CSV_BLOCK_ROWS + 123
-        rng = np.random.default_rng(0)
-        floats = rng.choice([0.125, 0.5, 1 / 3, 2.0, 1e300], size=n)
-        floats[::7] = rng.random(n)[::7]
-        x = 0.1
-        planted = [
-            0.0, -0.0,
-            5e-324, 2.225073858507201e-308,  # smallest and largest subnormal
-            bits(0x7FF8000000000123),  # NaN with a payload
-            bits(0xFFF8000000000000),  # -nan
-            math.inf, -math.inf,
-            x, float(np.nextafter(x, 2)),
-        ]
-        for start in (0, _CSV_BLOCK_ROWS + 40, n - len(planted)):
-            floats[start:start + len(planted)] = planted
-        floats[_CSV_BLOCK_ROWS - 1] = floats[_CSV_BLOCK_ROWS] = 0.7
-        assert np.signbit(floats[1]) and not np.signbit(floats[0])
-        header = ("i", "x", "neg", "tag")
-        columns = [np.arange(n) // 7, floats, -floats, ["a", "b"] * (n // 2) + ["c"] * (n % 2)]
-        rows = list(zip((np.arange(n) // 7).tolist(), floats.tolist(), (-floats).tolist(), columns[3]))
-        write_csv(tmp_path / "new.csv", header, columns)
-        write_csv_per_cell(tmp_path / "old.csv", header, rows)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-        lines = (tmp_path / "new.csv").read_text().splitlines()
-        assert len(lines) == n + 1
-        assert lines[1].split(",")[1:3] == ["0", "-0"]
-        assert lines[2].split(",")[1:3] == ["-0", "0"]
+        # more than two blocks, a full last block and a one-row last block;
+        # the planted values share blocks with their near twins, and one
+        # value (and one int) sits on both sides of the first seam
+        for n in (2 * _CSV_BLOCK_ROWS + 123, 2 * _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1):
+            rng = np.random.default_rng(n)
+            floats = rng.choice([0.125, 0.5, 1 / 3, 2.0, 1e300], size=n)
+            floats[::7] = rng.random(n)[::7]
+            x = 0.1
+            planted = [
+                0.0, -0.0,
+                5e-324, 2.225073858507201e-308,  # smallest and largest subnormal
+                bits(0x7FF8000000000123),  # NaN with a payload
+                bits(0xFFF8000000000000),  # -nan
+                math.inf, -math.inf,
+                x, float(np.nextafter(x, 2)),
+            ]
+            for start in (0, min(_CSV_BLOCK_ROWS + 40, n - len(planted)), n - len(planted)):
+                floats[start:start + len(planted)] = planted
+            floats[_CSV_BLOCK_ROWS - 1] = floats[_CSV_BLOCK_ROWS] = 0.7
+            assert np.signbit(floats[1]) and not np.signbit(floats[0])
+            header = ("i", "x", "neg", "tag")
+            ints = np.arange(n) // 7
+            columns = [ints, floats, -floats, ["a", "b"] * (n // 2) + ["c"] * (n % 2)]
+            rows = list(zip(ints.tolist(), floats.tolist(), (-floats).tolist(), columns[3]))
+            new, old = tmp_path / f"new{n}.csv", tmp_path / f"old{n}.csv"
+            write_csv(new, header, columns)
+            write_csv_per_cell(old, header, rows)
+            assert new.read_bytes() == old.read_bytes(), n
+            lines = new.read_text().splitlines()
+            assert len(lines) == n + 1
+            assert lines[1].split(",")[1:3] == ["0", "-0"]
+            assert lines[2].split(",")[1:3] == ["-0", "0"]
 
     def test_header_only(self, tmp_path):
         write_csv(tmp_path / "x.csv", ("a", "b"), ([], []))

@@ -28,7 +28,7 @@ from curverl.refdist import (
     REFERENCE_CSV_HEADER,
     _grid_indices,
 )
-from curverl.trainer import TrainConfig, TrainerState, train_step
+from curverl.trainer import TrainConfig, TrainerState, train_step, window_reference
 from curverl.weighting import Reinforce
 
 
@@ -330,7 +330,8 @@ class TestCsvSnapshot:
     def test_round_trip_preserves_floored_values(self, tmp_path):
         ref = distribution_from_rates([1 / 8, 1 / 8, 3 / 8, 7 / 8], 8)
         path = tmp_path / "refdist.csv"
-        write_csv(path, REFERENCE_CSV_HEADER, reference_csv_columns([3], [ref]))
+        write_csv(path, REFERENCE_CSV_HEADER,
+                  reference_csv_columns([3], [[2, 0, 1, 0, 0, 0, 1]]))
         loaded = load_reference_csv(path)
         assert loaded.n_rollouts == 8
         for p in loaded.grid:
@@ -338,12 +339,37 @@ class TestCsvSnapshot:
             assert loaded.density_at(float(p)) == ref.density_at(float(p))
 
     def test_last_step_block_wins(self, tmp_path):
-        early = distribution_from_rates([1 / 8], 8)
         late = distribution_from_rates([5 / 8], 8)
         path = tmp_path / "refdist.csv"
-        write_csv(path, REFERENCE_CSV_HEADER, reference_csv_columns([0, 1], [early, late]))
+        write_csv(path, REFERENCE_CSV_HEADER,
+                  reference_csv_columns([0, 1], [[1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0]]))
         loaded = load_reference_csv(path)
         assert loaded.density_at(5 / 8) == late.density_at(5 / 8)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 11, 64])
+    def test_columns_from_counts_equal_window_references_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        counts = rng.integers(0, 40, size=(30, n - 1), dtype=np.int64)
+        counts[rng.random(30) < 0.3] = 0  # empty windows: the uniform reference
+        counts[0] = 0
+        if n == 11:
+            # these masses cumsum past 1 before the empty top bins
+            counts[1] = [17, 9, 15, 9, 14, 5, 6, 3, 0, 0]
+            assert np.cumsum(counts[1] / counts[1].sum())[7] > 1.0
+        steps = 5 + 3 * np.arange(len(counts))
+        refs = [window_reference(row) for row in counts]
+        expected = (
+            np.repeat(steps, n - 1),
+            np.concatenate([ref.grid for ref in refs]),
+            np.concatenate([ref.bin_mass for ref in refs]),
+            np.concatenate([ref.floored_cdf() for ref in refs]),
+            np.concatenate([ref.floored_density() for ref in refs]),
+        )
+        got = reference_csv_columns(steps, counts)
+        assert len(got) == len(REFERENCE_CSV_HEADER)
+        for name, x, y in zip(REFERENCE_CSV_HEADER, got, expected):
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes(), name
 
     def test_rejects_malformed_header(self, tmp_path):
         path = tmp_path / "bad.csv"

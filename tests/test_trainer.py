@@ -971,7 +971,8 @@ class TestArtifactMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sum(1 for _ in open(tmp_path / "per_prompt.csv")) == batch * steps + 1
+        with open(tmp_path / "per_prompt.csv") as fh:
+            assert sum(1 for _ in fh) == batch * steps + 1
         assert peak <= 10 * 2**20
 
 
