@@ -8,7 +8,6 @@ all be checked against exact oracles.
 
 from .passrate import DifficultyProfile, PromptPopulation, make_population
 from .refdist import (
-    ColdStartError,
     ReferenceDistribution,
     exact_policy_distribution,
     uniform_reference,
@@ -34,7 +33,6 @@ __all__ = [
     "DifficultyProfile",
     "PromptPopulation",
     "make_population",
-    "ColdStartError",
     "ReferenceDistribution",
     "exact_policy_distribution",
     "uniform_reference",

@@ -49,7 +49,6 @@ def _train_once(cfg: ExperimentConfig, population, out: Path):
     updates a copy of the logits. ``population.json`` records the population
     by its shape and digest; the manifest's spec rebuilds it."""
     result = run_training(population, cfg.train)
-    out.mkdir(parents=True, exist_ok=True)
     write_training_artifacts(result, out)
     record = {"size": len(population), "m": population.m,
               "sha256": population_digest(population)}

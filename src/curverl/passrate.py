@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,8 +141,11 @@ class DifficultyProfile:
     def __post_init__(self) -> None:
         if self.kind not in ("beta", "fixed"):
             raise ValueError(f"unknown difficulty kind {self.kind!r}")
-        if self.kind == "beta" and (self.alpha <= 0 or self.beta <= 0):
-            raise ValueError("beta profile needs alpha > 0 and beta > 0")
+        if self.kind == "beta":
+            for name in ("alpha", "beta"):
+                value = getattr(self, name)
+                if not (math.isfinite(value) and value > 0):
+                    raise ValueError(f"beta profile needs a finite {name} > 0, got {value!r}")
         if self.kind == "fixed" and not self.targets:
             raise ValueError("fixed profile needs explicit targets")
         if self.kind == "beta" and self.targets is not None:

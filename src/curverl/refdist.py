@@ -6,6 +6,9 @@ are dropped). The trainer counts its recent rates c/N by c, and the counts
 give a histogram estimate of the reference CDF and density; bin width is 1/N,
 so density is mass * N and is exact for grid-valued data.
 
+An empty histogram is the uniform reference (:func:`uniform_reference`):
+:func:`distribution_from_counts` is the one place that rule is written.
+
 Floors keep the CDF and density away from zero because the adaptive weight
 divides by the CDF: cdf_floor = 1/(count+1), density_floor = 0.5*N/(count+1).
 The floors are a weighting safeguard only; distances between distributions
@@ -25,7 +28,6 @@ import numpy as np
 from .passrate import population_pass_rates
 
 __all__ = [
-    "ColdStartError",
     "ReferenceDistribution",
     "uniform_reference",
     "distribution_from_counts",
@@ -37,10 +39,6 @@ __all__ = [
     "REFERENCE_CSV_HEADER",
     "load_reference_csv",
 ]
-
-
-class ColdStartError(RuntimeError):
-    """There is no mass to estimate from; callers fall back to the uniform reference."""
 
 
 _offgrid_snaps = 0
@@ -105,7 +103,6 @@ class ReferenceDistribution:
     bin_mass: np.ndarray
     cdf: np.ndarray
     density: np.ndarray
-    sample_count: int
     cdf_floor: float
     density_floor: float
 
@@ -129,17 +126,11 @@ class ReferenceDistribution:
 
     def cdf_at(self, p) -> np.ndarray:
         """Floored cumulative mass at the grid point nearest each rate of p; never 0."""
-        return self.floored_cdf()[_query_indices(p, self.n_rollouts)]
+        return _floor_cdf(self.cdf, self.cdf_floor)[_query_indices(p, self.n_rollouts)]
 
     def density_at(self, p) -> np.ndarray:
         """Floored per-unit-length density at the grid point nearest each rate of p."""
-        return self.floored_density()[_query_indices(p, self.n_rollouts)]
-
-    def floored_cdf(self) -> np.ndarray:
-        return _floor_cdf(self.cdf, self.cdf_floor)
-
-    def floored_density(self) -> np.ndarray:
-        return np.maximum(self.density, self.density_floor)
+        return np.maximum(self.density, self.density_floor)[_query_indices(p, self.n_rollouts)]
 
     def raw_cdf_at(self, p) -> np.ndarray:
         return self.cdf[_query_indices(p, self.n_rollouts)]
@@ -148,8 +139,10 @@ class ReferenceDistribution:
 def uniform_reference(n_rollouts: int) -> ReferenceDistribution:
     """Continuous Uniform(0,1) sampled at the grid: F(k/N) = k/N, f = 1.
 
-    This is the cold-start fallback and the neutral reference under which the
-    adaptive weight degenerates to 1/p exactly.
+    This is the reference of an empty histogram and of the trainer's cold
+    start, and the neutral reference under which the adaptive weight
+    degenerates to 1/p exactly. Its floors are 0, so its floored values are
+    its raw ones.
     """
     n = n_rollouts
     grid = np.arange(1, n) / n
@@ -158,7 +151,6 @@ def uniform_reference(n_rollouts: int) -> ReferenceDistribution:
         bin_mass=np.full(n - 1, 1.0 / n),
         cdf=grid.copy(),
         density=np.ones(n - 1),
-        sample_count=0,
         cdf_floor=0.0,
         density_floor=0.0,
     )
@@ -166,18 +158,18 @@ def uniform_reference(n_rollouts: int) -> ReferenceDistribution:
 
 def distribution_from_counts(counts, sample_count: int) -> ReferenceDistribution:
     """Histogram of ``counts``, entry k - 1 the count (or weight) at k/N, so
-    N is ``len(counts) + 1``; ``sample_count`` samples size the floors."""
+    N is ``len(counts) + 1``; ``sample_count`` samples size the floors.
+    With no mass (a total <= 0) it is :func:`uniform_reference`."""
     counts = np.asarray(counts, dtype=np.float64)
     total = counts.sum()
     if total <= 0:
-        raise ColdStartError("no mass to build a reference distribution from")
+        return uniform_reference(counts.size + 1)
     mass, cdf, density, cdf_floor, density_floor = _histogram(counts, total, sample_count)
     return ReferenceDistribution(
         n_rollouts=counts.size + 1,
         bin_mass=mass,
         cdf=cdf,
         density=density,
-        sample_count=sample_count,
         cdf_floor=cdf_floor,
         density_floor=density_floor,
     )
@@ -218,11 +210,14 @@ def reference_csv_columns(steps, counts):
     """The ``(step, grid_point, mass, cdf, density)`` columns for the window
     count rows ``counts`` logged at ``steps``: one row per grid point, the
     steps in order. Row t of the (steps, N - 1) ``counts`` holds the window's
-    count at c/N in entry c - 1, and gives the reference
-    ``trainer.window_reference`` builds from it: the histogram of
-    :func:`distribution_from_counts` with the row's sum as its sample count,
-    or the uniform reference when the row is empty. cdf and density are the
-    floored values actually consumed by weighting, mass is raw."""
+    count at c/N in entry c - 1, and gives the reference built from that
+    window: :func:`distribution_from_counts` of the row with the row's sum as
+    its sample count (so an empty row is the uniform reference). mass is
+    raw; cdf and density are floored, as the reference's lookups read them.
+
+    A row records the window a step saw, not what the step weighed with: a
+    cold-start step (window below ``min_window_count``) weighs under the
+    uniform reference, and a scheme that reads no window ignores it."""
     counts = np.asarray(counts, dtype=np.int64)
     n_steps, n_bins = counts.shape
     n_rollouts = n_bins + 1
@@ -236,8 +231,8 @@ def reference_csv_columns(steps, counts):
     if empty.any():
         uniform = uniform_reference(n_rollouts)
         mass[empty] = uniform.bin_mass
-        cdf[empty] = uniform.floored_cdf()
-        density[empty] = uniform.floored_density()
+        cdf[empty] = uniform.cdf
+        density[empty] = uniform.density
     return (
         np.repeat(np.asarray(steps, dtype=np.int64), n_bins),
         np.tile(np.arange(1, n_rollouts) / n_rollouts, n_steps),
@@ -297,7 +292,6 @@ def load_reference_csv(path) -> ReferenceDistribution:
         bin_mass=mass,
         cdf=cdf,
         density=density,
-        sample_count=0,
         cdf_floor=0.0,
         density_floor=0.0,
     )

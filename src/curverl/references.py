@@ -58,8 +58,8 @@ class TruncatedExponential:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError("rate must be > 0")
+        if not (math.isfinite(self.rate) and self.rate > 0):
+            raise ValueError(f"rate must be finite and > 0, got {self.rate!r}")
 
     def cdf_at(self, p) -> np.ndarray:
         return -np.expm1(-self.rate * p) / -math.expm1(-self.rate)

@@ -1,13 +1,15 @@
 """Training loop for the policy-reweighted contextual bandit.
 
-One step: if the scheme weights by the window, estimate the reference
-distribution from the last t0 steps' counts (uniform cold start while it is
-underfilled), draw a batch of prompts from the base distribution, roll out N
-responses per prompt, weight each active prompt (c of N rollouts correct,
-0 < c < N) at its p-hat c/N, average the weighted score-function gradients
-over the batch, take a plain gradient-ascent step, then count the active
-prompts at each c into the window. Each step fills its row of the run record
-(:class:`TrainResult`), from which the artifacts are written.
+One step: if the scheme weights by the window, sum the last t0 steps' count
+rows of the run record into the window and build its reference
+(:func:`refdist.distribution_from_counts`; uniform cold start while the
+window is underfilled), draw a batch of prompts from the base distribution,
+roll out N responses per prompt, weight each active prompt (c of N rollouts
+correct, 0 < c < N) at its p-hat c/N, average the weighted score-function
+gradients over the batch, take a plain gradient-ascent step, then count the
+active prompts at each c into the step's count row. Each step fills its row
+of the run record (:class:`TrainResult`), from which the artifacts are
+written.
 
 Runs are deterministic: all randomness comes from per-step seed sequences
 derived from the config seed.
@@ -26,7 +28,6 @@ from . import refdist, weighting
 from .ioutil import write_csv
 from .kernels import accumulate_gradients, sample_responses
 from .passrate import PromptPopulation, pass_rates_from_probs, softmax
-from .refdist import ReferenceDistribution
 
 log = logging.getLogger("curverl.trainer")
 
@@ -34,7 +35,6 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "TrainerState",
-    "window_reference",
     "train_step",
     "run_training",
     "write_training_artifacts",
@@ -69,7 +69,7 @@ class TrainConfig:
             ("batch_size", self.batch_size >= 1),
             ("n_rollouts", self.n_rollouts >= 2),
             ("t0", self.t0 >= 1),
-            ("learning_rate", self.learning_rate > 0),
+            ("learning_rate", math.isfinite(self.learning_rate) and self.learning_rate > 0),
             ("min_window_count", self.min_window_count >= 0),
             ("seed", self.seed >= 0),
         ]
@@ -85,10 +85,9 @@ class TrainResult:
     Row t of the (steps, B) blocks ``prompt_ids``, ``p_hat``, ``weights``
     and ``prompt_grad_norms`` holds step t's batch (weight 0 marks an
     inactive row). The (steps,) arrays are the scalar columns of
-    train_log.csv. Row t of the (steps, N - 1) int64 ``window_counts`` is the
-    window after step t's push, its active rates c/N counted by c (entry
-    c - 1): its sum is the step's window size, and row t - 1 is the window
-    step t read (empty at step 0).
+    train_log.csv. Row t of the (steps, N - 1) int64 ``step_counts`` counts
+    step t's active rates c/N by c (entry c - 1). The window step t reads is
+    the sum of rows ``max(0, t - t0)`` to t - 1 (empty at step 0).
     """
 
     config: TrainConfig
@@ -101,15 +100,14 @@ class TrainResult:
     active_fraction: np.ndarray
     z_theta: np.ndarray
     grad_norm: np.ndarray
-    window_counts: np.ndarray
+    step_counts: np.ndarray
 
 
 class TrainerState:
-    """Mutable policy + window + run record bundle consumed by train_step.
+    """Mutable policy + run record bundle consumed by train_step.
 
-    ``window`` holds ``min(t0, steps)`` int64 rows of N - 1 counts: row
-    ``step % rows`` counts that step's active prompts by c (entry c - 1).
-    ``record`` is the :class:`TrainResult` the steps fill, one row each.
+    ``record`` is the :class:`TrainResult` the steps fill, one row each; its
+    ``step_counts`` rows are also the window the steps read.
 
     The state caches the policy's softmax ``probs`` (P, M) and every
     prompt's exact pass rate, both computed over all P rows at construction.
@@ -145,7 +143,6 @@ class TrainerState:
         # in some process layouts and not in others.
         shape, grid = (config.steps, config.batch_size), config.n_rollouts - 1
         try:
-            self.window = np.zeros((min(config.t0, config.steps), grid), np.int64)
             p_hat, weights, prompt_norms = np.empty((3, *shape))
             mean_exact, active, z_theta, grad_norm = np.empty((4, config.steps))
             self.record = TrainResult(
@@ -153,7 +150,7 @@ class TrainerState:
                 prompt_ids=np.empty(shape, np.int64), p_hat=p_hat, weights=weights,
                 prompt_grad_norms=prompt_norms, mean_exact_pass_rate=mean_exact,
                 active_fraction=active, z_theta=z_theta, grad_norm=grad_norm,
-                window_counts=np.empty((config.steps, grid), np.int64),
+                step_counts=np.empty((config.steps, grid), np.int64),
             )
         except (MemoryError, ValueError):  # too large to map, or to index
             raise ValueError(
@@ -177,14 +174,6 @@ class TrainerState:
         return min(max(mean, 0.0), 1.0)
 
 
-def window_reference(counts: np.ndarray) -> ReferenceDistribution:
-    """The reference of a window holding ``counts``, entry c - 1 the count
-    at c/N (so N is ``len(counts) + 1``); uniform when empty."""
-    if not counts.any():
-        return refdist.uniform_reference(counts.size + 1)
-    return refdist.distribution_from_counts(counts, int(counts.sum()))
-
-
 def _scheme_for_step(state: TrainerState):
     """Pin the step's reference into distribution-aware schemes."""
     scheme = state.config.scheme
@@ -193,8 +182,7 @@ def _scheme_for_step(state: TrainerState):
     ref = scheme.reference
     if ref == "window":
         t = state.step
-        # the window as the previous step left it, empty before the first
-        counts = state.record.window_counts[t - 1] if t else np.zeros_like(state.window[0])
+        counts = state.record.step_counts[max(0, t - state.config.t0):t].sum(axis=0)
         size = int(counts.sum())
         if size < state.config.min_window_count:
             if not state._cold_start_logged:
@@ -205,11 +193,11 @@ def _scheme_for_step(state: TrainerState):
                 state._cold_start_logged = True
             resolved = refdist.uniform_reference(state.config.n_rollouts)
         else:
-            resolved = window_reference(counts)
+            resolved = refdist.distribution_from_counts(counts, size)
     elif ref == "uniform":
         resolved = refdist.uniform_reference(state.config.n_rollouts)
     else:
-        resolved = ref
+        return scheme
     return replace(scheme, reference=resolved)
 
 
@@ -295,10 +283,8 @@ def train_step(state: TrainerState) -> None:
     state._exact[rows] = pass_rates_from_probs(probs, state.masks[rows])
 
     t = state.step
-    state.window[t % len(state.window)] = np.bincount(
-        counts[active] - 1, minlength=cfg.n_rollouts - 1)
-
     rec = state.record
+    rec.step_counts[t] = np.bincount(counts[active] - 1, minlength=cfg.n_rollouts - 1)
     rec.prompt_ids[t] = batch
     rec.p_hat[t] = p_hat
     rec.weights[t] = weights
@@ -307,7 +293,6 @@ def train_step(state: TrainerState) -> None:
     rec.active_fraction[t] = active.sum() / cfg.batch_size
     rec.z_theta[t] = weights.sum() / cfg.batch_size
     rec.grad_norm[t] = grad_norm
-    rec.window_counts[t] = state.window.sum(axis=0)
     state.step += 1
 
 
@@ -335,7 +320,10 @@ def write_training_artifacts(result: TrainResult, out_dir: str | Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     cfg = result.config
     steps = np.arange(cfg.steps)
-    counts = result.window_counts
+    # the window after each step: the rows summed, less those t0 steps back
+    cum = result.step_counts.cumsum(axis=0)
+    window = cum.copy()
+    window[cfg.t0:] -= cum[:-cfg.t0]
 
     write_csv(
         out / "train_log.csv",
@@ -346,13 +334,13 @@ def write_training_artifacts(result: TrainResult, out_dir: str | Path) -> None:
             result.mean_exact_pass_rate,
             result.active_fraction,
             result.z_theta,
-            counts.sum(axis=1),
+            window.sum(axis=1),
             result.grad_norm,
         ),
     )
 
     # step t read the window step t - 1 left, and step 0 an empty one
-    seen = np.concatenate([np.zeros_like(counts[:1]), counts[:-1]])
+    seen = np.concatenate([np.zeros_like(window[:1]), window[:-1]])
     write_csv(
         out / "refdist.csv",
         refdist.REFERENCE_CSV_HEADER,

@@ -189,6 +189,12 @@ class TestPopulation:
         with pytest.raises(ValueError, match="prompt 1: base weight must be finite"):
             PromptPopulation(np.zeros((3, 4)), np.ones((3, 4), dtype=bool), weights)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    def test_beta_profile_rejects_a_bad_shape_naming_it(self, field, bad):
+        with pytest.raises(ValueError, match=f"beta profile needs a finite {field} > 0"):
+            DifficultyProfile(kind="beta", **{field: bad})
+
     def test_synthesis_hits_targets(self):
         targets = (0.1, 0.37, 0.62, 0.9, 0.005)
         pop = make_population(5, m=16, seed=1,

@@ -1,12 +1,16 @@
 """Sliding count window, histogram reference estimation, Wasserstein distance."""
 
+import json
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from curverl import refdist
+from curverl.cli import main
 from curverl.ioutil import write_csv
 from curverl.passrate import (
     DifficultyProfile,
@@ -15,7 +19,6 @@ from curverl.passrate import (
     population_pass_rates,
 )
 from curverl.refdist import (
-    ColdStartError,
     ReferenceDistribution,
     distribution_from_counts,
     distribution_from_rates,
@@ -28,8 +31,9 @@ from curverl.refdist import (
     REFERENCE_CSV_HEADER,
     _grid_indices,
 )
-from curverl.trainer import TrainConfig, TrainerState, train_step, window_reference
-from curverl.weighting import Reinforce
+from curverl.trainer import TrainConfig, TrainerState, train_step, write_training_artifacts
+from curverl.weighting import Curve, Reinforce
+from test_golden import CASES
 
 
 def random_reference(rng, n=8):
@@ -46,16 +50,24 @@ def assert_references_bitwise_equal(a, b):
 
 
 def window_run(t0, steps, population=None, seed=3):
-    """The trainer state and run record of a short Reinforce run (N = 8)."""
+    """The run record of a short Curve run (N = 8) whose every step weighs
+    under its window, and the window counts each step read."""
     if population is None:
         population = make_population(
             20, m=8, seed=seed,
             profile=DifficultyProfile(kind="beta", unsolvable_fraction=0.3))
-    state = TrainerState(population, TrainConfig(steps=steps, scheme=Reinforce(),
-                                                 batch_size=16, t0=t0, seed=seed))
-    for _ in range(steps):
-        train_step(state)
-    return state, state.record
+    state = TrainerState(population, TrainConfig(steps=steps, scheme=Curve(), batch_size=16,
+                                                 t0=t0, seed=seed, min_window_count=0))
+    read = []
+
+    def spy(counts, sample_count, _real=refdist.distribution_from_counts):
+        read.append(counts.copy())
+        return _real(counts, sample_count)
+
+    with mock.patch.object(refdist, "distribution_from_counts", spy):
+        for _ in range(steps):
+            train_step(state)
+    return state.record, read
 
 
 def step_counts(p_hat, n=8):
@@ -64,37 +76,58 @@ def step_counts(p_hat, n=8):
     return np.bincount(c[(c > 0) & (c < n)] - 1, minlength=n - 1)
 
 
+def read_csv(path) -> dict[str, np.ndarray]:
+    """The numeric columns of a CSV artifact, by header name."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        cells = [line.strip().split(",") for line in fh]
+    return {name: np.array([float(row[j]) for row in cells])
+            for j, name in enumerate(header) if name != "scheme"}
+
+
+def window_sizes(rec, tmp_path):
+    """The window_size column of the run's train_log.csv: the window after each step."""
+    write_training_artifacts(rec, tmp_path)
+    return read_csv(tmp_path / "train_log.csv")["window_size"].tolist()
+
+
 class TestSlidingWindow:
-    """The trainer's window: one row of counts per step, over the last t0 steps."""
+    """The trainer's window: the count rows of the last t0 steps of the run record."""
 
-    def test_full_eviction_at_t0_one(self):
-        state, rec = window_run(t0=1, steps=4)
-        assert state.window.shape == (1, 7)
-        np.testing.assert_array_equal(state.window[0], step_counts(rec.p_hat[-1]))
-        assert rec.window_counts.sum(axis=1).tolist() == [step_counts(p).sum() for p in rec.p_hat]
+    def test_full_eviction_at_t0_one(self, tmp_path):
+        rec, read = window_run(t0=1, steps=4)
+        assert rec.step_counts.shape == (4, 7)
+        for t, p_hat in enumerate(rec.p_hat):
+            np.testing.assert_array_equal(rec.step_counts[t], step_counts(p_hat))
+        # each step reads only the step before it, step 0 an empty window
+        assert [w.tolist() for w in read] == [[0] * 7] + rec.step_counts[:-1].tolist()
+        assert window_sizes(rec, tmp_path) == rec.step_counts.sum(axis=1).tolist()
 
-    def test_degenerate_rates_are_dropped(self):
+    def test_degenerate_rates_are_dropped(self, tmp_path):
         # every prompt is all-correct or all-wrong, so every p_hat is 0 or 1
         solved = np.zeros((6, 4), dtype=bool)
         solved[::2] = True
         pop = PromptPopulation(np.zeros((6, 4)), solved)
-        state, rec = window_run(t0=4, steps=3, population=pop)
+        rec, read = window_run(t0=4, steps=3, population=pop)
         assert set(rec.p_hat.ravel().tolist()) == {0.0, 1.0}
-        assert not state.window.any()
-        assert all(rec.window_counts.sum(axis=1) == 0)
+        assert len(read) == 3
+        assert not rec.step_counts.any() and not any(w.any() for w in read)
+        assert window_sizes(rec, tmp_path) == [0, 0, 0]
 
-    def test_eviction_keeps_exactly_last_t0_steps(self):
-        state, rec = window_run(t0=3, steps=10)
-        # steps 7, 8, 9 remain, in rows 7 % 3, 8 % 3 and 9 % 3
-        for step in (7, 8, 9):
-            np.testing.assert_array_equal(state.window[step % 3], step_counts(rec.p_hat[step]))
-        assert rec.window_counts[-1].sum() == sum(step_counts(rec.p_hat[s]).sum()
-                                                  for s in (7, 8, 9))
+    def test_eviction_keeps_exactly_last_t0_steps(self, tmp_path):
+        rec, read = window_run(t0=3, steps=10)
+        rows = [step_counts(p_hat) for p_hat in rec.p_hat]
+        for t in range(10):
+            # step t reads steps t - 3 .. t - 1; after it, steps t - 2 .. t remain
+            np.testing.assert_array_equal(read[t], sum(rows[max(0, t - 3):t], np.zeros(7)))
+        assert window_sizes(rec, tmp_path) == [
+            int(sum(rows[s].sum() for s in range(max(0, t - 2), t + 1))) for t in range(10)]
+        assert read[-1].sum() < sum(row.sum() for row in rows[:-1])
 
     def test_identical_runs_identical_contents(self):
         (a, _), (b, _) = window_run(t0=2, steps=6), window_run(t0=2, steps=6)
-        assert a.window.dtype == b.window.dtype == np.int64
-        assert a.window.tobytes() == b.window.tobytes()
+        assert a.step_counts.dtype == b.step_counts.dtype == np.int64
+        assert a.step_counts.tobytes() == b.step_counts.tobytes()
 
     def test_t0_must_be_positive(self):
         with pytest.raises(ValueError, match="t0=0"):
@@ -121,11 +154,13 @@ class TestEstimate:
         for k in range(1, 8):
             assert ref.cdf[k - 1] == pytest.approx(k / 7, abs=1e-12)
 
-    def test_empty_window_signals_cold_start(self):
-        with pytest.raises(ColdStartError):
-            distribution_from_counts(np.zeros(7, dtype=np.int64), 0)
-        with pytest.raises(ColdStartError):
-            distribution_from_rates([], 8)
+    @pytest.mark.parametrize("n", [2, 3, 8, 12])
+    def test_empty_histogram_is_the_uniform_reference(self, n):
+        uniform = uniform_reference(n)
+        assert_references_bitwise_equal(distribution_from_counts(np.zeros(n - 1, np.int64), 0),
+                                        uniform)
+        assert_references_bitwise_equal(distribution_from_rates([], n), uniform)
+        assert_references_bitwise_equal(distribution_from_counts(np.zeros(n - 1), 5), uniform)
 
     def test_invariants_after_estimate(self):
         # off-grid rates snap into counts first
@@ -136,9 +171,8 @@ class TestEstimate:
             assert np.all(np.diff(ref.cdf) >= -1e-15)
             assert ref.cdf[-1] == pytest.approx(1.0, abs=1e-12)
             np.testing.assert_allclose(ref.density, ref.bin_mass * 8, atol=1e-12)
-            floored = ref.floored_cdf()
-            assert np.all(floored >= ref.cdf_floor)
-            assert np.all(ref.floored_density() >= ref.density_floor)
+            assert np.all(ref.cdf_at(ref.grid) >= ref.cdf_floor)
+            assert np.all(ref.density_at(ref.grid) >= ref.density_floor)
 
     def test_cdf_never_rounds_above_one_before_empty_top_bins(self):
         # these masses sum to 1 + 1 ulp, so a plain cumsum reads above 1 at
@@ -156,12 +190,6 @@ class TestEstimate:
     def test_counts_equal_their_rates_bitwise(self, case):
         counts, n = case
         rates = np.repeat(np.arange(1, n) / n, counts)
-        if not counts.any():
-            with pytest.raises(ColdStartError):
-                distribution_from_counts(counts, 0)
-            with pytest.raises(ColdStartError):
-                distribution_from_rates(rates, n)
-            return
         assert_references_bitwise_equal(distribution_from_counts(counts, int(counts.sum())),
                                         distribution_from_rates(rates, n))
 
@@ -357,19 +385,45 @@ class TestCsvSnapshot:
             counts[1] = [17, 9, 15, 9, 14, 5, 6, 3, 0, 0]
             assert np.cumsum(counts[1] / counts[1].sum())[7] > 1.0
         steps = 5 + 3 * np.arange(len(counts))
-        refs = [window_reference(row) for row in counts]
+        refs = [distribution_from_counts(row, int(row.sum())) for row in counts]
         expected = (
             np.repeat(steps, n - 1),
             np.concatenate([ref.grid for ref in refs]),
             np.concatenate([ref.bin_mass for ref in refs]),
-            np.concatenate([ref.floored_cdf() for ref in refs]),
-            np.concatenate([ref.floored_density() for ref in refs]),
+            np.concatenate([ref.cdf_at(ref.grid) for ref in refs]),
+            np.concatenate([ref.density_at(ref.grid) for ref in refs]),
         )
         got = reference_csv_columns(steps, counts)
         assert len(got) == len(REFERENCE_CSV_HEADER)
         for name, x, y in zip(REFERENCE_CSV_HEADER, got, expected):
             assert x.dtype == y.dtype and x.shape == y.shape, name
             assert x.tobytes() == y.tobytes(), name
+
+    def test_rows_record_the_window_a_step_saw_not_its_weighting(self, tmp_path):
+        # the golden cold-start run: step 1 sees the 21 rates step 0 counted,
+        # fewer than min_window_count 40, and weighs under the uniform reference
+        doc = CASES["curve_window_cold_start"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+        log, rows, prompts = (read_csv(tmp_path / "run" / name)
+                              for name in ("train_log.csv", "refdist.csv", "per_prompt.csv"))
+        n = doc["train"]["n_rollouts"]
+        assert log["window_size"][0] == 21 < doc["train"]["min_window_count"]
+        seen = step_counts(prompts["p_hat"][prompts["step"] == 0], n)
+        assert seen.sum() == 21
+        ref = distribution_from_counts(seen, 21)
+        at_step_1 = rows["step"] == 1
+        np.testing.assert_array_equal(rows["mass"][at_step_1], ref.bin_mass)
+        np.testing.assert_array_equal(rows["cdf"][at_step_1], ref.cdf_at(ref.grid))
+        np.testing.assert_array_equal(rows["density"][at_step_1], ref.density_at(ref.grid))
+        uniform = uniform_reference(n)
+        assert not np.array_equal(rows["cdf"][at_step_1], uniform.cdf)
+        # ... while every active prompt of step 1 is weighed at exactly 1/p_hat
+        p_hat, weight = (prompts[name][prompts["step"] == 1] for name in ("p_hat", "weight"))
+        active = (p_hat > 0) & (p_hat < 1)
+        assert active.any()
+        np.testing.assert_array_equal(weight[active], 1.0 / p_hat[active])
 
     def test_rejects_malformed_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -387,7 +441,6 @@ class TestValidation:
                 bin_mass=np.ones(3) / 3,
                 cdf=np.ones(7),
                 density=np.ones(7),
-                sample_count=1,
                 cdf_floor=0.1,
                 density_floor=0.1,
             )
@@ -399,7 +452,6 @@ class TestValidation:
                 bin_mass=np.full(7, 1 / 7),
                 cdf=np.array([0.5, 0.4, 0.6, 0.7, 0.8, 0.9, 1.0]),
                 density=np.full(7, 8 / 7),
-                sample_count=1,
                 cdf_floor=0.1,
                 density_floor=0.1,
             )
@@ -410,5 +462,5 @@ class TestValidation:
         arrays = dict(bin_mass=np.full(7, 1 / 8), cdf=np.arange(1, 8) / 8, density=np.ones(7))
         arrays[name][0] = bad
         with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative$"):
-            ReferenceDistribution(n_rollouts=8, sample_count=1, cdf_floor=0.1,
+            ReferenceDistribution(n_rollouts=8, cdf_floor=0.1,
                                   density_floor=0.1, **arrays)

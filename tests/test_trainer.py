@@ -35,7 +35,7 @@ from curverl.trainer import (
     TrainResult,
     run_training,
     train_step,
-    window_reference,
+    write_training_artifacts,
 )
 from curverl.trainer import _sum_by_prompt
 from curverl.verify import calibration_gradients
@@ -135,12 +135,16 @@ def assert_results_equal(a, b):
             np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name), strict=True)
 
 
+def windows_read(result):
+    """The window each step of ``result`` read: the count rows of the t0
+    steps before it summed, empty at step 0."""
+    counts, t0 = result.step_counts, result.config.t0
+    return np.array([counts[max(0, t - t0):t].sum(axis=0) for t in range(len(counts))])
+
+
 def window_references(result):
-    """The window reference each step of ``result`` read: step t's is that
-    of the counts step t - 1 left, step 0's that of an empty window."""
-    counts = result.window_counts
-    return [window_reference(counts[t - 1] if t else np.zeros_like(counts[0]))
-            for t in range(len(counts))]
+    """The window reference each step of ``result`` read."""
+    return [refdist.distribution_from_counts(w, int(w.sum())) for w in windows_read(result)]
 
 
 def calibration_invariance_gap(pop, ref, mono):
@@ -214,7 +218,7 @@ class TestTrainStep:
         rec = state.record
         np.testing.assert_array_equal(state.theta, theta_before)
         assert rec.active_fraction[0] == 0.0
-        assert rec.window_counts[0].sum() == 0
+        assert rec.step_counts[0].sum() == 0
         assert rec.grad_norm[0] == 0.0
 
     def test_mean_exact_pass_rate_stays_in_unit_interval(self):
@@ -260,10 +264,11 @@ class TestTrainStep:
         state = TrainerState(pop, cfg)
         train_step(state)
         train_step(state)
-        before = [a.copy() for a in (state.theta, state.probs, state.window)]
+        moved = (state.theta, state.probs, state.record.step_counts)
+        before = [a.copy() for a in moved]
         with pytest.raises(ValueError, match=r"step 2: .*steps=2"):
             train_step(state)
-        for now, then in zip((state.theta, state.probs, state.window), before):
+        for now, then in zip(moved, before):
             assert now.tobytes() == then.tobytes()
         assert state.step == 2
 
@@ -284,8 +289,8 @@ class TestTrainStep:
         train_step(state)
         rec = state.record
         row = step_counts(rec.p_hat[0], cfg.n_rollouts)
-        assert 0 < rec.window_counts[0].sum() == row.sum() < cfg.batch_size
-        np.testing.assert_array_equal(state.window[0], row)
+        assert 0 < row.sum() < cfg.batch_size
+        np.testing.assert_array_equal(rec.step_counts[0], row)
 
     def test_weight_scaling_scales_gradient_exactly(self):
         # scaling all weights by c > 0 scales the batch gradient by c and
@@ -323,7 +328,7 @@ class TestTrainStep:
         pop = beta_population(30, seed=8)
         cfg = TrainConfig(steps=12, scheme=Reinforce(), batch_size=16, t0=3, seed=2)
         result = run_training(pop, cfg)
-        assert all(result.window_counts.sum(axis=1) <= 3 * 16)
+        assert all(windows_read(result).sum(axis=1) <= 3 * 16)
 
     @pytest.mark.parametrize("scheme", [Curve(), Reinforce()], ids=["curve", "reinforce"])
     @pytest.mark.parametrize("t0", [1, 3, 11])
@@ -341,15 +346,20 @@ class TestTrainStep:
                         else uniform_reference(cfg.n_rollouts))
             assert_references_bitwise_equal(ref, expected)
 
-    def test_huge_t0_runs_as_t0_equal_to_steps(self):
-        # the window has one row per step of the run, however large t0 is
+    def test_huge_t0_runs_as_t0_equal_to_steps(self, tmp_path):
+        # the record has one count row per step of the run, however large t0 is
         pop = beta_population(30, seed=5)
         runs = [run_training(pop, TrainConfig(steps=5, scheme=Curve(), batch_size=16, t0=t0,
                                               seed=4, min_window_count=8))
                 for t0 in (10**12, 5)]
         assert_results_equal(runs[0], runs[1])
+        for label, run in zip(("huge", "steps"), runs):
+            write_training_artifacts(run, tmp_path / label)
+        for name in ("train_log.csv", "refdist.csv"):
+            huge, steps = (tmp_path / label / name for label in ("huge", "steps"))
+            assert huge.read_bytes() == steps.read_bytes()
         big = TrainerState(pop, TrainConfig(steps=5, scheme=Curve(), t0=10**12))
-        assert big.window.shape == (5, 7)
+        assert big.record.step_counts.shape == (5, 7)
 
     def test_active_fraction_times_batch_is_integer(self):
         pop = beta_population(30, seed=8, unsolvable=0.2)
@@ -386,13 +396,14 @@ class TestStepInvariants:
                           n_rollouts=n_rollouts, t0=t0, learning_rate=4.0, seed=seed,
                           min_window_count=min_window_count, weight_at_exact_pass_rate=exact)
         result = run_training(pop, cfg)
+        windows = windows_read(result)
         for t, ref in enumerate(window_references(result)):
             p_hat, weights = result.p_hat[t], result.weights[t]
             assert np.all((p_hat >= 0.0) & (p_hat <= 1.0))
             assert np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
             inactive = (p_hat == 0.0) | (p_hat == 1.0)
             assert np.all(weights[inactive] == 0.0)
-            assert result.window_counts[t].sum() <= t0 * batch_size
+            assert windows[t].sum() <= t0 * batch_size
             assert np.all(np.diff(ref.cdf) >= 0.0) and np.all(ref.cdf <= 1.0)
             assert 0.0 <= result.mean_exact_pass_rate[t] <= 1.0
 
@@ -671,10 +682,10 @@ class TestStepReference:
         assert references_built(monkeypatch, scheme) == []
 
     def test_a_window_step_builds_its_reference(self, monkeypatch):
-        # the counting above sees the builders: uniform for the empty window,
-        # then the histogram of the counts
+        # the counting above sees the builders: each step the histogram of
+        # the counts, which is uniform for the empty window of step 0
         assert references_built(monkeypatch, Curve()) == (
-            ["uniform_reference"] + ["distribution_from_counts"] * 3)
+            ["distribution_from_counts", "uniform_reference"] + ["distribution_from_counts"] * 3)
 
     @staticmethod
     def cold_start_lines(caplog, scheme, min_window_count):
@@ -688,7 +699,7 @@ class TestStepReference:
     def test_cold_start_is_logged_once_at_the_first_underfilled_step(self, caplog):
         result, lines = self.cold_start_lines(caplog, Curve(), min_window_count=1000)
         # every step reads an underfilled window, the first an empty one
-        assert result.window_counts.sum(axis=1).max() < 1000
+        assert windows_read(result).sum(axis=1).max() < 1000
         assert lines == ["step 0: window holds 0 < 1000 rates, using the uniform cold-start "
                          "reference"]
 
@@ -779,6 +790,11 @@ class TestConfigValidation:
             TrainConfig(steps=1, scheme=Reinforce(), learning_rate=0.0)
         with pytest.raises(ValueError, match="steps"):
             TrainConfig(steps=0, scheme=Reinforce())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_learning_rate_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match=f"field learning_rate={bad!r}"):
+            TrainConfig(steps=1, scheme=Reinforce(), learning_rate=bad)
 
     def test_round_trip(self):
         cfg = TrainConfig(steps=5, scheme=Curve(), batch_size=2, seed=3)
@@ -962,7 +978,7 @@ class TestArtifactMemory:
             prompt_grad_norms=rng.random((steps, batch)) * (weights > 0),
             mean_exact_pass_rate=np.full(steps, 0.5), active_fraction=np.full(steps, 0.75),
             z_theta=np.full(steps, 1.5), grad_norm=np.full(steps, 0.25),
-            window_counts=np.zeros((steps, n - 1), np.int64),
+            step_counts=np.zeros((steps, n - 1), np.int64),
         )
         tracemalloc.start()
         try:

@@ -452,12 +452,17 @@ class TestWeightTable:
     def test_all_zero_weights_rejected(self):
         ref = refdist.ReferenceDistribution(
             n_rollouts=4, bin_mass=[0.5, 0.5, 0.0], cdf=[0.5, 1.0, 1.0],
-            density=[0.0, 0.0, 0.0], sample_count=0, cdf_floor=0.0, density_floor=0.0)
+            density=[0.0, 0.0, 0.0], cdf_floor=0.0, density_floor=0.0)
         with pytest.raises(ValueError, match="finite, positive sum, got 0.0"):
             weight_table(Curve(ref), 4)
 
 
 class TestReferences:
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_truncated_exponential_rejects_a_bad_rate(self, rate):
+        with pytest.raises(ValueError, match="rate must be finite and > 0"):
+            TruncatedExponential(rate)
+
     def test_reflected_exponential_rejects_an_overflowing_rate(self):
         # exp(rate) must be finite, or every lookup overflows
         largest = math.log(np.finfo(np.float64).max)
