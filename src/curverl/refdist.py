@@ -6,8 +6,9 @@ are dropped). The trainer counts its recent rates c/N by c, and the counts
 give a histogram estimate of the reference CDF and density; bin width is 1/N,
 so density is mass * N and is exact for grid-valued data.
 
-An empty histogram is the uniform reference (:func:`uniform_reference`):
-:func:`distribution_from_counts` is the one place that rule is written.
+``_histogram`` is the one rule that turns count rows into references, and
+the one place an empty row becomes the uniform reference
+(:func:`uniform_reference`).
 
 Floors keep the CDF and density away from zero because the adaptive weight
 divides by the CDF: cdf_floor = 1/(count+1), density_floor = 0.5*N/(count+1).
@@ -70,17 +71,30 @@ def _query_indices(p, n_rollouts: int) -> np.ndarray:
 def _histogram(counts: np.ndarray, total, sample_count):
     """Bin mass, raw CDF, raw density, CDF floor and density floor of the
     histograms ``counts`` along the last axis (entry k - 1 the count at k/N,
-    so N is ``counts.shape[-1] + 1``). ``total``, each histogram's positive
-    sum, and ``sample_count``, which sizes its floors, broadcast against
-    ``counts``."""
+    so N is ``counts.shape[-1] + 1``). ``total``, each histogram's sum, and
+    ``sample_count``, which sizes its floors, broadcast against ``counts``.
+    A histogram with no mass (a total <= 0) is the uniform reference: mass
+    1/N, CDF k/N, density 1 and floors 0."""
     n_rollouts = counts.shape[-1] + 1
-    mass = counts / total
+    empty = total <= 0
+    some_empty = np.count_nonzero(empty) > 0
+    # an empty histogram divides by 1, then takes the uniform values below
+    mass = counts / (np.where(empty, 1, total) if some_empty else total)
     # cumsum roundoff can leave the total an ulp either side of 1: cap every
-    # entry at 1 and pin the terminal one
+    # entry at 1 and pin the terminal one (by a slice, so that a grid with no
+    # interior point reaches ReferenceDistribution's n_rollouts check)
     cdf = np.minimum(np.cumsum(mass, axis=-1), 1.0)
-    cdf[..., -1] = 1.0
-    return (mass, cdf, mass * n_rollouts,
-            1.0 / (sample_count + 1), 0.5 * n_rollouts / (sample_count + 1))
+    cdf[..., -1:] = 1.0
+    density = mass * n_rollouts
+    cdf_floor = 1.0 / (sample_count + 1)
+    density_floor = 0.5 * n_rollouts / (sample_count + 1)
+    if some_empty:
+        np.copyto(mass, 1.0 / n_rollouts, where=empty)
+        np.copyto(cdf, np.arange(1, n_rollouts) / n_rollouts, where=empty)
+        np.copyto(density, 1.0, where=empty)
+        cdf_floor = np.where(empty, 0.0, cdf_floor)
+        density_floor = np.where(empty, 0.0, density_floor)
+    return mass, cdf, density, cdf_floor, density_floor
 
 
 def _floor_cdf(cdf: np.ndarray, floor) -> np.ndarray:
@@ -139,39 +153,27 @@ class ReferenceDistribution:
 def uniform_reference(n_rollouts: int) -> ReferenceDistribution:
     """Continuous Uniform(0,1) sampled at the grid: F(k/N) = k/N, f = 1.
 
-    This is the reference of an empty histogram and of the trainer's cold
-    start, and the neutral reference under which the adaptive weight
-    degenerates to 1/p exactly. Its floors are 0, so its floored values are
-    its raw ones.
+    This is the histogram of N - 1 zeros by ``_histogram``'s empty-row rule,
+    and the neutral reference under which the adaptive weight degenerates to
+    1/p exactly. Its floors are 0, so its floored values are its raw ones.
     """
-    n = n_rollouts
-    grid = np.arange(1, n) / n
-    return ReferenceDistribution(
-        n_rollouts=n,
-        bin_mass=np.full(n - 1, 1.0 / n),
-        cdf=grid.copy(),
-        density=np.ones(n - 1),
-        cdf_floor=0.0,
-        density_floor=0.0,
-    )
+    return distribution_from_counts(np.zeros(n_rollouts - 1), 0)
 
 
 def distribution_from_counts(counts, sample_count: int) -> ReferenceDistribution:
     """Histogram of ``counts``, entry k - 1 the count (or weight) at k/N, so
     N is ``len(counts) + 1``; ``sample_count`` samples size the floors.
-    With no mass (a total <= 0) it is :func:`uniform_reference`."""
+    By ``_histogram``'s rule, no mass (a total <= 0) is the uniform reference."""
     counts = np.asarray(counts, dtype=np.float64)
-    total = counts.sum()
-    if total <= 0:
-        return uniform_reference(counts.size + 1)
-    mass, cdf, density, cdf_floor, density_floor = _histogram(counts, total, sample_count)
+    mass, cdf, density, cdf_floor, density_floor = _histogram(
+        counts, counts.sum(), sample_count)
     return ReferenceDistribution(
         n_rollouts=counts.size + 1,
         bin_mass=mass,
         cdf=cdf,
         density=density,
-        cdf_floor=cdf_floor,
-        density_floor=density_floor,
+        cdf_floor=float(cdf_floor),
+        density_floor=float(density_floor),
     )
 
 
@@ -211,9 +213,9 @@ def reference_csv_columns(steps, counts):
     count rows ``counts`` logged at ``steps``: one row per grid point, the
     steps in order. Row t of the (steps, N - 1) ``counts`` holds the window's
     count at c/N in entry c - 1, and gives the reference built from that
-    window: :func:`distribution_from_counts` of the row with the row's sum as
-    its sample count (so an empty row is the uniform reference). mass is
-    raw; cdf and density are floored, as the reference's lookups read them.
+    window: ``_histogram`` of the row with the row's sum as its sample count,
+    the bits of :func:`distribution_from_counts` (an empty row is uniform).
+    mass is raw; cdf and density are floored, as the lookups read them.
 
     A row records the window a step saw, not what the step weighed with: a
     cold-start step (window below ``min_window_count``) weighs under the
@@ -222,17 +224,9 @@ def reference_csv_columns(steps, counts):
     n_steps, n_bins = counts.shape
     n_rollouts = n_bins + 1
     total = counts.sum(axis=1, keepdims=True)
-    empty = total[:, 0] == 0
-    # an empty row takes total 1 here and the uniform reference below
-    mass, cdf, density, cdf_floor, density_floor = _histogram(
-        counts, np.where(empty[:, None], 1, total), total)
+    mass, cdf, density, cdf_floor, density_floor = _histogram(counts, total, total)
     cdf = _floor_cdf(cdf, cdf_floor)
     density = np.maximum(density, density_floor)
-    if empty.any():
-        uniform = uniform_reference(n_rollouts)
-        mass[empty] = uniform.bin_mass
-        cdf[empty] = uniform.cdf
-        density[empty] = uniform.density
     return (
         np.repeat(np.asarray(steps, dtype=np.int64), n_bins),
         np.tile(np.arange(1, n_rollouts) / n_rollouts, n_steps),

@@ -1,15 +1,17 @@
 """Training loop for the policy-reweighted contextual bandit.
 
-One step: if the scheme weights by the window, sum the last t0 steps' count
-rows of the run record into the window and build its reference
-(:func:`refdist.distribution_from_counts`; uniform cold start while the
-window is underfilled), draw a batch of prompts from the base distribution,
-roll out N responses per prompt, weight each active prompt (c of N rollouts
-correct, 0 < c < N) at its p-hat c/N, average the weighted score-function
-gradients over the batch, take a plain gradient-ascent step, then count the
-active prompts at each c into the step's count row. Each step fills its row
-of the run record (:class:`TrainResult`), from which the artifacts are
-written.
+One step first builds its reference when the scheme's reference is
+"window" or "uniform": one :func:`refdist.distribution_from_counts` call on
+the window (the sum of the last t0 steps' count rows of the run record) or,
+for a pinned "uniform" and for a window below ``min_window_count`` (the cold
+start), on an empty row, which is the uniform reference. It then draws a
+batch of prompts from the base distribution, rolls out N responses per
+prompt, weights each active prompt (c of N rollouts correct, 0 < c < N) at
+its p-hat c/N (or, with ``weight_at_exact_pass_rate``, at its exact pass
+rate), averages the weighted score-function gradients over the batch, takes
+a plain gradient-ascent step, and counts the active prompts at each c into
+the step's count row. Each step fills its row of the run record
+(:class:`TrainResult`), from which the artifacts are written.
 
 Runs are deterministic: all randomness comes from per-step seed sequences
 derived from the config seed.
@@ -154,7 +156,7 @@ class TrainerState:
             )
         except (MemoryError, ValueError):  # too large to map, or to index
             raise ValueError(
-                f"steps={config.steps}, batch_size={config.batch_size}, t0={config.t0} and "
+                f"steps={config.steps}, batch_size={config.batch_size} and "
                 f"n_rollouts={config.n_rollouts}: the run is too large to allocate"
             ) from None
 
@@ -163,42 +165,33 @@ class TrainerState:
         ids, and ``rng`` left in the same state, from the CDF built once."""
         return self._batch_cdf.searchsorted(rng.random(self.config.batch_size), side="right")
 
-    def exact_pass_rates(self) -> np.ndarray:
-        """A copy of the cached exact pass rates of the current ``theta``."""
-        return self._exact.copy()
-
     def mean_exact_pass_rate(self) -> float:
-        """d0-weighted mean of :meth:`exact_pass_rates`."""
+        """d0-weighted mean of the cached exact pass rates of ``theta``."""
         # the dot product can round past 1 when every prompt is solved
         mean = float(np.dot(self.population.base_weights, self._exact))
         return min(max(mean, 0.0), 1.0)
 
 
 def _scheme_for_step(state: TrainerState):
-    """Pin the step's reference into distribution-aware schemes."""
-    scheme = state.config.scheme
-    if not weighting.needs_reference(scheme):
+    """Pin the step's reference into a scheme whose reference is "window" or
+    "uniform": the histogram of the window, or of an empty row (the uniform
+    reference) when the scheme pins "uniform" or the window holds fewer than
+    ``min_window_count`` rates. Any other scheme is returned as is."""
+    cfg, t = state.config, state.step
+    scheme = cfg.scheme
+    if not weighting.needs_reference(scheme) or scheme.reference not in ("window", "uniform"):
         return scheme
-    ref = scheme.reference
-    if ref == "window":
-        t = state.step
-        counts = state.record.step_counts[max(0, t - state.config.t0):t].sum(axis=0)
-        size = int(counts.sum())
-        if size < state.config.min_window_count:
-            if not state._cold_start_logged:
-                log.info(
-                    "step %d: window holds %d < %d rates, using the uniform cold-start reference",
-                    t, size, state.config.min_window_count,
-                )
-                state._cold_start_logged = True
-            resolved = refdist.uniform_reference(state.config.n_rollouts)
-        else:
-            resolved = refdist.distribution_from_counts(counts, size)
-    elif ref == "uniform":
-        resolved = refdist.uniform_reference(state.config.n_rollouts)
-    else:
-        return scheme
-    return replace(scheme, reference=resolved)
+    counts = np.zeros(cfg.n_rollouts - 1, np.int64)
+    if scheme.reference == "window":
+        window = state.record.step_counts[max(0, t - cfg.t0):t].sum(axis=0)
+        size = int(window.sum())
+        if size >= cfg.min_window_count:
+            counts = window
+        elif not state._cold_start_logged:
+            log.info("step %d: window holds %d < %d rates, using the uniform cold-start reference",
+                     t, size, cfg.min_window_count)
+            state._cold_start_logged = True
+    return replace(scheme, reference=refdist.distribution_from_counts(counts, int(counts.sum())))
 
 
 def _sum_by_prompt(batch: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -90,7 +90,7 @@ class TestTrain:
     @pytest.mark.parametrize("size", [10**15, 10**20])
     @pytest.mark.parametrize("field, names", [
         ("steps", ("steps", "batch_size")),
-        ("n_rollouts", ("t0", "n_rollouts")),
+        ("n_rollouts", ("steps", "n_rollouts")),
     ])
     def test_unallocatable_run_names_its_sizes(self, tmp_path, capsys, field, names, size):
         path = write_config(tmp_path, config_doc(**{field: size}))

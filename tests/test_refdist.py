@@ -156,11 +156,19 @@ class TestEstimate:
 
     @pytest.mark.parametrize("n", [2, 3, 8, 12])
     def test_empty_histogram_is_the_uniform_reference(self, n):
-        uniform = uniform_reference(n)
+        # oracle: the continuous uniform law at the grid, with zero floors
+        uniform = ReferenceDistribution(n_rollouts=n, bin_mass=np.full(n - 1, 1.0 / n),
+                                        cdf=np.arange(1, n) / n, density=np.ones(n - 1),
+                                        cdf_floor=0.0, density_floor=0.0)
+        assert_references_bitwise_equal(uniform_reference(n), uniform)
         assert_references_bitwise_equal(distribution_from_counts(np.zeros(n - 1, np.int64), 0),
                                         uniform)
         assert_references_bitwise_equal(distribution_from_rates([], n), uniform)
         assert_references_bitwise_equal(distribution_from_counts(np.zeros(n - 1), 5), uniform)
+
+    def test_uniform_reference_needs_an_interior_grid_point(self):
+        with pytest.raises(ValueError, match="n_rollouts must be >= 2"):
+            uniform_reference(1)
 
     def test_invariants_after_estimate(self):
         # off-grid rates snap into counts first

@@ -2,7 +2,7 @@
 
 import logging
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -499,7 +499,7 @@ class TestWeightArgumentModes:
             cfg = TrainConfig(steps=1, scheme=MaxRL(), batch_size=32, seed=21,
                               weight_at_exact_pass_rate=mode)
             state = TrainerState(pop, cfg)
-            exact = np.clip(state.exact_pass_rates(), 1e-12, 1.0 - 1e-12)
+            exact = np.clip(population_pass_rates(pop.logits, pop.correct), 1e-12, 1.0 - 1e-12)
             train_step(state)
             rec = state.record
             weights[mode] = rec.weights[0]
@@ -589,7 +589,7 @@ class TestWeightPath:
         cfg = TrainConfig(steps=1, scheme=scheme, batch_size=64, seed=21,
                           weight_at_exact_pass_rate=True)
         state = TrainerState(pop, cfg)
-        exact = np.clip(state.exact_pass_rates(), 1e-12, 1.0 - 1e-12)
+        exact = np.clip(population_pass_rates(pop.logits, pop.correct), 1e-12, 1.0 - 1e-12)
         before = offgrid_snap_count()
         train_step(state)
         p_hat, prompt_ids = state.record.p_hat[0], state.record.prompt_ids[0]
@@ -600,6 +600,27 @@ class TestWeightPath:
         assert off > 0
         assert len(set(prompt_ids[active].tolist())) < active.sum()
         assert offgrid_snap_count() - before == 2 * off
+
+    @pytest.mark.parametrize("scheme", [Curve("uniform"), IntegratedProduct("uniform")],
+                             ids=["curve", "integrated_product"])
+    def test_exact_rate_step_under_pinned_uniform_reads_the_grid(self, scheme):
+        # a pinned "uniform" weighs under the grid reference uniform_reference(N),
+        # which snaps each exact rate to the grid, not under the continuous
+        # uniform law pointwise_weight gives the string (1/p for Curve)
+        pop = beta_population(20, seed=13)
+        cfg = TrainConfig(steps=1, scheme=scheme, batch_size=64, seed=21,
+                          weight_at_exact_pass_rate=True)
+        exact = np.clip(population_pass_rates(pop.logits, pop.correct), 1e-12, 1.0 - 1e-12)
+        state = TrainerState(pop, cfg)
+        train_step(state)
+        p_hat, prompt_ids = state.record.p_hat[0], state.record.prompt_ids[0]
+        active = (p_hat > 0.0) & (p_hat < 1.0)
+        at = exact[prompt_ids[active]]
+        weights = state.record.weights[0][active]
+        grid = replace(scheme, reference=uniform_reference(cfg.n_rollouts))
+        np.testing.assert_array_equal(weights.view(np.uint64),
+                                      pointwise_weight(grid, at).view(np.uint64))
+        assert np.any(weights != pointwise_weight(scheme, at))
 
 
 class TestDegenerationEquivalence:
@@ -682,10 +703,13 @@ class TestStepReference:
         assert references_built(monkeypatch, scheme) == []
 
     def test_a_window_step_builds_its_reference(self, monkeypatch):
-        # the counting above sees the builders: each step the histogram of
-        # the counts, which is uniform for the empty window of step 0
-        assert references_built(monkeypatch, Curve()) == (
-            ["distribution_from_counts", "uniform_reference"] + ["distribution_from_counts"] * 3)
+        # one builder call a step: the histogram of the window, which is
+        # uniform for the empty window of step 0
+        assert references_built(monkeypatch, Curve()) == ["distribution_from_counts"] * 4
+
+    def test_a_pinned_uniform_step_builds_one_reference(self, monkeypatch):
+        # the histogram of an empty row, every step
+        assert references_built(monkeypatch, Curve("uniform")) == ["distribution_from_counts"] * 4
 
     @staticmethod
     def cold_start_lines(caplog, scheme, min_window_count):
@@ -813,12 +837,6 @@ class TestExactRateCache:
     only for the rows a step updated; they must stay the full
     recomputation's bits."""
 
-    def test_exact_pass_rates_is_a_copy(self):
-        state = TrainerState(beta_population(6, seed=1), TrainConfig(steps=1, scheme=Reinforce()))
-        rates = state.exact_pass_rates()
-        rates[:] = -1.0
-        assert np.all(state.exact_pass_rates() >= 0.0)
-
     def test_step_recomputes_only_the_batch_rows(self, monkeypatch):
         # the batch reads its rows of the cached softmax, so the step's only
         # softmax and rate sum run over the distinct prompts it updated
@@ -869,7 +887,7 @@ class TestExactRateCache:
             np.testing.assert_array_equal(state.probs.view(np.uint64),
                                           softmax(state.theta).view(np.uint64))
             full = population_pass_rates(state.theta, state.masks)
-            np.testing.assert_array_equal(state.exact_pass_rates().view(np.uint64),
+            np.testing.assert_array_equal(state._exact.view(np.uint64),
                                           full.view(np.uint64))
 
 
