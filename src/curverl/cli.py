@@ -119,7 +119,7 @@ def cmd_weights(args) -> int:
         if args.ref is None:
             raise ConfigError(f"scheme {args.scheme!r} needs --ref (refdist.csv path or 'uniform')")
         if args.ref == "uniform":
-            reference = "uniform"  # closed form: no grid is built before weight_table's
+            reference = "uniform"  # no grid is built before grid_weights builds its own
         else:
             reference = refdist.load_reference_csv(args.ref)
             if reference.n_rollouts != args.n_rollouts:

@@ -33,6 +33,7 @@ __all__ = [
     "uniform_reference",
     "distribution_from_counts",
     "distribution_from_rates",
+    "floored_histogram",
     "exact_policy_distribution",
     "wasserstein1",
     "offgrid_snap_count",
@@ -100,6 +101,16 @@ def _histogram(counts: np.ndarray, total, sample_count):
 def _floor_cdf(cdf: np.ndarray, floor) -> np.ndarray:
     """The CDF weighting reads: raised to ``floor`` and capped at 1."""
     return np.minimum(np.maximum(cdf, floor), 1.0)
+
+
+def floored_histogram(counts: np.ndarray):
+    """Raw mass, floored CDF and floored density of the count rows ``counts``
+    along the last axis (entry c - 1 the count at c/N), each row's sum its
+    sample count: the values the lookups of ``distribution_from_counts(row,
+    row.sum())`` read at the grid, bit for bit. An empty row is uniform."""
+    total = counts.sum(axis=-1, keepdims=True)
+    mass, cdf, density, cdf_floor, density_floor = _histogram(counts, total, total)
+    return mass, _floor_cdf(cdf, cdf_floor), np.maximum(density, density_floor)
 
 
 @dataclass(frozen=True)
@@ -213,9 +224,9 @@ def reference_csv_columns(steps, counts):
     count rows ``counts`` logged at ``steps``: one row per grid point, the
     steps in order. Row t of the (steps, N - 1) ``counts`` holds the window's
     count at c/N in entry c - 1, and gives the reference built from that
-    window: ``_histogram`` of the row with the row's sum as its sample count,
-    the bits of :func:`distribution_from_counts` (an empty row is uniform).
-    mass is raw; cdf and density are floored, as the lookups read them.
+    window: :func:`floored_histogram` of the rows, the bits of
+    :func:`distribution_from_counts` (an empty row is uniform). mass is raw;
+    cdf and density are floored, as the lookups read them.
 
     A row records the window a step saw, not what the step weighed with: a
     cold-start step (window below ``min_window_count``) weighs under the
@@ -223,10 +234,7 @@ def reference_csv_columns(steps, counts):
     counts = np.asarray(counts, dtype=np.int64)
     n_steps, n_bins = counts.shape
     n_rollouts = n_bins + 1
-    total = counts.sum(axis=1, keepdims=True)
-    mass, cdf, density, cdf_floor, density_floor = _histogram(counts, total, total)
-    cdf = _floor_cdf(cdf, cdf_floor)
-    density = np.maximum(density, density_floor)
+    mass, cdf, density = floored_histogram(counts)
     return (
         np.repeat(np.asarray(steps, dtype=np.int64), n_bins),
         np.tile(np.arange(1, n_rollouts) / n_rollouts, n_steps),

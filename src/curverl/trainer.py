@@ -1,17 +1,13 @@
 """Training loop for the policy-reweighted contextual bandit.
 
-One step first builds its reference when the scheme's reference is
-"window" or "uniform": one :func:`refdist.distribution_from_counts` call on
-the window (the sum of the last t0 steps' count rows of the run record) or,
-for a pinned "uniform" and for a window below ``min_window_count`` (the cold
-start), on an empty row, which is the uniform reference. It then draws a
-batch of prompts from the base distribution, rolls out N responses per
-prompt, weights each active prompt (c of N rollouts correct, 0 < c < N) at
-its p-hat c/N (or, with ``weight_at_exact_pass_rate``, at its exact pass
-rate), averages the weighted score-function gradients over the batch, takes
-a plain gradient-ascent step, and counts the active prompts at each c into
-the step's count row. Each step fills its row of the run record
-(:class:`TrainResult`), from which the artifacts are written.
+One step draws a batch of prompts from the base distribution, rolls out N
+responses per prompt, weights each active prompt (c of N rollouts correct,
+0 < c < N) by entry c - 1 of one :func:`weighting.grid_weights` table (or,
+with ``weight_at_exact_pass_rate``, by :func:`weighting.pointwise_weight` at
+its exact pass rate), averages the weighted score-function gradients over
+the batch, takes a plain gradient-ascent step, and counts the active prompts
+at each c into the step's row of the run record (:class:`TrainResult`). A
+"window" reference reads the sum of the last t0 rows (:func:`_step_counts`).
 
 Runs are deterministic: all randomness comes from per-step seed sequences
 derived from the config seed.
@@ -132,7 +128,6 @@ class TrainerState:
         self.theta = population.logits.copy()
         self.masks = population.correct
         self.step = 0
-        self._cold_start_logged = False
         self.probs = softmax(self.theta)
         self._exact = pass_rates_from_probs(self.probs, self.masks)
         # the CDF that Generator.choice(P, B, p=base_weights) builds on every call
@@ -172,26 +167,22 @@ class TrainerState:
         return min(max(mean, 0.0), 1.0)
 
 
-def _scheme_for_step(state: TrainerState):
-    """Pin the step's reference into a scheme whose reference is "window" or
-    "uniform": the histogram of the window, or of an empty row (the uniform
-    reference) when the scheme pins "uniform" or the window holds fewer than
-    ``min_window_count`` rates. Any other scheme is returned as is."""
+def _step_counts(state: TrainerState):
+    """The count row the step weighs under: the window, for a "window" reference
+    and at least ``min_window_count`` rates; else ``None``, the uniform
+    reference. A cold start begins at step 0, whose window is empty, and is
+    logged there."""
     cfg, t = state.config, state.step
-    scheme = cfg.scheme
-    if not weighting.needs_reference(scheme) or scheme.reference not in ("window", "uniform"):
-        return scheme
-    counts = np.zeros(cfg.n_rollouts - 1, np.int64)
-    if scheme.reference == "window":
-        window = state.record.step_counts[max(0, t - cfg.t0):t].sum(axis=0)
-        size = int(window.sum())
-        if size >= cfg.min_window_count:
-            counts = window
-        elif not state._cold_start_logged:
-            log.info("step %d: window holds %d < %d rates, using the uniform cold-start reference",
-                     t, size, cfg.min_window_count)
-            state._cold_start_logged = True
-    return replace(scheme, reference=refdist.distribution_from_counts(counts, int(counts.sum())))
+    if not (weighting.needs_reference(cfg.scheme) and cfg.scheme.reference == "window"):
+        return None
+    window = state.record.step_counts[max(0, t - cfg.t0):t].sum(axis=0)
+    size = int(window.sum())
+    if size >= cfg.min_window_count:
+        return window
+    if t == 0:
+        log.info("step %d: window holds %d < %d rates, using the uniform cold-start reference",
+                 t, size, cfg.min_window_count)
+    return None
 
 
 def _sum_by_prompt(batch: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,8 +207,6 @@ def train_step(state: TrainerState) -> None:
     cfg = state.config
     if state.step >= cfg.steps:
         raise ValueError(f"step {state.step}: the run has only steps={cfg.steps}")
-    step_scheme = _scheme_for_step(state)
-    exact = state._exact
     mean_exact = state.mean_exact_pass_rate()
 
     rng = np.random.default_rng(
@@ -233,16 +222,21 @@ def train_step(state: TrainerState) -> None:
     p_hat = counts / cfg.n_rollouts
     active = (counts > 0) & (counts < cfg.n_rollouts)
 
-    if cfg.weight_at_exact_pass_rate:
-        # diagnostic mode: an active prompt's exact rate can still round to
-        # 0 or 1, where the weight is undefined; clamp just inside
-        at = np.clip(exact[batch[active]], 1e-12, 1.0 - 1e-12)
-    else:
-        at = p_hat[active]
+    row = _step_counts(state)
     weights = np.zeros(cfg.batch_size)
     # an overflow is reported below, naming the step
     with np.errstate(all="ignore"):
-        weights[active] = weighting.pointwise_weight(step_scheme, at)
+        if not cfg.weight_at_exact_pass_rate:
+            table = weighting.grid_weights(cfg.scheme, cfg.n_rollouts, row)
+            weights[active] = table[counts[active] - 1]
+        else:
+            # diagnostic mode: an active prompt's exact rate can still round
+            # to 0 or 1, where the weight is undefined; clamp just inside
+            scheme, at = cfg.scheme, np.clip(state._exact[batch[active]], 1e-12, 1.0 - 1e-12)
+            if weighting.needs_reference(scheme) and scheme.reference in ("window", "uniform"):
+                row = np.zeros(cfg.n_rollouts - 1) if row is None else row
+                scheme = replace(scheme, reference=refdist.distribution_from_counts(row, row.sum()))
+            weights[active] = weighting.pointwise_weight(scheme, at)
     if not (np.isfinite(weights) & (weights >= 0.0)).all():
         raise ValueError(f"step {state.step}: weights must be finite and nonnegative")
 

@@ -18,7 +18,8 @@ The distribution-aware family reads a reference distribution over pass rates:
 
 :func:`pointwise_weight` and the references' ``cdf_at`` / ``density_at``
 work elementwise over arrays of pass rates, so each caller makes one call
-and a rate's weight has the same bits in any array.
+and a rate's weight has the same bits in any array. The trainer and
+:func:`weight_table` read :func:`grid_weights`, the table at the grid k/N.
 
 Every pointwise weight with a finite tail integral is itself a reverse hazard
 rate of a unique prior CDF, F(p) = exp(-integral_p^1 w); ``induced_prior``
@@ -58,6 +59,7 @@ __all__ = [
     "scheme_name",
     "SCHEMES",
     "pointwise_weight",
+    "grid_weights",
     "induced_prior",
     "induced_prior_numeric",
     "reverse_hazard_identity_check",
@@ -212,13 +214,35 @@ def pointwise_weight(scheme: WeightScheme, p) -> np.ndarray:
     ref = scheme.reference
     if ref in ("window", "uniform"):
         ref = ContinuousUniform()
-    cdf = ref.cdf_at(p)
-    dens = ref.density_at(p)
+    return _reference_weight(scheme, p, ref.cdf_at(p), ref.density_at(p))
+
+
+def _reference_weight(scheme, p: np.ndarray, cdf: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """A distribution-aware scheme's weights at ``p``, given F_ref and f_ref there."""
     if isinstance(scheme, Curve):
         return dens / cdf
     if isinstance(scheme, IntegratedConvex):
         return (1.0 - scheme.lam) / p + scheme.lam * (dens / cdf)
     return -(_log(cdf) / p + dens * _log(p) / cdf)
+
+
+def grid_weights(scheme: WeightScheme, n_rollouts: int, counts=None) -> np.ndarray:
+    """w(k/N) for k = 1 ... N - 1. A "window" or "uniform" reference is the
+    histogram of the count row ``counts`` (``None`` or an empty row is uniform),
+    with the bits of :func:`pointwise_weight` under
+    ``distribution_from_counts(counts, counts.sum())`` at the grid."""
+    if n_rollouts < 2:
+        raise ValueError("n_rollouts must be >= 2")
+    try:
+        grid = np.arange(1, n_rollouts) / n_rollouts
+    except (MemoryError, ValueError):  # too large to map, or to index
+        raise ValueError(
+            f"n_rollouts={n_rollouts}: the weight grid is too large to allocate"
+        ) from None
+    if not (needs_reference(scheme) and scheme.reference in ("window", "uniform")):
+        return pointwise_weight(scheme, grid)
+    _, cdf, dens = refdist.floored_histogram(np.zeros(n_rollouts - 1) if counts is None else counts)
+    return _reference_weight(scheme, grid, cdf, dens)
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +335,10 @@ WEIGHT_CSV_HEADER = ("scheme", "p", "weight", "normalized_weight")
 def weight_table(scheme: WeightScheme,
                  n_rollouts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(p, weight, normalized weight) columns on the interior rollout grid."""
-    if n_rollouts < 2:
-        raise ValueError("n_rollouts must be >= 2")
-    try:
-        grid = np.arange(1, n_rollouts) / n_rollouts
-    except (MemoryError, ValueError):  # too large to map, or to index
-        raise ValueError(
-            f"n_rollouts={n_rollouts}: the weight grid is too large to allocate"
-        ) from None
     # an overflow is reported below, naming its grid point
     with np.errstate(all="ignore"):
-        weights = pointwise_weight(scheme, grid)
+        weights = grid_weights(scheme, n_rollouts)
+    grid = np.arange(1, n_rollouts) / n_rollouts
     bad = ~(np.isfinite(weights) & (weights >= 0.0))
     if bad.any():
         i = int(np.argmax(bad))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curverl import refdist
+from curverl import refdist, weighting
 from curverl.cli import main
 from curverl.ioutil import write_csv
 from curverl.passrate import (
@@ -51,7 +51,7 @@ def assert_references_bitwise_equal(a, b):
 
 def window_run(t0, steps, population=None, seed=3):
     """The run record of a short Curve run (N = 8) whose every step weighs
-    under its window, and the window counts each step read."""
+    under its window, and the window counts each step's weight table read."""
     if population is None:
         population = make_population(
             20, m=8, seed=seed,
@@ -60,11 +60,11 @@ def window_run(t0, steps, population=None, seed=3):
                                                  t0=t0, seed=seed, min_window_count=0))
     read = []
 
-    def spy(counts, sample_count, _real=refdist.distribution_from_counts):
+    def spy(scheme, n_rollouts, counts=None, _real=weighting.grid_weights):
         read.append(counts.copy())
-        return _real(counts, sample_count)
+        return _real(scheme, n_rollouts, counts)
 
-    with mock.patch.object(refdist, "distribution_from_counts", spy):
+    with mock.patch.object(weighting, "grid_weights", spy):
         for _ in range(steps):
             train_step(state)
     return state.record, read

@@ -47,6 +47,7 @@ from curverl.weighting import (
     IntegratedProduct,
     MaxRL,
     Reinforce,
+    needs_reference,
     pointwise_weight,
 )
 from test_refdist import assert_references_bitwise_equal, step_counts
@@ -563,23 +564,29 @@ class TestWeightPath:
             train_step(state)
 
     def test_weight_is_looked_up_through_the_module_once_per_step(self, monkeypatch):
-        # a benchmark probe wraps weighting.pointwise_weight where the trainer looks it up
+        # a probe can wrap weighting.grid_weights where the trainer looks it up;
+        # each active row's weight is entry c - 1 of its step's one table
         calls = []
-        real = weighting.pointwise_weight
+        real = weighting.grid_weights
 
-        def spy(scheme, p):
-            calls.append(np.asarray(p).copy())
-            return real(scheme, p)
+        def spy(scheme, n_rollouts, counts=None):
+            table = real(scheme, n_rollouts, counts)
+            calls.append((counts.copy(), table))
+            return table
 
-        monkeypatch.setattr(weighting, "pointwise_weight", spy)
+        monkeypatch.setattr(weighting, "grid_weights", spy)
         pop = beta_population(20, seed=13)
         cfg = TrainConfig(steps=4, scheme=IntegratedProduct(), batch_size=32, seed=21,
                           min_window_count=0)
         result = run_training(pop, cfg)
         assert len(calls) == cfg.steps
-        for at, p_hat in zip(calls, result.p_hat):
-            active = (p_hat > 0.0) & (p_hat < 1.0)
-            np.testing.assert_array_equal(at, p_hat[active])
+        for (counts, table), window, p_hat, weights in zip(
+                calls, windows_read(result), result.p_hat, result.weights):
+            np.testing.assert_array_equal(counts, window, strict=True)
+            c = np.rint(p_hat * cfg.n_rollouts).astype(np.int64)
+            active = (c > 0) & (c < cfg.n_rollouts)
+            np.testing.assert_array_equal(weights[active], table[c[active] - 1], strict=True)
+            assert not weights[~active].any()
 
     @pytest.mark.parametrize("scheme", [Curve(), IntegratedProduct()])
     def test_exact_rate_step_counts_every_off_grid_query(self, scheme):
@@ -679,20 +686,28 @@ class TestAdaptiveSchemes:
             assert active.any() and np.all(weights[active] > 0)
 
 
-def references_built(monkeypatch, scheme, steps=4, min_window_count=0):
-    """The names of the reference builders that ``steps`` steps of ``scheme`` call."""
+def references_built(monkeypatch, scheme, steps=4, min_window_count=0, exact=False):
+    """What ``steps`` steps of ``scheme`` build, in call order: the name of
+    each reference builder called, and ("table", row) for each weight table,
+    row the count row it read as a list (None for no row); and the record."""
     built = []
     for name in ("distribution_from_counts", "uniform_reference"):
         def spy(*args, _name=name, _real=getattr(refdist, name)):
             built.append(_name)
             return _real(*args)
         monkeypatch.setattr(refdist, name, spy)
+
+    def table(scheme, n_rollouts, counts=None, _real=weighting.grid_weights):
+        built.append(("table", None if counts is None else counts.tolist()))
+        return _real(scheme, n_rollouts, counts)
+
+    monkeypatch.setattr(weighting, "grid_weights", table)
     cfg = TrainConfig(steps=steps, scheme=scheme, batch_size=32, t0=2, seed=21,
-                      min_window_count=min_window_count)
+                      min_window_count=min_window_count, weight_at_exact_pass_rate=exact)
     state = TrainerState(beta_population(20, seed=13), cfg)
     for _ in range(steps):
         train_step(state)
-    return built
+    return built, state.record
 
 
 class TestStepReference:
@@ -700,16 +715,24 @@ class TestStepReference:
         Reinforce(), Grpo(), MaxRL(), EntropicRisk(eta=2.0), Curve(TruncatedExponential(4.0)),
     ], ids=["reinforce", "grpo", "maxrl", "entropic_risk", "curve_fixed"])
     def test_a_step_that_reads_no_window_builds_no_reference(self, monkeypatch, scheme):
-        assert references_built(monkeypatch, scheme) == []
+        # one table a step, read from no count row
+        assert references_built(monkeypatch, scheme)[0] == [("table", None)] * 4
 
     def test_a_window_step_builds_its_reference(self, monkeypatch):
-        # one builder call a step: the histogram of the window, which is
-        # uniform for the empty window of step 0
-        assert references_built(monkeypatch, Curve()) == ["distribution_from_counts"] * 4
+        # one table a step, read from the window, which is empty at step 0
+        built, record = references_built(monkeypatch, Curve())
+        assert built == [("table", w.tolist()) for w in windows_read(record)]
+        assert built[0] == ("table", [0] * 7)
 
     def test_a_pinned_uniform_step_builds_one_reference(self, monkeypatch):
-        # the histogram of an empty row, every step
-        assert references_built(monkeypatch, Curve("uniform")) == ["distribution_from_counts"] * 4
+        # one table a step, read from no count row: the uniform reference
+        assert references_built(monkeypatch, Curve("uniform"))[0] == [("table", None)] * 4
+
+    @pytest.mark.parametrize("scheme", [Curve(), Curve("uniform")], ids=["window", "uniform"])
+    def test_an_exact_rate_step_builds_its_reference_and_no_table(self, monkeypatch, scheme):
+        # the exact-rate mode snaps through one histogram of the step's row a step
+        built, _ = references_built(monkeypatch, scheme, exact=True)
+        assert built == ["distribution_from_counts"] * 4
 
     @staticmethod
     def cold_start_lines(caplog, scheme, min_window_count):
@@ -732,6 +755,43 @@ class TestStepReference:
     def test_no_cold_start_is_logged(self, caplog, scheme, min_window_count):
         _, lines = self.cold_start_lines(caplog, scheme, min_window_count)
         assert lines == []
+
+
+def reference_object_weights(result):
+    """Each step's weights by the reference-object path: ``pointwise_weight``
+    at the active p-hats, under ``distribution_from_counts`` of the window
+    the step read, or of an empty row for a cold start or pinned "uniform"."""
+    cfg, scheme = result.config, result.config.scheme
+    weights = np.zeros_like(result.weights)
+    for t, (window, p_hat) in enumerate(zip(windows_read(result), result.p_hat)):
+        step_scheme = scheme
+        if needs_reference(scheme) and scheme.reference in ("window", "uniform"):
+            use = scheme.reference == "window" and window.sum() >= cfg.min_window_count
+            row = window if use else np.zeros_like(window)
+            step_scheme = replace(scheme, reference=refdist.distribution_from_counts(
+                row, int(row.sum())))
+        active = (p_hat > 0.0) & (p_hat < 1.0)
+        weights[t, active] = pointwise_weight(step_scheme, p_hat[active])
+    return weights
+
+
+class TestGridTableSteps:
+    @pytest.mark.parametrize("scheme", [
+        Reinforce(), Grpo(), MaxRL(), EntropicRisk(eta=2.0), EntropicRisk(eta=40.0),
+        Curve(), Curve("uniform"), Curve(TruncatedExponential(4.0)),
+        IntegratedConvex(0.4), IntegratedConvex(1.0, "uniform"),
+        IntegratedProduct(), IntegratedProduct("uniform"),
+    ], ids=repr)
+    def test_weights_equal_the_reference_object_path(self, scheme):
+        # min_window_count 40 puts the first steps in the cold start
+        cfg = TrainConfig(steps=8, scheme=scheme, batch_size=32, t0=3, seed=9,
+                          learning_rate=4.0, min_window_count=40)
+        result = run_training(beta_population(30, seed=8, alpha=1.0, beta=2.0), cfg)
+        sizes = windows_read(result).sum(axis=1)
+        assert (sizes < 40).any() and (sizes >= 40).any()
+        assert result.weights.any()
+        np.testing.assert_array_equal(result.weights.view(np.uint64),
+                                      reference_object_weights(result).view(np.uint64))
 
 
 class TestSharedPopulation:

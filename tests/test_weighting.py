@@ -2,10 +2,13 @@
 
 import math
 import operator
+from dataclasses import replace
 from functools import partial, reduce
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from curverl import refdist
 from curverl.verify import GAP_BOUND_TOL, PROP2_UTILITIES
@@ -25,6 +28,7 @@ from curverl.weighting import (
     IntegratedProduct,
     MaxRL,
     Reinforce,
+    grid_weights,
     induced_prior,
     induced_prior_numeric,
     needs_reference,
@@ -455,6 +459,79 @@ class TestWeightTable:
             density=[0.0, 0.0, 0.0], cdf_floor=0.0, density_floor=0.0)
         with pytest.raises(ValueError, match="finite, positive sum, got 0.0"):
             weight_table(Curve(ref), 4)
+
+
+@st.composite
+def table_cases(draw):
+    """A scheme of any kind and parameter, N, and a count row for its table:
+    empty rows, sparse rows whose empty bins sit below the density floor,
+    and rows whose low bins sit below the CDF floor."""
+    n = draw(st.sampled_from([2, 3, 5, 8, 16, 64]))
+    row = np.array(draw(st.lists(st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 10**4)),
+                                 min_size=n - 1, max_size=n - 1)), dtype=np.int64)
+    name = draw(st.sampled_from(sorted(SCHEMES)))
+    reference = draw(st.sampled_from(["window", "uniform", "pinned"]))
+    if reference == "pinned":
+        reference = refdist.distribution_from_counts(row, int(row.sum()))
+    if name == "entropic_risk":
+        scheme = EntropicRisk(draw(st.floats(1e-6, 1e4)))
+    elif name == "integrated_convex":
+        scheme = IntegratedConvex(draw(st.floats(0.0, 1.0)), reference)
+    elif needs_reference(SCHEMES[name]()):
+        scheme = SCHEMES[name](reference)
+    else:
+        scheme = SCHEMES[name]()
+    return scheme, n, row
+
+
+class TestGridWeights:
+    @settings(max_examples=300, deadline=None)
+    @given(table_cases())
+    @example((Curve(), 8, np.zeros(7, np.int64)))
+    @example((IntegratedProduct(), 64, np.eye(1, 63, 62, np.int64)[0]))
+    def test_table_is_the_reference_objects_weights_at_the_grid(self, case):
+        # oracle: the per-step reference object the trainer used to build
+        scheme, n, row = case
+        grid = np.arange(1, n) / n
+        with np.errstate(all="ignore"):
+            table = grid_weights(scheme, n, row)
+            if needs_reference(scheme) and scheme.reference in ("window", "uniform"):
+                ref = refdist.distribution_from_counts(row, row.sum())
+                want = pointwise_weight(replace(scheme, reference=ref), grid)
+                empty = refdist.distribution_from_counts(np.zeros(n - 1), 0)
+                np.testing.assert_array_equal(
+                    grid_weights(scheme, n).view(np.uint64),
+                    pointwise_weight(replace(scheme, reference=empty), grid).view(np.uint64))
+            else:
+                want = pointwise_weight(scheme, grid)
+        assert table.shape == (n - 1,)
+        np.testing.assert_array_equal(table.view(np.uint64), want.view(np.uint64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(table_cases())
+    def test_floored_cdf_is_monotone_in_the_unit_interval(self, case):
+        _, _, row = case
+        mass, cdf, dens = refdist.floored_histogram(row)
+        assert (np.diff(cdf) >= 0.0).all()
+        assert ((cdf > 0.0) & (cdf <= 1.0)).all()
+        # the uniform reference of an empty row ends at (N - 1)/N
+        assert cdf[-1] == (1.0 if row.any() else row.size / (row.size + 1))
+        assert (np.isfinite(dens) & (dens > 0.0)).all() and (mass >= 0.0).all()
+
+    def test_rows_are_tabulated_independently(self):
+        # reference_csv_columns reads every logged row in one call
+        rows = np.array([[0, 0, 0], [5, 0, 1], [0, 0, 0], [1, 2, 3]], np.int64)
+        block = refdist.floored_histogram(rows)
+        for i, row in enumerate(rows):
+            for got, want in zip(block, refdist.floored_histogram(row)):
+                assert got[i].tobytes() == want.tobytes()
+
+    def test_weight_table_is_the_grid_table(self):
+        for scheme in (Grpo(), Curve(), IntegratedConvex(0.3, "uniform"),
+                       Curve(TruncatedExponential(4.0))):
+            grid, weights, _ = weight_table(scheme, 16)
+            assert grid.tobytes() == (np.arange(1, 16) / 16).tobytes()
+            assert weights.tobytes() == grid_weights(scheme, 16).tobytes()
 
 
 class TestReferences:
