@@ -15,9 +15,9 @@ divides by the CDF: cdf_floor = 1/(count+1), density_floor = 0.5*N/(count+1).
 The floors are a weighting safeguard only; distances between distributions
 (:func:`wasserstein1`) use the raw, pre-floor CDFs.
 
-Lookups (``cdf_at``, ``density_at``) take arrays of pass rates, snap each to
-its nearest interior grid point by the rule that bins the histogram, and
-count the off-grid ones (:func:`offgrid_snap_count`).
+Lookups snap each rate to its nearest interior grid point by the histogram's
+rule (:func:`query_indices`) and count each off-grid snap: ``cdf_at`` and
+``density_at`` once each, a weight read from a count row once for both.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "distribution_from_counts",
     "distribution_from_rates",
     "floored_histogram",
+    "query_indices",
     "exact_policy_distribution",
     "wasserstein1",
     "offgrid_snap_count",
@@ -57,7 +58,7 @@ def _grid_indices(rates: np.ndarray, n_rollouts: int) -> np.ndarray:
     return np.clip(np.rint(rates * n_rollouts), 1, n_rollouts - 1).astype(np.int64)
 
 
-def _query_indices(p, n_rollouts: int) -> np.ndarray:
+def query_indices(p, n_rollouts: int) -> np.ndarray:
     """0-based grid positions of the rates ``p``; counts the off-grid ones."""
     global _offgrid_snaps
     p = np.asarray(p, dtype=np.float64)
@@ -151,14 +152,14 @@ class ReferenceDistribution:
 
     def cdf_at(self, p) -> np.ndarray:
         """Floored cumulative mass at the grid point nearest each rate of p; never 0."""
-        return _floor_cdf(self.cdf, self.cdf_floor)[_query_indices(p, self.n_rollouts)]
+        return _floor_cdf(self.cdf, self.cdf_floor)[query_indices(p, self.n_rollouts)]
 
     def density_at(self, p) -> np.ndarray:
         """Floored per-unit-length density at the grid point nearest each rate of p."""
-        return np.maximum(self.density, self.density_floor)[_query_indices(p, self.n_rollouts)]
+        return np.maximum(self.density, self.density_floor)[query_indices(p, self.n_rollouts)]
 
     def raw_cdf_at(self, p) -> np.ndarray:
-        return self.cdf[_query_indices(p, self.n_rollouts)]
+        return self.cdf[query_indices(p, self.n_rollouts)]
 
 
 def uniform_reference(n_rollouts: int) -> ReferenceDistribution:
@@ -200,13 +201,13 @@ def distribution_from_rates(rates, n_rollouts: int, weights=None) -> ReferenceDi
 
 
 def exact_policy_distribution(population, n_rollouts: int) -> ReferenceDistribution:
-    """Grid histogram of the analytic pass rates of a population under d0.
-
-    This is the pushforward of the base prompt distribution through the exact
-    pass-rate map, used as the oracle target for the trainer's window estimate.
+    """Grid histogram under d0 of a population's analytic pass rates inside
+    (0, 1), the rates the trainer's window keeps: the pushforward of the base
+    prompt distribution through the exact pass-rate map. With none, uniform.
     """
     rates = population_pass_rates(population.logits, population.correct)
-    return distribution_from_rates(rates, n_rollouts, weights=population.base_weights)
+    live = (rates > 0.0) & (rates < 1.0)
+    return distribution_from_rates(rates[live], n_rollouts, population.base_weights[live])
 
 
 def wasserstein1(a: ReferenceDistribution, b: ReferenceDistribution) -> float:

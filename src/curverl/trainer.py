@@ -7,7 +7,8 @@ with ``weight_at_exact_pass_rate``, by :func:`weighting.pointwise_weight` at
 its exact pass rate), averages the weighted score-function gradients over
 the batch, takes a plain gradient-ascent step, and counts the active prompts
 at each c into the step's row of the run record (:class:`TrainResult`). A
-"window" reference reads the sum of the last t0 rows (:func:`_step_counts`).
+"window" reference reads the sum of the last t0 rows (:func:`_step_counts`),
+and a cold start or a pinned "uniform" an empty row, in either mode.
 
 Runs are deterministic: all randomness comes from per-step seed sequences
 derived from the config seed.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -232,11 +233,9 @@ def train_step(state: TrainerState) -> None:
         else:
             # diagnostic mode: an active prompt's exact rate can still round
             # to 0 or 1, where the weight is undefined; clamp just inside
-            scheme, at = cfg.scheme, np.clip(state._exact[batch[active]], 1e-12, 1.0 - 1e-12)
-            if weighting.needs_reference(scheme) and scheme.reference in ("window", "uniform"):
-                row = np.zeros(cfg.n_rollouts - 1) if row is None else row
-                scheme = replace(scheme, reference=refdist.distribution_from_counts(row, row.sum()))
-            weights[active] = weighting.pointwise_weight(scheme, at)
+            at = np.clip(state._exact[batch[active]], 1e-12, 1.0 - 1e-12)
+            row = np.zeros(cfg.n_rollouts - 1, np.int64) if row is None else row
+            weights[active] = weighting.pointwise_weight(cfg.scheme, at, row)
     if not (np.isfinite(weights) & (weights >= 0.0)).all():
         raise ValueError(f"step {state.step}: weights must be finite and nonnegative")
 

@@ -16,10 +16,10 @@ The distribution-aware family reads a reference distribution over pass rates:
 * ``IntegratedConvex``   w(p) = (1 - lam) / p + lam f_ref(p) / F_ref(p)
 * ``IntegratedProduct``  w(p) = -(ln F_ref(p) / p + f_ref(p) ln p / F_ref(p))
 
-:func:`pointwise_weight` and the references' ``cdf_at`` / ``density_at``
-work elementwise over arrays of pass rates, so each caller makes one call
-and a rate's weight has the same bits in any array. The trainer and
-:func:`weight_table` read :func:`grid_weights`, the table at the grid k/N.
+A "window" or "uniform" reference is the histogram of a count row. The
+weights, :func:`pointwise_weight` at any rates and :func:`grid_weights` at the
+grid k/N (grid-mode training, :func:`weight_table`), work elementwise over
+arrays, so each caller makes one call and a rate's weight has the same bits.
 
 Every pointwise weight with a finite tail integral is itself a reverse hazard
 rate of a unique prior CDF, F(p) = exp(-integral_p^1 w); ``induced_prior``
@@ -44,7 +44,6 @@ import numpy as np
 from . import refdist
 from .ioutil import write_csv
 from .quadrature import tail_integral
-from .references import ContinuousUniform
 
 __all__ = [
     "Reinforce",
@@ -110,11 +109,11 @@ def _check_reference(reference) -> None:
 class Curve:
     """Reverse-hazard weight under a reference distribution.
 
-    ``reference`` is "window" by default: resolved from the sliding window
-    each training step, and outside training the uniform reference, i.e. the
-    1/p weight. "uniform" pins the neutral uniform reference; a reference
-    object (anything with ``cdf_at`` and ``density_at``) is used as given.
-    A config names only the two strings.
+    ``reference`` is "window" by default: the histogram of the trainer's
+    window each step, or of an empty row, the uniform reference, when the
+    window is short. "uniform" pins the empty row. A reference object
+    (anything with ``cdf_at`` and ``density_at``) is used as given. A config
+    names only the two strings.
     """
 
     reference: object = "window"
@@ -181,12 +180,11 @@ def _log(x) -> np.ndarray:
     return np.fromiter(map(math.log, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
-def pointwise_weight(scheme: WeightScheme, p) -> np.ndarray:
+def pointwise_weight(scheme: WeightScheme, p, counts=None) -> np.ndarray:
     """Weights of the pass rates ``p`` (an array, or a scalar), each strictly
-    inside (0, 1); the result has ``p``'s shape.
-
-    Curve/Integrated schemes without a concrete reference use the uniform
-    cold-start fallback, under which Curve equals the 1/p rule exactly.
+    inside (0, 1); the result has ``p``'s shape. A "window" or "uniform"
+    reference is the floored histogram of the count row ``counts`` (an empty
+    row is uniform) at each rate's nearest grid point; it needs the row.
     """
     p = np.asarray(p, dtype=np.float64)
     inside = (p > 0.0) & (p < 1.0)
@@ -212,9 +210,13 @@ def pointwise_weight(scheme: WeightScheme, p) -> np.ndarray:
     if not needs_reference(scheme):
         raise TypeError(f"unknown scheme {scheme!r}")
     ref = scheme.reference
-    if ref in ("window", "uniform"):
-        ref = ContinuousUniform()
-    return _reference_weight(scheme, p, ref.cdf_at(p), ref.density_at(p))
+    if ref not in ("window", "uniform"):
+        return _reference_weight(scheme, p, ref.cdf_at(p), ref.density_at(p))
+    if counts is None:
+        raise ValueError(f"a {ref!r} reference needs a count row to weigh by")
+    _, cdf, dens = refdist.floored_histogram(counts)
+    k = refdist.query_indices(p, counts.shape[-1] + 1)
+    return _reference_weight(scheme, p, cdf[k], dens[k])
 
 
 def _reference_weight(scheme, p: np.ndarray, cdf: np.ndarray, dens: np.ndarray) -> np.ndarray:
@@ -227,10 +229,8 @@ def _reference_weight(scheme, p: np.ndarray, cdf: np.ndarray, dens: np.ndarray) 
 
 
 def grid_weights(scheme: WeightScheme, n_rollouts: int, counts=None) -> np.ndarray:
-    """w(k/N) for k = 1 ... N - 1. A "window" or "uniform" reference is the
-    histogram of the count row ``counts`` (``None`` or an empty row is uniform),
-    with the bits of :func:`pointwise_weight` under
-    ``distribution_from_counts(counts, counts.sum())`` at the grid."""
+    """w(k/N) for k = 1 ... N - 1: the bits of ``pointwise_weight(scheme,
+    grid, counts)``, where ``counts=None`` stands for an empty row."""
     if n_rollouts < 2:
         raise ValueError("n_rollouts must be >= 2")
     try:

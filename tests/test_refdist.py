@@ -302,6 +302,19 @@ class TestExactPolicyDistribution:
         assert ref.bin_mass[1] == pytest.approx(0.5, abs=1e-12)  # 2/8
         assert ref.bin_mass[5] == pytest.approx(0.5, abs=1e-12)  # 6/8
 
+    def test_dead_prompts_are_left_out(self):
+        # the window keeps only rates inside (0, 1); an unsolvable prompt's
+        # rate 0 must not land in the 1/N bin
+        pop = make_population(4, m=8, seed=1, profile=DifficultyProfile(
+            kind="fixed", targets=(0.25,), unsolvable_fraction=0.5))
+        assert (population_pass_rates(pop.logits, pop.correct) == 0.0).sum() == 2
+        ref = exact_policy_distribution(pop, 8)
+        assert ref.bin_mass.tolist() == [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+    def test_a_population_with_no_live_prompt_is_uniform(self):
+        pop = PromptPopulation(np.zeros((3, 4)), np.zeros((3, 4), dtype=bool))
+        assert_references_bitwise_equal(exact_policy_distribution(pop, 8), uniform_reference(8))
+
     def test_estimate_converges_to_exact_distribution(self):
         # Monte Carlo oracle: histogram the exact pass rates of prompts
         # sampled from d0 and compare it against the analytic pushforward.

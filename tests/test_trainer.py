@@ -590,7 +590,7 @@ class TestWeightPath:
 
     @pytest.mark.parametrize("scheme", [Curve(), IntegratedProduct()])
     def test_exact_rate_step_counts_every_off_grid_query(self, scheme):
-        # the uniform cold-start reference is looked up twice (F and f) per
+        # the cold start's empty row is read once (F and f together) per
         # active row, repeated prompts included
         pop = beta_population(20, seed=13)
         cfg = TrainConfig(steps=1, scheme=scheme, batch_size=64, seed=21,
@@ -606,14 +606,14 @@ class TestWeightPath:
                   for r in exact[prompt_ids[active]].tolist())
         assert off > 0
         assert len(set(prompt_ids[active].tolist())) < active.sum()
-        assert offgrid_snap_count() - before == 2 * off
+        assert offgrid_snap_count() - before == off
 
     @pytest.mark.parametrize("scheme", [Curve("uniform"), IntegratedProduct("uniform")],
                              ids=["curve", "integrated_product"])
     def test_exact_rate_step_under_pinned_uniform_reads_the_grid(self, scheme):
         # a pinned "uniform" weighs under the grid reference uniform_reference(N),
-        # which snaps each exact rate to the grid, not under the continuous
-        # uniform law pointwise_weight gives the string (1/p for Curve)
+        # which snaps each exact rate to the grid; the string alone names no
+        # reference outside a step, so pointwise_weight without a row raises
         pop = beta_population(20, seed=13)
         cfg = TrainConfig(steps=1, scheme=scheme, batch_size=64, seed=21,
                           weight_at_exact_pass_rate=True)
@@ -627,7 +627,8 @@ class TestWeightPath:
         grid = replace(scheme, reference=uniform_reference(cfg.n_rollouts))
         np.testing.assert_array_equal(weights.view(np.uint64),
                                       pointwise_weight(grid, at).view(np.uint64))
-        assert np.any(weights != pointwise_weight(scheme, at))
+        with pytest.raises(ValueError, match="'uniform' reference needs a count row"):
+            pointwise_weight(scheme, at)
 
 
 class TestDegenerationEquivalence:
@@ -729,10 +730,20 @@ class TestStepReference:
         assert references_built(monkeypatch, Curve("uniform"))[0] == [("table", None)] * 4
 
     @pytest.mark.parametrize("scheme", [Curve(), Curve("uniform")], ids=["window", "uniform"])
-    def test_an_exact_rate_step_builds_its_reference_and_no_table(self, monkeypatch, scheme):
-        # the exact-rate mode snaps through one histogram of the step's row a step
-        built, _ = references_built(monkeypatch, scheme, exact=True)
-        assert built == ["distribution_from_counts"] * 4
+    def test_an_exact_rate_step_looks_up_its_row_once_and_builds_no_table(self, monkeypatch,
+                                                                          scheme):
+        # the exact-rate mode snaps a step's active rates once, into the
+        # histogram of the step's row, and builds no reference object
+        lookups = []
+
+        def spy(p, n_rollouts, _real=refdist.query_indices):
+            lookups.append(np.size(p))
+            return _real(p, n_rollouts)
+
+        monkeypatch.setattr(refdist, "query_indices", spy)
+        built, record = references_built(monkeypatch, scheme, exact=True)
+        assert built == []
+        assert lookups == ((record.p_hat > 0) & (record.p_hat < 1)).sum(axis=1).tolist()
 
     @staticmethod
     def cold_start_lines(caplog, scheme, min_window_count):
@@ -757,13 +768,15 @@ class TestStepReference:
         assert lines == []
 
 
-def reference_object_weights(result):
+def reference_object_weights(result, rates=None):
     """Each step's weights by the reference-object path: ``pointwise_weight``
-    at the active p-hats, under ``distribution_from_counts`` of the window
-    the step read, or of an empty row for a cold start or pinned "uniform"."""
+    at the active rows' ``rates`` (by default their p-hats), under
+    ``distribution_from_counts`` of the window the step read, or of an empty
+    row for a cold start or pinned "uniform"."""
     cfg, scheme = result.config, result.config.scheme
+    rates = result.p_hat if rates is None else rates
     weights = np.zeros_like(result.weights)
-    for t, (window, p_hat) in enumerate(zip(windows_read(result), result.p_hat)):
+    for t, (window, p_hat, at) in enumerate(zip(windows_read(result), result.p_hat, rates)):
         step_scheme = scheme
         if needs_reference(scheme) and scheme.reference in ("window", "uniform"):
             use = scheme.reference == "window" and window.sum() >= cfg.min_window_count
@@ -771,17 +784,21 @@ def reference_object_weights(result):
             step_scheme = replace(scheme, reference=refdist.distribution_from_counts(
                 row, int(row.sum())))
         active = (p_hat > 0.0) & (p_hat < 1.0)
-        weights[t, active] = pointwise_weight(step_scheme, p_hat[active])
+        weights[t, active] = pointwise_weight(step_scheme, at[active])
     return weights
 
 
+# every scheme kind, each string reference and a reference object
+STEP_SCHEMES = [
+    Reinforce(), Grpo(), MaxRL(), EntropicRisk(eta=2.0), EntropicRisk(eta=40.0),
+    Curve(), Curve("uniform"), Curve(TruncatedExponential(4.0)),
+    IntegratedConvex(0.4), IntegratedConvex(1.0, "uniform"),
+    IntegratedProduct(), IntegratedProduct("uniform"),
+]
+
+
 class TestGridTableSteps:
-    @pytest.mark.parametrize("scheme", [
-        Reinforce(), Grpo(), MaxRL(), EntropicRisk(eta=2.0), EntropicRisk(eta=40.0),
-        Curve(), Curve("uniform"), Curve(TruncatedExponential(4.0)),
-        IntegratedConvex(0.4), IntegratedConvex(1.0, "uniform"),
-        IntegratedProduct(), IntegratedProduct("uniform"),
-    ], ids=repr)
+    @pytest.mark.parametrize("scheme", STEP_SCHEMES, ids=repr)
     def test_weights_equal_the_reference_object_path(self, scheme):
         # min_window_count 40 puts the first steps in the cold start
         cfg = TrainConfig(steps=8, scheme=scheme, batch_size=32, t0=3, seed=9,
@@ -792,6 +809,25 @@ class TestGridTableSteps:
         assert result.weights.any()
         np.testing.assert_array_equal(result.weights.view(np.uint64),
                                       reference_object_weights(result).view(np.uint64))
+
+    @pytest.mark.parametrize("scheme", STEP_SCHEMES, ids=repr)
+    def test_exact_rate_weights_equal_the_reference_object_path(self, scheme):
+        # each step weighs its active rows at the exact rates cached before it
+        cfg = TrainConfig(steps=8, scheme=scheme, batch_size=32, t0=3, seed=9,
+                          learning_rate=4.0, min_window_count=40,
+                          weight_at_exact_pass_rate=True)
+        state = TrainerState(beta_population(30, seed=8, alpha=1.0, beta=2.0), cfg)
+        rates = np.empty_like(state.record.p_hat)
+        for t in range(cfg.steps):
+            exact = state._exact.copy()
+            train_step(state)
+            rates[t] = np.clip(exact[state.record.prompt_ids[t]], 1e-12, 1.0 - 1e-12)
+        result = state.record
+        sizes = windows_read(result).sum(axis=1)
+        assert (sizes < 40).any() and (sizes >= 40).any()
+        assert result.weights.any()
+        np.testing.assert_array_equal(result.weights.view(np.uint64),
+                                      reference_object_weights(result, rates).view(np.uint64))
 
 
 class TestSharedPopulation:

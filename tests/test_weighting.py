@@ -68,8 +68,11 @@ class TestPointwiseWeights:
         assert pointwise_weight(Curve(reference=ContinuousUniform()), 0.2) == pytest.approx(
             5.0, abs=1e-12
         )
-        # no reference at all falls back to the uniform cold start
-        assert pointwise_weight(Curve(), 0.2) == pytest.approx(5.0, abs=1e-12)
+        # a string reference reads a count row, whose empty row is uniform
+        # (0.2 lies on the grid of N = 5)
+        assert pointwise_weight(Curve(), 0.2, np.zeros(4, np.int64)) == 5.0
+        with pytest.raises(ValueError, match="'window' reference needs a count row"):
+            pointwise_weight(Curve(), 0.2)
 
     def test_domain_errors(self):
         for p in (0.0, 1.0, -0.2, 1.7):
@@ -205,8 +208,10 @@ class TestArrayWeightOracle:
                 pointwise_weight(scheme, np.array([0.5, bad, 0.25]))
 
     def test_scalar_rate_gives_a_zero_dimensional_weight(self):
+        row = np.array([3, 0, 1, 5, 0, 2, 1])
         assert np.shape(pointwise_weight(Grpo(), 0.5)) == ()
-        assert pointwise_weight(IntegratedProduct(), np.empty(0)).shape == (0,)
+        assert np.shape(pointwise_weight(Curve(), 0.3, row)) == ()
+        assert pointwise_weight(IntegratedProduct(), np.empty(0), row).shape == (0,)
 
 
 class TestInducedPrior:
@@ -463,12 +468,16 @@ class TestWeightTable:
 
 @st.composite
 def table_cases(draw):
-    """A scheme of any kind and parameter, N, and a count row for its table:
-    empty rows, sparse rows whose empty bins sit below the density floor,
-    and rows whose low bins sit below the CDF floor."""
+    """A scheme of any kind and parameter, N, a count row for its table
+    (empty rows, sparse rows whose empty bins sit below the density floor,
+    and rows whose low bins sit below the CDF floor), and rates in (0, 1):
+    grid points, rates off the grid, and the exact-rate mode's clamp ends."""
     n = draw(st.sampled_from([2, 3, 5, 8, 16, 64]))
     row = np.array(draw(st.lists(st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 10**4)),
                                  min_size=n - 1, max_size=n - 1)), dtype=np.int64)
+    rates = np.array(draw(st.lists(st.one_of(
+        st.floats(1e-12, 1.0 - 1e-12), st.sampled_from((np.arange(1, n) / n).tolist())),
+        max_size=20)) + [1e-12, 1.0 - 1e-12])
     name = draw(st.sampled_from(sorted(SCHEMES)))
     reference = draw(st.sampled_from(["window", "uniform", "pinned"]))
     if reference == "pinned":
@@ -481,17 +490,17 @@ def table_cases(draw):
         scheme = SCHEMES[name](reference)
     else:
         scheme = SCHEMES[name]()
-    return scheme, n, row
+    return scheme, n, row, rates
 
 
 class TestGridWeights:
     @settings(max_examples=300, deadline=None)
     @given(table_cases())
-    @example((Curve(), 8, np.zeros(7, np.int64)))
-    @example((IntegratedProduct(), 64, np.eye(1, 63, 62, np.int64)[0]))
+    @example((Curve(), 8, np.zeros(7, np.int64), np.array([1e-12, 1.0 - 1e-12])))
+    @example((IntegratedProduct(), 64, np.eye(1, 63, 62, np.int64)[0], np.array([0.5])))
     def test_table_is_the_reference_objects_weights_at_the_grid(self, case):
         # oracle: the per-step reference object the trainer used to build
-        scheme, n, row = case
+        scheme, n, row, _ = case
         grid = np.arange(1, n) / n
         with np.errstate(all="ignore"):
             table = grid_weights(scheme, n, row)
@@ -510,13 +519,34 @@ class TestGridWeights:
     @settings(max_examples=300, deadline=None)
     @given(table_cases())
     def test_floored_cdf_is_monotone_in_the_unit_interval(self, case):
-        _, _, row = case
+        _, _, row, _ = case
         mass, cdf, dens = refdist.floored_histogram(row)
         assert (np.diff(cdf) >= 0.0).all()
         assert ((cdf > 0.0) & (cdf <= 1.0)).all()
         # the uniform reference of an empty row ends at (N - 1)/N
         assert cdf[-1] == (1.0 if row.any() else row.size / (row.size + 1))
         assert (np.isfinite(dens) & (dens > 0.0)).all() and (mass >= 0.0).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(table_cases())
+    @example((Curve(), 8, np.zeros(7, np.int64), np.array([0.3, 1e-12, 1.0 - 1e-12])))
+    @example((IntegratedProduct("uniform"), 2, np.array([5]), np.array([0.7, 1e-12])))
+    def test_weight_from_a_row_is_the_reference_objects_weight(self, case):
+        # oracle: the reference object the exact-rate mode used to build per
+        # step; the row is read once per rate, the object twice (F and f)
+        scheme, _, row, rates = case
+        string = needs_reference(scheme) and scheme.reference in ("window", "uniform")
+        old = scheme
+        if string:
+            old = replace(scheme, reference=refdist.distribution_from_counts(row, row.sum()))
+        with np.errstate(all="ignore"):
+            before = refdist.offgrid_snap_count()
+            got = pointwise_weight(scheme, rates, row)
+            snaps = refdist.offgrid_snap_count() - before
+            want = pointwise_weight(old, rates)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        if string:
+            assert 2 * snaps == refdist.offgrid_snap_count() - before - snaps
 
     def test_rows_are_tabulated_independently(self):
         # reference_csv_columns reads every logged row in one call
